@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race fuzz bce bench-json bench-smoke soak soak-smoke fleet-smoke fleet-bench trace-smoke lint check
+.PHONY: build vet test race fuzz bce bench-smoke bench-check soak soak-smoke fleet-smoke trace-smoke lint check
 
 build:
 	$(GO) build ./...
@@ -12,9 +12,9 @@ test:
 	$(GO) test ./...
 
 # Race-check the packages with concurrency: the UDP transport + chaos
-# harness, the batched kernels, the model core, the sharded engine, the
-# parallel ingest pipeline, the telemetry registry, and the root-package
-# integration tests.
+# harness, the kernels, the model core and its serving lane, the sharded
+# engine, the parallel ingest pipeline, the telemetry registry, and the
+# root-package integration tests.
 race:
 	$(GO) test -race ./internal/netflow ./internal/nn ./internal/core ./internal/engine ./internal/ingest ./internal/cluster ./internal/telemetry ./internal/trace .
 
@@ -28,7 +28,8 @@ race:
 # slice-header constructions (IsSliceInBounds, O(1) per kernel call) are
 # setup cost, not inner-loop cost, and are not gated. Load-time
 # quantization (quantize32.go), the dynamic-index gather/scatter loops of
-# the batch runners, and the once-per-chunk strided transposes
+# the serving lane (core/batchrunner32.go), and the once-per-chunk strided
+# transposes
 # (nn/transpose.go) are deliberately excluded.
 BCE_KERNELS := internal/nn/f32.go internal/nn/panel32.go internal/nn/lstm32.go \
 	internal/nn/batchgrad.go internal/nn/batchtape.go internal/nn/sparsetrain.go
@@ -52,26 +53,22 @@ lint: vet
 	else \
 		echo "staticcheck not installed; skipping (CI runs it)"; fi
 
-# Benchmarks rendered as committed JSON baselines: engine sharding
-# throughput (BENCH_engine.json), the inference hot path — LSTM step
-# kernels, Stream.Push, BatchRunner.Push — (BENCH_nn.json), and the
-# training path — scalar-baseline vs batched Fit, batched LSTM
-# forward/backward — (BENCH_train.json). Each records ns/op, allocs/op and
-# steps/sec or examples/sec so regressions show up in review.
-bench-json:
-	$(GO) test ./internal/engine -run '^$$' -bench 'BenchmarkEngineShards' | $(GO) run ./cmd/benchjson > BENCH_engine.json
-	@cat BENCH_engine.json
-	$(GO) test ./internal/nn ./internal/core -run '^$$' -bench 'BenchmarkLSTMStep|BenchmarkStreamPush|BenchmarkBatchRunnerPush' | $(GO) run ./cmd/benchjson > BENCH_nn.json
-	@cat BENCH_nn.json
-	$(GO) test ./internal/ingest -run '^$$' -bench 'BenchmarkIngestE2E|BenchmarkDecodeV5Into|BenchmarkAggregatorAdd|BenchmarkExtractInto' -benchtime 2s | $(GO) run ./cmd/benchjson > BENCH_ingest.json
-	@cat BENCH_ingest.json
-	$(GO) test ./internal/nn ./internal/core -run '^$$' -bench 'BenchmarkFit|BenchmarkLSTMForwardBatch|BenchmarkLSTMBackwardBatch|BenchmarkLSTMBackwardScalar' -benchtime 2s | $(GO) run ./cmd/benchjson > BENCH_train.json
-	@cat BENCH_train.json
-
-# One-iteration pass over every benchmark: catches benchmarks that no
-# longer compile or crash without paying for real measurement.
+# One-iteration pass over every microbenchmark: catches benchmarks that no
+# longer compile or crash without paying for real measurement. They are
+# working tools, not baselines: performance claims are made with the
+# packet-to-verdict benchmark (bench/README.md).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# The packet-to-verdict benchmark (bench/, BENCHMARK.json) is its own
+# module, so `build`, `vet` and `test` above never compile it: without this
+# target an API it uses can be renamed and nothing fails until a benchmark
+# run does. Vet it, run its tests, and run every workload at smoke size
+# through its correctness gates (~20 s).
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+	bash bench/run.sh -smoke
 
 # Phased-chaos soak over the real UDP serving path. `soak` is the full
 # 14-day run that regenerates the committed BENCH_soak.json (loss, dup,
@@ -90,21 +87,14 @@ soak-smoke:
 # table-following ingest router, replayed at 1/2/4 nodes with a live
 # mid-run join, a forced rebalance, and a node kill + rejoin under the
 # same ID. `fleet-smoke` is the CI gate (2-day world) asserting
-# cluster-wide alert-set parity against the 1-node baseline;
-# `fleet-bench` is the fuller run that regenerates the committed
-# BENCH_cluster.json (records/s and migration pause at each size).
+# cluster-wide alert-set parity against the 1-node baseline.
 fleet-smoke:
 	$(GO) run ./cmd/xatu-fleet -smoke -assert > /dev/null
-
-fleet-bench:
-	$(GO) run ./cmd/xatu-fleet -days 6 -assert | $(GO) run ./cmd/benchjson > BENCH_cluster.json
-	@cat BENCH_cluster.json
 
 # Observability acceptance: the 2-node fleet run with 1-in-64 flow
 # tracing must yield coordinator-assembled cross-node timelines
 # (export→seal→step on the nodes joined with the coordinator's fan-in
-# span), and a controlled exporter→ingest replay (the BENCH_ingest hot
-# path, in-process) must hold tracing-on throughput within 5% of
+# span), and a controlled exporter→ingest replay (in-process) must hold tracing-on throughput within 5% of
 # tracing-off (median of paired off/on runs).
 trace-smoke:
 	$(GO) run ./cmd/xatu-fleet -smoke -assert -trace 64 > /dev/null
@@ -115,4 +105,4 @@ fuzz:
 	$(GO) test ./internal/netflow -run '^$$' -fuzz FuzzDecodeV5 -fuzztime 10s
 	$(GO) test ./internal/netflow -run '^$$' -fuzz FuzzJournalRoundTrip -fuzztime 10s
 
-check: build lint bce test race fleet-smoke trace-smoke
+check: build lint bce test race bench-check fleet-smoke trace-smoke

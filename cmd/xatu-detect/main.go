@@ -48,7 +48,6 @@ func main() {
 		telAddr  = flag.String("telemetry-addr", "", "serve Prometheus /metrics, /healthz, /debug/alerts and pprof on this address (empty = disabled)")
 		ingestW  = flag.Int("ingest-workers", 0, "run the parallel allocation-lean ingest pipeline with this many decode and aggregation workers; steps are sealed by record event time with -lateness allowance (0 = legacy collector with wall-clock stepping)")
 		lateness = flag.Duration("lateness", 2*time.Minute, "ingest pipeline: how far out of order records may arrive before a step seals without them")
-		precFlag = flag.String("precision", "float32", "serving kernel precision: float32 (quantized panel kernels) or float64 (training precision)")
 	)
 	flag.Parse()
 
@@ -62,10 +61,6 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-	}
-	precision, err := xatu.ParsePrecision(*precFlag)
-	if err != nil {
-		fatal("%v", err)
 	}
 
 	// Live ingest sheds oldest rather than blocking the collector drain
@@ -84,7 +79,7 @@ func main() {
 	eng, err := xatu.NewEngine(xatu.EngineConfig{
 		Monitor: xatu.MonitorConfig{
 			Models: models, Default: def, Extractor: loadExtractor(*modelDir),
-			Threshold: threshold, RecordHistory: true, Precision: precision,
+			Threshold: threshold, RecordHistory: true,
 		},
 		Shards:    *shards,
 		Queue:     *queue,

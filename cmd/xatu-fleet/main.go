@@ -9,10 +9,11 @@
 // coordinator's deduped alert fan-in and are compared per-episode
 // against the 1-node baseline run of the identical path.
 //
-// Benchmark lines (consumed by cmd/benchjson) go to stdout; the human
-// summary goes to stderr:
-//
-//	xatu-fleet -smoke -assert | benchjson > BENCH_cluster.json
+// The nodes serve as a deployment does, through the float32 lanes; the
+// parity assertions compare each run with the harness's own 1-node
+// baseline, served the same way. `go test -bench`-style result lines go to
+// stdout, the human summary to stderr. The records/sec in them is
+// pace-limited by -rate and is not a capacity number.
 package main
 
 import (
@@ -573,8 +574,7 @@ func (pipeAddr) String() string  { return "pipe" }
 
 // checkOverhead measures tracing overhead at the *requested* rate (the
 // production configuration: an almost entirely unsampled hot path) on
-// the path tracing actually touches per record — the one BENCH_ingest
-// pins: a real Exporter (per-record sampling probe + trailer stamping)
+// the path tracing actually touches per record: a real Exporter (per-record sampling probe + trailer stamping)
 // feeding a real ingest pipeline (trailer parse, origin recording, seal
 // spans) through an in-process conn. A full unpaced fleet replay is far
 // too noisy for a 5% assert (drive throughput swings 2-3x run to run on

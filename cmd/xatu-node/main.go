@@ -46,7 +46,6 @@ func main() {
 		workers  = flag.Int("workers", 2, "ingest decode + aggregation workers")
 		queue    = flag.Int("queue", 1024, "per-shard mailbox capacity")
 		traceN   = flag.Int("trace", 0, "deterministic 1-in-N flow tracing (0 = off; must match the coordinator's and router's -trace)")
-		precFlag = flag.String("precision", "float32", "serving kernel precision: float32 (quantized panel kernels) or float64 (training precision)")
 	)
 	flag.Parse()
 	if *id == "" {
@@ -67,10 +66,6 @@ func main() {
 			fatal("%v", err)
 		}
 	}
-	precision, err := xatu.ParsePrecision(*precFlag)
-	if err != nil {
-		fatal("%v", err)
-	}
 
 	node, err := xatu.StartClusterNode(xatu.ClusterNodeConfig{
 		ID:            *id,
@@ -81,7 +76,7 @@ func main() {
 		Engine: xatu.EngineConfig{
 			Monitor: xatu.MonitorConfig{
 				Models: models, Default: def, Extractor: loadExtractor(*modelDir),
-				Threshold: threshold, Precision: precision,
+				Threshold: threshold,
 			},
 			Shards: *shards,
 			Queue:  *queue,

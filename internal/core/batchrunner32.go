@@ -7,88 +7,124 @@ import (
 	"github.com/xatu-go/xatu/internal/nn"
 )
 
-// BatchRunner32 is the float32 lane runner: it advances many
-// PrecisionFloat32 Streams sharing one *Model through the quantized panel
-// kernels, and owns the lane's Arena so every stream it creates has its
-// hot state carved from the same contiguous slabs — gather/scatter then
-// walks nearly-linear memory instead of pointer-chasing per customer.
+// BatchRunner32 is the serving lane of one *Model: it creates the lane's
+// streams, carving their float32 state from its arena so gather/scatter
+// walks nearly-linear memory instead of pointer-chasing per customer, and
+// it alone advances them, through the quantized panel kernels. Streams own
+// state; the lane owns every gather buffer and all kernel scratch.
 //
-// The bit-exactness contract matches BatchRunner's, within the float32
-// path: Push leaves every stream in the state — and returns the survival
-// value — that the stream's own sequential float32 push would have
-// produced, bit for bit (the panel kernels preserve per-row arithmetic
-// order; see nn.PanelMat32). Parity against float64 serving is
-// behavioral, not bitwise: alert sets agree within the calibrated
-// tolerance (DESIGN.md §14).
+// Push is batch-size-invariant bit for bit: a stream ends in the same
+// state, and reports the same survival value, whether it stepped alone or
+// among any others (the panel kernels preserve per-row arithmetic order;
+// see nn.PanelMat32) — so a lone stream is simply a batch of one
+// (Stream.Push, Stream.PushMissing). Against the float64 oracle parity is
+// behavioral, not bitwise: survival tracks it within the calibrated
+// tolerance (TestStream32TracksFloat64).
 //
 // A BatchRunner32 is not safe for concurrent use.
 type BatchRunner32 struct {
 	m     *Model
 	q     *Quantized32
-	arena Arena
+	arena arena
 	// per-branch gather buffers: input rows, hidden/cell rows, and the
 	// indices (into the caller's streams slice) of the rows' owners.
 	xb, hb, cb [numBranches]nn.Batch32
 	idx        [numBranches][]int
 	sc         nn.BatchScratch32
 	concat, zs nn.Batch32
+	// the batch of one behind Stream.Push/PushMissing, and the input a
+	// missing step synthesizes.
+	one    [1]*Stream
+	oneX   [1][]float64
+	oneOut [1]float64
+	missX  nn.Vec
 }
 
-// NewBatchRunner32 returns a float32 runner over m, quantizing the model
-// (cached on the Model) up front so corrupt weights fail here, at
-// load/construction time, not mid-serving.
+// NewBatchRunner32 returns a lane over m, quantizing the model (cached on
+// the Model) up front so corrupt weights fail here, at load/construction
+// time, not mid-serving.
 func NewBatchRunner32(m *Model) (*BatchRunner32, error) {
 	q, err := m.Quantized32()
 	if err != nil {
 		return nil, err
 	}
-	return &BatchRunner32{m: m, q: q}, nil
+	return &BatchRunner32{m: m, q: q, missX: nn.NewVec(m.Cfg.NumFeatures)}, nil
 }
 
 // Model returns the shared model the runner steps streams through.
 func (r *BatchRunner32) Model() *Model { return r.m }
 
-// NewStream returns a fresh float32 stream over the runner's model, with
-// state carved from the lane arena. Quantization is already cached, so
-// this cannot fail.
+// NewStream returns a fresh serving stream on this lane: recurrent state,
+// pooling sums and the narrowed input in one contiguous arena slab.
 func (r *BatchRunner32) NewStream() *Stream {
-	s, err := NewStreamPrec(r.m, PrecisionFloat32, &r.arena)
-	if err != nil {
-		panic(err) // unreachable: NewBatchRunner32 already quantized
+	s := newStreamBase(r.m)
+	s.lane = r
+	nf, hd := r.m.Cfg.NumFeatures, r.m.Cfg.Hidden
+	slab := r.arena.alloc(r.m.activeBranches()*(2*hd+nf) + nf)
+	carve := func(n int) nn.Vec32 {
+		v := slab[:n:n]
+		slab = slab[n:]
+		return v
 	}
+	for b, l := range r.q.lstms {
+		if l != nil {
+			s.h32[b], s.c32[b], s.bufSum32[b] = carve(hd), carve(hd), carve(nf)
+		}
+	}
+	s.x32 = carve(nf)
 	return s
 }
 
-// RestoreStream reads an XSC1 checkpoint into a float32 stream on this
-// lane (state carved from the lane arena).
+// RestoreStream reads an XSC1 checkpoint into a serving stream on this
+// lane. A float32 round-trip is exact (the checkpoint stores widened
+// float32 values); a checkpoint written by a float64 stream narrows, which
+// stays within the precision parity tolerance.
 func (r *BatchRunner32) RestoreStream(rd io.Reader) (*Stream, error) {
-	return RestoreStreamPrec(rd, r.m, PrecisionFloat32, &r.arena)
+	return restoreStream(rd, r.m, r.NewStream)
+}
+
+// pushOne is Push for a batch of one, through lane-owned slices so the
+// lone step allocates nothing.
+func (r *BatchRunner32) pushOne(s *Stream, x []float64, observed bool) float64 {
+	r.one[0], r.oneX[0] = s, x
+	r.step(r.one[:], r.oneX[:], r.oneOut[:], observed)
+	return r.oneOut[0]
 }
 
 // Push advances stream i with input xs[i] for every i, writing the
-// survival probability into out[i] and returning out — the float32
-// analogue of BatchRunner.Push, allocation-free at steady state.
+// survival probability into out[i] and returning out. A nil or
+// wrong-length out is reallocated; callers wanting an allocation-free
+// step pass a slice of len(streams).
 func (r *BatchRunner32) Push(streams []*Stream, xs [][]float64, out []float64) []float64 {
+	if len(xs) != len(streams) {
+		panic(fmt.Sprintf("core: BatchRunner32.Push with %d streams, %d inputs", len(streams), len(xs)))
+	}
+	if len(out) != len(streams) {
+		out = make([]float64, len(streams))
+	}
+	r.step(streams, xs, out, true)
+	return out
+}
+
+// step is Push proper. observed is false for synthesized missing-step
+// inputs, which must not overwrite the streams' last real input.
+func (r *BatchRunner32) step(streams []*Stream, xs [][]float64, out []float64, observed bool) {
 	B := len(streams)
-	if len(xs) != B {
-		panic(fmt.Sprintf("core: BatchRunner32.Push with %d streams, %d inputs", B, len(xs)))
-	}
-	if len(out) != B {
-		out = make([]float64, B)
-	}
 	if B == 0 {
-		return out
+		return
 	}
 	cfg := r.m.Cfg
 	for i, s := range streams {
-		if s.m != r.m {
-			panic("core: BatchRunner32.Push with a stream over a different model")
+		if s.lane != r {
+			panic("core: BatchRunner32.Push with a stream of another lane")
 		}
-		if s.prec != PrecisionFloat32 {
-			panic("core: BatchRunner32.Push with a non-float32 stream")
+		if len(xs[i]) != cfg.NumFeatures {
+			panic(fmt.Sprintf("core: BatchRunner32.Push input %d has %d features, model has %d", i, len(xs[i]), cfg.NumFeatures))
 		}
-		copy(s.lastX, xs[i])
-		s.x32 = nn.Narrow32(xs[i], s.x32)
+		if observed {
+			copy(s.lastX, xs[i])
+		}
+		nn.Narrow32(xs[i], s.x32)
 		s.steps++
 	}
 	for b, l := range r.q.lstms {
@@ -124,8 +160,8 @@ func (r *BatchRunner32) Push(streams []*Stream, xs [][]float64, out []float64) [
 			if k <= 1 {
 				copy(row, s.x32)
 			} else {
-				// The same mean expression the sequential float32 path
-				// computes: bufSum32[j] * (1/k), then the buffer restarts.
+				// The oracle's mean expression in float32:
+				// bufSum32[j] * (1/k), then the buffer restarts.
 				for j, sum := range s.bufSum32[b] {
 					row[j] = sum * inv
 				}
@@ -161,5 +197,4 @@ func (r *BatchRunner32) Push(streams []*Stream, xs [][]float64, out []float64) [
 	for i, s := range streams {
 		out[i] = s.recordHazard(nn.Softplus(float64(r.zs.Row(i)[0])))
 	}
-	return out
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/xatu-go/xatu/internal/features"
-	"github.com/xatu-go/xatu/internal/nn"
 )
 
 // benchModel mirrors the deployed detector shape: 273 features, the
@@ -28,8 +27,8 @@ func benchInput() []float64 {
 	return x
 }
 
-// BenchmarkStreamPush is the sequential online hot path: one full detector
-// step (three branches + head + hazard window) with zero allocations.
+// BenchmarkStreamPush is the float64 oracle's step: three branches + head +
+// hazard window, zero allocations.
 func BenchmarkStreamPush(b *testing.B) {
 	s := NewStream(benchModel(b))
 	x := benchInput()
@@ -41,41 +40,10 @@ func BenchmarkStreamPush(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/sec")
 }
 
-// benchBatchRunnerPush advances B streams sharing one model per op;
-// steps/sec counts stream-steps so the batched path compares directly with
-// BenchmarkStreamPush.
-func benchBatchRunnerPush(b *testing.B, B int) {
-	m := benchModel(b)
-	r := NewBatchRunner(m)
-	streams := make([]*Stream, B)
-	xs := make([][]float64, B)
-	for i := range streams {
-		streams[i] = NewStream(m)
-		xs[i] = benchInput()
-	}
-	out := make([]float64, B)
-	// Warm past the longest pooling boundary so every branch's packing
-	// buffers exist and b.N ops report true steady state.
-	for i := 0; i < m.Cfg.PoolLong; i++ {
-		r.Push(streams, xs, out)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Push(streams, xs, out)
-	}
-	b.ReportMetric(float64(b.N)*float64(B)/b.Elapsed().Seconds(), "steps/sec")
-}
-
-func BenchmarkBatchRunnerPush8(b *testing.B)  { benchBatchRunnerPush(b, 8) }
-func BenchmarkBatchRunnerPush64(b *testing.B) { benchBatchRunnerPush(b, 64) }
-
-// BenchmarkStreamPushF32 is the sequential float32 online hot path.
+// BenchmarkStreamPushF32 is a lone serving stream: a batch of one on its
+// lane.
 func BenchmarkStreamPushF32(b *testing.B) {
-	s, err := NewStreamPrec(benchModel(b), PrecisionFloat32, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := newLane(b, benchModel(b)).NewStream()
 	x := benchInput()
 	s.Push(x)
 	b.ReportAllocs()
@@ -86,15 +54,11 @@ func BenchmarkStreamPushF32(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/sec")
 }
 
-// benchBatchRunnerPush32 is benchBatchRunnerPush through the float32 lane
-// runner with arena'd stream state; steps/sec compares directly with the
-// float64 rows.
+// benchBatchRunnerPush32 advances B streams of one lane per op; steps/sec
+// counts stream-steps so it compares directly with BenchmarkStreamPushF32.
 func benchBatchRunnerPush32(b *testing.B, B int) {
 	m := benchModel(b)
-	r, err := NewBatchRunner32(m)
-	if err != nil {
-		b.Fatal(err)
-	}
+	r := newLane(b, m)
 	streams := make([]*Stream, B)
 	xs := make([][]float64, B)
 	for i := range streams {
@@ -146,36 +110,6 @@ func benchTrainSet(m *Model, n int, dense bool) []Example {
 		out[i] = Example{X: x, Attack: i%2 == 0, AttackStep: m.Cfg.Window / 2}
 	}
 	return out
-}
-
-// BenchmarkFitScalarBaseline is the pre-batching trainer: one scalar
-// TrainExample per example (allocating tapes as it goes), replica merge and
-// one Adam step per mini-batch. One op = one epoch; examples/sec compares
-// directly with BenchmarkFitBatched.
-func BenchmarkFitScalarBaseline(b *testing.B) {
-	m := benchModel(b)
-	examples := benchTrainSet(m, 32, false)
-	const batch = 8
-	opt := nn.NewAdam(m.Cfg.LearningRate, m.Params())
-	replica := m.Replica()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for lo := 0; lo < len(examples); lo += batch {
-			hi := lo + batch
-			if hi > len(examples) {
-				hi = len(examples)
-			}
-			for k := lo; k < hi; k++ {
-				if _, err := replica.TrainExample(&examples[k]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			replica.MergeGradsInto(m)
-			opt.Step(1 / float64(hi-lo))
-		}
-	}
-	b.ReportMetric(float64(b.N)*float64(len(examples))/b.Elapsed().Seconds(), "examples/sec")
 }
 
 // benchFitBatched drives the batched trainer epoch loop directly (one op =

@@ -55,7 +55,7 @@ func (s *Stream) Checkpoint(w io.Writer) error {
 			continue
 		}
 		h, c, buf := s.h[b], s.c[b], s.bufSum[b]
-		if s.prec == PrecisionFloat32 {
+		if s.lane != nil {
 			// Widening float32 state to the checkpoint's float64 vectors is
 			// exact, so the XSC1 format (and every consumer of it) is
 			// precision-agnostic; restore narrows back losslessly.
@@ -80,19 +80,17 @@ func (s *Stream) Checkpoint(w io.Writer) error {
 }
 
 // RestoreStream reads a checkpoint written by Checkpoint and returns a
-// float64 stream over m, which must have the same architecture (feature
-// width, hidden size, window, pooling, enabled branches) as the
+// float64 oracle stream over m, which must have the same architecture
+// (feature width, hidden size, window, pooling, enabled branches) as the
 // checkpointing model. The restored stream continues bitwise-identically.
 func RestoreStream(r io.Reader, m *Model) (*Stream, error) {
-	return RestoreStreamPrec(r, m, PrecisionFloat64, nil)
+	return restoreStream(r, m, func() *Stream { return NewStream(m) })
 }
 
-// RestoreStreamPrec is RestoreStream with an explicit serving precision
-// and, for float32, the lane arena the stream's state is carved from. A
-// float32→float32 round-trip is exact (the checkpoint stores widened
-// float32 values); restoring a float64 checkpoint into a float32 stream
-// narrows the state, which stays within the precision parity tolerance.
-func RestoreStreamPrec(r io.Reader, m *Model, prec Precision, a *Arena) (*Stream, error) {
+// restoreStream decodes an XSC1 checkpoint into the stream fresh returns:
+// an oracle stream takes the float64 vectors as they are, a serving stream
+// narrows them into its arena slab.
+func restoreStream(r io.Reader, m *Model, fresh func() *Stream) (*Stream, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("core: reading checkpoint magic: %w", err)
@@ -130,38 +128,26 @@ func RestoreStreamPrec(r io.Reader, m *Model, prec Precision, a *Arena) (*Stream
 	if got := cr.u8(); cr.err == nil && got != mask {
 		return nil, fmt.Errorf("core: checkpoint branch mask %03b, model has %03b", got, mask)
 	}
-	s, err := NewStreamPrec(m, prec, a)
-	if err != nil {
-		return nil, err
-	}
+	s := fresh()
 	// Vectors are always present in checkpoints taken since streams began
 	// preallocating their state; absent vectors (older checkpoints, or a
-	// never-pushed lastX) mean the zero state NewStream already installed.
+	// never-pushed lastX) mean the zero state fresh already installed.
+	into := func(v nn.Vec, dst64 *nn.Vec, dst32 nn.Vec32) {
+		switch {
+		case v == nil:
+		case s.lane != nil:
+			nn.Narrow32(v, dst32)
+		default:
+			*dst64 = v
+		}
+	}
 	for b, l := range m.lstms {
 		if l == nil {
 			continue
 		}
-		if h := cr.vec(cfg.Hidden); h != nil {
-			if prec == PrecisionFloat32 {
-				nn.Narrow32(h, s.h32[b])
-			} else {
-				s.h[b] = h
-			}
-		}
-		if c := cr.vec(cfg.Hidden); c != nil {
-			if prec == PrecisionFloat32 {
-				nn.Narrow32(c, s.c32[b])
-			} else {
-				s.c[b] = c
-			}
-		}
-		if buf := cr.vec(cfg.NumFeatures); buf != nil {
-			if prec == PrecisionFloat32 {
-				nn.Narrow32(buf, s.bufSum32[b])
-			} else {
-				s.bufSum[b] = buf
-			}
-		}
+		into(cr.vec(cfg.Hidden), &s.h[b], s.h32[b])
+		into(cr.vec(cfg.Hidden), &s.c[b], s.c32[b])
+		into(cr.vec(cfg.NumFeatures), &s.bufSum[b], s.bufSum32[b])
 		s.bufN[b] = cr.i32()
 		s.seen[b] = cr.bool()
 	}

@@ -183,14 +183,24 @@ func TestRestoreStreamRejectsCorruption(t *testing.T) {
 // TestPushMissingPolicies pins the two gap policies against their explicit
 // equivalents: MissingZero behaves exactly like pushing a zero vector, and
 // MissingCarry exactly like re-pushing the last real input — except that
-// lastX itself only tracks real inputs.
+// lastX itself only tracks real inputs. It holds for the float64 oracle
+// stepping itself and for a serving stream stepped by its lane.
 func TestPushMissingPolicies(t *testing.T) {
 	m, err := New(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Run("oracle", func(t *testing.T) {
+		testPushMissingPolicies(t, m, func() *Stream { return NewStream(m) })
+	})
+	t.Run("lane", func(t *testing.T) {
+		testPushMissingPolicies(t, m, newLane(t, m).NewStream)
+	})
+}
+
+func testPushMissingPolicies(t *testing.T, m *Model, fresh func() *Stream) {
 	warm := func() (*Stream, []float64) {
-		s := NewStream(m)
+		s := fresh()
 		var x []float64
 		r2 := rand.New(rand.NewSource(11))
 		// 24 steps: enough for the PoolLong=12 branch to fire and the
@@ -226,10 +236,16 @@ func TestPushMissingPolicies(t *testing.T) {
 		if got2 != want2 {
 			t.Fatalf("second MissingCarry=%v, want %v", got2, want2)
 		}
+		// Nor the zeros an intervening MissingZero step fed.
+		a.PushMissing(MissingZero)
+		b.PushMissing(MissingZero)
+		if got3, want3 := a.PushMissing(MissingCarry), b.Push(last); got3 != want3 {
+			t.Fatalf("MissingCarry after MissingZero=%v, want %v", got3, want3)
+		}
 	})
 	t.Run("carry on cold stream zero-fills", func(t *testing.T) {
-		a := NewStream(m)
-		b := NewStream(m)
+		a := fresh()
+		b := fresh()
 		got := a.PushMissing(MissingCarry)
 		want := b.Push(make([]float64, m.Cfg.NumFeatures))
 		if got != want {

@@ -6,45 +6,16 @@ import (
 	"github.com/xatu-go/xatu/internal/nn"
 )
 
-// Precision selects the arithmetic a Stream's kernels run in. Training is
-// always float64; serving may run the quantized float32 panel kernels,
-// which hold alert behavior within the calibrated tolerance (DESIGN.md
-// §14) at a large throughput gain. The survival accounting above the
-// kernels (hazard ring, window sums) is float64 in both modes, so
-// checkpoints are format-identical.
+// Precision once selected a serving arithmetic. Serving is float32 and the
+// float64 Stream is the oracle, so nothing reads a Precision any more: the
+// type and its two values stay declared only because the frozen benchmark
+// (bench/) sets engine.MonitorConfig.Precision, and go with that field.
 type Precision uint8
 
 const (
-	// PrecisionFloat64 serves with the training-precision kernels. The
-	// zero value, so existing constructors keep their exact behavior.
 	PrecisionFloat64 Precision = iota
-	// PrecisionFloat32 serves with quantized panel-packed weights and
-	// float32 recurrent state.
 	PrecisionFloat32
 )
-
-func (p Precision) String() string {
-	switch p {
-	case PrecisionFloat64:
-		return "float64"
-	case PrecisionFloat32:
-		return "float32"
-	default:
-		return fmt.Sprintf("precision(%d)", uint8(p))
-	}
-}
-
-// ParsePrecision parses a -precision flag value.
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "float64", "f64", "64":
-		return PrecisionFloat64, nil
-	case "float32", "f32", "32":
-		return PrecisionFloat32, nil
-	default:
-		return 0, fmt.Errorf("core: unknown precision %q (want float32 or float64)", s)
-	}
-}
 
 // Quantized32 is a model's float32 serving form: panel-packed LSTM cells
 // and head, built once per model and shared read-only by every stream and
@@ -91,14 +62,14 @@ func (m *Model) invalidateQuantized() {
 	m.q32mu.Unlock()
 }
 
-// Arena hands out float32 slices carved from large chunks, so the stream
+// arena hands out float32 slices carved from large chunks, so the stream
 // state of one model lane sits in a few contiguous slabs instead of
 // thousands of separate heap objects — gather/scatter in the batch runner
 // then walks nearly-linear memory. Allocation is grow-only: slots are
 // never freed or moved (the engine retires channels by rebuilding whole
 // Monitors, never by deleting streams in place), so handed-out slices stay
 // valid for the arena's lifetime. Not safe for concurrent use.
-type Arena struct {
+type arena struct {
 	cur []float32
 	off int
 }
@@ -108,9 +79,9 @@ type Arena struct {
 // tiny lanes.
 const arenaChunkFloats = 1 << 16
 
-// Alloc returns a zeroed float32 slice of length n with capacity clamped
+// alloc returns a zeroed float32 slice of length n with capacity clamped
 // to n (appends cannot bleed into neighboring slots).
-func (a *Arena) Alloc(n int) nn.Vec32 {
+func (a *arena) alloc(n int) nn.Vec32 {
 	if n > len(a.cur)-a.off {
 		size := arenaChunkFloats
 		if n > size {

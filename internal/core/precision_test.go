@@ -7,69 +7,6 @@ import (
 	"testing"
 )
 
-func newParityStreams32(t *testing.T, m *Model, n int) (batch, ref []*Stream) {
-	t.Helper()
-	batch = make([]*Stream, n)
-	ref = make([]*Stream, n)
-	for i := range batch {
-		var err error
-		if batch[i], err = NewStreamPrec(m, PrecisionFloat32, nil); err != nil {
-			t.Fatal(err)
-		}
-		if ref[i], err = NewStreamPrec(m, PrecisionFloat32, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return batch, ref
-}
-
-// TestBatchRunner32MatchesSequentialBitwise is the float32 twin of the
-// float64 runner contract: batched float32 serving must be bit-identical
-// to the sequential float32 path, stream for stream, across pooling
-// boundaries and hazard-ring wraps — including byte-identical checkpoints.
-func TestBatchRunner32MatchesSequentialBitwise(t *testing.T) {
-	m, err := New(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewBatchRunner32(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, B := range []int{1, 3, 64} {
-		rng := rand.New(rand.NewSource(int64(200 + B)))
-		batch := make([]*Stream, B)
-		for i := range batch {
-			batch[i] = r.NewStream()
-		}
-		_, ref := newParityStreams32(t, m, B)
-		out := make([]float64, B)
-		for step := 0; step < 60; step++ {
-			xs := parityInputs(rng, B, m.Cfg.NumFeatures)
-			r.Push(batch, xs, out)
-			for i := range ref {
-				want := ref[i].Push(xs[i])
-				if out[i] != want {
-					t.Fatalf("B=%d step %d stream %d: batched survival %v != sequential %v",
-						B, step, i, out[i], want)
-				}
-			}
-		}
-		for i := range ref {
-			var a, b bytes.Buffer
-			if err := batch[i].Checkpoint(&a); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref[i].Checkpoint(&b); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Fatalf("B=%d stream %d: batched and sequential checkpoints differ", B, i)
-			}
-		}
-	}
-}
-
 // TestStream32CheckpointRoundTrip checkpoints a float32 stream mid-run —
 // partial pooling buffers, ring mid-epoch — restores it at float32, and
 // requires bit-identical continuation: float32 state widens exactly into
@@ -80,10 +17,8 @@ func TestStream32CheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(301))
-	orig, err := NewStreamPrec(m, PrecisionFloat32, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lane := newLane(t, m)
+	orig := lane.NewStream()
 	for i := 0; i < 13; i++ {
 		orig.Push(randInput(rng, m.Cfg.NumFeatures))
 	}
@@ -91,12 +26,9 @@ func TestStream32CheckpointRoundTrip(t *testing.T) {
 	if err := orig.Checkpoint(&ck); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreStreamPrec(bytes.NewReader(ck.Bytes()), m, PrecisionFloat32, nil)
+	restored, err := lane.RestoreStream(bytes.NewReader(ck.Bytes()))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if restored.Precision() != PrecisionFloat32 {
-		t.Fatalf("restored precision %v", restored.Precision())
 	}
 	for i := 0; i < 40; i++ {
 		x := randInput(rng, m.Cfg.NumFeatures)
@@ -136,7 +68,7 @@ func TestRestoreFloat64CheckpointIntoFloat32(t *testing.T) {
 	if err := s64.Checkpoint(&ck); err != nil {
 		t.Fatal(err)
 	}
-	s32, err := RestoreStreamPrec(bytes.NewReader(ck.Bytes()), m, PrecisionFloat32, nil)
+	s32, err := newLane(t, m).RestoreStream(bytes.NewReader(ck.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,10 +97,7 @@ func TestStream32TracksFloat64(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(303))
 	s64 := NewStream(m)
-	s32, err := NewStreamPrec(m, PrecisionFloat32, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s32 := newLane(t, m).NewStream()
 	for i := 0; i < 400; i++ {
 		x := randInput(rng, m.Cfg.NumFeatures)
 		a, b := s64.Push(x), s32.Push(x)
@@ -178,162 +107,26 @@ func TestStream32TracksFloat64(t *testing.T) {
 	}
 }
 
-// TestStream32ResetAndMissing exercises Reset and PushMissing on the
-// float32 path: reset returns to the cold state, and missing-step
-// synthesis stays bit-identical between two identically-driven streams.
-func TestStream32ResetAndMissing(t *testing.T) {
+// TestStream32Reset: Reset returns a serving stream that has stepped, real
+// and missing, to the cold state — byte-equal to a fresh one's checkpoint.
+func TestStream32Reset(t *testing.T) {
 	m, err := New(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(304))
-	a, err := NewStreamPrec(m, PrecisionFloat32, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewStreamPrec(m, PrecisionFloat32, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lane := newLane(t, m)
+	s := lane.NewStream()
 	for i := 0; i < 25; i++ {
-		x := randInput(rng, m.Cfg.NumFeatures)
 		if i%5 == 4 {
-			if a.PushMissing(MissingCarry) != b.PushMissing(MissingCarry) {
-				t.Fatalf("step %d: missing-step survival diverged", i)
-			}
+			s.PushMissing(MissingCarry)
 			continue
 		}
-		if a.Push(x) != b.Push(x) {
-			t.Fatalf("step %d: survival diverged", i)
-		}
+		s.Push(randInput(rng, m.Cfg.NumFeatures))
 	}
-	a.Reset()
-	fresh, err := NewStreamPrec(m, PrecisionFloat32, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ra, rf bytes.Buffer
-	if err := a.Checkpoint(&ra); err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.Checkpoint(&rf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ra.Bytes(), rf.Bytes()) {
+	s.Reset()
+	if !bytes.Equal(checkpointBytes(t, s), checkpointBytes(t, lane.NewStream())) {
 		t.Fatal("reset float32 stream differs from a fresh one")
-	}
-}
-
-// TestRunnerPrecisionGuards pins the cross-precision panics: a float32
-// stream cannot enter the float64 runner and vice versa.
-func TestRunnerPrecisionGuards(t *testing.T) {
-	m, err := New(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := [][]float64{make([]float64, m.Cfg.NumFeatures)}
-	t.Run("f32 stream in f64 runner", func(t *testing.T) {
-		r := NewBatchRunner(m)
-		s, err := NewStreamPrec(m, PrecisionFloat32, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic")
-			}
-		}()
-		r.Push([]*Stream{s}, xs, nil)
-	})
-	t.Run("f64 stream in f32 runner", func(t *testing.T) {
-		r, err := NewBatchRunner32(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic")
-			}
-		}()
-		r.Push([]*Stream{NewStream(m)}, xs, nil)
-	})
-}
-
-// TestBatchRunner32PushAllocsZero pins the float32 batched path at zero
-// steady-state allocations at batch 8 and 64 (arena'd stream state,
-// runner-owned packing buffers).
-func TestBatchRunner32PushAllocsZero(t *testing.T) {
-	m, err := New(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewBatchRunner32(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, B := range []int{8, 64} {
-		streams := make([]*Stream, B)
-		xs := make([][]float64, B)
-		for i := range streams {
-			streams[i] = r.NewStream()
-			xs[i] = make([]float64, m.Cfg.NumFeatures)
-			xs[i][0] = float64(i) * 0.1
-		}
-		out := make([]float64, B)
-		for i := 0; i < 30; i++ {
-			r.Push(streams, xs, out)
-		}
-		if allocs := testing.AllocsPerRun(100, func() { r.Push(streams, xs, out) }); allocs != 0 {
-			t.Fatalf("B=%d: BatchRunner32.Push allocates %v/op, want 0", B, allocs)
-		}
-	}
-}
-
-// TestBatchRunnerPushAllocsZeroAtBatch64 extends the float64 runner's
-// zero-alloc pin to the 64-wide shape (the benchmark that used to report
-// 273 B/op from first-call buffer growth).
-func TestBatchRunnerPushAllocsZeroAtBatch64(t *testing.T) {
-	m, err := New(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	streams, _ := newParityStreams(m, 64)
-	r := NewBatchRunner(m)
-	xs := make([][]float64, 64)
-	for i := range xs {
-		xs[i] = make([]float64, m.Cfg.NumFeatures)
-		xs[i][0] = float64(i) * 0.1
-	}
-	out := make([]float64, 64)
-	for i := 0; i < 30; i++ {
-		r.Push(streams, xs, out)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { r.Push(streams, xs, out) }); allocs != 0 {
-		t.Fatalf("BatchRunner.Push at batch 64 allocates %v/op, want 0", allocs)
-	}
-}
-
-// TestStream32PushAllocsZero pins the sequential float32 hot path at zero
-// allocations (all state and scratch arena-carved at construction).
-func TestStream32PushAllocsZero(t *testing.T) {
-	m, err := New(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewStreamPrec(m, PrecisionFloat32, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, m.Cfg.NumFeatures)
-	x[0] = 0.5
-	for i := 0; i < 30; i++ {
-		s.Push(x)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { s.Push(x) }); allocs != 0 {
-		t.Fatalf("float32 Stream.Push allocates %v/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { s.PushMissing(MissingCarry) }); allocs != 0 {
-		t.Fatalf("float32 Stream.PushMissing allocates %v/op, want 0", allocs)
 	}
 }
 

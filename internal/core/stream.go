@@ -12,8 +12,12 @@ import (
 // and maintains the survival probability over a sliding detection window.
 // Each Push is O(model) work — the paper's "each detection runs within
 // 10 ms" property — independent of how long the stream has been running,
-// and allocates nothing: all recurrent state, pooling buffers and kernel
-// scratch are owned by the Stream and reused every step.
+// and allocates nothing: recurrent state and pooling buffers are owned by
+// the Stream, kernel scratch by whoever steps it, all reused every step.
+//
+// One type, two roles. NewStream makes the float64 oracle, which steps
+// itself through the training-precision kernels. BatchRunner32.NewStream
+// makes a serving stream: float32 state, stepped only by that lane.
 //
 // A Stream is not safe for concurrent use.
 type Stream struct {
@@ -43,31 +47,27 @@ type Stream struct {
 	// lastX is the most recent real (non-missing) input, feeding the
 	// carry-forward policy of PushMissing. Zero until the first real push.
 	lastX nn.Vec
-	// reusable scratch, never checkpointed: per-step kernel buffers, the
-	// pooled-mean vector, the head input/output, and the synthesized
-	// missing-step input.
+	// reusable float64 scratch, never checkpointed: per-step kernel
+	// buffers, the pooled-mean vector, the head input/output, and the
+	// synthesized missing-step input. Oracle streams only.
 	scratch  nn.StepScratch
 	poolMean nn.Vec
 	concat   nn.Vec
 	headOut  nn.Vec
 	missX    nn.Vec
 
-	// Float32 serving mode (precision.go). When prec is PrecisionFloat32
-	// the kernel-facing state below replaces h/c/bufSum/scratch — all of it
-	// carved contiguously from one arena slab so a lane's gather/scatter
-	// walks linear memory — while the survival accounting above (hazards,
-	// sums, steps, lastX) stays float64 and the checkpoint format is
-	// unchanged: float32 state widens exactly to float64 on write and
-	// narrows exactly back on restore.
-	prec       Precision
-	q          *Quantized32
-	h32, c32   [numBranches]nn.Vec32
-	bufSum32   [numBranches]nn.Vec32
-	x32        nn.Vec32 // current input, narrowed once per step
-	poolMean32 nn.Vec32
-	concat32   nn.Vec32
-	headOut32  nn.Vec32 // panel-padded head output
-	scratch32  nn.StepScratch32
+	// A serving stream belongs to the float32 lane that created it
+	// (BatchRunner32.NewStream) and is advanced only by that lane: lane is
+	// non-nil, the float32 state below replaces h/c/bufSum — carved
+	// contiguously from the lane's arena so gather/scatter walks linear
+	// memory — and every kernel buffer is the lane's, not the stream's. The
+	// survival accounting above (hazards, sums, steps, lastX) stays float64
+	// and the checkpoint format is the oracle's: float32 state widens
+	// exactly to float64 on write and narrows exactly back on restore.
+	lane     *BatchRunner32
+	h32, c32 [numBranches]nn.Vec32
+	bufSum32 [numBranches]nn.Vec32
+	x32      nn.Vec32 // current input, narrowed once per step
 }
 
 // MissingPolicy selects what a Stream feeds itself for a step with no
@@ -84,71 +84,12 @@ const (
 	MissingCarry
 )
 
-// NewStream returns a fresh online detector state for the model, serving
-// at training precision (float64).
+// NewStream returns a fresh float64 detector state for the model: the
+// reference oracle that offline scoring, threshold calibration and the
+// parity tests drive. Serving streams come from BatchRunner32.NewStream.
 func NewStream(m *Model) *Stream {
-	s, err := NewStreamPrec(m, PrecisionFloat64, nil)
-	if err != nil {
-		panic(err) // unreachable: the float64 path performs no quantization
-	}
-	return s
-}
-
-// NewStreamPrec returns a fresh online detector state serving at the
-// given precision. For PrecisionFloat32 the model is quantized (cached on
-// the Model; fails on non-finite weights) and all kernel-facing state is
-// carved contiguously from the arena — pass the lane's shared arena so
-// streams batched together sit in the same slabs; a nil arena allocates a
-// private one.
-func NewStreamPrec(m *Model, prec Precision, a *Arena) (*Stream, error) {
-	s := &Stream{
-		m:       m,
-		prec:    prec,
-		hazards: make([]float64, m.Cfg.Window),
-		suffix:  make([]float64, m.Cfg.Window+1),
-		missX:   nn.NewVec(m.Cfg.NumFeatures),
-		lastX:   nn.NewVec(m.Cfg.NumFeatures),
-	}
-	if prec == PrecisionFloat32 {
-		q, err := m.Quantized32()
-		if err != nil {
-			return nil, err
-		}
-		s.q = q
-		if a == nil {
-			a = &Arena{}
-		}
-		nf, hd := m.Cfg.NumFeatures, m.Cfg.Hidden
-		nb := m.activeBranches()
-		pad := 0 // padded pre-activation width, equal across branches (4·Hidden rows)
-		for _, l := range q.lstms {
-			if l != nil {
-				pad = l.Wx.Padded()
-				break
-			}
-		}
-		headPad := q.head.Padded()
-		// One contiguous slab per stream: recurrent state, pooling sums,
-		// input/pool/concat staging, head output, and kernel scratch.
-		slab := a.Alloc(nb*(2*hd+nf) + 2*nf + hd*nb + headPad + 2*pad)
-		carve := func(n int) nn.Vec32 {
-			v := slab[:n:n]
-			slab = slab[n:]
-			return v
-		}
-		for b, l := range q.lstms {
-			if l == nil {
-				continue
-			}
-			s.h32[b], s.c32[b], s.bufSum32[b] = carve(hd), carve(hd), carve(nf)
-		}
-		s.x32 = carve(nf)
-		s.poolMean32 = carve(nf)
-		s.concat32 = carve(hd * nb)
-		s.headOut32 = carve(headPad)
-		s.scratch32 = nn.NewStepScratch32(carve(pad), carve(pad))
-		return s, nil
-	}
+	s := newStreamBase(m)
+	s.missX = nn.NewVec(m.Cfg.NumFeatures)
 	s.poolMean = nn.NewVec(m.Cfg.NumFeatures)
 	s.concat = nn.NewVec(m.Cfg.Hidden * m.activeBranches())
 	s.headOut = nn.NewVec(1)
@@ -159,11 +100,18 @@ func NewStreamPrec(m *Model, prec Precision, a *Arena) (*Stream, error) {
 			s.bufSum[b] = nn.NewVec(m.Cfg.NumFeatures)
 		}
 	}
-	return s, nil
+	return s
 }
 
-// Precision returns the precision the stream serves at.
-func (s *Stream) Precision() Precision { return s.prec }
+// newStreamBase allocates the precision-independent survival accounting.
+func newStreamBase(m *Model) *Stream {
+	return &Stream{
+		m:       m,
+		hazards: make([]float64, m.Cfg.Window),
+		suffix:  make([]float64, m.Cfg.Window+1),
+		lastX:   nn.NewVec(m.Cfg.NumFeatures),
+	}
+}
 
 // Steps returns how many inputs have been consumed.
 func (s *Stream) Steps() int { return s.steps }
@@ -184,8 +132,12 @@ func (s *Stream) Warm() bool {
 
 // Push consumes one normalized feature vector and returns the survival
 // probability over the sliding detection window (1.0 while nothing has
-// accumulated yet).
+// accumulated yet). On a serving stream it is a batch of one on the
+// stream's lane.
 func (s *Stream) Push(x []float64) float64 {
+	if s.lane != nil {
+		return s.lane.pushOne(s, x, true)
+	}
 	copy(s.lastX, x)
 	return s.push(x)
 }
@@ -193,20 +145,26 @@ func (s *Stream) Push(x []float64) float64 {
 // PushMissing advances the stream one step with no telemetry, substituting
 // an input per the policy. Mitigates detector blindness across collector
 // gaps: every branch still steps, the hazard ring still advances, and the
-// stream stays warm.
+// stream stays warm. lastX is deliberately untouched: it tracks real inputs.
 func (s *Stream) PushMissing(policy MissingPolicy) float64 {
-	if policy == MissingCarry {
-		copy(s.missX, s.lastX)
-	} else {
-		s.missX.Zero()
+	if s.lane != nil {
+		return s.lane.pushOne(s, s.missingInput(s.lane.missX, policy), false)
 	}
-	return s.push(s.missX) // lastX deliberately untouched: it tracks real inputs
+	return s.push(s.missingInput(s.missX, policy))
 }
 
-func (s *Stream) push(x []float64) float64 {
-	if s.prec == PrecisionFloat32 {
-		return s.push32(x)
+// missingInput synthesizes a missing step's input into buf.
+func (s *Stream) missingInput(buf nn.Vec, policy MissingPolicy) nn.Vec {
+	if policy == MissingCarry {
+		copy(buf, s.lastX)
+	} else {
+		buf.Zero()
 	}
+	return buf
+}
+
+// push is the oracle's step: float64 kernels, stream-owned scratch.
+func (s *Stream) push(x []float64) float64 {
 	v := nn.Vec(x)
 	s.steps++
 	for b, l := range s.m.lstms {
@@ -245,54 +203,10 @@ func (s *Stream) push(x []float64) float64 {
 	return s.recordHazard(nn.Softplus(s.headOut[0]))
 }
 
-// push32 is push through the quantized float32 kernels: the input is
-// narrowed once, branch recurrences and the head run in float32, and only
-// the final hazard widens back for the float64 survival accounting. The
-// structure mirrors push statement for statement — same pooled-mean
-// expression, same hazard recording — so the two precisions differ only
-// by kernel arithmetic width.
-func (s *Stream) push32(x []float64) float64 {
-	s.x32 = nn.Narrow32(x, s.x32)
-	s.steps++
-	for b, l := range s.q.lstms {
-		if l == nil {
-			continue
-		}
-		k := s.m.poolFactor(b)
-		if k <= 1 {
-			l.Step32(s.h32[b], s.c32[b], s.x32, &s.scratch32)
-			s.seen[b] = true
-			continue
-		}
-		s.bufSum32[b].Add(s.x32)
-		s.bufN[b]++
-		if s.bufN[b] >= k {
-			inv := 1 / float32(k)
-			for j, sum := range s.bufSum32[b] {
-				s.poolMean32[j] = sum * inv
-			}
-			l.Step32(s.h32[b], s.c32[b], s.poolMean32, &s.scratch32)
-			s.seen[b] = true
-			s.bufSum32[b].Zero()
-			s.bufN[b] = 0
-		}
-	}
-	off := 0
-	for b, l := range s.q.lstms {
-		if l == nil {
-			continue
-		}
-		copy(s.concat32[off:off+s.m.Cfg.Hidden], s.h32[b])
-		off += s.m.Cfg.Hidden
-	}
-	s.q.head.ForwardInto32(s.concat32, s.headOut32)
-	return s.recordHazard(nn.Softplus(float64(s.headOut32[0])))
-}
-
 // recordHazard appends one hazard to the ring and returns the survival
 // probability over the window, maintaining the rolling sum in O(1) with an
-// exact O(Window) suffix rebuild once per wrap. Shared by the sequential
-// push and the BatchRunner so both paths sum in the same order.
+// exact O(Window) suffix rebuild once per wrap. Shared by the oracle push
+// and the lane so both sum in the same order.
 func (s *Stream) recordHazard(lam float64) float64 {
 	s.hazards[s.hazPos] = lam
 	s.sumNew += lam

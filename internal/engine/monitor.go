@@ -10,7 +10,6 @@ package engine
 
 import (
 	"errors"
-	"io"
 	"math"
 	"net/netip"
 	"time"
@@ -46,13 +45,10 @@ type MonitorConfig struct {
 	// MissingPolicy selects what detector streams consume for steps with no
 	// telemetry (see ObserveMissing): zero-fill (default) or carry-forward.
 	MissingPolicy core.MissingPolicy
-	// Precision selects the kernel arithmetic of every detector stream.
-	// The zero value is float64 (training precision); deployments default
-	// to float32 via the command-line flag, which serves the quantized
-	// panel kernels at a several-fold throughput gain with alert behavior
-	// held within the calibrated tolerance (DESIGN.md §14). Models are
-	// quantized at NewMonitor, so corrupt weights fail construction, not
-	// serving.
+	// Precision is inert: a Monitor always serves through the float32
+	// lanes, and nothing in this package reads the field. It stays declared
+	// because the frozen benchmark (bench/) sets it in two places, and goes
+	// when a benchmark PR drops those two lines.
 	Precision core.Precision
 	// OverheadBound, when set, records the calibration overhead budget the
 	// Threshold was tuned at (the scrubbing-overhead bound C/A of §2.4) in
@@ -119,7 +115,7 @@ type Monitor struct {
 	chans map[monKey]*monChan
 	// groups are the per-model batching lanes of ObserveStep: every
 	// channel whose attack type resolves to the same *core.Model is
-	// advanced through that model's BatchRunner in one kernel pass
+	// advanced through that model's BatchRunner32 in one kernel pass
 	// instead of stream-at-a-time (with the default single shared model,
 	// all six attack-type channels of a customer step as one batch). The
 	// slices inside are reused across steps, so the hot path allocates
@@ -133,42 +129,15 @@ type Monitor struct {
 }
 
 // modelGroup batches the channels of one shared model for a single
-// ObserveStep call. Exactly one of runner/runner32 is set, per the
-// monitor's Precision; the float32 runner also owns the lane arena its
-// streams' state is carved from.
+// ObserveStep call. The runner is the model's float32 lane: it creates and
+// restores the group's streams (state carved from its arena) and is the
+// only thing that steps them.
 type modelGroup struct {
-	runner   *core.BatchRunner
-	runner32 *core.BatchRunner32
-	chans    []*monChan
-	streams  []*core.Stream
-	xs       [][]float64
-	survs    []float64
-}
-
-// newStream creates a stream on this lane at the lane's precision.
-func (g *modelGroup) newStream() *core.Stream {
-	if g.runner32 != nil {
-		return g.runner32.NewStream()
-	}
-	return core.NewStream(g.runner.Model())
-}
-
-// restoreStream reads an XSC1 checkpoint into a stream on this lane at
-// the lane's precision (float64 checkpoints narrow into float32 lanes).
-func (g *modelGroup) restoreStream(r io.Reader) (*core.Stream, error) {
-	if g.runner32 != nil {
-		return g.runner32.RestoreStream(r)
-	}
-	return core.RestoreStream(r, g.runner.Model())
-}
-
-// push advances the enrolled streams one step through the lane's kernels.
-func (g *modelGroup) push() {
-	if g.runner32 != nil {
-		g.runner32.Push(g.streams, g.xs, g.survs)
-		return
-	}
-	g.runner.Push(g.streams, g.xs, g.survs)
+	runner  *core.BatchRunner32
+	chans   []*monChan
+	streams []*core.Stream
+	xs      [][]float64
+	survs   []float64
 }
 
 // reset clears the group's per-step membership, keeping capacity.
@@ -253,9 +222,9 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 		chans:   make(map[monKey]*monChan),
 		groupOf: make(map[*core.Model]*modelGroup),
 	}
-	// Build every reachable model's batching lane up front. Under float32
-	// this quantizes the weights now, so a corrupt or diverged weight file
-	// fails NewMonitor with a diagnosis instead of serving garbage.
+	// Build every reachable model's batching lane up front. This quantizes
+	// the weights now, so a corrupt or diverged weight file fails
+	// NewMonitor with a diagnosis instead of serving garbage.
 	for _, at := range types {
 		if _, err := m.lane(m.modelFor(at)); err != nil {
 			return nil, err
@@ -268,16 +237,11 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 func (m *Monitor) lane(mm *core.Model) (*modelGroup, error) {
 	g := m.groupOf[mm]
 	if g == nil {
-		g = &modelGroup{}
-		if m.cfg.Precision == core.PrecisionFloat32 {
-			r32, err := core.NewBatchRunner32(mm)
-			if err != nil {
-				return nil, err
-			}
-			g.runner32 = r32
-		} else {
-			g.runner = core.NewBatchRunner(mm)
+		r, err := core.NewBatchRunner32(mm)
+		if err != nil {
+			return nil, err
 		}
+		g = &modelGroup{runner: r}
 		m.groupOf[mm] = g
 		m.groups = append(m.groups, g)
 	}
@@ -320,16 +284,17 @@ func (m *Monitor) ObserveStepTraced(customer netip.Addr, at time.Time, flows []n
 	var traces []*Trace
 	var contrib map[string]float64 // shared by every alert this step
 	// Phase 1 — batched inference: enroll every attack-type channel in its
-	// model's batching lane and advance each lane through one BatchRunner
-	// pass. Channels sharing a model (all of them, under a single Default)
-	// step through the shared weights together; the per-stream survival
-	// values are bit-identical to channel-at-a-time Stream.Push calls.
+	// model's batching lane and advance each lane through one
+	// BatchRunner32 pass. Channels sharing a model (all of them, under a
+	// single Default) step through the shared weights together; the lane
+	// is batch-size-invariant, so the per-stream survival values are
+	// bit-identical to stepping each channel alone.
 	for _, atype := range m.types {
 		key := monKey{customer, atype}
 		g := m.groupFor(m.modelFor(atype))
 		ch := m.chans[key]
 		if ch == nil {
-			ch = &monChan{stream: g.newStream()}
+			ch = &monChan{stream: g.runner.NewStream()}
 			m.chans[key] = ch
 		}
 		g.add(ch, feat)
@@ -342,7 +307,7 @@ func (m *Monitor) ObserveStepTraced(customer netip.Addr, at time.Time, flows []n
 			g.survs = make([]float64, len(g.chans))
 		}
 		g.survs = g.survs[:len(g.chans)]
-		g.push()
+		g.runner.Push(g.streams, g.xs, g.survs)
 		for i, ch := range g.chans {
 			ch.surv = g.survs[i]
 			ch.noteSurvival(ch.surv)

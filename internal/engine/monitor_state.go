@@ -188,7 +188,7 @@ func (m *Monitor) readChannels(r io.Reader, n uint32) (map[monKey]*monChan, erro
 		if _, err := io.ReadFull(r, streamBuf); err != nil {
 			return nil, fmt.Errorf("xatu: channel %d stream: %w", i, err)
 		}
-		stream, err := m.groupFor(m.modelFor(at)).restoreStream(bytes.NewReader(streamBuf))
+		stream, err := m.groupFor(m.modelFor(at)).runner.RestoreStream(bytes.NewReader(streamBuf))
 		if err != nil {
 			return nil, fmt.Errorf("xatu: channel %d (%v/%v): %w", i, customer, at, err)
 		}

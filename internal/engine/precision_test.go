@@ -8,67 +8,109 @@ import (
 
 	"github.com/xatu-go/xatu/internal/core"
 	"github.com/xatu-go/xatu/internal/ddos"
+	"github.com/xatu-go/xatu/internal/features"
 	"github.com/xatu-go/xatu/internal/netflow"
 )
 
+// referenceAlerts is the float64 oracle of a single-type monitor, built
+// here from nothing but sequential core.Streams: the same normalised
+// feature vectors the monitor computes are pushed through one
+// core.NewStream per customer, and the monitor's firing rule (warm,
+// S < threshold, signature traffic present, not already diverted) is
+// restated in a dozen lines. It shares no lane, no batching and no float32
+// kernel with the code under test.
+func referenceAlerts(cfg MonitorConfig, customers []netip.Addr, batches []stepBatch) map[alertKey]bool {
+	atype := cfg.Types[0]
+	type channel struct {
+		stream     *core.Stream
+		mitigating bool
+		since      time.Time
+	}
+	chans := map[netip.Addr]*channel{}
+	got := map[alertKey]bool{}
+	var scratch features.Scratch
+	for _, b := range batches {
+		for _, c := range customers {
+			ch := chans[c]
+			if ch != nil && ch.mitigating && b.at.Sub(ch.since) >= cfg.MitigationTimeout {
+				ch.mitigating = false
+			}
+			flows, ok := b.flows[c]
+			if !ok {
+				if ch != nil {
+					ch.stream.PushMissing(cfg.MissingPolicy)
+				}
+				continue
+			}
+			if ch == nil {
+				ch = &channel{stream: core.NewStream(cfg.Default)}
+				chans[c] = ch
+			}
+			feat := cfg.Extractor.ExtractInto(nil, &scratch, c, b.at, flows)
+			features.Normalize(feat)
+			surv := ch.stream.Push(feat)
+			sig := ddos.SignatureFor(atype, c)
+			matched := false
+			for _, r := range flows {
+				matched = matched || sig.Matches(r)
+			}
+			if !ch.mitigating && ch.stream.Warm() && surv < cfg.Threshold && matched {
+				ch.mitigating, ch.since = true, b.at
+				got[alertKey{c, atype, b.at}] = true
+			}
+		}
+	}
+	return got
+}
+
 // TestMonitorFloat32ParityChaosStream replays the seeded chaos stream of
-// the engine/monitor parity test through a float64 monitor, a float32
-// monitor, and a 4-shard float32 engine. Warm-up counting, signature
-// matching and mitigation bookkeeping are precision-independent, so with
-// the warm-equals-alert threshold the three alert sets must be identical —
-// this pins the precision plumbing (lane construction, stream creation,
-// batched dispatch) end to end; the survival-value tolerance argument
-// lives in the trained-model test at the repo root.
+// the engine/monitor parity test through the float64 reference above, a
+// Monitor, and a 4-shard Engine. Warm-up counting, signature matching and
+// mitigation bookkeeping are precision-independent, so with the
+// warm-equals-alert threshold the three alert sets must be identical —
+// this pins the serving plumbing (lane construction, stream creation,
+// batched dispatch, missing steps) end to end against an implementation
+// that has none of it; the survival-value tolerance argument lives in the
+// trained-model test at the repo root.
 func TestMonitorFloat32ParityChaosStream(t *testing.T) {
 	customers := testCustomers(16)
 	chaos := netflow.ChaosConfig{Seed: 42, DropRate: 0.10, DupRate: 0.05, ReorderRate: 0.05}
 	batches := recordChaosStream(t, customers, 40, chaos)
 
-	model := tinyModel(t)
-	ext := tinyExtractor()
-	mkCfg := func(p core.Precision) MonitorConfig {
-		return MonitorConfig{
-			Default:           model,
-			Extractor:         ext,
-			Threshold:         1.5,
-			Types:             []ddos.AttackType{ddos.UDPFlood},
-			MitigationTimeout: 10 * time.Minute,
-			Precision:         p,
-		}
+	cfg := MonitorConfig{
+		Default:           tinyModel(t),
+		Extractor:         tinyExtractor(),
+		Threshold:         1.5,
+		Types:             []ddos.AttackType{ddos.UDPFlood},
+		MitigationTimeout: 10 * time.Minute,
 	}
-
-	want := replayIntoMonitor(t, mkCfg(core.PrecisionFloat64), customers, batches)
+	want := referenceAlerts(cfg, customers, batches)
 	if len(want) == 0 {
-		t.Fatal("float64 monitor never alerted; the fixture is broken")
+		t.Fatal("float64 reference never alerted; the fixture is broken")
 	}
-	got32 := replayIntoMonitor(t, mkCfg(core.PrecisionFloat32), customers, batches)
-	if len(got32) != len(want) {
-		t.Fatalf("float32 monitor raised %d alerts, float64 raised %d", len(got32), len(want))
-	}
-	for k := range want {
-		if !got32[k] {
-			t.Fatalf("float32 monitor missing alert %+v", k)
+	sameAlerts := func(name string, got map[alertKey]bool) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s raised %d alerts, float64 reference raised %d", name, len(got), len(want))
+		}
+		for k := range want {
+			if !got[k] {
+				t.Fatalf("%s missing alert %+v", name, k)
+			}
 		}
 	}
-	eng32, st := replayIntoEngine(t, Config{Monitor: mkCfg(core.PrecisionFloat32), Shards: 4, Policy: Block}, customers, batches)
-	if len(eng32) != len(want) {
-		t.Fatalf("float32 engine raised %d alerts, float64 monitor raised %d", len(eng32), len(want))
-	}
-	for k := range want {
-		if !eng32[k] {
-			t.Fatalf("float32 engine missing alert %+v", k)
-		}
-	}
+	sameAlerts("monitor", replayIntoMonitor(t, cfg, customers, batches))
+	eng, st := replayIntoEngine(t, Config{Monitor: cfg, Shards: 4, Policy: Block}, customers, batches)
+	sameAlerts("engine", eng)
 	if st.Shed != 0 {
 		t.Fatalf("Block policy shed %d messages", st.Shed)
 	}
 }
 
-// TestMonitorFloat32CheckpointRoundTrip checkpoints a float32 monitor at a
-// pooling-unaligned step, restores into a fresh float32 monitor, continues
-// both, and requires byte-identical final checkpoints — the engine-level
-// proof that the float32 restore path (runner lane arena included) is
-// bitwise lossless.
+// TestMonitorFloat32CheckpointRoundTrip checkpoints a monitor at a
+// pooling-unaligned step, restores into a fresh monitor, continues both,
+// and requires byte-identical final checkpoints — the engine-level proof
+// that the float32 restore path (lane arena included) is bitwise lossless.
 func TestMonitorFloat32CheckpointRoundTrip(t *testing.T) {
 	model := tinyModel(t)
 	ext := tinyExtractor()
@@ -79,7 +121,6 @@ func TestMonitorFloat32CheckpointRoundTrip(t *testing.T) {
 			Threshold:         1.5,
 			Types:             []ddos.AttackType{ddos.UDPFlood, ddos.TCPSYN},
 			MitigationTimeout: 10 * time.Minute,
-			Precision:         core.PrecisionFloat32,
 		}
 	}
 	orig, err := NewMonitor(mkCfg())
@@ -129,55 +170,5 @@ func TestMonitorFloat32CheckpointRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(ca.Bytes(), cb.Bytes()) {
 		t.Fatal("post-continuation float32 monitor checkpoints differ")
-	}
-}
-
-// TestMonitorFloat64CheckpointIntoFloat32 restores a checkpoint written by
-// a float64 monitor into a float32 monitor: the narrowing restore must
-// succeed, preserve step counts and mitigation flags, and keep serving.
-func TestMonitorFloat64CheckpointIntoFloat32(t *testing.T) {
-	model := tinyModel(t)
-	ext := tinyExtractor()
-	mkCfg := func(p core.Precision) MonitorConfig {
-		return MonitorConfig{
-			Default:           model,
-			Extractor:         ext,
-			Threshold:         1.5,
-			Types:             []ddos.AttackType{ddos.UDPFlood},
-			MitigationTimeout: 10 * time.Minute,
-			Precision:         p,
-		}
-	}
-	m64, err := NewMonitor(mkCfg(core.PrecisionFloat64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	customer := netip.MustParseAddr("203.0.113.9")
-	t0 := time.Date(2019, 7, 3, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 12; i++ {
-		m64.ObserveStep(customer, t0.Add(time.Duration(i)*time.Minute), udpFlows(customer, i, t0))
-	}
-	var ck bytes.Buffer
-	if err := m64.Checkpoint(&ck); err != nil {
-		t.Fatal(err)
-	}
-	m32, err := NewMonitor(mkCfg(core.PrecisionFloat32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m32.Restore(bytes.NewReader(ck.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := m32.StreamSteps(customer, ddos.UDPFlood), m64.StreamSteps(customer, ddos.UDPFlood); got != want {
-		t.Fatalf("restored stream steps %d, want %d", got, want)
-	}
-	if m32.Mitigating(customer, ddos.UDPFlood) != m64.Mitigating(customer, ddos.UDPFlood) {
-		t.Fatal("mitigation flag diverged across precision restore")
-	}
-	for i := 12; i < 20; i++ {
-		m32.ObserveStep(customer, t0.Add(time.Duration(i)*time.Minute), udpFlows(customer, i, t0))
-	}
-	if got := m32.StreamSteps(customer, ddos.UDPFlood); got != 20 {
-		t.Fatalf("stream steps after continuation = %d, want 20", got)
 	}
 }

@@ -533,11 +533,14 @@ func TestIncrementalCheckpointConcurrent(t *testing.T) {
 	cfg := tinyMonitorConfig(t)
 	cfg.Threshold = 1e-12 // never alert: the test needs no drainer-side effects
 	eng, err := New(Config{
-		Monitor:            cfg,
-		Shards:             2,
-		Policy:             Block,
-		Watchdog:           -1,
-		CheckpointInterval: time.Millisecond,
+		Monitor:  cfg,
+		Shards:   2,
+		Policy:   Block,
+		Watchdog: -1,
+		// Snapshot after every message: the two snapshots awaited below then
+		// appear however short a step is, not only if 160 steps outlast a
+		// wall-clock interval.
+		CheckpointInterval: time.Nanosecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -66,74 +66,15 @@ func (s *benchStream) feed(n int, sink func(src string, pkt []byte)) {
 }
 
 // BenchmarkIngestE2E measures end-to-end ingest throughput — raw NetFlow
-// v5 packets in, per-(customer, step) feature vectors out — for the legacy
-// serial dataflow and the pipeline at increasing fan-out:
-//
-//   - legacy: the pre-pipeline idiom — allocating per-packet DecodeV5,
-//     per-record aggregator adds with no storage recycling, allocating
-//     Extract per sealed step, all on one goroutine.
-//   - workers=K: the allocation-lean pipeline with K decode and K
-//     aggregation workers.
-//
-// The records/s metric is the comparable throughput number; speedup on a
-// single-core host comes from allocation elimination and batching, with
-// worker fan-out adding parallel speedup on multi-core hosts.
+// v5 packets in, per-(customer, step) feature vectors out — through the
+// pipeline with K decode and K aggregation workers. The records/s metric
+// is the comparable throughput number.
 func BenchmarkIngestE2E(b *testing.B) {
 	const (
 		nSources   = 4
 		nCustomers = 32
 		steps      = 30
 	)
-
-	b.Run("legacy", func(b *testing.B) {
-		s := buildBenchStream(b, nSources, nCustomers, steps)
-		ext := testExtractor()
-		tracker := netflow.NewSeqTracker()
-		agg := netflow.NewAggregator(time.Minute, 2*time.Minute)
-		var steps64, records uint64
-		observe := func(sealed []netflow.StepBatch) {
-			for _, batch := range sealed {
-				for dst, recs := range batch.ByDst {
-					_ = ext.Extract(dst, batch.Start, recs)
-					steps64++
-				}
-			}
-		}
-		// The pre-pipeline dataflow is a collector goroutine piping every
-		// decoded record through a channel to the consumer loop (see
-		// netflow.Collector / cmd/xatu-detect), so the baseline includes
-		// that per-record handoff.
-		recCh := make(chan netflow.Record, 65536)
-		consumerDone := make(chan struct{})
-		go func() {
-			defer close(consumerDone)
-			for r := range recCh {
-				observe(agg.Add(r))
-			}
-		}()
-		b.ReportAllocs()
-		b.ResetTimer()
-		s.feed(b.N, func(src string, pkt []byte) {
-			h, recs, err := netflow.DecodeV5(pkt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if tracker.Track(src, h, len(recs)) {
-				return
-			}
-			records += uint64(len(recs))
-			for _, r := range recs {
-				recCh <- r
-			}
-		})
-		close(recCh)
-		<-consumerDone
-		observe(agg.Flush())
-		b.StopTimer()
-		b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
-		b.ReportMetric(float64(steps64)/b.Elapsed().Seconds(), "steps/s")
-	})
-
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			s := buildBenchStream(b, nSources, nCustomers, steps)

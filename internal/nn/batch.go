@@ -3,8 +3,8 @@ package nn
 import "fmt"
 
 // Batch is a dense row-major B×dim matrix holding one row per independent
-// stream, used to advance many streams through one shared weight set in a
-// single kernel pass. It is distinct from Mat on purpose: a Mat is a weight
+// sequence, used to advance many training sequences through one shared
+// weight set in a single kernel pass. It is distinct from Mat on purpose: a Mat is a weight
 // tensor with gradient semantics, a Batch is a transient packing buffer
 // whose backing storage is reused across calls (Resize never shrinks the
 // allocation).
@@ -37,15 +37,15 @@ func (b *Batch) Row(i int) Vec { return Vec(b.Data[i*b.Cols : (i+1)*b.Cols]) }
 const mulTileRows = 4
 
 // MulT computes dst = x · wᵀ, i.e. dst[i][r] = Σ_c w[r][c]·x[i][c], with
-// dst resized to x.Rows × w.Rows. Stepping each stream alone runs one
-// MulVec per stream and streams the whole weight matrix through cache B
+// dst resized to x.Rows × w.Rows. Stepping each row alone runs one
+// MulVec per row and streams the whole weight matrix through cache B
 // times; this kernel iterates weight rows in the outer loop, so the weights
 // are streamed once per call, and blocks batch rows in tiles of mulTileRows
 // so every weight load feeds four independent accumulators. Per output
 // element the accumulation order is the plain left-to-right dot product of
 // Mat.MulVec — a Batch of B rows yields bit-identical results to B
-// independent MulVec calls, the invariant the batched and sequential
-// inference paths rely on.
+// independent MulVec calls, the invariant the batched and scalar training
+// paths rely on.
 func (x *Batch) MulT(w *Mat, dst *Batch) {
 	if x.Cols != w.Cols {
 		panic(fmt.Sprintf("nn: MulT shape mismatch (%dx%d)·(%dx%d)ᵀ", x.Rows, x.Cols, w.Rows, w.Cols))

@@ -39,45 +39,6 @@ func TestMulTMatchesMulVecBitwise(t *testing.T) {
 	}
 }
 
-// TestStepBatchMatchesStepBitwise advances B streams with StepBatch and
-// each stream alone with Step: hidden and cell states must be bit-equal at
-// every timestep. This is the invariant that lets the engine batch
-// channels sharing a model without perturbing survival outputs.
-func TestStepBatchMatchesStepBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	l := NewLSTM(5, 7, rng)
-	for _, B := range []int{1, 3, 4, 6, 16} {
-		hs, cs := &Batch{}, &Batch{}
-		hs.Resize(B, 7)
-		cs.Resize(B, 7)
-		for i := range hs.Data {
-			hs.Data[i], cs.Data[i] = 0, 0
-		}
-		// Reference streams advanced one at a time.
-		refH := make([]Vec, B)
-		refC := make([]Vec, B)
-		for i := range refH {
-			refH[i] = NewVec(7)
-			refC[i] = NewVec(7)
-		}
-		var bs BatchScratch
-		var sc StepScratch
-		for step := 0; step < 9; step++ {
-			xs := randBatch(rng, B, 5)
-			l.StepBatch(hs, cs, xs, &bs)
-			for i := 0; i < B; i++ {
-				l.Step(refH[i], refC[i], xs.Row(i), &sc)
-				for j := 0; j < 7; j++ {
-					if hs.Row(i)[j] != refH[i][j] || cs.Row(i)[j] != refC[i][j] {
-						t.Fatalf("B=%d step %d stream %d unit %d: batch (%v,%v) != sequential (%v,%v)",
-							B, step, i, j, hs.Row(i)[j], cs.Row(i)[j], refH[i][j], refC[i][j])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestDenseForwardBatchMatchesForwardBitwise pins the batched head against
 // the scalar path.
 func TestDenseForwardBatchMatchesForwardBitwise(t *testing.T) {
@@ -111,24 +72,6 @@ func TestStepWithScratchAllocsZero(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("LSTM.Step with scratch allocates %v/op, want 0", allocs)
-	}
-}
-
-// TestStepBatchAllocsZero pins the batched path at zero allocations per
-// step once the batches and scratch are warm.
-func TestStepBatchAllocsZero(t *testing.T) {
-	l := NewLSTM(8, 12, rand.New(rand.NewSource(15)))
-	hs, cs, xs := &Batch{}, &Batch{}, &Batch{}
-	hs.Resize(16, 12)
-	cs.Resize(16, 12)
-	xs.Resize(16, 8)
-	var bs BatchScratch
-	l.StepBatch(hs, cs, xs, &bs) // warm the scratch
-	allocs := testing.AllocsPerRun(100, func() {
-		l.StepBatch(hs, cs, xs, &bs)
-	})
-	if allocs != 0 {
-		t.Fatalf("LSTM.StepBatch allocates %v/op, want 0", allocs)
 	}
 }
 

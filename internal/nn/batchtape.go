@@ -1,18 +1,16 @@
 package nn
 
-// Batched BPTT support. A BatchTape is the training-side analogue of the
-// inference Batch machinery (batch.go): it records the forward activations
-// of B same-length sequences advancing through one shared LSTM, one Batch
-// per timestep, so BackwardBatch can replay them. All storage is grow-only
+// Batched BPTT support. A BatchTape records the forward activations of B
+// same-length sequences advancing through one shared LSTM, one Batch
+// (batch.go) per timestep, so BackwardBatch can replay them. All storage is grow-only
 // and caller-owned — Reset reuses every buffer that is already large
 // enough, so a steady-state training loop (same lane shapes recurring epoch
 // after epoch) performs no allocation.
 //
-// The batched forward runs the same register-blocked MulT kernel as batched
-// inference and the same gate arithmetic as the scalar Forward (both paths
-// share lstmGatesTape), so row i of a batched pass is bit-identical to a
-// scalar Forward over sequence i — the training analogue of the
-// StepBatch/Step contract.
+// The batched forward runs the register-blocked MulT kernel and the same
+// gate arithmetic as the scalar Forward (both paths share lstmGatesTape),
+// so row i of a batched pass is bit-identical to a scalar Forward over
+// sequence i.
 
 // BatchTape caches per-step batched activations from ForwardBatch for use
 // in BackwardBatch. Xs[t], H[t], C[t] and Gates[t] hold row i's input,

@@ -35,33 +35,9 @@ func BenchmarkLSTMStep(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/sec")
 }
 
-// benchStepBatch advances B independent streams per op through the shared
-// weights; steps/sec counts stream-steps, so it compares directly with
-// BenchmarkLSTMStep.
-func benchStepBatch(b *testing.B, B int) {
-	l := benchLSTM(b)
-	hs, cs, xs := &Batch{}, &Batch{}, &Batch{}
-	hs.Resize(B, benchHidden)
-	cs.Resize(B, benchHidden)
-	xs.Resize(B, benchIn)
-	for i := range xs.Data {
-		xs.Data[i] = float64(i%7) * 0.1
-	}
-	var bs BatchScratch
-	l.StepBatch(hs, cs, xs, &bs) // warm the scratch so b.N ops report true steady state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.StepBatch(hs, cs, xs, &bs)
-	}
-	b.ReportMetric(float64(b.N)*float64(B)/b.Elapsed().Seconds(), "steps/sec")
-}
-
-func BenchmarkLSTMStepBatch8(b *testing.B)  { benchStepBatch(b, 8) }
-func BenchmarkLSTMStepBatch64(b *testing.B) { benchStepBatch(b, 64) }
-
-// benchStepBatch32 is benchStepBatch through the quantized float32 panel
-// kernels; steps/sec is directly comparable to the float64 rows.
+// benchStepBatch32 advances B independent streams per op through the
+// quantized float32 panel kernels; steps/sec counts stream-steps, so it
+// compares directly with BenchmarkLSTMStepF32.
 func benchStepBatch32(b *testing.B, B int) {
 	l, err := benchLSTM(b).Quantize32()
 	if err != nil {

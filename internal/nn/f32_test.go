@@ -308,8 +308,7 @@ func TestStep32AllocsZero(t *testing.T) {
 }
 
 // TestStepBatch32AllocsZero pins the float32 batched path at zero
-// allocations at both the small and large batch shapes (the 64-wide shape
-// is the one that used to leak scratch growth into the f64 benchmark).
+// allocations at both the small and large batch shapes.
 func TestStepBatch32AllocsZero(t *testing.T) {
 	l64 := NewLSTM(8, 12, rand.New(rand.NewSource(29)))
 	l, err := l64.Quantize32()
@@ -329,23 +328,5 @@ func TestStepBatch32AllocsZero(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("B=%d: LSTM32.StepBatch32 allocates %v/op, want 0", B, allocs)
 		}
-	}
-}
-
-// TestStepBatch64AllocsZeroAtBatch64 extends the float64 zero-alloc pin to
-// the 64-wide shape the benchmarks exercise.
-func TestStepBatch64AllocsZeroAtBatch64(t *testing.T) {
-	l := NewLSTM(8, 12, rand.New(rand.NewSource(30)))
-	hs, cs, xs := &Batch{}, &Batch{}, &Batch{}
-	hs.Resize(64, 12)
-	cs.Resize(64, 12)
-	xs.Resize(64, 8)
-	var bs BatchScratch
-	l.StepBatch(hs, cs, xs, &bs)
-	allocs := testing.AllocsPerRun(100, func() {
-		l.StepBatch(hs, cs, xs, &bs)
-	})
-	if allocs != 0 {
-		t.Fatalf("LSTM.StepBatch at batch 64 allocates %v/op, want 0", allocs)
 	}
 }

@@ -3,8 +3,8 @@ package nn
 // Quantized float32 inference layers. An LSTM32/Dense32 is produced from
 // its float64 twin by Quantize32 at model-load time: weights are packed
 // into 8-row panels (panel32.go) and biases narrowed once, then the step
-// kernels run entirely in float32. The float64 layers remain the training
-// and default serving representation; these are the serving fast path.
+// kernels run entirely in float32. The float64 layers are the training
+// representation and the reference oracle; these serve.
 
 // LSTM32 is a quantized LSTM cell holding panel-packed weights. It is
 // immutable after construction and safe for concurrent readers.
@@ -40,14 +40,6 @@ type StepScratch32 struct {
 	pre, rec Vec32
 }
 
-// NewStepScratch32 seeds a scratch with caller-provided buffers (e.g.
-// arena slots), so a stream's entire hot state — including its kernel
-// scratch — can live in one contiguous slab. ensure keeps the buffers as
-// long as they are large enough.
-func NewStepScratch32(pre, rec Vec32) StepScratch32 {
-	return StepScratch32{pre: pre, rec: rec}
-}
-
 func (s *StepScratch32) ensure(n int) {
 	if cap(s.pre) < n {
 		s.pre = make(Vec32, n)
@@ -59,7 +51,9 @@ func (s *StepScratch32) ensure(n int) {
 
 // Step32 advances the cell by one timestep from state (h, c) with input x,
 // updating h and c in place and returning them — the float32 analogue of
-// LSTM.Step, allocation-free at steady state with a reused scratch.
+// LSTM.Step, allocation-free at steady state with a reused scratch. Nothing
+// serves through it: it is the one-row reference StepBatch32 is pinned
+// against bit for bit.
 func (l *LSTM32) Step32(h, c, x Vec32, s *StepScratch32) (Vec32, Vec32) {
 	hd := l.Hidden
 	if h == nil {
@@ -80,10 +74,10 @@ func (l *LSTM32) Step32(h, c, x Vec32, s *StepScratch32) (Vec32, Vec32) {
 
 // lstmGates32 applies the gate nonlinearities for one stream in float32.
 // Single shared definition for Step32 and StepBatch32, mirroring
-// lstmGates, so the sequential and batched float32 paths stay
-// bit-identical to each other. The per-gate subslices give the compiler
-// equal-length slices over the range loop, so the body compiles with no
-// bounds checks (`make bce`).
+// lstmGates, so the reference and the batched kernel stay bit-identical
+// to each other. The per-gate subslices give the compiler equal-length
+// slices over the range loop, so the body compiles with no bounds checks
+// (`make bce`).
 func lstmGates32(hd int, pre, rec, bias, h, c Vec32) {
 	// The two-step [k*hd:][:hd] slicing (rather than [k*hd:(k+1)*hd]) gives
 	// each gate slice an exact length of hd, which the prove pass needs to
@@ -111,10 +105,10 @@ type BatchScratch32 struct {
 	pre, rec Batch32
 }
 
-// StepBatch32 advances B independent streams through the shared quantized
-// weights in one pass — the float32 analogue of LSTM.StepBatch. Row i of
-// hs/cs is stream i's recurrent state (updated in place), row i of xs its
-// input. Per row the arithmetic is exactly Step32's, so StepBatch32 row i
+// StepBatch32 is the serving kernel: it advances B independent streams
+// through the shared quantized weights in one pass. Row i of hs/cs is
+// stream i's recurrent state (updated in place), row i of xs its input.
+// Per row the arithmetic is exactly Step32's, so StepBatch32 row i
 // is bit-identical to Step32(h_i, c_i, x_i).
 func (l *LSTM32) StepBatch32(hs, cs, xs *Batch32, s *BatchScratch32) {
 	hd := l.Hidden

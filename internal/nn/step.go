@@ -46,9 +46,7 @@ func (l *LSTM) Step(h, c, x Vec, s *StepScratch) (Vec, Vec) {
 
 // lstmGates applies the gate nonlinearities for one stream: given the input
 // and recurrent pre-activations and the bias, it overwrites h and c with
-// the next hidden and cell states. It is the single definition of the gate
-// arithmetic shared by Step and StepBatch, so the two paths cannot drift —
-// batched inference must stay bit-identical to sequential.
+// the next hidden and cell states.
 func lstmGates(hd int, pre, rec, bias, h, c Vec) {
 	for j := 0; j < hd; j++ {
 		gi := Sigmoid(pre[j] + rec[j] + bias[j])
@@ -57,34 +55,6 @@ func lstmGates(hd int, pre, rec, bias, h, c Vec) {
 		go_ := Sigmoid(pre[3*hd+j] + rec[3*hd+j] + bias[3*hd+j])
 		c[j] = gf*c[j] + gi*gg
 		h[j] = go_ * math.Tanh(c[j])
-	}
-}
-
-// BatchScratch holds the pre-activation batches StepBatch needs. Caller
-// owned and reusable, like StepScratch.
-type BatchScratch struct {
-	pre, rec Batch
-}
-
-// StepBatch advances B independent streams through the shared weight set in
-// one pass: row i of hs/cs is stream i's recurrent state (updated in
-// place), row i of xs its input. All matrix work runs through the blocked
-// MulT kernel, amortizing weight-matrix memory traffic across the batch;
-// per row the arithmetic (pre-activation dot-product order and gate
-// evaluation) is exactly Step's, so StepBatch(h, c, x) row i is
-// bit-identical to Step(h_i, c_i, x_i).
-func (l *LSTM) StepBatch(hs, cs, xs *Batch, s *BatchScratch) {
-	hd := l.Hidden
-	if hs.Rows != xs.Rows || cs.Rows != xs.Rows {
-		panic("nn: StepBatch row-count mismatch")
-	}
-	if hs.Cols != hd || cs.Cols != hd || xs.Cols != l.In {
-		panic("nn: StepBatch column mismatch")
-	}
-	xs.MulT(l.Wx, &s.pre)
-	hs.MulT(l.Wh, &s.rec)
-	for i := 0; i < xs.Rows; i++ {
-		lstmGates(hd, s.pre.Row(i), s.rec.Row(i), l.B, hs.Row(i), cs.Row(i))
 	}
 }
 

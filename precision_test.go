@@ -2,17 +2,19 @@ package xatu
 
 import (
 	"testing"
+	"time"
 )
 
 // TestPrecisionAlertParityTrained is the float32 serving acceptance test:
-// a trained system watches the same held-out test attack once with the
-// float64 (training-precision) kernels and once with the quantized float32
-// panel kernels, and the two must alert within 5 steps of each other —
-// the same behavioral tolerance the chaos-transport test holds detection
-// to. Float32 rounding perturbs survival values by parts in 1e-3 near the
-// threshold (DESIGN.md §14), which can only move an alert by the handful
-// of steps where S_t grazes the threshold, never create or suppress a
-// detection of a real attack.
+// a trained system watches the same held-out test attack once as the
+// float64 oracle — a sequential Stream pushed the same normalised features,
+// with the monitor's firing rule restated in the test — and once through a
+// Monitor, which serves with the quantized float32 panel kernels, and the
+// two must alert within 5 steps of each other — the same behavioral
+// tolerance the chaos-transport test holds detection to. Float32 rounding
+// perturbs survival values by parts in 1e-3 near the threshold, which can
+// only move an alert by the handful of steps where S_t grazes the
+// threshold, never create or suppress a detection of a real attack.
 func TestPrecisionAlertParityTrained(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
@@ -39,10 +41,38 @@ func TestPrecisionAlertParityTrained(t *testing.T) {
 	ep := eps[0]
 	customer := p.World.Customers[ep.CustomerIdx].Addr
 
-	// runEpisode streams the episode's flows (fault-free transport; the
-	// only variable is kernel precision) and reports the first alert step.
-	runEpisode := func(t *testing.T, prec Precision) int {
-		t.Helper()
+	// Both runs stream the episode's flows over a fault-free transport;
+	// the only variable is who steps the model. observe returns whether the
+	// step alerted; missing advances a step with no telemetry.
+	runEpisode := func(observe func(at time.Time, flows []Record) bool, missing func(at time.Time)) int {
+		for s := max(ep.StreamStart, 0); s < ep.StreamEnd; s++ {
+			flows := p.World.FlowsAt(ep.CustomerIdx, s)
+			at := cfg.World.TimeOf(s)
+			if len(flows) == 0 {
+				missing(at)
+			} else if observe(at, flows) {
+				return s
+			}
+		}
+		return -1
+	}
+	// The oracle: one float64 Stream, no lane, no batching, no float32.
+	oracleEpisode := func() int {
+		stream := NewStream(ml.Models.For(ep.Type))
+		ext := p.Extractor(nil, nil)
+		sig := SignatureFor(ep.Type, customer)
+		return runEpisode(func(at time.Time, flows []Record) bool {
+			feat := ext.Extract(customer, at, flows)
+			NormalizeFeatures(feat)
+			surv := stream.Push(feat)
+			matched := false
+			for _, r := range flows {
+				matched = matched || sig.Matches(r)
+			}
+			return stream.Warm() && surv < thr && matched
+		}, func(time.Time) { stream.PushMissing(MissingCarry) })
+	}
+	monitorEpisode := func() int {
 		mon, err := NewMonitor(MonitorConfig{
 			Models:        ml.Models.ByType,
 			Default:       ml.Models.Shared,
@@ -50,34 +80,20 @@ func TestPrecisionAlertParityTrained(t *testing.T) {
 			Threshold:     thr,
 			Types:         []AttackType{ep.Type},
 			MissingPolicy: MissingCarry,
-			Precision:     prec,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		alertStep := -1
-		for s := ep.StreamStart; s < ep.StreamEnd; s++ {
-			if s < 0 {
-				continue
-			}
-			flows := p.World.FlowsAt(ep.CustomerIdx, s)
-			at := cfg.World.TimeOf(s)
-			if len(flows) == 0 {
-				mon.ObserveMissing(customer, at)
-				continue
-			}
-			if alerts := mon.ObserveStep(customer, at, flows); len(alerts) > 0 && alertStep < 0 {
-				alertStep = s
-			}
-		}
-		return alertStep
+		return runEpisode(func(at time.Time, flows []Record) bool {
+			return len(mon.ObserveStep(customer, at, flows)) > 0
+		}, func(at time.Time) { mon.ObserveMissing(customer, at) })
 	}
 
-	step64 := runEpisode(t, PrecisionFloat64)
+	step64 := oracleEpisode()
 	if step64 < 0 {
-		t.Fatal("float64 run never alerted; detection is broken before precision enters")
+		t.Fatal("float64 oracle never alerted; detection is broken before precision enters")
 	}
-	step32 := runEpisode(t, PrecisionFloat32)
+	step32 := monitorEpisode()
 	if step32 < 0 {
 		t.Fatalf("float32 run never alerted (float64 alerted at step %d)", step64)
 	}
@@ -87,7 +103,7 @@ func TestPrecisionAlertParityTrained(t *testing.T) {
 	}
 
 	// Float32 serving is deterministic: a rerun reproduces the alert step.
-	if again := runEpisode(t, PrecisionFloat32); again != step32 {
+	if again := monitorEpisode(); again != step32 {
 		t.Fatalf("float32 rerun alerted at step %d, first run at %d", again, step32)
 	}
 }

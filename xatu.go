@@ -126,7 +126,9 @@ type (
 	Example = core.Example
 	// TrainOptions tunes Model.Fit.
 	TrainOptions = core.TrainOptions
-	// Stream is the incremental online form of a Model.
+	// Stream is the incremental online form of a Model: NewStream makes
+	// the float64 reference; a Monitor's own streams are float32 and live
+	// on its model lanes.
 	Stream = core.Stream
 )
 
@@ -140,7 +142,9 @@ func NewModel(cfg ModelConfig) (*Model, error) { return core.New(cfg) }
 // LoadModel reads a model saved with Model.Save.
 func LoadModel(r io.Reader) (*Model, error) { return core.Load(r) }
 
-// NewStream returns an online detector state for the model.
+// NewStream returns a float64 online detector state for the model — the
+// reference arithmetic offline scoring and calibration use. Serving goes
+// through NewMonitor / NewEngine, which step float32 streams.
 func NewStream(m *Model) *Stream { return core.NewStream(m) }
 
 // MissingPolicy selects what detector streams consume for steps with no
@@ -155,27 +159,9 @@ const (
 	MissingCarry = core.MissingCarry
 )
 
-// RestoreStream reads a stream checkpoint (written by Stream.Checkpoint)
-// into a fresh online state over m.
+// RestoreStream reads a stream checkpoint (written by Stream.Checkpoint,
+// by a float64 or a serving stream alike) into a fresh float64 state over m.
 func RestoreStream(r io.Reader, m *Model) (*Stream, error) { return core.RestoreStream(r, m) }
-
-// Precision selects the serving kernel arithmetic of a monitor's detector
-// streams: float64 (training precision, the zero value) or float32 (the
-// quantized panel kernels — several-fold faster, alert behavior held
-// within the calibrated tolerance; DESIGN.md §14).
-type Precision = core.Precision
-
-// Serving precisions.
-const (
-	// PrecisionFloat64 serves with the training-precision kernels.
-	PrecisionFloat64 = core.PrecisionFloat64
-	// PrecisionFloat32 serves with quantized float32 panel kernels.
-	PrecisionFloat32 = core.PrecisionFloat32
-)
-
-// ParsePrecision parses a -precision flag value ("float32"/"f32"/"32" or
-// "float64"/"f64"/"64").
-func ParsePrecision(s string) (Precision, error) { return core.ParsePrecision(s) }
 
 // Commercial-detector baselines.
 type (
