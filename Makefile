@@ -1,9 +1,18 @@
 GO ?= go
 
-.PHONY: build vet test race fuzz bce bench-smoke bench-check soak soak-smoke fleet-smoke trace-smoke lint check
+.PHONY: build build-arm64 vet test race fuzz bce bench-smoke bench-check soak soak-smoke fleet-smoke trace-smoke lint check
 
 build:
 	$(GO) build ./...
+
+# The assembly kernels are amd64-only; everywhere else internal/nn builds
+# panel_other.go's stubs and serves through the portable Go kernels.
+# Nothing else compiles that side, so a kernel declared in panel_amd64.go
+# and forgotten in panel_other.go would go unnoticed: cross-build the
+# tree and vet the kernel package (stub signatures included) for arm64.
+build-arm64:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/nn
 
 vet:
 	$(GO) vet ./...
@@ -26,10 +35,12 @@ race:
 # check_bce debug pass prints every check it could not prove away; any
 # `Found IsInBounds` in the named kernel files fails the build. One-time
 # slice-header constructions (IsSliceInBounds, O(1) per kernel call) are
-# setup cost, not inner-loop cost, and are not gated. Load-time
-# quantization (quantize32.go), the dynamic-index gather/scatter loops of
-# the serving lane (core/batchrunner32.go), and the once-per-chunk strided
-# transposes
+# setup cost, not inner-loop cost, and are not gated. The non-zero-column
+# kernels' data-dependent loads (panel32.go: the column list built by
+# NonZero32, followed by panelMulNZgo) are in the gated files and proven
+# by explicit length guards, not excluded. Load-time quantization
+# (quantize32.go), the dynamic-index gather/scatter loops of the serving
+# lane (core/batchrunner32.go), and the once-per-chunk strided transposes
 # (nn/transpose.go) are deliberately excluded.
 BCE_KERNELS := internal/nn/f32.go internal/nn/panel32.go internal/nn/lstm32.go \
 	internal/nn/batchgrad.go internal/nn/batchtape.go internal/nn/sparsetrain.go
@@ -105,4 +116,4 @@ fuzz:
 	$(GO) test ./internal/netflow -run '^$$' -fuzz FuzzDecodeV5 -fuzztime 10s
 	$(GO) test ./internal/netflow -run '^$$' -fuzz FuzzJournalRoundTrip -fuzztime 10s
 
-check: build lint bce test race bench-check fleet-smoke trace-smoke
+check: build build-arm64 lint bce test race bench-check fleet-smoke trace-smoke

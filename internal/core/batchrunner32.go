@@ -21,17 +21,37 @@ import (
 // behavioral, not bitwise: survival tracks it within the calibrated
 // tolerance (TestStream32TracksFloat64).
 //
+// Push does the input-side work — narrowing to float32, listing the
+// non-zero columns, W_x·x of every unpooled branch — once per distinct
+// input slice, not once per stream: adjacent rows whose xs[i] are one and
+// the same slice (same first element, same length — what a Monitor passes
+// for the channels of one customer) share it. Sharing is by identity, not
+// by value, and changes no bit: equal inputs project to equal bits either
+// way (TestLaneSharedInputInvariant).
+//
 // A BatchRunner32 is not safe for concurrent use.
 type BatchRunner32 struct {
 	m     *Model
 	q     *Quantized32
 	arena arena
-	// per-branch gather buffers: input rows, hidden/cell rows, and the
-	// indices (into the caller's streams slice) of the rows' owners.
+	// The distinct inputs of one Push, narrowed, in the leading rows of
+	// xin: row src[i] is stream i's. nz is the non-zero column list of the
+	// row being projected, and pre[b] holds the rows' projections through
+	// unpooled branch b.
+	xin nn.Batch32
+	src []int
+	nz  []int32
+	pre [numBranches]nn.Batch32
+	// per-branch gather buffers: pooled-mean input rows, hidden/cell rows,
+	// and the indices (into the caller's streams slice) of the rows' owners.
 	xb, hb, cb [numBranches]nn.Batch32
 	idx        [numBranches][]int
 	sc         nn.BatchScratch32
 	concat, zs nn.Batch32
+	// epoch numbers the Push in progress; a stream carrying the current
+	// number has already been listed in it.
+	epoch uint64
+	stats LaneStats
 	// the batch of one behind Stream.Push/PushMissing, and the input a
 	// missing step synthesizes.
 	one    [1]*Stream
@@ -39,6 +59,20 @@ type BatchRunner32 struct {
 	oneOut [1]float64
 	missX  nn.Vec
 }
+
+// LaneStats counts what a lane has done since it was made. Rows ÷
+// Projections is the input sharing a deployment really gets (6 with one
+// model for all six attack types, 1 with a model per type);
+// NonzeroColumns ÷ (Projections × NumFeatures) is the live input density —
+// it falls to zero when an exporter or an auxiliary feed goes dark.
+type LaneStats struct {
+	Rows           uint64 // stream-steps advanced
+	Projections    uint64 // distinct input slices narrowed and projected
+	NonzeroColumns uint64 // non-zero features over those distinct inputs
+}
+
+// Stats returns the lane's counters.
+func (r *BatchRunner32) Stats() LaneStats { return r.stats }
 
 // NewBatchRunner32 returns a lane over m, quantizing the model (cached on
 // the Model) up front so corrupt weights fail here, at load/construction
@@ -54,13 +88,13 @@ func NewBatchRunner32(m *Model) (*BatchRunner32, error) {
 // Model returns the shared model the runner steps streams through.
 func (r *BatchRunner32) Model() *Model { return r.m }
 
-// NewStream returns a fresh serving stream on this lane: recurrent state,
-// pooling sums and the narrowed input in one contiguous arena slab.
+// NewStream returns a fresh serving stream on this lane: recurrent state
+// and pooling sums in one contiguous arena slab.
 func (r *BatchRunner32) NewStream() *Stream {
 	s := newStreamBase(r.m)
 	s.lane = r
 	nf, hd := r.m.Cfg.NumFeatures, r.m.Cfg.Hidden
-	slab := r.arena.alloc(r.m.activeBranches()*(2*hd+nf) + nf)
+	slab := r.arena.alloc(r.m.activeBranches() * (2*hd + nf))
 	carve := func(n int) nn.Vec32 {
 		v := slab[:n:n]
 		slab = slab[n:]
@@ -71,7 +105,6 @@ func (r *BatchRunner32) NewStream() *Stream {
 			s.h32[b], s.c32[b], s.bufSum32[b] = carve(hd), carve(hd), carve(nf)
 		}
 	}
-	s.x32 = carve(nf)
 	return s
 }
 
@@ -106,6 +139,30 @@ func (r *BatchRunner32) Push(streams []*Stream, xs [][]float64, out []float64) [
 	return out
 }
 
+// validate panics unless every row is steppable: a stream of this lane,
+// listed once, with an input of the model's width. It runs before step
+// mutates anything, so a refused Push leaves every stream as it was.
+func (r *BatchRunner32) validate(streams []*Stream, xs [][]float64) {
+	r.epoch++
+	for i, s := range streams {
+		if s.lane != r {
+			panic("core: BatchRunner32.Push with a stream of another lane")
+		}
+		if len(xs[i]) != r.m.Cfg.NumFeatures {
+			panic(fmt.Sprintf("core: BatchRunner32.Push input %d has %d features, model has %d", i, len(xs[i]), r.m.Cfg.NumFeatures))
+		}
+		if s.pushEpoch == r.epoch {
+			panic(fmt.Sprintf("core: BatchRunner32.Push lists the stream at %d twice", i))
+		}
+		s.pushEpoch = r.epoch
+	}
+}
+
+// sameSlice reports whether a and b are one slice, not merely equal.
+func sameSlice(a, b []float64) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
+}
+
 // step is Push proper. observed is false for synthesized missing-step
 // inputs, which must not overwrite the streams' last real input.
 func (r *BatchRunner32) step(streams []*Stream, xs [][]float64, out []float64, observed bool) {
@@ -113,20 +170,41 @@ func (r *BatchRunner32) step(streams []*Stream, xs [][]float64, out []float64, o
 	if B == 0 {
 		return
 	}
+	r.validate(streams, xs)
 	cfg := r.m.Cfg
+	// Input side, once per distinct input slice (at most B of them).
+	r.xin.Resize(B, cfg.NumFeatures)
+	for b, l := range r.q.lstms {
+		if l != nil && r.m.poolFactor(b) <= 1 {
+			r.pre[b].Resize(B, l.Wx.Padded())
+		}
+	}
+	src := r.src[:0]
+	distinct := 0
 	for i, s := range streams {
-		if s.lane != r {
-			panic("core: BatchRunner32.Push with a stream of another lane")
-		}
-		if len(xs[i]) != cfg.NumFeatures {
-			panic(fmt.Sprintf("core: BatchRunner32.Push input %d has %d features, model has %d", i, len(xs[i]), cfg.NumFeatures))
-		}
 		if observed {
 			copy(s.lastX, xs[i])
 		}
-		nn.Narrow32(xs[i], s.x32)
 		s.steps++
+		if i > 0 && sameSlice(xs[i], xs[i-1]) {
+			src = append(src, distinct-1)
+			continue
+		}
+		x := r.xin.Row(distinct)
+		nn.Narrow32(xs[i], x)
+		r.nz = nn.NonZero32(x, r.nz)
+		r.stats.NonzeroColumns += uint64(len(r.nz))
+		for b, l := range r.q.lstms {
+			if l != nil && r.m.poolFactor(b) <= 1 {
+				l.Wx.MulVecNZ32(x, r.nz, r.pre[b].Row(distinct))
+			}
+		}
+		src = append(src, distinct)
+		distinct++
 	}
+	r.src = src
+	r.stats.Rows += uint64(B)
+	r.stats.Projections += uint64(distinct)
 	for b, l := range r.q.lstms {
 		if l == nil {
 			continue
@@ -139,7 +217,7 @@ func (r *BatchRunner32) step(streams []*Stream, xs [][]float64, out []float64, o
 			}
 		} else {
 			for i, s := range streams {
-				s.bufSum32[b].Add(s.x32)
+				s.bufSum32[b].Add(r.xin.Row(src[i]))
 				s.bufN[b]++
 				if s.bufN[b] >= k {
 					idx = append(idx, i)
@@ -150,28 +228,31 @@ func (r *BatchRunner32) step(streams []*Stream, xs [][]float64, out []float64, o
 		if len(idx) == 0 {
 			continue
 		}
-		r.xb[b].Resize(len(idx), cfg.NumFeatures)
 		r.hb[b].Resize(len(idx), cfg.Hidden)
 		r.cb[b].Resize(len(idx), cfg.Hidden)
-		inv := 1 / float32(k)
 		for n, i := range idx {
-			s := streams[i]
-			row := r.xb[b].Row(n)
-			if k <= 1 {
-				copy(row, s.x32)
-			} else {
-				// The oracle's mean expression in float32:
-				// bufSum32[j] * (1/k), then the buffer restarts.
+			copy(r.hb[b].Row(n), streams[i].h32[b])
+			copy(r.cb[b].Row(n), streams[i].c32[b])
+		}
+		if k <= 1 {
+			l.StepProjected32(&r.hb[b], &r.cb[b], &r.pre[b], src, &r.sc)
+		} else {
+			// Each ready stream steps on its own pooled mean — the
+			// oracle's expression in float32, bufSum32[j] * (1/k) — and
+			// its buffer restarts.
+			r.xb[b].Resize(len(idx), cfg.NumFeatures)
+			inv := 1 / float32(k)
+			for n, i := range idx {
+				s := streams[i]
+				row := r.xb[b].Row(n)
 				for j, sum := range s.bufSum32[b] {
 					row[j] = sum * inv
 				}
 				s.bufSum32[b].Zero()
 				s.bufN[b] = 0
 			}
-			copy(r.hb[b].Row(n), s.h32[b])
-			copy(r.cb[b].Row(n), s.c32[b])
+			l.StepBatch32(&r.hb[b], &r.cb[b], &r.xb[b], &r.sc)
 		}
-		l.StepBatch32(&r.hb[b], &r.cb[b], &r.xb[b], &r.sc)
 		for n, i := range idx {
 			s := streams[i]
 			copy(s.h32[b], r.hb[b].Row(n))

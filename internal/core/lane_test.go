@@ -183,34 +183,132 @@ func TestLaneBatchSizeInvariant(t *testing.T) {
 // TestLanePushGuards pins what Push refuses: streams it did not create
 // (another lane's, or a float64 oracle), an input of the wrong width —
 // which would otherwise leave a reused batch row's stale tail in place —
-// and mismatched slice lengths.
+// a stream listed twice (it would be gathered twice and scattered
+// last-wins) and mismatched slice lengths. A refused Push must refuse
+// whole: every row is validated before any is touched, so the lane's own
+// streams in the refused batch — those listed before the bad row included —
+// keep their XSC1 bytes, last input and step count among them.
 func TestLanePushGuards(t *testing.T) {
 	m, err := New(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := newLane(t, m)
-	x := make([]float64, m.Cfg.NumFeatures)
+	rng := rand.New(rand.NewSource(5))
+	x := randInput(rng, m.Cfg.NumFeatures)
+	a, b := r.NewStream(), r.NewStream()
+	for i := 0; i < 7; i++ { // part-full pooling buffers, a real last input
+		r.Push([]*Stream{a, b}, [][]float64{randInput(rng, m.Cfg.NumFeatures), randInput(rng, m.Cfg.NumFeatures)}, nil)
+	}
 	cases := []struct {
 		name    string
 		streams []*Stream
 		xs      [][]float64
 	}{
-		{"stream of another lane", []*Stream{newLane(t, m).NewStream()}, [][]float64{x}},
-		{"float64 oracle stream", []*Stream{NewStream(m)}, [][]float64{x}},
-		{"short input", []*Stream{r.NewStream()}, [][]float64{x[:len(x)-1]}},
-		{"long input", []*Stream{r.NewStream()}, [][]float64{append(x, 0)}},
-		{"fewer inputs than streams", []*Stream{r.NewStream(), r.NewStream()}, [][]float64{x}},
+		{"stream of another lane", []*Stream{a, b, newLane(t, m).NewStream()}, [][]float64{x, x, x}},
+		{"float64 oracle stream", []*Stream{a, NewStream(m), b}, [][]float64{x, x, x}},
+		{"short input", []*Stream{a, b}, [][]float64{x, x[:len(x)-1]}},
+		{"long input", []*Stream{a, b}, [][]float64{x, append(append([]float64(nil), x...), 0)}},
+		{"stream listed twice", []*Stream{a, b, a}, [][]float64{x, x, x}},
+		{"fewer inputs than streams", []*Stream{a, b}, [][]float64{x}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
+			beforeA, beforeB := checkpointBytes(t, a), checkpointBytes(t, b)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("expected panic")
+					}
+				}()
+				r.Push(c.streams, c.xs, nil)
 			}()
-			r.Push(c.streams, c.xs, nil)
+			if !bytes.Equal(checkpointBytes(t, a), beforeA) || !bytes.Equal(checkpointBytes(t, b), beforeB) {
+				t.Fatal("a refused Push changed a stream it had already accepted")
+			}
 		})
+	}
+	// The refusals leave no mark: the same streams still step.
+	r.Push([]*Stream{a, b}, [][]float64{x, x}, nil)
+	if a.Steps() != 8 || b.Steps() != 8 {
+		t.Fatalf("streams at steps %d, %d after 8 accepted pushes", a.Steps(), b.Steps())
+	}
+}
+
+// TestLaneSharedInputInvariant is the property the shared input projection
+// rests on: sharing is an optimisation by slice identity and changes no
+// bit. Six channels fed one aliased slice (what a Monitor passes), six fed
+// six equal-valued distinct slices, and six pushed alone one by one must
+// report bit-equal survival values and end in byte-equal checkpoints —
+// through a mid-run Reset of one channel, after which its pooling phase
+// differs from its neighbours' and the pooled branches of rows sharing an
+// input no longer step together.
+func TestLaneSharedInputInvariant(t *testing.T) {
+	wide := tinyConfig()
+	wide.NumFeatures, wide.Hidden = 21, 10 // five W_x panels: a group of four and a remainder
+	for _, cfg := range []Config{tinyConfig(), wide} {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const C, steps = 6, 40
+		run := func(mode string) (outs []float64, ckpts [][]byte) {
+			r := newLane(t, m)
+			rng := rand.New(rand.NewSource(9))
+			streams := make([]*Stream, C)
+			for i := range streams {
+				streams[i] = r.NewStream()
+			}
+			xs := make([][]float64, C)
+			for step := 0; step < steps; step++ {
+				x := randInput(rng, cfg.NumFeatures)
+				for j := range x {
+					if rng.Intn(3) > 0 {
+						x[j] = 0 // a sparse input, like a live feature vector
+					}
+				}
+				for i := range xs {
+					if mode == "aliased" {
+						xs[i] = x
+					} else {
+						xs[i] = append([]float64(nil), x...)
+					}
+				}
+				if mode == "alone" {
+					for i, s := range streams {
+						outs = append(outs, s.Push(xs[i]))
+					}
+				} else {
+					outs = append(outs, r.Push(streams, xs, nil)...)
+				}
+				if step == 13 {
+					streams[2].Reset()
+				}
+			}
+			if st := r.Stats(); mode == "aliased" && (st.Rows != C*steps || st.Projections != steps) {
+				t.Fatalf("aliased run: %d rows over %d projections, want %d over %d", st.Rows, st.Projections, C*steps, steps)
+			} else if mode != "aliased" && st.Projections != st.Rows {
+				t.Fatalf("%s run: %d rows over %d projections, want one each", mode, st.Rows, st.Projections)
+			}
+			for _, s := range streams {
+				ckpts = append(ckpts, checkpointBytes(t, s))
+			}
+			return outs, ckpts
+		}
+		wantOuts, wantCkpts := run("alone")
+		for _, mode := range []string{"aliased", "distinct"} {
+			outs, ckpts := run(mode)
+			for k := range wantOuts {
+				if math.Float64bits(outs[k]) != math.Float64bits(wantOuts[k]) {
+					t.Fatalf("hidden %d, %s: step %d channel %d survival %v, alone %v", cfg.Hidden, mode, k/C, k%C, outs[k], wantOuts[k])
+				}
+			}
+			for i := range wantCkpts {
+				if !bytes.Equal(ckpts[i], wantCkpts[i]) {
+					t.Fatalf("hidden %d, %s: channel %d checkpoint differs from the channel pushed alone", cfg.Hidden, mode, i)
+				}
+			}
+		}
 	}
 }
 

@@ -67,7 +67,9 @@ type Stream struct {
 	lane     *BatchRunner32
 	h32, c32 [numBranches]nn.Vec32
 	bufSum32 [numBranches]nn.Vec32
-	x32      nn.Vec32 // current input, narrowed once per step
+	// pushEpoch is the lane's number for the last Push that listed this
+	// stream: how a Push tells a stream listed twice. Never checkpointed.
+	pushEpoch uint64
 }
 
 // MissingPolicy selects what a Stream feeds itself for a step with no

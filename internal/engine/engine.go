@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/xatu-go/xatu/internal/cdet"
+	"github.com/xatu-go/xatu/internal/core"
 	"github.com/xatu-go/xatu/internal/ddos"
 	"github.com/xatu-go/xatu/internal/netflow"
 	"github.com/xatu-go/xatu/internal/telemetry"
@@ -319,8 +320,29 @@ type shard struct {
 
 	fb *cdet.Detector // lazily-built CDetOnly fallback
 
+	// What the model lanes did (core.LaneStats), summed over every monitor
+	// this shard has run. laneMon/laneSeen, shard goroutine only, are the
+	// monitor last read and its counters at that read.
+	laneRows, laneProjections, laneNonzero atomic.Uint64
+	laneMon                                *Monitor
+	laneSeen                               core.LaneStats
+
 	panicMu   sync.Mutex
 	lastPanic string
+}
+
+// publishLaneStats adds what the current monitor's lanes did since the
+// last call to the shard's counters. A replaced monitor (swap, rewrite,
+// recovery) starts again from zero; the shard's totals carry on.
+func (s *shard) publishLaneStats() {
+	if s.laneMon != s.mon {
+		s.laneMon, s.laneSeen = s.mon, core.LaneStats{}
+	}
+	now := s.mon.LaneStats()
+	s.laneRows.Add(now.Rows - s.laneSeen.Rows)
+	s.laneProjections.Add(now.Projections - s.laneSeen.Projections)
+	s.laneNonzero.Add(now.NonzeroColumns - s.laneSeen.NonzeroColumns)
+	s.laneSeen = now
 }
 
 // Engine is a sharded concurrent detection engine: N single-threaded
@@ -797,6 +819,7 @@ func (e *Engine) handle(s *shard, msg message, st HealthState) bool {
 			}
 		}
 		s.steps.Add(1)
+		s.publishLaneStats()
 		s.channels.Store(int64(s.mon.Channels()))
 		if e.mx != nil {
 			e.mx.stepLatency.Observe(time.Duration(el))
@@ -831,6 +854,7 @@ func (e *Engine) handle(s *shard, msg message, st HealthState) bool {
 		} else {
 			s.mon.ObserveMissing(msg.customer, msg.at)
 			s.missing.Add(1)
+			s.publishLaneStats()
 		}
 		e.fallbackMissing(s, msg)
 		e.observeSubmitLatency(msg.enq)

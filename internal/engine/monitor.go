@@ -437,6 +437,19 @@ func (m *Monitor) Mitigating(customer netip.Addr, at ddos.AttackType) bool {
 	return ch != nil && ch.mitigating
 }
 
+// LaneStats sums the counters of the monitor's model lanes: stream-steps
+// advanced, distinct inputs projected, and their non-zero features.
+func (m *Monitor) LaneStats() core.LaneStats {
+	var t core.LaneStats
+	for _, g := range m.groups {
+		st := g.runner.Stats()
+		t.Rows += st.Rows
+		t.Projections += st.Projections
+		t.NonzeroColumns += st.NonzeroColumns
+	}
+	return t
+}
+
 // Channels returns the number of live (customer, attack-type) detector
 // channels.
 func (m *Monitor) Channels() int { return len(m.chans) }

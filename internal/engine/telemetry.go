@@ -79,6 +79,15 @@ func (e *Engine) registerMetrics(reg *telemetry.Registry) *engineMetrics {
 		reg.CounterFunc("xatu_engine_alerts_total",
 			"Alerts fanned in from this shard.",
 			func() float64 { return float64(s.alerts.Load()) }, lbl)
+		reg.CounterFunc("xatu_engine_lane_rows_total",
+			"Detector stream-steps advanced by the model lanes.",
+			func() float64 { return float64(s.laneRows.Load()) }, lbl)
+		reg.CounterFunc("xatu_engine_lane_projections_total",
+			"Distinct input vectors the lanes narrowed and projected; rows/projections is the input sharing achieved.",
+			func() float64 { return float64(s.laneProjections.Load()) }, lbl)
+		reg.CounterFunc("xatu_engine_lane_nonzero_columns_total",
+			"Non-zero features over those distinct inputs; nonzero/(projections*features) is the live input density.",
+			func() float64 { return float64(s.laneNonzero.Load()) }, lbl)
 		reg.GaugeFunc("xatu_engine_queue_depth",
 			"Current shard mailbox depth.",
 			func() float64 { return float64(len(s.mail)) }, lbl)

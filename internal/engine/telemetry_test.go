@@ -246,3 +246,92 @@ func TestStatsAggregateConsistency(t *testing.T) {
 		t.Fatalf("StepMax %v below AvgStep %v", st.StepMax, st.AvgStep())
 	}
 }
+
+// TestEngineLaneCounters pins the three lane counters: with two attack
+// types under one Default model a customer-step is two rows sharing one
+// projection, a missing step pushes each channel alone, the non-zero
+// count is a plausible density, and the totals survive the monitor swap
+// of a Restore (a counter must not fall back to the new monitor's zero).
+func TestEngineLaneCounters(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cfg := tinyMonitorConfig(t)
+	cfg.Types = []ddos.AttackType{ddos.UDPFlood, ddos.TCPSYN}
+	eng, err := New(Config{Monitor: cfg, Shards: 2, Policy: Block, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	go func() {
+		for range eng.Alerts() {
+		}
+	}()
+	customers := testCustomers(5)
+	t0 := time.Date(2019, 7, 3, 0, 0, 0, 0, time.UTC)
+	var steps, missing float64
+	run := func(from, to int) {
+		for s := from; s < to; s++ {
+			at := t0.Add(time.Duration(s) * time.Minute)
+			for _, c := range customers {
+				if err := eng.Submit(c, at, udpFlows(c, s, t0)); err != nil {
+					t.Fatal(err)
+				}
+				steps++
+			}
+			if err := eng.ObserveMissing(customers[s%len(customers)], at); err != nil {
+				t.Fatal(err)
+			}
+			missing++
+		}
+		if err := eng.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// total sums one family over its shard labels.
+	total := func(name string) float64 {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), "# HELP "+name+" ") {
+			t.Fatalf("no HELP line for %s", name)
+		}
+		sum := 0.0
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, name+"{shard=") {
+				v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum += v
+			}
+		}
+		return sum
+	}
+	check := func() {
+		t.Helper()
+		rows := total("xatu_engine_lane_rows_total")
+		proj := total("xatu_engine_lane_projections_total")
+		nonzero := total("xatu_engine_lane_nonzero_columns_total")
+		if want := 2 * (steps + missing); rows != want {
+			t.Fatalf("lane rows %v, want %v", rows, want)
+		}
+		if want := steps + 2*missing; proj != want {
+			t.Fatalf("lane projections %v, want %v (one per customer-step, one per channel of a missing step)", proj, want)
+		}
+		nf := float64(cfg.Default.Cfg.NumFeatures)
+		if nonzero < steps || nonzero > proj*nf {
+			t.Fatalf("lane non-zero columns %v outside [%v, %v]", nonzero, steps, proj*nf)
+		}
+	}
+	run(0, 6)
+	check()
+	var ckpt bytes.Buffer
+	if err := eng.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Restore(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	run(6, 9)
+	check()
+}

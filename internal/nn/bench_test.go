@@ -84,6 +84,91 @@ func BenchmarkLSTMStepF32(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/sec")
 }
 
+// The three parts of one serving cell step, timed apart at the shape of a
+// customer-step on the wide benchmark workload (six channels, Hidden=64,
+// 273 features), ns per row: the split that says which part of the step is
+// worth attacking next.
+const (
+	benchCellRows   = 6
+	benchCellHidden = 64
+)
+
+func benchCell(b *testing.B) *LSTM32 {
+	b.Helper()
+	l, err := NewLSTM(benchIn, benchCellHidden, rand.New(rand.NewSource(1))).Quantize32()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return l
+}
+
+func reportPerRow(b *testing.B) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchCellRows), "ns/row")
+}
+
+// BenchmarkInputProjection is W_x·x by the non-zero-column kernel,
+// column scan included, at a live feature vector's density and fully dense.
+func BenchmarkInputProjection(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		density float64
+	}{{"density=0.18", 0.18}, {"density=1", 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			l := benchCell(b)
+			rng := rand.New(rand.NewSource(2))
+			var xs, pre Batch32
+			xs.Resize(benchCellRows, benchIn)
+			pre.Resize(benchCellRows, l.Wx.Padded())
+			for i := 0; i < xs.Rows; i++ {
+				copy(xs.Row(i), sparseInput32(rng, benchIn, bc.density, false))
+			}
+			var nz []int32
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for i := 0; i < xs.Rows; i++ {
+					nz = NonZero32(xs.Row(i), nz)
+					l.Wx.MulVecNZ32(xs.Row(i), nz, pre.Row(i))
+				}
+			}
+			reportPerRow(b)
+		})
+	}
+}
+
+// BenchmarkRecurrentProjection is W_h·h by the dense batched kernel.
+func BenchmarkRecurrentProjection(b *testing.B) {
+	l := benchCell(b)
+	hs := randBatch32(rand.New(rand.NewSource(3)), benchCellRows, benchCellHidden)
+	var rec Batch32
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		hs.MulT32(l.Wh, &rec)
+	}
+	reportPerRow(b)
+}
+
+// BenchmarkLSTMGates32 is the gate nonlinearities and the c/h update over
+// fixed pre-activations (the cell state is restored each pass so the
+// values do not drift into the clamps).
+func BenchmarkLSTMGates32(b *testing.B) {
+	l := benchCell(b)
+	rng := rand.New(rand.NewSource(4))
+	pre := randBatch32(rng, benchCellRows, l.Wx.Padded())
+	rec := randBatch32(rng, benchCellRows, l.Wx.Padded())
+	c0 := randBatch32(rng, benchCellRows, benchCellHidden)
+	var hs, cs Batch32
+	hs.Resize(benchCellRows, benchCellHidden)
+	cs.Resize(benchCellRows, benchCellHidden)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		copy(cs.Data, c0.Data)
+		for i := 0; i < benchCellRows; i++ {
+			lstmGates32(benchCellHidden, pre.Row(i), rec.Row(i), l.B, hs.Row(i), cs.Row(i))
+		}
+	}
+	reportPerRow(b)
+}
+
 // benchTrainTape prepares a warmed BatchTape of B sequences × benchSeqLen
 // steps plus full gradient injections, the shape of one training chunk.
 const benchSeqLen = 60

@@ -45,7 +45,7 @@ func (v Vec32) Widen(dst Vec) Vec {
 }
 
 // Narrow32 converts a float64 vector into dst (float32), reallocating when
-// dst is too short. It runs once per stream per step in the batch runner,
+// dst is too short. It runs once per distinct input per step in the lane,
 // so like the kernels it compiles with no per-element bounds checks.
 func Narrow32(src Vec, dst Vec32) Vec32 {
 	if len(dst) != len(src) {
@@ -82,6 +82,21 @@ func (b *Batch32) Resize(rows, cols int) {
 // Row returns row i as a slice aliasing the batch storage.
 func (b *Batch32) Row(i int) Vec32 { return Vec32(b.Data[i*b.Cols : (i+1)*b.Cols]) }
 
+// The constants of Expf and of the gate nonlinearities, at package level
+// because the vector gate kernel (lstmGates8avx) is built from the same
+// values as the scalar code it is pinned to.
+const (
+	expLog2e = 1.4426950408889634
+	expLn2Hi = 6.93147180369123816490e-01
+	expLn2Lo = 1.90821492927058770002e-10
+	// Adding then subtracting 1.5·2^52 rounds a float64 of this magnitude
+	// to the nearest integer in two cheap additions, off the critical path
+	// a Floor call would lengthen.
+	expRndMagic = 6755399441055744.0
+	sigmoidCap  = 18.04 // past this, (1-z)/(1+z) rounds to 1 anyway
+	tanhCap     = 9.02  // 1 - tanh(9.02) < float32 epsilon: saturates to 1
+)
+
 // Expf returns e^x for float32 x. It computes in float64 (scalar float32
 // and float64 arithmetic cost the same on every target we run on) with a
 // degree-6 polynomial after range reduction, accurate to ~1 ulp of float32
@@ -97,18 +112,9 @@ func Expf(x float32) float32 {
 	if xd < -87.33654475055312 { // below the float32 normal range: flush to zero
 		return 0
 	}
-	const (
-		log2e = 1.4426950408889634
-		ln2hi = 6.93147180369123816490e-01
-		ln2lo = 1.90821492927058770002e-10
-		// Adding then subtracting 1.5·2^52 rounds a float64 of this
-		// magnitude to the nearest integer in two cheap additions, off the
-		// critical path a Floor call would lengthen.
-		rndMagic = 6755399441055744.0
-	)
-	t := xd*log2e + rndMagic
-	kf := t - rndMagic
-	r := (xd - kf*ln2hi) - kf*ln2lo
+	t := xd*expLog2e + expRndMagic
+	kf := t - expRndMagic
+	r := (xd - kf*expLn2Hi) - kf*expLn2Lo
 	// exp(r) on |r| ≤ ln2/2 by a degree-6 Taylor polynomial; the next term
 	// is ≤ (ln2/2)^7/7! ≈ 1.2e-7 relative, at the float32 epsilon. Estrin
 	// grouping keeps the dependency chain ~4 multiplies deep instead of
@@ -129,7 +135,7 @@ const f32SignBit = 1 << 31
 // here mispredicts half the time and costs more than the arithmetic.
 func Sigmoid32(x float32) float32 {
 	ax := math.Float32frombits(math.Float32bits(x) &^ f32SignBit)
-	ax = min(ax, 18.04) // past this, (1-z)/(1+z) rounds to 1 anyway
+	ax = min(ax, sigmoidCap)
 	z := Expf(-ax)
 	r := (1 - z) / (1 + z) // tanh(|x|/2)
 	r = math.Float32frombits(math.Float32bits(r) | math.Float32bits(x)&f32SignBit)
@@ -140,7 +146,7 @@ func Sigmoid32(x float32) float32 {
 // Sigmoid32.
 func Tanh32(x float32) float32 {
 	ax := math.Float32frombits(math.Float32bits(x) &^ f32SignBit)
-	ax = min(ax, 9.02) // 1 - tanh(9.02) < float32 epsilon: saturates to 1
+	ax = min(ax, tanhCap)
 	t := Expf(-2 * ax)
 	r := (1 - t) / (1 + t)
 	return math.Float32frombits(math.Float32bits(r) | math.Float32bits(x)&f32SignBit)

@@ -194,32 +194,43 @@ func TestMulVec32MatchesFloat64(t *testing.T) {
 // channels without perturbing survival outputs.
 func TestStepBatch32MatchesStep32Bitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	l64 := NewLSTM(5, 7, rng)
+	for _, shape := range []struct{ in, hd int }{{5, 7}, {21, 10}} {
+		testStepBatch32MatchesStep32(t, rng, shape.in, shape.hd)
+	}
+}
+
+func testStepBatch32MatchesStep32(t *testing.T, rng *rand.Rand, in, hd int) {
+	l64 := NewLSTM(in, hd, rng)
 	l, err := l64.Quantize32()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, B := range []int{1, 3, 4, 6, 16} {
 		hs, cs := &Batch32{}, &Batch32{}
-		hs.Resize(B, 7)
-		cs.Resize(B, 7)
+		hs.Resize(B, hd)
+		cs.Resize(B, hd)
 		for i := range hs.Data {
 			hs.Data[i], cs.Data[i] = 0, 0
 		}
 		refH := make([]Vec32, B)
 		refC := make([]Vec32, B)
 		for i := range refH {
-			refH[i] = NewVec32(7)
-			refC[i] = NewVec32(7)
+			refH[i] = NewVec32(hd)
+			refC[i] = NewVec32(hd)
 		}
 		var bs BatchScratch32
 		var sc StepScratch32
 		for step := 0; step < 9; step++ {
-			xs := randBatch32(rng, B, 5)
+			xs := randBatch32(rng, B, in)
+			for i := range xs.Data {
+				if rng.Intn(2) == 0 {
+					xs.Data[i] = 0 // columns the batched projection skips and Step32 does not
+				}
+			}
 			l.StepBatch32(hs, cs, xs, &bs)
 			for i := 0; i < B; i++ {
 				l.Step32(refH[i], refC[i], xs.Row(i), &sc)
-				for j := 0; j < 7; j++ {
+				for j := 0; j < hd; j++ {
 					if math.Float32bits(hs.Row(i)[j]) != math.Float32bits(refH[i][j]) ||
 						math.Float32bits(cs.Row(i)[j]) != math.Float32bits(refC[i][j]) {
 						t.Fatalf("B=%d step %d stream %d unit %d: batch (%v,%v) != sequential (%v,%v)",

@@ -73,12 +73,33 @@ func (l *LSTM32) Step32(h, c, x Vec32, s *StepScratch32) (Vec32, Vec32) {
 }
 
 // lstmGates32 applies the gate nonlinearities for one stream in float32.
-// Single shared definition for Step32 and StepBatch32, mirroring
-// lstmGates, so the reference and the batched kernel stay bit-identical
-// to each other. The per-gate subslices give the compiler equal-length
-// slices over the range loop, so the body compiles with no bounds checks
-// (`make bce`).
+// Single shared definition for Step32 and the batched kernels, mirroring
+// lstmGates, so the reference and the serving path stay bit-identical to
+// each other. Where the vector kernel is available it takes the units in
+// groups of eight and the scalar loop finishes the remainder; the two are
+// bit-identical unit for unit (TestGates32MatchScalarBitwise), so where
+// the split falls changes nothing.
 func lstmGates32(hd int, pre, rec, bias, h, c Vec32) {
+	done := 0
+	if useAVX && hd >= 8 {
+		// The same exact-length views the scalar loop takes: they panic on
+		// a short operand before the assembly indexes it unchecked.
+		p, r, b := pre[:4*hd], rec[:4*hd], bias[:4*hd]
+		hh, cc := h[:hd], c[:hd]
+		if len(p) > 0 { // always true; proves the &p[0] the compiler cannot
+			done = hd &^ 7
+			lstmGates8avx(done, hd, &p[0], &r[0], &b[0], &hh[0], &cc[0], &gateK)
+		}
+	}
+	lstmGates32go(hd, done, pre, rec, bias, h, c)
+}
+
+// lstmGates32go is the scalar gate loop over units [from, hd): the
+// portable path, the tail of the vector one, and the reference the vector
+// kernel is pinned to. The per-gate subslices give the compiler
+// equal-length slices over the loop, so the body compiles with no bounds
+// checks (`make bce`).
+func lstmGates32go(hd, from int, pre, rec, bias, h, c Vec32) {
 	// The two-step [k*hd:][:hd] slicing (rather than [k*hd:(k+1)*hd]) gives
 	// each gate slice an exact length of hd, which the prove pass needs to
 	// eliminate the bounds checks inside the loop (a [a:b] length is b-a,
@@ -89,7 +110,10 @@ func lstmGates32(hd int, pre, rec, bias, h, c Vec32) {
 	po, ro, bo := pre[3*hd:][:hd], rec[3*hd:][:hd], bias[3*hd:][:hd]
 	h = h[:hd]
 	c = c[:hd]
-	for j := range h {
+	if from < 0 {
+		panic("nn: lstmGates32go negative start")
+	}
+	for j := from; j < len(h); j++ {
 		gi := Sigmoid32(pi[j] + ri[j] + bi[j])
 		gf := Sigmoid32(pf[j] + rf[j] + bf[j])
 		gg := Tanh32(pg[j] + rg[j] + bg[j])
@@ -99,29 +123,52 @@ func lstmGates32(hd int, pre, rec, bias, h, c Vec32) {
 	}
 }
 
-// BatchScratch32 holds the padded pre-activation batches StepBatch32
-// needs. Caller owned and reusable.
+// BatchScratch32 holds the padded pre-activation batches and the column
+// list the batched kernels need. Caller owned and reusable.
 type BatchScratch32 struct {
 	pre, rec Batch32
+	nz       []int32
 }
 
 // StepBatch32 is the serving kernel: it advances B independent streams
 // through the shared quantized weights in one pass. Row i of hs/cs is
 // stream i's recurrent state (updated in place), row i of xs its input.
-// Per row the arithmetic is exactly Step32's, so StepBatch32 row i
-// is bit-identical to Step32(h_i, c_i, x_i).
+// Per row the arithmetic is exactly Step32's — the input projection
+// visits only the row's non-zero columns, which changes no bit (see
+// MulVecNZ32) — so StepBatch32 row i is bit-identical to
+// Step32(h_i, c_i, x_i).
 func (l *LSTM32) StepBatch32(hs, cs, xs *Batch32, s *BatchScratch32) {
-	hd := l.Hidden
-	if hs.Rows != xs.Rows || cs.Rows != xs.Rows {
-		panic("nn: StepBatch32 row-count mismatch")
-	}
-	if hs.Cols != hd || cs.Cols != hd || xs.Cols != l.In {
+	if xs.Cols != l.In {
 		panic("nn: StepBatch32 column mismatch")
 	}
-	xs.MulT32(l.Wx, &s.pre)
-	hs.MulT32(l.Wh, &s.rec)
+	s.pre.Resize(xs.Rows, l.Wx.Padded())
 	for i := 0; i < xs.Rows; i++ {
-		lstmGates32(hd, s.pre.Row(i), s.rec.Row(i), l.B, hs.Row(i), cs.Row(i))
+		x := xs.Row(i)
+		s.nz = NonZero32(x, s.nz)
+		l.Wx.MulVecNZ32(x, s.nz, s.pre.Row(i))
+	}
+	l.StepProjected32(hs, cs, &s.pre, nil, s)
+}
+
+// StepProjected32 is StepBatch32 from the input projection on: row i
+// steps with the pre-activation W_x·x in row src[i] of pre (row i when
+// src is nil), so streams fed one and the same input share one projection
+// of it. The rows of pre come from Wx.MulVecNZ32.
+func (l *LSTM32) StepProjected32(hs, cs, pre *Batch32, src []int, s *BatchScratch32) {
+	hd := l.Hidden
+	if cs.Rows != hs.Rows || (src == nil && pre.Rows != hs.Rows) || (src != nil && len(src) != hs.Rows) {
+		panic("nn: StepProjected32 row-count mismatch")
+	}
+	if hs.Cols != hd || cs.Cols != hd || pre.Cols != l.Wx.Padded() {
+		panic("nn: StepProjected32 column mismatch")
+	}
+	hs.MulT32(l.Wh, &s.rec)
+	for i := 0; i < hs.Rows; i++ {
+		p := i
+		if i < len(src) {
+			p = src[i]
+		}
+		lstmGates32(hd, pre.Row(p), s.rec.Row(i), l.B, hs.Row(i), cs.Row(i))
 	}
 }
 

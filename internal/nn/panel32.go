@@ -1,6 +1,9 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Panel-packed float32 weights. A PanelMat32 stores the rows of a weight
 // matrix in panels of 8: panel p holds rows 8p..8p+7 column-interleaved, so
@@ -120,6 +123,82 @@ func (x *Batch32) MulT32(w *PanelMat32, dst *Batch32) {
 	}
 }
 
+// NonZero32 returns, in nz[:0], the ascending indices of x's non-zero
+// elements: the column list MulVecNZ32 visits. ±0 is skipped; NaN, ±Inf and
+// denormals are non-zero. The loop is branch-free — which elements of a
+// feature vector are zero is data-random, and a mispredicted branch per
+// element would cost more than the projection the list saves.
+func NonZero32(x Vec32, nz []int32) []int32 {
+	if cap(nz) < len(x) {
+		nz = make([]int32, len(x))
+	}
+	nz = nz[:len(x)]
+	n := 0
+	for i, v := range x {
+		if uint(n) < uint(len(nz)) { // always true (0 ≤ n ≤ i); proves the store in-bounds
+			nz[n] = int32(i)
+		}
+		b := math.Float32bits(v) << 1 // drops the sign: zero iff v is ±0
+		n += int((b | -b) >> 31)
+	}
+	return nz[:n]
+}
+
+// MulVecNZ32 is MulVec32 over the columns listed in nz only, which must be
+// ascending and, for the result to equal MulVec32's, include every non-zero
+// element of x (NonZero32 builds exactly that list). Bit-identical to the
+// dense kernels: each output is the same ascending-column chain with the
+// exact-zero terms left out, and a term w·(±0) is ±0 for the finite weights
+// quantization guarantees, which never changes a float32 accumulator that
+// started at +0 — such an accumulator is never −0, and x + ±0 = x for every
+// other x. The cost is proportional to len(nz), not Cols: the input
+// projection of a feature vector that is four-fifths zeros.
+//
+// One input row runs against four adjacent panels at a time, so the four
+// accumulators are the independent dependency chains that hide the add
+// latency; the dense kernels get theirs from four batch rows instead.
+func (w *PanelMat32) MulVecNZ32(x Vec32, nz []int32, dst Vec32) {
+	if len(x) != w.Cols || len(dst) != w.Padded() {
+		panic(fmt.Sprintf("nn: MulVecNZ32 shape mismatch (%dx%d)·%d -> %d", w.Rows, w.Cols, len(x), len(dst)))
+	}
+	// The assembly kernels index x and the panels by these columns
+	// unchecked, so the list is validated here, once per call.
+	last := int32(-1)
+	for _, c := range nz {
+		if c <= last {
+			panic("nn: MulVecNZ32 column list not ascending")
+		}
+		last = c
+	}
+	if int(last) >= len(x) {
+		panic("nn: MulVecNZ32 column beyond the input")
+	}
+	if len(nz) == 0 {
+		dst.Zero()
+		return
+	}
+	stride := w.Cols * panelWidth
+	pi := 0
+	if useAVX {
+		for ; pi+4 <= w.Panels; pi += 4 {
+			wp := w.Data[pi*stride:][:4*stride]
+			d := dst[pi*panelWidth:][:4*panelWidth]
+			if len(wp) > 0 && len(x) > 0 {
+				panelMulNZ4avx(&wp[0], stride*4, &x[0], &nz[0], len(nz), &d[0])
+			}
+		}
+	}
+	for ; pi < w.Panels; pi++ {
+		wp := w.panel(pi)
+		d := dst[pi*panelWidth:][:panelWidth]
+		if useAVX && len(wp) > 0 && len(x) > 0 {
+			panelMulNZ1avx(&wp[0], &x[0], &nz[0], len(nz), &d[0])
+		} else {
+			panelMulNZgo(wp, x, nz, d)
+		}
+	}
+}
+
 // panelMul1go is the portable panel kernel: dst[j] = Σ_c wp[c*8+j]·x[c]
 // for j in [0,8). The eight accumulators are independent scalar chains and
 // every load in the loop body is proven in-bounds by the slice-length
@@ -141,6 +220,41 @@ func panelMul1go(wp []float32, x []float32, dst []float32) {
 	}
 	if len(dst) < panelWidth {
 		panic("nn: panelMul1go short destination")
+	}
+	dst[0] = a0
+	dst[1] = a1
+	dst[2] = a2
+	dst[3] = a3
+	dst[4] = a4
+	dst[5] = a5
+	dst[6] = a6
+	dst[7] = a7
+}
+
+// panelMulNZgo is panelMul1go over the listed columns only: the portable
+// twin of panelMulNZ1avx and panelMulNZ4avx. The column loads are
+// data-dependent, so each is proven by an explicit length guard (never
+// taken: MulVecNZ32 validated the list) rather than by loop structure.
+func panelMulNZgo(wp []float32, x []float32, nz []int32, dst []float32) {
+	var a0, a1, a2, a3, a4, a5, a6, a7 float32
+	for _, c32 := range nz {
+		c := int(c32)
+		if c < 0 || c >= len(x) || c >= len(wp)/panelWidth {
+			panic("nn: panelMulNZgo column out of range")
+		}
+		xv := x[c]
+		wc := wp[c*panelWidth:][:panelWidth]
+		a0 += wc[0] * xv
+		a1 += wc[1] * xv
+		a2 += wc[2] * xv
+		a3 += wc[3] * xv
+		a4 += wc[4] * xv
+		a5 += wc[5] * xv
+		a6 += wc[6] * xv
+		a7 += wc[7] * xv
+	}
+	if len(dst) < panelWidth {
+		panic("nn: panelMulNZgo short destination")
 	}
 	dst[0] = a0
 	dst[1] = a1

@@ -102,3 +102,210 @@ done4:
 	VMOVUPS Y3, (DI)
 	VZEROUPPER
 	RET
+
+// func panelMulNZ1avx(wp *float32, x *float32, nz *int32, n int, dst *float32)
+//
+// panelMul1avx over the n > 0 listed columns: for each c in nz, in order,
+// acc += wp[c*8 : c*8+8] · x[c], multiply and add unfused.
+TEXT ·panelMulNZ1avx(SB), NOSPLIT, $0-40
+	MOVQ wp+0(FP), SI
+	MOVQ x+8(FP), DX
+	MOVQ nz+16(FP), BX
+	MOVQ n+24(FP), CX
+	MOVQ dst+32(FP), DI
+	VXORPS Y0, Y0, Y0
+loopnz1:
+	MOVLQSX      (BX), AX
+	VBROADCASTSS (DX)(AX*4), Y2
+	SHLQ         $5, AX
+	VMULPS       (SI)(AX*1), Y2, Y2
+	VADDPS       Y2, Y0, Y0
+	ADDQ         $4, BX
+	DECQ         CX
+	JNZ          loopnz1
+	VMOVUPS Y0, (DI)
+	VZEROUPPER
+	RET
+
+// func panelMulNZ4avx(wp *float32, stride int, x *float32, nz *int32, n int, dst *float32)
+//
+// One input row against four adjacent panels (stride bytes apart): one
+// index load and one broadcast per listed column feed four independent
+// accumulator chains, which is what hides the VADDPS latency that
+// bit-exactness forbids unrolling away within a single chain.
+TEXT ·panelMulNZ4avx(SB), NOSPLIT, $0-48
+	MOVQ wp+0(FP), SI
+	MOVQ stride+8(FP), R8
+	MOVQ x+16(FP), DX
+	MOVQ nz+24(FP), BX
+	MOVQ n+32(FP), CX
+	MOVQ dst+40(FP), DI
+	LEAQ (SI)(R8*1), R9
+	LEAQ (R9)(R8*1), R10
+	LEAQ (R10)(R8*1), R11
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+loopnz4:
+	MOVLQSX      (BX), AX
+	VBROADCASTSS (DX)(AX*4), Y4
+	SHLQ         $5, AX
+	VMULPS       (SI)(AX*1), Y4, Y5
+	VADDPS       Y5, Y0, Y0
+	VMULPS       (R9)(AX*1), Y4, Y6
+	VADDPS       Y6, Y1, Y1
+	VMULPS       (R10)(AX*1), Y4, Y7
+	VADDPS       Y7, Y2, Y2
+	VMULPS       (R11)(AX*1), Y4, Y8
+	VADDPS       Y8, Y3, Y3
+	ADDQ         $4, BX
+	DECQ         CX
+	JNZ          loopnz4
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VZEROUPPER
+	RET
+
+// The gate kernel. DX points at a gateConsts table (panel_amd64.go gives
+// the offsets); Y12 holds exp's rounding constant, Y13/Y14 the tanh and
+// sigmoid clamps, Y15 the float32 sign mask.
+//
+// EXP4 is Expf on four float32 lanes, computed in float64 with Expf's
+// operations in Expf's order:
+//	t  = xd*log2e + magic;  kf = t - magic
+//	r  = (xd - kf*ln2hi) - kf*ln2lo;  r2 = r*r
+//	lo = (1 + r) + r2*(0.5 + r*(1/6))
+//	hi = (1/24 + r*(1/120)) + r2*(1/720)
+//	p  = lo + (r2*r2)*hi
+// and 2^k taken from the low mantissa bits of t, where the rounding
+// constant leaves k in two's complement: (bits(t) + 1023) << 52 keeps
+// only k + 1023 in the exponent field, which is what Expf builds from
+// int64(kf). That integer add and shift run on the two 128-bit halves so
+// the kernel needs AVX alone.
+#define EXP4(IN, OUT) \
+	VCVTPS2PD    IN, Y2;         \
+	VMULPD       0(DX), Y2, Y3;  \
+	VADDPD       Y12, Y3, Y3;    \
+	VSUBPD       Y12, Y3, Y4;    \
+	VMULPD       64(DX), Y4, Y5; \
+	VSUBPD       Y5, Y2, Y5;     \
+	VMULPD       96(DX), Y4, Y4; \
+	VSUBPD       Y4, Y5, Y5;     \
+	VMULPD       Y5, Y5, Y4;     \
+	VMULPD       192(DX), Y5, Y6; \
+	VADDPD       160(DX), Y6, Y6; \
+	VMULPD       Y6, Y4, Y6;     \
+	VADDPD       128(DX), Y5, Y7; \
+	VADDPD       Y6, Y7, Y6;     \
+	VMULPD       256(DX), Y5, Y7; \
+	VADDPD       224(DX), Y7, Y7; \
+	VMULPD       288(DX), Y4, Y2; \
+	VADDPD       Y2, Y7, Y7;     \
+	VMULPD       Y4, Y4, Y4;     \
+	VMULPD       Y7, Y4, Y4;     \
+	VADDPD       Y4, Y6, Y6;     \
+	VEXTRACTF128 $1, Y3, X2;     \
+	VPADDQ       320(DX), X3, X3; \
+	VPSLLQ       $52, X3, X3;    \
+	VPADDQ       320(DX), X2, X2; \
+	VPSLLQ       $52, X2, X2;    \
+	VINSERTF128  $1, X2, Y3, Y3; \
+	VMULPD       Y3, Y6, Y6;     \
+	VCVTPD2PSY   Y6, OUT
+
+// EXP8: Y0 = Expf(Y0) on eight lanes, as two EXP4 halves.
+#define EXP8 \
+	VEXTRACTF128 $1, Y0, X8;     \
+	EXP4(X0, X9);                \
+	EXP4(X8, X8);                \
+	VINSERTF128  $1, X8, Y9, Y0
+
+// RATIO8: Y0 = (1 - Y0)/(1 + Y0) with the sign bits saved in Y10 folded
+// back in — the tail Sigmoid32 and Tanh32 share.
+#define RATIO8 \
+	VMOVUPS 480(DX), Y1;         \
+	VSUBPS  Y0, Y1, Y2;          \
+	VADDPS  Y0, Y1, Y1;          \
+	VDIVPS  Y1, Y2, Y0;          \
+	VORPS   Y10, Y0, Y0
+
+// SIGMOID8: Y0 = Sigmoid32(Y0). VMINPS returns its second source, |x|,
+// when that is NaN, as the scalar min does; the negation is a sign flip,
+// as the scalar -ax is.
+#define SIGMOID8 \
+	VANDPS  Y15, Y0, Y10;        \
+	VANDNPS Y0, Y15, Y0;         \
+	VMINPS  Y0, Y14, Y0;         \
+	VXORPS  Y15, Y0, Y0;         \
+	EXP8;                        \
+	RATIO8;                      \
+	VMULPS  512(DX), Y0, Y0;     \
+	VADDPS  512(DX), Y0, Y0
+
+// TANH8: Y0 = Tanh32(Y0); -2*ax is a multiply, as in the scalar code.
+#define TANH8 \
+	VANDPS  Y15, Y0, Y10;        \
+	VANDNPS Y0, Y15, Y0;         \
+	VMINPS  Y0, Y13, Y0;         \
+	VMULPS  448(DX), Y0, Y0;     \
+	EXP8;                        \
+	RATIO8
+
+// PREACT: Y0 = (pre + rec) + bias at byte offset OFF of the three rows.
+#define PREACT(OFF) \
+	VMOVUPS (SI)(OFF*1), Y0;     \
+	VADDPS  (DI)(OFF*1), Y0, Y0; \
+	VADDPS  (BX)(OFF*1), Y0, Y0
+
+// func lstmGates8avx(n, hd int, pre, rec, bias, h, c *float32, k *gateConsts)
+//
+// lstmGates32go over units [0, n), n a positive multiple of 8. R8..R11 are
+// the byte offsets of the current eight units in the i, f, g and o gate
+// segments (R8 also indexes h and c).
+TEXT ·lstmGates8avx(SB), NOSPLIT, $0-64
+	MOVQ n+0(FP), CX
+	MOVQ hd+8(FP), R9
+	MOVQ pre+16(FP), SI
+	MOVQ rec+24(FP), DI
+	MOVQ bias+32(FP), BX
+	MOVQ h+40(FP), R12
+	MOVQ c+48(FP), R13
+	MOVQ k+56(FP), DX
+	SHRQ $3, CX
+	SHLQ $2, R9
+	XORQ R8, R8
+	LEAQ (R9)(R9*1), R10
+	LEAQ (R10)(R9*1), R11
+	VMOVUPS 32(DX), Y12
+	VMOVUPS 416(DX), Y13
+	VMOVUPS 384(DX), Y14
+	VMOVUPS 352(DX), Y15
+loopgates:
+	PREACT(R8)
+	SIGMOID8
+	VMOVAPS Y0, Y11             // input gate
+	PREACT(R10)
+	TANH8
+	VMULPS  Y0, Y11, Y11        // gi*gg
+	PREACT(R9)
+	SIGMOID8
+	VMULPS  (R13)(R8*1), Y0, Y0 // gf*c
+	VADDPS  Y11, Y0, Y0
+	VMOVUPS Y0, (R13)(R8*1)     // c = gf*c + gi*gg
+	TANH8
+	VMOVAPS Y0, Y11             // tanh(c)
+	PREACT(R11)
+	SIGMOID8
+	VMULPS  Y11, Y0, Y0
+	VMOVUPS Y0, (R12)(R8*1)     // h = go*tanh(c)
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	ADDQ    $32, R10
+	ADDQ    $32, R11
+	DECQ    CX
+	JNZ     loopgates
+	VZEROUPPER
+	RET
