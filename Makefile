@@ -22,10 +22,13 @@ test:
 
 # Race-check the packages with concurrency: the UDP transport + chaos
 # harness, the kernels, the model core and its serving lane, the sharded
-# engine, the parallel ingest pipeline, the telemetry registry, and the
-# root-package integration tests.
+# engine, the parallel ingest pipeline, the telemetry registry, the
+# feature extractor with the registries it reads (blocklists, attack
+# history, spoof checker) — the only state shard goroutines share on every
+# step — and the root-package integration tests.
 race:
-	$(GO) test -race ./internal/netflow ./internal/nn ./internal/core ./internal/engine ./internal/ingest ./internal/cluster ./internal/telemetry ./internal/trace .
+	$(GO) test -race ./internal/netflow ./internal/nn ./internal/core ./internal/engine ./internal/ingest ./internal/cluster ./internal/telemetry ./internal/trace \
+		./internal/features ./internal/attackhist ./internal/blocklist ./internal/spoof .
 
 # The float32 serving kernels (quantized panel matmuls, gate
 # nonlinearities, widen/narrow) and the batched training kernels (tape

@@ -13,19 +13,29 @@
 package attackhist
 
 import (
+	"maps"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"github.com/xatu-go/xatu/internal/compact"
 	"github.com/xatu-go/xatu/internal/ddos"
 )
 
-// Registry is a thread-safe attack-history store.
+// Registry is a thread-safe attack-history store. Attack sources are IPv4
+// hosts, held by their address word in maps without pointers; a source that
+// is neither IPv4 nor IPv4-mapped IPv6 is never recorded and never a
+// previous attacker.
 type Registry struct {
 	mu sync.RWMutex
 	// attackers[customer][src] = first and last times src attacked customer
-	attackers map[netip.Addr]map[netip.Addr]span
+	attackers map[netip.Addr]map[uint32]span
+	// order is the key set of attackers in address order: the order A5 sums
+	// the other customers' coefficients in, so the same registry contents
+	// give the same bits whatever order they were recorded in.
+	order []netip.Addr
 	// alerts[customer] = alerts sorted by detection time
 	alerts map[netip.Addr][]ddos.Alert
 }
@@ -33,13 +43,18 @@ type Registry struct {
 // span is the [first, last] observation interval of one attacker-customer
 // pair.
 type span struct {
-	first, last time.Time
+	first, last compact.Instant
+}
+
+// activeIn reports whether the observation interval intersects [lo, hi).
+func (sp span) activeIn(lo, hi compact.Instant) bool {
+	return sp.first.Before(hi) && !sp.last.Before(lo)
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		attackers: make(map[netip.Addr]map[netip.Addr]span),
+		attackers: make(map[netip.Addr]map[uint32]span),
 		alerts:    make(map[netip.Addr][]ddos.Alert),
 	}
 }
@@ -62,53 +77,76 @@ func (r *Registry) RecordAlert(a ddos.Alert) {
 // RecordAttacker marks src as an attack source against customer, first
 // observed at t. Later observations of the same pair keep the earlier time.
 func (r *Registry) RecordAttacker(customer, src netip.Addr, t time.Time) {
+	w, ok := compact.IPv4(src)
+	if !ok {
+		return
+	}
+	at := compact.At(t)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m := r.attackers[customer]
 	if m == nil {
-		m = make(map[netip.Addr]span)
+		m = make(map[uint32]span)
 		r.attackers[customer] = m
+		i, _ := slices.BinarySearchFunc(r.order, customer, netip.Addr.Compare)
+		r.order = slices.Insert(r.order, i, customer)
 	}
-	old, ok := m[src]
+	old, ok := m[w]
 	if !ok {
-		m[src] = span{first: t, last: t}
+		m[w] = span{first: at, last: at}
 		return
 	}
-	if t.Before(old.first) {
-		old.first = t
+	if at.Before(old.first) {
+		old.first = at
 	}
-	if t.After(old.last) {
-		old.last = t
+	if old.last.Before(at) {
+		old.last = at
 	}
-	m[src] = old
-}
-
-// HasAttackers reports whether any source is recorded as having attacked
-// customer at any time. Extraction hoists this out of its per-flow loop:
-// a customer with no history answers every A2 membership test false.
-func (r *Registry) HasAttackers(customer netip.Addr) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.attackers[customer]) > 0
+	m[w] = old
 }
 
 // WasAttacker reports whether src had attacked customer strictly before t
 // (the A2 membership test).
 func (r *Registry) WasAttacker(customer, src netip.Addr, t time.Time) bool {
+	w, ok := compact.IPv4(src)
+	if !ok {
+		return false
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	sp, ok := r.attackers[customer][src]
-	return ok && sp.first.Before(t)
+	sp, ok := r.attackers[customer][w]
+	return ok && sp.first.Before(compact.At(t))
+}
+
+// MarkAttackers is the bulk A2 membership test of feature extraction: under
+// one read lock it ORs bit into marks[i] for every IPv4 source word srcs[i]
+// that had attacked customer strictly before t. A customer with no history
+// costs one map lookup.
+func (r *Registry) MarkAttackers(marks []uint8, bit uint8, customer netip.Addr, srcs []uint32, t time.Time) {
+	at := compact.At(t)
+	marks = marks[:len(srcs)]
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	m := r.attackers[customer]
+	if len(m) == 0 {
+		return
+	}
+	for i, w := range srcs {
+		if sp, ok := m[w]; ok && sp.first.Before(at) {
+			marks[i] |= bit
+		}
+	}
 }
 
 // AttackerCount returns the number of sources known to have attacked
 // customer before t.
 func (r *Registry) AttackerCount(customer netip.Addr, t time.Time) int {
+	at := compact.At(t)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	n := 0
 	for _, sp := range r.attackers[customer] {
-		if sp.first.Before(t) {
+		if sp.first.Before(at) {
 			n++
 		}
 	}
@@ -175,12 +213,7 @@ func (r *Registry) TransitionMatrix(t time.Time) [ddos.NumAttackTypes][ddos.NumA
 func (r *Registry) Customers() []netip.Addr {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]netip.Addr, 0, len(r.attackers))
-	for c := range r.attackers {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	return slices.Clone(r.order)
 }
 
 // ClusteringVariant selects one of the three bipartite clustering
@@ -194,70 +227,71 @@ const (
 	ClusteringMax                          // |N(u)∩N(v)| / max(|N(u)|,|N(v)|)
 )
 
-// Clustering computes the bipartite clustering coefficient of customer in
-// the attacker–customer graph restricted to attacker observations in
-// [t−window, t): the mean pairwise coefficient between customer and every
-// other customer sharing at least one attacker. Customers sharing no
-// attacker with anyone get 0.
-func (r *Registry) Clustering(customer netip.Addr, t time.Time, window time.Duration, v ClusteringVariant) float64 {
+// Clusterings computes the three bipartite clustering coefficients of
+// customer in the attacker–customer graph restricted to attacker
+// observations in [t−window, t): for each variant, the mean pairwise
+// coefficient between customer and every other customer sharing at least
+// one attacker. Customers sharing no attacker with anyone get 0.
+//
+// One pass over the other customers' attackers, in customer address order,
+// counts each neighborhood and its intersection with customer's in place;
+// no set is built. The fixed order makes the sums, and so the result,
+// a function of the registry's contents alone.
+func (r *Registry) Clusterings(customer netip.Addr, t time.Time, window time.Duration) (dot, minc, maxc float64) {
+	lo, hi := compact.At(t.Add(-window)), compact.At(t)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	lo := t.Add(-window)
-	mine := r.neighborhoodLocked(customer, lo, t)
-	if len(mine) == 0 {
-		return 0
+	mine := r.attackers[customer]
+	nMine := 0
+	for _, sp := range mine {
+		if sp.activeIn(lo, hi) {
+			nMine++
+		}
 	}
-	var sum float64
-	var n int
-	for other := range r.attackers {
+	if nMine == 0 {
+		return 0, 0, 0
+	}
+	n := 0
+	for _, other := range r.order {
 		if other == customer {
 			continue
 		}
-		theirs := r.neighborhoodLocked(other, lo, t)
-		if len(theirs) == 0 {
-			continue
-		}
-		inter := 0
-		for a := range mine {
-			if _, ok := theirs[a]; ok {
+		nTheirs, inter := 0, 0
+		for src, sp := range r.attackers[other] {
+			if !sp.activeIn(lo, hi) {
+				continue
+			}
+			nTheirs++
+			if m, ok := mine[src]; ok && m.activeIn(lo, hi) {
 				inter++
 			}
 		}
 		if inter == 0 {
 			continue
 		}
-		var denom int
-		switch v {
-		case ClusteringMin:
-			denom = min(len(mine), len(theirs))
-		case ClusteringMax:
-			denom = max(len(mine), len(theirs))
-		default: // ClusteringDot = Jaccard
-			denom = len(mine) + len(theirs) - inter
-		}
-		sum += float64(inter) / float64(denom)
+		f := float64(inter)
+		dot += f / float64(nMine+nTheirs-inter) // Jaccard
+		minc += f / float64(min(nMine, nTheirs))
+		maxc += f / float64(max(nMine, nTheirs))
 		n++
 	}
 	if n == 0 {
-		return 0
+		return 0, 0, 0
 	}
-	return sum / float64(n)
+	return dot / float64(n), minc / float64(n), maxc / float64(n)
 }
 
-// neighborhoodLocked returns the attackers active against customer in
-// [lo, hi): pairs whose observation interval intersects the window. Caller
-// holds at least the read lock.
-func (r *Registry) neighborhoodLocked(customer netip.Addr, lo, hi time.Time) map[netip.Addr]struct{} {
-	var out map[netip.Addr]struct{} // lazily allocated: empty neighborhoods are the common case and must cost nothing
-	for src, sp := range r.attackers[customer] {
-		if sp.first.Before(hi) && !sp.last.Before(lo) {
-			if out == nil {
-				out = make(map[netip.Addr]struct{}, len(r.attackers[customer]))
-			}
-			out[src] = struct{}{}
-		}
+// Clustering returns one of the three coefficients of Clusterings.
+func (r *Registry) Clustering(customer netip.Addr, t time.Time, window time.Duration, v ClusteringVariant) float64 {
+	dot, minc, maxc := r.Clusterings(customer, t, window)
+	switch v {
+	case ClusteringMin:
+		return minc
+	case ClusteringMax:
+		return maxc
+	default:
+		return dot
 	}
-	return out
 }
 
 // Clone returns a deep copy of the registry. The autoregressive evaluation
@@ -268,12 +302,9 @@ func (r *Registry) Clone() *Registry {
 	defer r.mu.RUnlock()
 	out := NewRegistry()
 	for c, m := range r.attackers {
-		nm := make(map[netip.Addr]span, len(m))
-		for a, sp := range m {
-			nm[a] = sp
-		}
-		out.attackers[c] = nm
+		out.attackers[c] = maps.Clone(m)
 	}
+	out.order = slices.Clone(r.order)
 	for c, s := range r.alerts {
 		out.alerts[c] = append([]ddos.Alert(nil), s...)
 	}

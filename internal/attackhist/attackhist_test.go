@@ -1,7 +1,9 @@
 package attackhist
 
 import (
+	"math/rand"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -232,3 +234,233 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Fatal("clone must carry original data")
 	}
 }
+
+// obs is one RecordAttacker call of the randomized fixtures below.
+type obs struct {
+	customer, src netip.Addr
+	at            time.Time
+}
+
+// randomObservations draws attacker observations for nCustomers customers
+// from a shared source pool, so neighborhoods overlap, with times spread
+// over ±spread around t0.
+func randomObservations(rng *rand.Rand, nCustomers, perCustomer, pool int, spread time.Duration) []obs {
+	var out []obs
+	for c := 0; c < nCustomers; c++ {
+		customer := netip.AddrFrom4([4]byte{23, 1, byte(c >> 8), byte(c)})
+		for k := 0; k < perCustomer; k++ {
+			s := rng.Intn(pool)
+			out = append(out, obs{
+				customer: customer,
+				src:      netip.AddrFrom4([4]byte{11, 0, byte(s >> 8), byte(s)}),
+				at:       t0.Add(time.Duration(rng.Int63n(int64(2*spread))) - spread),
+			})
+		}
+	}
+	return out
+}
+
+func fill(list []obs) *Registry {
+	r := NewRegistry()
+	for _, o := range list {
+		r.RecordAttacker(o.customer, o.src, o.at)
+	}
+	return r
+}
+
+// referenceClustering is the definition, computed the way the registry
+// used to: materialize each customer's in-window neighborhood as a set,
+// intersect set against set, one variant per call — with the other
+// customers visited in address order, which the old code left to map
+// iteration.
+func referenceClustering(list []obs, customer netip.Addr, t time.Time, window time.Duration, v ClusteringVariant) float64 {
+	lo := t.Add(-window)
+	type iv struct{ first, last time.Time }
+	spans := map[netip.Addr]map[netip.Addr]iv{}
+	for _, o := range list {
+		if spans[o.customer] == nil {
+			spans[o.customer] = map[netip.Addr]iv{}
+		}
+		sp, ok := spans[o.customer][o.src]
+		if !ok {
+			sp = iv{o.at, o.at}
+		}
+		if o.at.Before(sp.first) {
+			sp.first = o.at
+		}
+		if o.at.After(sp.last) {
+			sp.last = o.at
+		}
+		spans[o.customer][o.src] = sp
+	}
+	hood := func(c netip.Addr) map[netip.Addr]bool {
+		out := map[netip.Addr]bool{}
+		for src, sp := range spans[c] {
+			if sp.first.Before(t) && !sp.last.Before(lo) {
+				out[src] = true
+			}
+		}
+		return out
+	}
+	mine := hood(customer)
+	if len(mine) == 0 {
+		return 0
+	}
+	var others []netip.Addr
+	for c := range spans {
+		if c != customer {
+			others = append(others, c)
+		}
+	}
+	slices.SortFunc(others, netip.Addr.Compare)
+	var sum float64
+	n := 0
+	for _, other := range others {
+		theirs := hood(other)
+		inter := 0
+		for a := range mine {
+			if theirs[a] {
+				inter++
+			}
+		}
+		if inter == 0 {
+			continue
+		}
+		var denom int
+		switch v {
+		case ClusteringMin:
+			denom = min(len(mine), len(theirs))
+		case ClusteringMax:
+			denom = max(len(mine), len(theirs))
+		default:
+			denom = len(mine) + len(theirs) - inter
+		}
+		sum += float64(inter) / float64(denom)
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
+// TestClusteringsMatchesDefinition pins the one-pass triple to the
+// set-building definition, bit for bit, on the two hand fixtures above and
+// on random overlapping graphs with observations in and out of the window.
+func TestClusteringsMatchesDefinition(t *testing.T) {
+	fixtures := [][]obs{
+		{{c1, a1, t0}, {c1, a2, t0}, {c2, a1, t0}, {c3, a3, t0}}, // TestClusteringVariants
+		{{c1, a1, t0}, {c2, a1, t0.Add(-48 * time.Hour)}},        // TestClusteringWindowFiltering
+		randomObservations(rand.New(rand.NewSource(1)), 12, 40, 90, 36*time.Hour),
+		randomObservations(rand.New(rand.NewSource(2)), 40, 7, 50, 4*time.Hour),
+	}
+	for fi, list := range fixtures {
+		r := fill(list)
+		for _, window := range []time.Duration{2 * time.Hour, 24 * time.Hour} {
+			for _, c := range append(r.Customers(), netip.MustParseAddr("9.9.9.9")) {
+				at := t0.Add(time.Hour)
+				dot, minc, maxc := r.Clusterings(c, at, window)
+				for v, got := range []float64{dot, minc, maxc} {
+					want := referenceClustering(list, c, at, window, ClusteringVariant(v))
+					if got != want || r.Clustering(c, at, window, ClusteringVariant(v)) != want {
+						t.Fatalf("fixture %d customer %v window %v variant %d: got %v, want %v", fi, c, window, v, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestClusteringDeterministic: A5 used to sum over a map range, so one
+// registry could return values differing in the last bit from call to call.
+// Repeated calls, and registries filled with the same observations in
+// shuffled order, must agree exactly.
+func TestClusteringDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	list := randomObservations(rng, 24, 30, 80, 12*time.Hour)
+	r := fill(list)
+	customer, at, window := list[0].customer, t0.Add(13*time.Hour), 48*time.Hour
+	d0, m0, x0 := r.Clusterings(customer, at, window)
+	if d0 == 0 || m0 == 0 || x0 == 0 {
+		t.Fatal("fixture must produce non-zero coefficients")
+	}
+	for i := 0; i < 200; i++ {
+		if d, m, x := r.Clusterings(customer, at, window); d != d0 || m != m0 || x != x0 {
+			t.Fatalf("call %d: (%v %v %v) != (%v %v %v)", i, d, m, x, d0, m0, x0)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		shuffled := slices.Clone(list)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		r2 := fill(shuffled)
+		if !slices.Equal(r2.Customers(), r.Customers()) {
+			t.Fatal("customer order depends on insertion order")
+		}
+		if d, m, x := r2.Clusterings(customer, at, window); d != d0 || m != m0 || x != x0 {
+			t.Fatalf("shuffle %d: (%v %v %v) != (%v %v %v)", i, d, m, x, d0, m0, x0)
+		}
+		if d, m, x := r2.Clone().Clusterings(customer, at, window); d != d0 || m != m0 || x != x0 {
+			t.Fatal("clone disagrees")
+		}
+	}
+}
+
+// TestNonIPv4Sources: a source that is neither IPv4 nor 4-in-6 is never a
+// previous attacker; a 4-in-6 source is its IPv4 form.
+func TestNonIPv4Sources(t *testing.T) {
+	r := NewRegistry()
+	v6 := netip.MustParseAddr("2001:db8::1")
+	mapped := netip.MustParseAddr("::ffff:11.0.0.1") // a1
+	r.RecordAttacker(c1, v6, t0)
+	r.RecordAttacker(c1, netip.Addr{}, t0)
+	if len(r.Customers()) != 0 || r.AttackerCount(c1, t0.Add(time.Hour)) != 0 {
+		t.Fatal("non-IPv4 sources must not be recorded")
+	}
+	r.RecordAttacker(c1, mapped, t0)
+	later := t0.Add(time.Hour)
+	if !r.WasAttacker(c1, a1, later) || !r.WasAttacker(c1, mapped, later) {
+		t.Fatal("a 4-in-6 source is its IPv4 form")
+	}
+	if r.WasAttacker(c1, v6, later) || r.WasAttacker(c1, netip.Addr{}, later) {
+		t.Fatal("non-IPv4 sources are never previous attackers")
+	}
+}
+
+// TestMarkAttackersMatchesWasAttacker pins the bulk A2 test to the
+// per-source one, including the strict "before t" boundary.
+func TestMarkAttackersMatchesWasAttacker(t *testing.T) {
+	list := randomObservations(rand.New(rand.NewSource(4)), 3, 60, 120, 2*time.Hour)
+	r := fill(list)
+	var srcs []uint32
+	var addrs []netip.Addr
+	for s := 0; s < 120; s++ {
+		addrs = append(addrs, netip.AddrFrom4([4]byte{11, 0, 0, byte(s)}))
+		srcs = append(srcs, 11<<24|uint32(s))
+	}
+	for _, c := range append(r.Customers(), netip.MustParseAddr("9.9.9.9")) {
+		for _, at := range []time.Time{t0.Add(-3 * time.Hour), t0, list[0].at, t0.Add(3 * time.Hour)} {
+			marks := make([]uint8, len(srcs))
+			r.MarkAttackers(marks, 4, c, srcs, at)
+			for i, a := range addrs {
+				if want := r.WasAttacker(c, a, at); (marks[i] == 4) != want || marks[i]&^4 != 0 {
+					t.Fatalf("customer %v src %v at %v: mark %d, WasAttacker %v", c, a, at, marks[i], want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkClustering times one A5 evaluation — all three coefficients —
+// for one of 32 customers whose attackers come from one shared pool.
+func BenchmarkClustering(b *testing.B) {
+	list := randomObservations(rand.New(rand.NewSource(5)), 32, 48, 192, 24*time.Hour)
+	r := fill(list)
+	at, window := t0.Add(25*time.Hour), 7*24*time.Hour
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkDot, sinkMin, sinkMax = r.Clusterings(list[0].customer, at, window)
+	}
+}
+
+var sinkDot, sinkMin, sinkMax float64

@@ -6,9 +6,10 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
+	"github.com/xatu-go/xatu/internal/compact"
 	"github.com/xatu-go/xatu/internal/ddos"
 )
 
@@ -50,17 +51,17 @@ func (r *Registry) Save(w io.Writer) error {
 	if err := enc.Encode(persistHeader{Format: persistFormat}); err != nil {
 		return err
 	}
-	for _, customer := range r.customersLocked() {
-		srcs := make([]netip.Addr, 0, len(r.attackers[customer]))
+	for _, customer := range r.order {
+		srcs := make([]uint32, 0, len(r.attackers[customer]))
 		for s := range r.attackers[customer] {
 			srcs = append(srcs, s)
 		}
-		sortAddrs(srcs)
+		slices.Sort(srcs)
 		for _, s := range srcs {
 			sp := r.attackers[customer][s]
 			if err := enc.Encode(persistAttacker{
-				Kind: "attacker", Customer: customer.String(), Src: s.String(),
-				First: sp.first, Last: sp.last,
+				Kind: "attacker", Customer: customer.String(), Src: compact.Addr(s).String(),
+				First: sp.first.Time(), Last: sp.last.Time(),
 			}); err != nil {
 				return err
 			}
@@ -145,26 +146,12 @@ func (r *Registry) Load(rd io.Reader) error {
 	return sc.Err()
 }
 
-// customersLocked returns attacker-map customers in address order.
-func (r *Registry) customersLocked() []netip.Addr {
-	out := make([]netip.Addr, 0, len(r.attackers))
-	for c := range r.attackers {
-		out = append(out, c)
-	}
-	sortAddrs(out)
-	return out
-}
-
 // alertCustomersLocked returns alert-map customers in address order.
 func (r *Registry) alertCustomersLocked() []netip.Addr {
 	out := make([]netip.Addr, 0, len(r.alerts))
 	for c := range r.alerts {
 		out = append(out, c)
 	}
-	sortAddrs(out)
+	slices.SortFunc(out, netip.Addr.Compare)
 	return out
-}
-
-func sortAddrs(s []netip.Addr) {
-	sort.Slice(s, func(i, j int) bool { return s[i].Less(s[j]) })
 }

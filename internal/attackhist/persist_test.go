@@ -30,7 +30,8 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 	// Last-seen must survive: clustering with a window anchored after the
 	// re-observation still sees the pair.
-	if len(r2.neighborhoodLocked(c1, t0.Add(2*time.Hour), t0.Add(4*time.Hour))) != 1 {
+	r2.RecordAttacker(c3, a1, t0.Add(3*time.Hour))
+	if r2.Clustering(c1, t0.Add(4*time.Hour), 2*time.Hour, ClusteringDot) != 1 {
 		t.Fatal("last-seen time lost in round trip")
 	}
 	alerts := r2.AlertsBefore(c1, t0.Add(24*time.Hour))

@@ -10,9 +10,72 @@ import (
 var t0 = time.Date(2019, 4, 24, 0, 0, 0, 0, time.UTC)
 
 func TestSubnet24(t *testing.T) {
-	got := Subnet24(netip.MustParseAddr("11.22.33.44"))
-	if got != netip.MustParseAddr("11.22.33.0") {
-		t.Fatalf("got %v", got)
+	got, ok := subnet24(netip.MustParseAddr("11.22.33.44"))
+	if !ok || got != 11<<24|22<<16|33<<8 {
+		t.Fatalf("got %#x, %v", got, ok)
+	}
+}
+
+// TestNonIPv4Sources: a source that is neither IPv4 nor 4-in-6 used to
+// panic in As4; it can be neither listed nor found listed. A 4-in-6 source
+// is its IPv4 form.
+func TestNonIPv4Sources(t *testing.T) {
+	r := NewRegistry()
+	v4 := netip.MustParseAddr("11.22.33.44")
+	mapped := netip.MustParseAddr("::ffff:11.22.33.99")
+	v6 := netip.MustParseAddr("2001:db8::1")
+	r.Add(Bot, v4, t0, 0)
+	r.Add(Scanner, v6, t0, 0)
+	r.Add(Scanner, netip.Addr{}, t0, 0)
+	if n := r.Size(); n[Scanner] != 0 || n[Bot] != 1 {
+		t.Fatalf("non-IPv4 adds must not be stored: %v", n)
+	}
+	for _, a := range []netip.Addr{v6, {}} {
+		if r.AnyListedAt(a, t0) || r.ListedAt(Bot, a, t0) || r.Categories(a, t0) != nil {
+			t.Fatalf("%v must never be listed", a)
+		}
+	}
+	if !r.AnyListedAt(mapped, t0) || !r.ListedAt(Bot, mapped, t0) || len(r.Categories(mapped, t0)) != 1 {
+		t.Fatal("a 4-in-6 source is its IPv4 form")
+	}
+	r.Add(Scanner, mapped, t0, 0)
+	if !r.ListedAt(Scanner, v4, t0) {
+		t.Fatal("listing a 4-in-6 address lists its IPv4 /24")
+	}
+}
+
+// TestMarkListedMatchesPerSource pins the bulk test to the per-source
+// ones, with and without a category filter, across listing and expiry.
+func TestMarkListedMatchesPerSource(t *testing.T) {
+	r := NewRegistry()
+	var srcs []uint32
+	var addrs []netip.Addr
+	for i := 0; i < 64; i++ {
+		a := netip.AddrFrom4([4]byte{11, byte(i), 3, byte(i)})
+		addrs = append(addrs, a)
+		srcs = append(srcs, 11<<24|uint32(i)<<16|3<<8|uint32(i))
+		switch i % 4 {
+		case 0:
+			r.Add(Category(i%int(NumCategories)), a, t0, 0)
+		case 1:
+			r.Add(Bot, a, t0.Add(time.Hour), 2*time.Hour)
+		case 2:
+			r.Add(Scanner, a, t0, time.Hour)
+			r.Add(Reflector, a, t0.Add(2*time.Hour), 0)
+		}
+	}
+	filter := []Category{Bot, Reflector, Category(-1), NumCategories}
+	for _, at := range []time.Time{t0.Add(-time.Minute), t0, t0.Add(time.Hour), t0.Add(90 * time.Minute), t0.Add(4 * time.Hour)} {
+		marks := make([]uint8, len(srcs))
+		r.MarkListed(marks, 1, srcs, at, nil)
+		r.MarkListed(marks, 2, srcs, at, filter)
+		for i, a := range addrs {
+			wantAny := r.AnyListedAt(a, at)
+			wantFiltered := r.ListedAt(Bot, a, at) || r.ListedAt(Reflector, a, at)
+			if (marks[i]&1 != 0) != wantAny || (marks[i]&2 != 0) != wantFiltered {
+				t.Fatalf("%v at %v: marks %02b, want any=%v filtered=%v", a, at, marks[i], wantAny, wantFiltered)
+			}
+		}
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"github.com/xatu-go/xatu/internal/compact"
 )
 
 // LoadText reads blocklist entries from r into reg. The format is one entry
@@ -116,18 +118,19 @@ func (r *Registry) WriteText(w io.Writer) error {
 	defer r.mu.RUnlock()
 	bw := bufio.NewWriter(w)
 	for c := Category(0); c < NumCategories; c++ {
-		keys := make([]netip.Addr, 0, len(r.cats[c]))
+		keys := make([]uint32, 0, len(r.cats[c]))
 		for k := range r.cats[c] {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		for _, k := range keys {
 			e := r.cats[c][k]
-			if e.expiresAt.IsZero() {
-				fmt.Fprintf(bw, "%s,%s/24,%s\n", c, k, e.listedAt.UTC().Format(time.RFC3339))
+			listed := e.listedAt.Time()
+			if e.expiresAt == compact.Never {
+				fmt.Fprintf(bw, "%s,%s/24,%s\n", c, compact.Addr(k), listed.Format(time.RFC3339))
 			} else {
-				fmt.Fprintf(bw, "%s,%s/24,%s,%s\n", c, k,
-					e.listedAt.UTC().Format(time.RFC3339), e.expiresAt.Sub(e.listedAt))
+				fmt.Fprintf(bw, "%s,%s/24,%s,%s\n", c, compact.Addr(k),
+					listed.Format(time.RFC3339), e.expiresAt.Time().Sub(listed))
 			}
 		}
 	}

@@ -141,3 +141,34 @@ func BenchmarkEngineShards16(b *testing.B) { benchEngineShards(b, 16, nil) }
 func BenchmarkEngineShards4Telemetry(b *testing.B) {
 	benchEngineShards(b, 4, telemetry.NewRegistry())
 }
+
+// BenchmarkFallbackStep times the CDet fallback's share of a flood step:
+// 2000 records of mixed protocol and flags classified against the
+// customer's six signatures, then one detector observation (emit off, as
+// while Healthy).
+func BenchmarkFallbackStep(b *testing.B) {
+	eng, err := New(Config{Monitor: benchMonitorConfig(b), Shards: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	t0 := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
+	customer := testCustomers(1)[0]
+	var flows []netflow.Record
+	for len(flows) < 2000 {
+		flows = append(flows, benchFlows(customer, 250, t0)...)
+	}
+	protos := [...]netflow.Proto{netflow.ProtoTCP, netflow.ProtoUDP, netflow.ProtoICMP}
+	for i := range flows {
+		flows[i].Proto, flows[i].TCPFlags = protos[i%3], uint8(i%64)
+		if i%7 == 0 {
+			flows[i].SrcPort = 53
+		}
+	}
+	s := eng.shards[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.fallbackStep(s, message{customer: customer, at: t0.Add(time.Duration(i) * time.Minute), flows: flows}, false)
+	}
+}

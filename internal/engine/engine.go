@@ -320,29 +320,38 @@ type shard struct {
 
 	fb *cdet.Detector // lazily-built CDetOnly fallback
 
-	// What the model lanes did (core.LaneStats), summed over every monitor
-	// this shard has run. laneMon/laneSeen, shard goroutine only, are the
-	// monitor last read and its counters at that read.
+	// What the monitor's steps consumed — the model lanes' work
+	// (core.LaneStats) and the extractor's (Monitor.ExtractStats) — summed
+	// over every monitor this shard has run. seenMon and the seen* values,
+	// shard goroutine only, are the monitor last read and its counters at
+	// that read.
 	laneRows, laneProjections, laneNonzero atomic.Uint64
-	laneMon                                *Monitor
-	laneSeen                               core.LaneStats
+	stepRecords, extractNanos              atomic.Uint64
+	seenMon                                *Monitor
+	seenLanes                              core.LaneStats
+	seenRecords                            uint64
+	seenExtract                            time.Duration
 
 	panicMu   sync.Mutex
 	lastPanic string
 }
 
-// publishLaneStats adds what the current monitor's lanes did since the
-// last call to the shard's counters. A replaced monitor (swap, rewrite,
+// publishMonitorStats adds what the current monitor did since the last
+// call to the shard's counters. A replaced monitor (swap, rewrite,
 // recovery) starts again from zero; the shard's totals carry on.
-func (s *shard) publishLaneStats() {
-	if s.laneMon != s.mon {
-		s.laneMon, s.laneSeen = s.mon, core.LaneStats{}
+func (s *shard) publishMonitorStats() {
+	if s.seenMon != s.mon {
+		s.seenMon, s.seenLanes, s.seenRecords, s.seenExtract = s.mon, core.LaneStats{}, 0, 0
 	}
-	now := s.mon.LaneStats()
-	s.laneRows.Add(now.Rows - s.laneSeen.Rows)
-	s.laneProjections.Add(now.Projections - s.laneSeen.Projections)
-	s.laneNonzero.Add(now.NonzeroColumns - s.laneSeen.NonzeroColumns)
-	s.laneSeen = now
+	lanes := s.mon.LaneStats()
+	s.laneRows.Add(lanes.Rows - s.seenLanes.Rows)
+	s.laneProjections.Add(lanes.Projections - s.seenLanes.Projections)
+	s.laneNonzero.Add(lanes.NonzeroColumns - s.seenLanes.NonzeroColumns)
+	s.seenLanes = lanes
+	records, extract := s.mon.ExtractStats()
+	s.stepRecords.Add(records - s.seenRecords)
+	s.extractNanos.Add(uint64(extract - s.seenExtract))
+	s.seenRecords, s.seenExtract = records, extract
 }
 
 // Engine is a sharded concurrent detection engine: N single-threaded
@@ -819,7 +828,7 @@ func (e *Engine) handle(s *shard, msg message, st HealthState) bool {
 			}
 		}
 		s.steps.Add(1)
-		s.publishLaneStats()
+		s.publishMonitorStats()
 		s.channels.Store(int64(s.mon.Channels()))
 		if e.mx != nil {
 			e.mx.stepLatency.Observe(time.Duration(el))
@@ -854,7 +863,7 @@ func (e *Engine) handle(s *shard, msg message, st HealthState) bool {
 		} else {
 			s.mon.ObserveMissing(msg.customer, msg.at)
 			s.missing.Add(1)
-			s.publishLaneStats()
+			s.publishMonitorStats()
 		}
 		e.fallbackMissing(s, msg)
 		e.observeSubmitLatency(msg.enq)

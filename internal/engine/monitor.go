@@ -126,6 +126,12 @@ type Monitor struct {
 	// ObserveStep. Safe without locking: a Monitor is single-threaded.
 	featBuf []float64
 	scratch features.Scratch
+	// stepRecords and extractTime count the records handed to ObserveStep
+	// and the time spent turning them into the normalized feature vector:
+	// against the step count and the step time they say whether a slow
+	// step was the flood or the model.
+	stepRecords uint64
+	extractTime time.Duration
 }
 
 // modelGroup batches the channels of one shared model for a single
@@ -277,9 +283,12 @@ func (m *Monitor) ObserveStep(customer netip.Addr, at time.Time, flows []netflow
 // aligned by index. Traces are built only on the (rare) alert path; the
 // no-alert hot path does no extra work beyond the trajectory ring.
 func (m *Monitor) ObserveStepTraced(customer netip.Addr, at time.Time, flows []netflow.Record) ([]ddos.Alert, []*Trace) {
+	start := time.Now()
 	m.featBuf = m.cfg.Extractor.ExtractInto(m.featBuf, &m.scratch, customer, at, flows)
 	feat := m.featBuf
 	features.Normalize(feat)
+	m.stepRecords += uint64(len(flows))
+	m.extractTime += time.Since(start)
 	var alerts []ddos.Alert
 	var traces []*Trace
 	var contrib map[string]float64 // shared by every alert this step
@@ -335,7 +344,7 @@ func (m *Monitor) ObserveStepTraced(customer netip.Addr, at time.Time, flows []n
 		sig := ddos.SignatureFor(atype, customer)
 		matched := 0
 		for i := range flows {
-			if sig.Matches(flows[i]) {
+			if sig.MatchesRecord(&flows[i]) {
 				matched++
 			}
 		}
@@ -369,9 +378,9 @@ func (m *Monitor) ObserveStepTraced(customer netip.Addr, at time.Time, flows []n
 		})
 		if m.cfg.RecordHistory && m.cfg.Extractor.History != nil {
 			m.cfg.Extractor.History.RecordAlert(alert)
-			for _, r := range flows {
-				if alert.Sig.Matches(r) {
-					m.cfg.Extractor.History.RecordAttacker(customer, r.Src, at)
+			for i := range flows {
+				if sig.MatchesRecord(&flows[i]) {
+					m.cfg.Extractor.History.RecordAttacker(customer, flows[i].Src, at)
 				}
 			}
 		}
@@ -448,6 +457,12 @@ func (m *Monitor) LaneStats() core.LaneStats {
 		t.NonzeroColumns += st.NonzeroColumns
 	}
 	return t
+}
+
+// ExtractStats returns the records ObserveStep has been handed and the
+// time it has spent in feature extraction and normalization.
+func (m *Monitor) ExtractStats() (records uint64, extract time.Duration) {
+	return m.stepRecords, m.extractTime
 }
 
 // Channels returns the number of live (customer, attack-type) detector

@@ -324,9 +324,11 @@ func (e *Engine) fallbackStep(s *shard, msg message, emit bool) bool {
 	}
 	var perType [ddos.NumAttackTypes]float64
 	for i := range msg.flows {
+		r := &msg.flows[i]
+		b := float64(r.Bytes)
 		for at := range sigs {
-			if sigs[at].Matches(msg.flows[i]) {
-				perType[at] += float64(msg.flows[i].Bytes)
+			if sigs[at].MatchesRecord(r) {
+				perType[at] += b
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"strconv"
+	"time"
 
 	"github.com/xatu-go/xatu/internal/ddos"
 	"github.com/xatu-go/xatu/internal/telemetry"
@@ -73,6 +74,12 @@ func (e *Engine) registerMetrics(reg *telemetry.Registry) *engineMetrics {
 		reg.CounterFunc("xatu_engine_steps_total",
 			"ObserveStep calls processed.",
 			func() float64 { return float64(s.steps.Load()) }, lbl)
+		reg.CounterFunc("xatu_engine_step_records_total",
+			"Flow records handed to ObserveStep; records/steps is the live flood indicator.",
+			func() float64 { return float64(s.stepRecords.Load()) }, lbl)
+		reg.CounterFunc("xatu_engine_extract_seconds_total",
+			"Time inside feature extraction and normalization; over the xatu_engine_step_seconds sum it is the extract-vs-model split of a step.",
+			func() float64 { return time.Duration(s.extractNanos.Load()).Seconds() }, lbl)
 		reg.CounterFunc("xatu_engine_missing_total",
 			"ObserveMissing calls processed.",
 			func() float64 { return float64(s.missing.Load()) }, lbl)

@@ -247,11 +247,14 @@ func TestStatsAggregateConsistency(t *testing.T) {
 	}
 }
 
-// TestEngineLaneCounters pins the three lane counters: with two attack
-// types under one Default model a customer-step is two rows sharing one
-// projection, a missing step pushes each channel alone, the non-zero
-// count is a plausible density, and the totals survive the monitor swap
-// of a Restore (a counter must not fall back to the new monitor's zero).
+// TestEngineLaneCounters pins the per-shard counters of what a monitor's
+// steps consumed. The three lane counters: with two attack types under one
+// Default model a customer-step is two rows sharing one projection, a
+// missing step pushes each channel alone, the non-zero count is a plausible
+// density. The two extractor counters: every record handed to ObserveStep
+// is counted, and extraction time is positive and inside the step time.
+// All totals survive the monitor swap of a Restore (a counter must not fall
+// back to the new monitor's zero).
 func TestEngineLaneCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg := tinyMonitorConfig(t)
@@ -267,15 +270,17 @@ func TestEngineLaneCounters(t *testing.T) {
 	}()
 	customers := testCustomers(5)
 	t0 := time.Date(2019, 7, 3, 0, 0, 0, 0, time.UTC)
-	var steps, missing float64
+	var steps, missing, records float64
 	run := func(from, to int) {
 		for s := from; s < to; s++ {
 			at := t0.Add(time.Duration(s) * time.Minute)
 			for _, c := range customers {
-				if err := eng.Submit(c, at, udpFlows(c, s, t0)); err != nil {
+				flows := udpFlows(c, s, t0)
+				if err := eng.Submit(c, at, flows); err != nil {
 					t.Fatal(err)
 				}
 				steps++
+				records += float64(len(flows))
 			}
 			if err := eng.ObserveMissing(customers[s%len(customers)], at); err != nil {
 				t.Fatal(err)
@@ -307,6 +312,7 @@ func TestEngineLaneCounters(t *testing.T) {
 		}
 		return sum
 	}
+	lastExtract := 0.0
 	check := func() {
 		t.Helper()
 		rows := total("xatu_engine_lane_rows_total")
@@ -322,6 +328,14 @@ func TestEngineLaneCounters(t *testing.T) {
 		if nonzero < steps || nonzero > proj*nf {
 			t.Fatalf("lane non-zero columns %v outside [%v, %v]", nonzero, steps, proj*nf)
 		}
+		if got := total("xatu_engine_step_records_total"); got != records {
+			t.Fatalf("step records %v, want %v", got, records)
+		}
+		extract, stepTotal := total("xatu_engine_extract_seconds_total"), eng.Stats().StepTotal.Seconds()
+		if extract <= lastExtract || extract > stepTotal {
+			t.Fatalf("extract seconds %v, want above %v and within the step total %v", extract, lastExtract, stepTotal)
+		}
+		lastExtract = extract
 	}
 	run(0, 6)
 	check()
@@ -334,4 +348,33 @@ func TestEngineLaneCounters(t *testing.T) {
 	}
 	run(6, 9)
 	check()
+}
+
+// TestObserveStepAllocFree pins that a warmed, non-alerting ObserveStep —
+// extraction with A5 included, the two extractor counters, the lane push —
+// allocates nothing.
+func TestObserveStepAllocFree(t *testing.T) {
+	cfg := tinyMonitorConfig(t)
+	cfg.Threshold = 1e-12
+	mon, err := NewMonitor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Date(2019, 7, 3, 0, 0, 0, 0, time.UTC)
+	c := testCustomers(1)[0]
+	flows := udpFlows(c, 2, t0)
+	step := 0
+	observe := func() {
+		mon.ObserveStep(c, t0.Add(time.Duration(step)*time.Minute), flows)
+		step++
+	}
+	for i := 0; i < 8; i++ {
+		observe()
+	}
+	if allocs := testing.AllocsPerRun(100, observe); allocs != 0 {
+		t.Fatalf("ObserveStep allocs/op = %v, want 0", allocs)
+	}
+	if records, extract := mon.ExtractStats(); records != uint64(step*len(flows)) || extract <= 0 {
+		t.Fatalf("ExtractStats = %d records, %v; want %d records and a positive time", records, extract, step*len(flows))
+	}
 }

@@ -16,11 +16,14 @@
 package features
 
 import (
+	"math/bits"
 	"net/netip"
+	"slices"
 	"time"
 
 	"github.com/xatu-go/xatu/internal/attackhist"
 	"github.com/xatu-go/xatu/internal/blocklist"
+	"github.com/xatu-go/xatu/internal/compact"
 	"github.com/xatu-go/xatu/internal/ddos"
 	"github.com/xatu-go/xatu/internal/netflow"
 	"github.com/xatu-go/xatu/internal/spoof"
@@ -76,217 +79,250 @@ type Extractor struct {
 	BlocklistCategories []blocklist.Category
 }
 
-// listed applies the optional category filter to an A1 membership test.
-func (e *Extractor) listed(src netip.Addr, at time.Time) bool {
-	if e.BlocklistCategories == nil {
-		return e.Blocklists.AnyListedAt(src, at)
-	}
-	for _, c := range e.BlocklistCategories {
-		if e.Blocklists.ListedAt(c, src, at) {
-			return true
-		}
-	}
-	return false
+// Scratch holds the reusable state of ExtractInto: the step's source set
+// and the per-source and per-record side tables survive across calls, so a
+// warmed-up extraction loop allocates nothing. A Scratch belongs to one
+// extraction loop at a time — it is not safe for concurrent use (the
+// Extractor itself remains shareable).
+type Scratch struct {
+	// index numbers the step's distinct IPv4 sources (4-in-6 ones under
+	// their IPv4 word) in first-appearance order; other holds the sources
+	// that are not IPv4, numbered after them.
+	index map[uint32]int32
+	other map[netip.Addr]int32
+	// Per distinct source: its address word (IPv4 sources only), its group
+	// mask (bit g set when the source's records count towards group g) and
+	// its country slot (−1: not a popular country).
+	words   []uint32
+	masks   []uint8
+	country []int8
+	// srcOf[i] is the source number of flows[i]; a non-IPv4 source k is
+	// stored as ^k until the IPv4 count is known.
+	srcOf []int32
 }
 
-// Scratch holds the reusable accumulator state of ExtractInto: the four
-// volumetric accumulators and their unique-source sets survive across
-// calls, so a warmed-up extraction loop allocates nothing. A Scratch
-// belongs to one extraction loop at a time — it is not safe for
-// concurrent use (the Extractor itself remains shareable).
-type Scratch struct {
-	vAll, vA1, vA2, vA3 volAcc
-}
+// The four volumetric groups, as bit positions of a source's group mask and
+// as block numbers of the output vector.
+const (
+	groupV = iota
+	groupA1
+	groupA2
+	groupA3
+	numGroups
+)
+
+// Slots of one 63-feature volumetric block; the per-protocol, per-port,
+// per-flag and per-country counters are (bytes, packets) pairs from
+// slotProto on.
+const (
+	slotUnique = iota
+	slotMeanBytes
+	slotMaxBytes
+	slotMeanPkts
+	slotMaxPkts
+	slotProto
+	slotSrcPort = slotProto + 2*3
+	slotDstPort = slotSrcPort + 2*len(PopularPorts)
+	slotFlag    = slotDstPort + 2*len(PopularPorts)
+	slotCountry = slotFlag + 2*len(tcpFlags)
+)
+
+// The slots fill the block exactly.
+var _ [0]struct{} = [VolumetricSize - (slotCountry + 2*len(PopularCountries))]struct{}{}
 
 // Extract computes the 273-vector for one customer at one step. flows are
 // the step's records destined to the customer. It allocates the output
-// vector and accumulator state per call; hot loops should hold a Scratch
-// and call ExtractInto.
+// vector and scratch state per call; hot loops should hold a Scratch and
+// call ExtractInto.
 func (e *Extractor) Extract(customer netip.Addr, at time.Time, flows []netflow.Record) []float64 {
 	return e.ExtractInto(make([]float64, NumFeatures), new(Scratch), customer, at, flows)
 }
 
 // ExtractInto computes the same 273-vector as Extract into dst, reusing
-// s's accumulator state. dst is grown (or allocated) to NumFeatures and
-// returned; passing the previous call's return value back in makes the
-// steady state allocation-free. The result is bit-identical to Extract:
-// both paths accumulate in flow order with the same arithmetic.
+// s. dst is grown (or allocated) to NumFeatures and returned; passing the
+// previous call's return value back in makes the steady state
+// allocation-free.
+//
+// The step costs one pass over its records and one over its distinct
+// sources. Group membership (blocklisted, previous attacker, spoofed) and
+// country are properties of the source, so each is looked up once per
+// distinct source — the registries in bulk, each under a single read lock —
+// and a record then adds its counters to every group its source's mask
+// names.
+//
+// Every volumetric feature is a sum, a maximum or a distinct count of
+// uint32 values held in float64. Such sums are exact below 2^53 — more
+// than two million records of math.MaxUint32 bytes in one step — and exact
+// sums do not depend on the order of their terms: the vector is the same,
+// bit for bit, for any order of flows.
 func (e *Extractor) ExtractInto(dst []float64, s *Scratch, customer netip.Addr, at time.Time, flows []netflow.Record) []float64 {
 	if cap(dst) < NumFeatures {
 		dst = make([]float64, NumFeatures)
 	} else {
 		dst = dst[:NumFeatures]
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 	}
-	out := dst
-	s.vAll.reset()
-	s.vA1.reset()
-	s.vA2.reset()
-	s.vA3.reset()
-	vAll, vA1, vA2, vA3 := &s.vAll, &s.vA1, &s.vA2, &s.vA3
-	// Per-signal gates hoisted out of the flow loop; the A2 gate also
-	// checks once whether the customer has any recorded attacker, so the
-	// common no-history case skips the per-flow lookup entirely.
-	checkA1 := e.Blocklists != nil && !e.Disable["A1"]
-	checkA2 := e.History != nil && !e.Disable["A2"] && e.History.HasAttackers(customer)
-	checkA3 := e.Spoof != nil && !e.Disable["A3"]
+	nV4 := s.collectSources(flows)
+	e.markSources(s, nV4, customer, at)
+
+	var nFlows [numGroups]float64
 	for i := range flows {
 		r := &flows[i]
-		vAll.add(r, e.Geo)
-		if checkA1 && e.listed(r.Src, at) {
-			vA1.add(r, e.Geo)
+		src := s.srcOf[i]
+		if src < 0 {
+			src = int32(nV4) + ^src
 		}
-		if checkA2 && e.History.WasAttacker(customer, r.Src, at) {
-			vA2.add(r, e.Geo)
+		b, p := float64(r.Bytes), float64(r.Packets)
+		// The record's facts, as slot numbers of a block (−1: none).
+		proto, srcPort, dstPort := -1, -1, -1
+		var flags uint8
+		switch r.Proto {
+		case netflow.ProtoUDP:
+			proto = slotProto
+		case netflow.ProtoTCP:
+			proto = slotProto + 2
+			flags = r.TCPFlags & (1<<len(tcpFlags) - 1)
+		case netflow.ProtoICMP:
+			proto = slotProto + 4
 		}
-		if checkA3 && e.Spoof.IsSpoofed(r.Src, 0) {
-			vA3.add(r, e.Geo)
+		for k, port := range PopularPorts {
+			if r.SrcPort == port {
+				srcPort = slotSrcPort + 2*k
+			}
+			if r.DstPort == port {
+				dstPort = slotDstPort + 2*k
+			}
+		}
+		country := -1
+		if c := s.country[src]; c >= 0 {
+			country = slotCountry + 2*int(c)
+		}
+		for mask := s.masks[src]; mask != 0; mask &= mask - 1 {
+			g := bits.TrailingZeros8(mask)
+			blk := (*[VolumetricSize]float64)(dst[g*VolumetricSize:])
+			nFlows[g]++
+			blk[slotMeanBytes] += b // the sum until the division below
+			blk[slotMeanPkts] += p
+			if b > blk[slotMaxBytes] {
+				blk[slotMaxBytes] = b
+			}
+			if p > blk[slotMaxPkts] {
+				blk[slotMaxPkts] = p
+			}
+			for _, slot := range [...]int{proto, srcPort, dstPort, country} {
+				if slot >= 0 {
+					blk[slot] += b
+					blk[slot+1] += p
+				}
+			}
+			for f := flags; f != 0; f &= f - 1 {
+				slot := slotFlag + 2*bits.TrailingZeros8(f)
+				blk[slot] += b
+				blk[slot+1] += p
+			}
 		}
 	}
-	vAll.fill(out[OffV : OffV+VolumetricSize])
-	vA1.fill(out[OffA1 : OffA1+VolumetricSize])
-	vA2.fill(out[OffA2 : OffA2+VolumetricSize])
-	vA3.fill(out[OffA3 : OffA3+VolumetricSize])
+	for _, mask := range s.masks {
+		for ; mask != 0; mask &= mask - 1 {
+			dst[bits.TrailingZeros8(mask)*VolumetricSize+slotUnique]++
+		}
+	}
+	for g, n := range nFlows {
+		if n > 0 {
+			dst[g*VolumetricSize+slotMeanBytes] /= n
+			dst[g*VolumetricSize+slotMeanPkts] /= n
+		}
+	}
 	if e.History != nil && !e.Disable["A4"] {
 		hist := e.History.SeverityHistogram(customer, at, e.A4Window)
-		copy(out[OffA4:OffA4+A4Size], hist[:])
+		copy(dst[OffA4:OffA4+A4Size], hist[:])
 	}
 	if e.History != nil && !e.Disable["A5"] {
-		out[OffA5+0] = e.History.Clustering(customer, at, e.A5Window, attackhist.ClusteringDot)
-		out[OffA5+1] = e.History.Clustering(customer, at, e.A5Window, attackhist.ClusteringMin)
-		out[OffA5+2] = e.History.Clustering(customer, at, e.A5Window, attackhist.ClusteringMax)
+		dst[OffA5], dst[OffA5+1], dst[OffA5+2] = e.History.Clusterings(customer, at, e.A5Window)
 	}
-	return out
+	return dst
 }
 
-// volAcc accumulates the 63 volumetric features.
-type volAcc struct {
-	srcs               map[netip.Addr]struct{}
-	sumB, sumP         float64
-	maxB, maxP         float64
-	nFlows             float64
-	protoB, protoP     [3]float64 // UDP, TCP, ICMP
-	srcPortB, srcPortP [5]float64
-	dstPortB, dstPortP [5]float64
-	flagB, flagP       [6]float64
-	countryB, countryP [10]float64
-}
-
-// reset zeroes the accumulator for reuse, keeping the unique-source map's
-// storage (cleared, not dropped) so repeated extraction does not allocate.
-func (v *volAcc) reset() {
-	srcs := v.srcs
-	*v = volAcc{}
-	if srcs != nil {
-		clear(srcs)
-		v.srcs = srcs
+// collectSources numbers the distinct sources of flows into s.index,
+// s.other, s.words and s.srcOf, and returns how many of them are IPv4.
+func (s *Scratch) collectSources(flows []netflow.Record) (nV4 int) {
+	if s.index == nil {
+		s.index = make(map[uint32]int32, 16)
 	}
-}
-
-func (v *volAcc) add(r *netflow.Record, geo func(netip.Addr) string) {
-	if v.srcs == nil {
-		v.srcs = make(map[netip.Addr]struct{}, 16)
-	}
-	v.srcs[r.Src] = struct{}{}
-	b, p := float64(r.Bytes), float64(r.Packets)
-	v.nFlows++
-	v.sumB += b
-	v.sumP += p
-	if b > v.maxB {
-		v.maxB = b
-	}
-	if p > v.maxP {
-		v.maxP = p
-	}
-	switch r.Proto {
-	case netflow.ProtoUDP:
-		v.protoB[0] += b
-		v.protoP[0] += p
-	case netflow.ProtoTCP:
-		v.protoB[1] += b
-		v.protoP[1] += p
-	case netflow.ProtoICMP:
-		v.protoB[2] += b
-		v.protoP[2] += p
-	}
-	for i, port := range PopularPorts {
-		if r.SrcPort == port {
-			v.srcPortB[i] += b
-			v.srcPortP[i] += p
+	clear(s.index)
+	clear(s.other)
+	s.words = s.words[:0]
+	s.srcOf = slices.Grow(s.srcOf[:0], len(flows))[:len(flows)]
+	for i := range flows {
+		w, ok := compact.IPv4(flows[i].Src)
+		if !ok {
+			k, seen := s.other[flows[i].Src]
+			if !seen {
+				if s.other == nil {
+					s.other = make(map[netip.Addr]int32)
+				}
+				k = int32(len(s.other))
+				s.other[flows[i].Src] = k
+			}
+			s.srcOf[i] = ^k
+			continue
 		}
-		if r.DstPort == port {
-			v.dstPortB[i] += b
-			v.dstPortP[i] += p
+		k, seen := s.index[w]
+		if !seen {
+			k = int32(len(s.words))
+			s.index[w] = k
+			s.words = append(s.words, w)
 		}
+		s.srcOf[i] = k
 	}
-	if r.Proto == netflow.ProtoTCP {
-		for i, f := range tcpFlags {
-			if r.TCPFlags&f != 0 {
-				v.flagB[i] += b
-				v.flagP[i] += p
+	return len(s.words)
+}
+
+// markSources fills s.masks and s.country for the collected sources: the
+// IPv4 ones in [0, nV4) through the bulk registry tests, the others after
+// them — never listed, never previous attackers, classified by the spoof
+// checker like any source no prefix covers.
+func (e *Extractor) markSources(s *Scratch, nV4 int, customer netip.Addr, at time.Time) {
+	n := nV4 + len(s.other)
+	s.masks = slices.Grow(s.masks[:0], n)[:n]
+	s.country = slices.Grow(s.country[:0], n)[:n]
+	for i := range s.masks {
+		s.masks[i] = 1 << groupV
+	}
+	if e.Blocklists != nil && !e.Disable["A1"] {
+		e.Blocklists.MarkListed(s.masks, 1<<groupA1, s.words, at, e.BlocklistCategories)
+	}
+	if e.History != nil && !e.Disable["A2"] {
+		e.History.MarkAttackers(s.masks, 1<<groupA2, customer, s.words, at)
+	}
+	checkA3 := e.Spoof != nil && !e.Disable["A3"]
+	for i, w := range s.words {
+		if checkA3 && e.Spoof.ClassifyWord(w, 0).Spoofed() {
+			s.masks[i] |= 1 << groupA3
+		}
+		s.country[i] = e.countrySlot(compact.Addr(w))
+	}
+	for src, k := range s.other {
+		if checkA3 && e.Spoof.IsSpoofed(src, 0) {
+			s.masks[nV4+int(k)] |= 1 << groupA3
+		}
+		s.country[nV4+int(k)] = e.countrySlot(src)
+	}
+}
+
+// countrySlot returns the index of src's country in PopularCountries, or
+// −1. Country codes are two letters (ISO 3166-1 alpha-2): comparing two
+// bytes saves a memequal call per candidate.
+func (e *Extractor) countrySlot(src netip.Addr) int8 {
+	if e.Geo == nil {
+		return -1
+	}
+	if c := e.Geo(src); len(c) == 2 {
+		for i := range PopularCountries {
+			if pc := PopularCountries[i]; c[0] == pc[0] && c[1] == pc[1] {
+				return int8(i)
 			}
 		}
 	}
-	if geo != nil {
-		c := geo(r.Src)
-		for i, pc := range PopularCountries {
-			if c == pc {
-				v.countryB[i] += b
-				v.countryP[i] += p
-				break
-			}
-		}
-	}
-}
-
-func (v *volAcc) fill(dst []float64) {
-	_ = dst[VolumetricSize-1]
-	if v.nFlows == 0 && len(v.srcs) == 0 {
-		return // every feature is zero and dst arrives pre-zeroed
-	}
-	i := 0
-	dst[i] = float64(len(v.srcs))
-	i++
-	if v.nFlows > 0 {
-		dst[i] = v.sumB / v.nFlows
-	}
-	i++
-	dst[i] = v.maxB
-	i++
-	if v.nFlows > 0 {
-		dst[i] = v.sumP / v.nFlows
-	}
-	i++
-	dst[i] = v.maxP
-	i++
-	for k := 0; k < 3; k++ {
-		dst[i] = v.protoB[k]
-		dst[i+1] = v.protoP[k]
-		i += 2
-	}
-	for k := 0; k < 5; k++ {
-		dst[i] = v.srcPortB[k]
-		dst[i+1] = v.srcPortP[k]
-		i += 2
-	}
-	for k := 0; k < 5; k++ {
-		dst[i] = v.dstPortB[k]
-		dst[i+1] = v.dstPortP[k]
-		i += 2
-	}
-	for k := 0; k < 6; k++ {
-		dst[i] = v.flagB[k]
-		dst[i+1] = v.flagP[k]
-		i += 2
-	}
-	for k := 0; k < 10; k++ {
-		dst[i] = v.countryB[k]
-		dst[i+1] = v.countryP[k]
-		i += 2
-	}
-	if i != VolumetricSize {
-		panic("features: volumetric block size drifted")
-	}
+	return -1
 }

@@ -6,9 +6,11 @@
 package netflow
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
 	"slices"
+	"sync"
 	"time"
 )
 
@@ -84,58 +86,83 @@ func (r *Record) Validate() error {
 
 // CompareRecords is a total order over all record fields (timestamps
 // first, then the flow 5-tuple, then counters): the canonical in-bucket
-// order the ingest pipeline sorts by before feature extraction, so float
-// accumulation order — and therefore the extracted vectors, bit for bit —
-// does not depend on how records interleaved across workers.
-func CompareRecords(a, b Record) int {
+// order the ingest pipeline sorts by before feature extraction, so the
+// records a step hands on do not depend on how they interleaved across
+// workers.
+func CompareRecords(a, b Record) int { return compareRecords(&a, &b) }
+
+// compareRecords is CompareRecords without copying two 120-byte records
+// per comparison.
+func compareRecords(a, b *Record) int {
 	if c := a.Start.Compare(b.Start); c != 0 {
 		return c
 	}
-	if c := a.End.Compare(b.End); c != 0 {
-		return c
-	}
-	if c := a.Src.Compare(b.Src); c != 0 {
-		return c
-	}
-	if c := a.Dst.Compare(b.Dst); c != 0 {
-		return c
-	}
-	if c := cmpU64(uint64(a.SrcPort), uint64(b.SrcPort)); c != 0 {
-		return c
-	}
-	if c := cmpU64(uint64(a.DstPort), uint64(b.DstPort)); c != 0 {
-		return c
-	}
-	if c := cmpU64(uint64(a.Proto), uint64(b.Proto)); c != 0 {
-		return c
-	}
-	if c := cmpU64(uint64(a.TCPFlags), uint64(b.TCPFlags)); c != 0 {
-		return c
-	}
-	if c := cmpU64(uint64(a.Packets), uint64(b.Packets)); c != 0 {
-		return c
-	}
-	if c := cmpU64(uint64(a.Bytes), uint64(b.Bytes)); c != 0 {
-		return c
-	}
-	if c := cmpU64(uint64(a.SrcAS), uint64(b.SrcAS)); c != 0 {
-		return c
-	}
-	return cmpU64(uint64(a.DstAS), uint64(b.DstAS))
+	return cmp.Or(
+		a.End.Compare(b.End),
+		a.Src.Compare(b.Src),
+		a.Dst.Compare(b.Dst),
+		cmp.Compare(a.SrcPort, b.SrcPort),
+		cmp.Compare(a.DstPort, b.DstPort),
+		cmp.Compare(a.Proto, b.Proto),
+		cmp.Compare(a.TCPFlags, b.TCPFlags),
+		cmp.Compare(a.Packets, b.Packets),
+		cmp.Compare(a.Bytes, b.Bytes),
+		cmp.Compare(a.SrcAS, b.SrcAS),
+		cmp.Compare(a.DstAS, b.DstAS),
+	)
 }
 
-func cmpU64(a, b uint64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
+// sortKey stands in for one record while its bucket is sorted: Start as
+// its distance from the bucket's first record, which decides almost every
+// comparison, and the record's position. Sub saturates beyond ±292 years,
+// so the distance never misorders two Starts; it can only tie them.
+type sortKey struct {
+	start time.Duration
+	idx   int
 }
 
-// SortRecordsCanonical sorts recs by CompareRecords in place without
-// allocating.
+// sortKeys recycles key slices between SortRecordsCanonical calls.
+var sortKeys = sync.Pool{New: func() any { return new([]sortKey) }}
+
+// SortRecordsCanonical sorts recs by CompareRecords in place. It sorts
+// 16-byte keys instead of 120-byte records, falls back to the full
+// comparison, through pointers, only where two keys tie, and then moves
+// every record once, into its place; in steady state it does not allocate.
 func SortRecordsCanonical(recs []Record) {
-	slices.SortFunc(recs, CompareRecords)
+	if len(recs) < 2 {
+		return
+	}
+	kp := sortKeys.Get().(*[]sortKey)
+	keys := slices.Grow((*kp)[:0], len(recs))[:len(recs)]
+	for i := range recs {
+		keys[i] = sortKey{start: recs[i].Start.Sub(recs[0].Start), idx: i}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
+		}
+		return compareRecords(&recs[a.idx], &recs[b.idx])
+	})
+	// keys[i].idx is now the position of the record that belongs at i.
+	// Follow each cycle of that permutation, marking settled places by
+	// pointing them at themselves.
+	for i := range keys {
+		if keys[i].idx == i {
+			continue
+		}
+		first := recs[i]
+		j := i
+		for {
+			from := keys[j].idx
+			keys[j].idx = j
+			if from == i {
+				recs[j] = first
+				break
+			}
+			recs[j] = recs[from]
+			j = from
+		}
+	}
+	*kp = keys
+	sortKeys.Put(kp)
 }

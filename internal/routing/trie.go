@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+
+	"github.com/xatu-go/xatu/internal/compact"
 )
 
 // ASN identifies an autonomous system.
@@ -35,17 +37,16 @@ type node struct {
 // Only IPv4 (or 4-in-6) prefixes are accepted.
 func (t *Table) Insert(p netip.Prefix, origin ASN) error {
 	p = p.Masked()
-	addr := p.Addr().Unmap()
-	if !addr.Is4() {
+	w, ok := compact.IPv4(p.Addr())
+	if !ok {
 		return fmt.Errorf("routing: only IPv4 prefixes supported, got %v", p)
 	}
 	if t.root == nil {
 		t.root = &node{}
 	}
-	bits := addr.As4()
 	cur := t.root
 	for i := 0; i < p.Bits(); i++ {
-		b := bit(bits, i)
+		b := bit(w, i)
 		if cur.child[b] == nil {
 			cur.child[b] = &node{}
 		}
@@ -63,26 +64,27 @@ func (t *Table) Insert(p netip.Prefix, origin ASN) error {
 func (t *Table) Len() int { return t.n }
 
 // Lookup returns the longest-prefix-match route for addr, or ok=false if no
-// prefix covers it (the address is "unrouted").
+// prefix covers it (the address is "unrouted"); an address that is not IPv4
+// is unrouted.
 func (t *Table) Lookup(addr netip.Addr) (Route, bool) {
-	addr = addr.Unmap()
-	if !addr.Is4() || t.root == nil {
+	w, ok := compact.IPv4(addr)
+	if !ok {
 		return Route{}, false
 	}
-	bits := addr.As4()
+	return t.LookupWord(w)
+}
+
+// LookupWord is Lookup for an IPv4 address given as its big-endian word.
+func (t *Table) LookupWord(w uint32) (Route, bool) {
 	var best *Route
-	cur := t.root
-	if cur.route != nil {
-		best = cur.route
-	}
-	for i := 0; i < 32; i++ {
-		cur = cur.child[bit(bits, i)]
-		if cur == nil {
-			break
-		}
+	for cur, i := t.root, 0; cur != nil; i++ {
 		if cur.route != nil {
 			best = cur.route
 		}
+		if i == 32 {
+			break
+		}
+		cur = cur.child[bit(w, i)]
 	}
 	if best == nil {
 		return Route{}, false
@@ -90,9 +92,9 @@ func (t *Table) Lookup(addr netip.Addr) (Route, bool) {
 	return *best, true
 }
 
-// bit returns bit i (0 = most significant) of a 4-byte address.
-func bit(a [4]byte, i int) int {
-	return int(a[i/8]>>(7-uint(i%8))) & 1
+// bit returns bit i (0 = most significant) of an address word.
+func bit(w uint32, i int) uint32 {
+	return w >> (31 - uint(i)) & 1
 }
 
 // SyntheticTable builds a deterministic toy Internet routing table: nASes

@@ -15,6 +15,7 @@ package spoof
 import (
 	"net/netip"
 
+	"github.com/xatu-go/xatu/internal/compact"
 	"github.com/xatu-go/xatu/internal/routing"
 )
 
@@ -52,40 +53,35 @@ func (c Class) String() string {
 // Spoofed reports whether the class indicates a spoofed source.
 func (c Class) Spoofed() bool { return c != Legit }
 
-// bogonPrefixes are the reserved ranges from RFC 1918, RFC 5737, RFC 6598
-// and friends.
-var bogonPrefixes = func() []netip.Prefix {
-	strs := []string{
-		"0.0.0.0/8",       // "this network"
-		"10.0.0.0/8",      // RFC 1918
-		"100.64.0.0/10",   // RFC 6598 shared address space
-		"127.0.0.0/8",     // loopback
-		"169.254.0.0/16",  // link local
-		"172.16.0.0/12",   // RFC 1918
-		"192.0.2.0/24",    // RFC 5737 TEST-NET-1
-		"192.168.0.0/16",  // RFC 1918
-		"198.18.0.0/15",   // benchmarking
-		"198.51.100.0/24", // RFC 5737 TEST-NET-2
-		"203.0.113.0/24",  // RFC 5737 TEST-NET-3
-		"224.0.0.0/4",     // multicast
-		"240.0.0.0/4",     // reserved
-	}
-	out := make([]netip.Prefix, len(strs))
-	for i, s := range strs {
-		out[i] = netip.MustParsePrefix(s)
-	}
-	return out
-}()
-
-// IsBogon reports whether addr falls in reserved/private space.
+// IsBogon reports whether addr falls in reserved/private IPv4 space: the
+// ranges of RFC 1918, RFC 5737, RFC 6598 and friends.
 func IsBogon(addr netip.Addr) bool {
-	addr = addr.Unmap()
-	for _, p := range bogonPrefixes {
-		if p.Contains(addr) {
-			return true
-		}
+	w, ok := compact.IPv4(addr)
+	return ok && isBogonWord(w)
+}
+
+// isBogonWord decides on the first octet, then on the second and third
+// where a range is narrower than a /8.
+func isBogonWord(w uint32) bool {
+	second, third := byte(w>>16), byte(w>>8)
+	switch first := byte(w >> 24); first {
+	case 0, 10, 127: // 0.0.0.0/8 "this network", 10.0.0.0/8 RFC 1918, 127.0.0.0/8 loopback
+		return true
+	case 100: // 100.64.0.0/10 RFC 6598 shared address space
+		return second&0xc0 == 64
+	case 169: // 169.254.0.0/16 link local
+		return second == 254
+	case 172: // 172.16.0.0/12 RFC 1918
+		return second&0xf0 == 16
+	case 192: // 192.168.0.0/16 RFC 1918, 192.0.2.0/24 RFC 5737 TEST-NET-1
+		return second == 168 || (second == 0 && third == 2)
+	case 198: // 198.18.0.0/15 benchmarking, 198.51.100.0/24 RFC 5737 TEST-NET-2
+		return second&0xfe == 18 || (second == 51 && third == 100)
+	case 203: // 203.0.113.0/24 RFC 5737 TEST-NET-3
+		return second == 0 && third == 113
+	default: // 224.0.0.0/4 multicast, 240.0.0.0/4 reserved
+		return first >= 224
 	}
-	return false
 }
 
 // Checker classifies source addresses against a routing table.
@@ -100,12 +96,22 @@ func NewChecker(table *routing.Table) *Checker {
 
 // Classify classifies src. ingressAS is the AS the traffic entered the
 // provider from; pass 0 to skip the origin-validity check (the paper notes
-// per-ingress attribution is often unavailable in sampled NetFlow).
+// per-ingress attribution is often unavailable in sampled NetFlow). A
+// source that is not IPv4 is covered by no prefix: Unrouted.
 func (c *Checker) Classify(src netip.Addr, ingressAS routing.ASN) Class {
-	if IsBogon(src) {
+	w, ok := compact.IPv4(src)
+	if !ok {
+		return Unrouted
+	}
+	return c.ClassifyWord(w, ingressAS)
+}
+
+// ClassifyWord is Classify for an IPv4 source given as its big-endian word.
+func (c *Checker) ClassifyWord(src uint32, ingressAS routing.ASN) Class {
+	if isBogonWord(src) {
 		return Bogon
 	}
-	route, ok := c.table.Lookup(src)
+	route, ok := c.table.LookupWord(src)
 	if !ok {
 		return Unrouted
 	}
@@ -115,8 +121,7 @@ func (c *Checker) Classify(src netip.Addr, ingressAS routing.ASN) Class {
 	return Legit
 }
 
-// IsSpoofed is the boolean convenience wrapper used by the feature
-// extractor.
+// IsSpoofed is the boolean convenience wrapper around Classify.
 func (c *Checker) IsSpoofed(src netip.Addr, ingressAS routing.ASN) bool {
 	return c.Classify(src, ingressAS).Spoofed()
 }

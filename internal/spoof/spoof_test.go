@@ -98,3 +98,78 @@ func TestImperfection(t *testing.T) {
 		t.Fatal("cleverly spoofed routed address should evade the obvious-spoof check")
 	}
 }
+
+// bogonPrefixes is the oracle for isBogonWord: the reserved ranges as a
+// prefix list, the form IsBogon used to scan per source.
+var bogonPrefixes = []string{
+	"0.0.0.0/8",       // "this network"
+	"10.0.0.0/8",      // RFC 1918
+	"100.64.0.0/10",   // RFC 6598 shared address space
+	"127.0.0.0/8",     // loopback
+	"169.254.0.0/16",  // link local
+	"172.16.0.0/12",   // RFC 1918
+	"192.0.2.0/24",    // RFC 5737 TEST-NET-1
+	"192.168.0.0/16",  // RFC 1918
+	"198.18.0.0/15",   // benchmarking
+	"198.51.100.0/24", // RFC 5737 TEST-NET-2
+	"203.0.113.0/24",  // RFC 5737 TEST-NET-3
+	"224.0.0.0/4",     // multicast
+	"240.0.0.0/4",     // reserved
+}
+
+// TestBogonSwitchMatchesPrefixList checks the first-octet switch against
+// the prefix list for every first-three-octet combination at host bytes 0,
+// 1 and 255, and IsBogon against netip's own Contains on a sample.
+func TestBogonSwitchMatchesPrefixList(t *testing.T) {
+	type rng struct{ base, shift uint32 }
+	var ranges []rng
+	var prefixes []netip.Prefix
+	for _, s := range bogonPrefixes {
+		p := netip.MustParsePrefix(s)
+		prefixes = append(prefixes, p)
+		b := p.Addr().As4()
+		shift := uint32(32 - p.Bits())
+		ranges = append(ranges, rng{(uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])) >> shift, shift})
+	}
+	for hi := uint32(0); hi < 1<<24; hi++ {
+		for _, host := range [3]uint32{0, 1, 255} {
+			w := hi<<8 | host
+			want := false
+			for _, r := range ranges {
+				if w>>r.shift == r.base {
+					want = true
+					break
+				}
+			}
+			if isBogonWord(w) != want {
+				t.Fatalf("isBogonWord(%#08x) = %v, prefix list says %v", w, !want, want)
+			}
+		}
+	}
+	for w := uint32(0); w < 1<<24; w += 97 {
+		addr := netip.AddrFrom4([4]byte{byte(w >> 16), byte(w >> 8), byte(w), 1})
+		want := false
+		for _, p := range prefixes {
+			want = want || p.Contains(addr)
+		}
+		if IsBogon(addr) != want {
+			t.Fatalf("IsBogon(%v) = %v, want %v", addr, !want, want)
+		}
+	}
+}
+
+// TestNonIPv4Sources: a 4-in-6 source is classified as its IPv4 form; a
+// source that is not IPv4 is no bogon and covered by no prefix.
+func TestNonIPv4Sources(t *testing.T) {
+	c := NewChecker(table(t))
+	for mapped, want := range map[string]Class{"::ffff:10.1.2.3": Bogon, "::ffff:11.2.3.4": Legit, "::ffff:12.2.3.4": Unrouted} {
+		if got := c.Classify(netip.MustParseAddr(mapped), 0); got != want {
+			t.Errorf("Classify(%s) = %v, want %v", mapped, got, want)
+		}
+	}
+	for _, a := range []netip.Addr{netip.MustParseAddr("2001:db8::1"), {}} {
+		if IsBogon(a) || c.Classify(a, 0) != Unrouted || !c.IsSpoofed(a, 0) {
+			t.Errorf("%v: want no bogon, Unrouted", a)
+		}
+	}
+}
