@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build build-arm64 vet test race fuzz bce bench-smoke bench-check soak soak-smoke fleet-smoke trace-smoke lint check
+.PHONY: build build-arm64 vet test race fuzz bce bench-smoke bench-check soak soak-smoke fleet-smoke trace-smoke lint loc check
 
 build:
 	$(GO) build ./...
@@ -66,6 +66,12 @@ lint: vet
 		staticcheck ./...; \
 	else \
 		echo "staticcheck not installed; skipping (CI runs it)"; fi
+
+# Go source size outside the benchmark module (bench/), the figure a
+# simplicity change is measured by: all lines, then non-test lines.
+loc:
+	@files=$$(find . -name '*.go' -not -path './bench/*' -not -path './.*'); \
+	echo "go lines outside bench/: $$(cat $$files | wc -l) total, $$(cat $$(echo "$$files" | grep -v '_test\.go$$') | wc -l) non-test"
 
 # One-iteration pass over every microbenchmark: catches benchmarks that no
 # longer compile or crash without paying for real measurement. They are

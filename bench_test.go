@@ -15,13 +15,11 @@ package xatu
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/xatu-go/xatu/internal/netflow"
-	"github.com/xatu-go/xatu/internal/nn"
 )
 
 var (
@@ -109,42 +107,6 @@ func BenchmarkFig18eHiddenUnits(b *testing.B) { runExperimentBench(b, "fig18e", 
 func BenchmarkFig18fTimeLength(b *testing.B)  { runExperimentBench(b, "fig18f", 0.4) }
 
 // --- micro-benchmarks for the hot substrates ---
-
-func BenchmarkLSTMForward(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	l := nn.NewLSTM(NumFeatures, 16, rng)
-	xs := make([]nn.Vec, 360)
-	for i := range xs {
-		xs[i] = nn.NewVec(NumFeatures)
-		for j := 0; j < 8; j++ {
-			xs[i][rng.Intn(NumFeatures)] = rng.NormFloat64()
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Forward(xs)
-	}
-	b.ReportMetric(float64(len(xs)), "steps/op")
-}
-
-func BenchmarkLSTMForwardBackward(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	l := nn.NewLSTM(NumFeatures, 16, rng)
-	xs := make([]nn.Vec, 120)
-	for i := range xs {
-		xs[i] = nn.NewVec(NumFeatures)
-		xs[i][i%NumFeatures] = 1
-	}
-	dH := make([]nn.Vec, len(xs))
-	dH[len(xs)-1] = nn.NewVec(16)
-	dH[len(xs)-1][0] = 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tape := l.Forward(xs)
-		l.Backward(tape, dH)
-		l.ZeroGrad()
-	}
-}
 
 func BenchmarkStreamPush(b *testing.B) {
 	cfg := DefaultModelConfig()

@@ -203,76 +203,27 @@ func (m *Model) branchIdx(b, t, tapeLen int) int {
 	return idx
 }
 
-// fwd caches one forward pass.
-type fwd struct {
-	T       int // base sequence length
-	pooled  [numBranches][]nn.Vec
-	tapes   [numBranches]*nn.LSTMTape
-	detIdx  []int    // pooled-short indices of the detection steps
-	concats []nn.Vec // head inputs per detection step
-	zs      []float64
-	Hazards []float64
-}
-
-// Forward runs the model over a base-resolution feature sequence xs
-// (length T ≥ Window·PoolShort recommended) and returns per-detection-step
-// hazards λ.
-func (m *Model) Forward(xs []nn.Vec) (*fwd, error) {
-	if len(xs) == 0 {
-		return nil, errors.New("core: empty input sequence")
-	}
-	if len(xs[0]) != m.Cfg.NumFeatures {
-		return nil, fmt.Errorf("core: input width %d, model expects %d", len(xs[0]), m.Cfg.NumFeatures)
-	}
-	f := &fwd{T: len(xs)}
-	for b, l := range m.lstms {
-		if l == nil {
-			continue
-		}
-		f.pooled[b] = nn.MeanPool(xs, m.poolFactor(b))
-		f.tapes[b] = l.Forward(f.pooled[b])
-	}
-	// Detection steps: the last Window pooled-short steps.
-	nShort := (len(xs) + m.Cfg.PoolShort - 1) / m.Cfg.PoolShort
-	w := m.Cfg.Window
-	if w > nShort {
-		w = nShort
-	}
-	f.detIdx = make([]int, w)
-	f.concats = make([]nn.Vec, w)
-	f.zs = make([]float64, w)
-	f.Hazards = make([]float64, w)
-	for i := 0; i < w; i++ {
-		t := nShort - w + i
-		f.detIdx[i] = t
-		concat := nn.NewVec(m.Cfg.Hidden * m.activeBranches())
-		off := 0
-		for b, l := range m.lstms {
-			if l == nil {
-				continue
-			}
-			idx := m.branchIdx(b, t, len(f.tapes[b].H))
-			if idx >= 0 {
-				copy(concat[off:off+m.Cfg.Hidden], f.tapes[b].H[idx])
-			}
-			off += m.Cfg.Hidden
-		}
-		f.concats[i] = concat
-		z := m.head.Forward(concat)[0]
-		f.zs[i] = z
-		f.Hazards[i] = nn.Softplus(z)
-	}
-	return f, nil
+// WindowLen returns the number of detection steps a base-resolution
+// sequence of T steps yields: the last Window pooled-short steps, or all of
+// them when the sequence is shorter.
+func (m *Model) WindowLen(T int) int {
+	nShort := (T + m.Cfg.PoolShort - 1) / m.Cfg.PoolShort
+	return min(m.Cfg.Window, nShort)
 }
 
 // Survival returns the cumulative no-attack probabilities S_t over the
-// detection window for the given input sequence.
+// detection window for the given input sequence: the training forward
+// pass on a batch of one.
 func (m *Model) Survival(xs []nn.Vec) ([]float64, error) {
-	f, err := m.Forward(xs)
+	x := make([][]float64, len(xs))
+	for i, v := range xs {
+		x[i] = v
+	}
+	sc, err := m.forwardOne(x)
 	if err != nil {
 		return nil, err
 	}
-	return survival.Survival(f.Hazards), nil
+	return survival.Survival(sc.haz[:sc.w]), nil
 }
 
 // Example is one training series: base-resolution (already normalized)
@@ -285,17 +236,10 @@ type Example struct {
 	AttackStep int
 }
 
-// lossGrad computes the loss for the example and the per-detection-step
-// hazard gradients dL/dλ_t (zero past the label time for the SAFE loss).
-func (m *Model) lossGrad(f *fwd, ex *Example) (float64, []float64) {
-	dHaz := make([]float64, len(f.Hazards))
-	loss := m.lossGradInto(f.Hazards, ex, dHaz)
-	return loss, dHaz
-}
-
-// lossGradInto is lossGrad over a caller-owned gradient buffer (len ==
-// len(hazards), fully overwritten), allocating nothing on the SAFE path —
-// the form the batched trainer's steady-state loop uses.
+// lossGradInto computes the loss for the example and writes the
+// per-detection-step hazard gradients dL/dλ_t (zero past the label time
+// for the SAFE loss) into the caller-owned dHaz (len == len(hazards),
+// fully overwritten), allocating nothing on the SAFE path.
 func (m *Model) lossGradInto(hazards []float64, ex *Example, dHaz []float64) float64 {
 	n := len(hazards)
 	dHaz = dHaz[:n]
@@ -326,64 +270,7 @@ func (m *Model) lossGradInto(hazards []float64, ex *Example, dHaz []float64) flo
 	return survival.BCELossInto(hazards, attackStep, dHaz)
 }
 
-// backward propagates hazard gradients through the head and the LSTMs,
-// accumulating weight gradients. It returns the per-branch pooled input
-// gradients (used by saliency; training callers ignore them).
-func (m *Model) backward(f *fwd, dHaz []float64, needInputGrads bool) [numBranches][]nn.Vec {
-	dH := [numBranches][]nn.Vec{}
-	for b, l := range m.lstms {
-		if l == nil {
-			continue
-		}
-		dH[b] = make([]nn.Vec, len(f.tapes[b].H))
-	}
-	for i, g := range dHaz {
-		if g == 0 {
-			continue
-		}
-		dz := g * nn.SoftplusPrime(f.zs[i])
-		dConcat := m.head.Backward(f.concats[i], nn.Vec{dz})
-		off := 0
-		for b, l := range m.lstms {
-			if l == nil {
-				continue
-			}
-			idx := m.branchIdx(b, f.detIdx[i], len(dH[b]))
-			if idx >= 0 {
-				if dH[b][idx] == nil {
-					dH[b][idx] = nn.NewVec(m.Cfg.Hidden)
-				}
-				dH[b][idx].Add(dConcat[off : off+m.Cfg.Hidden])
-			}
-			off += m.Cfg.Hidden
-		}
-	}
-	var dPooled [numBranches][]nn.Vec
-	for b, l := range m.lstms {
-		if l == nil {
-			continue
-		}
-		dxs := l.Backward(f.tapes[b], dH[b])
-		if needInputGrads {
-			dPooled[b] = dxs
-		}
-	}
-	return dPooled
-}
-
-// TrainExample accumulates gradients for one example and returns its loss.
-func (m *Model) TrainExample(ex *Example) (float64, error) {
-	xs := toVecs(ex.X)
-	f, err := m.Forward(xs)
-	if err != nil {
-		return 0, err
-	}
-	loss, dHaz := m.lossGrad(f, ex)
-	m.backward(f, dHaz, false)
-	return loss, nil
-}
-
-// TrainOptions and Fit live in train.go.
+// The forward and backward passes, TrainOptions and Fit live in train.go.
 
 // Save writes the model (config + weights) to w.
 func (m *Model) Save(w io.Writer) error {
@@ -425,13 +312,4 @@ func Load(r io.Reader) (*Model, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// toVecs views a [][]float64 as []nn.Vec without copying.
-func toVecs(x [][]float64) []nn.Vec {
-	out := make([]nn.Vec, len(x))
-	for i := range x {
-		out[i] = nn.Vec(x[i])
-	}
-	return out
 }

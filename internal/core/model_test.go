@@ -51,6 +51,26 @@ func synthSet(rng *rand.Rand, n, T, window int) []Example {
 	return out
 }
 
+// asVecs views a [][]float64 as the []nn.Vec Survival takes.
+func asVecs(x [][]float64) []nn.Vec {
+	out := make([]nn.Vec, len(x))
+	for i := range x {
+		out[i] = x[i]
+	}
+	return out
+}
+
+// hazards runs the forward pass on x as a batch of one and returns λ over
+// the detection window.
+func hazards(t *testing.T, m *Model, x [][]float64) []float64 {
+	t.Helper()
+	sc, err := m.forwardOne(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc.haz[:sc.w]
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := tinyConfig().Validate(); err != nil {
 		t.Fatal(err)
@@ -78,19 +98,16 @@ func TestForwardShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := synthExample(rand.New(rand.NewSource(1)), 48, true, 8)
-	f, err := m.Forward(toVecs(ex.X))
-	if err != nil {
-		t.Fatal(err)
+	haz := hazards(t, m, ex.X)
+	if len(haz) != 8 {
+		t.Fatalf("hazards = %d, want Window=8", len(haz))
 	}
-	if len(f.Hazards) != 8 {
-		t.Fatalf("hazards = %d, want Window=8", len(f.Hazards))
-	}
-	for _, h := range f.Hazards {
+	for _, h := range haz {
 		if h < 0 || math.IsNaN(h) {
 			t.Fatalf("hazard %v invalid", h)
 		}
 	}
-	s, err := m.Survival(toVecs(ex.X))
+	s, err := m.Survival(asVecs(ex.X))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +122,38 @@ func TestForwardShapes(t *testing.T) {
 
 func TestForwardErrors(t *testing.T) {
 	m, _ := New(tinyConfig())
-	if _, err := m.Forward(nil); err == nil {
+	if _, err := m.Survival(nil); err == nil {
 		t.Fatal("empty sequence must error")
 	}
-	if _, err := m.Forward([]nn.Vec{{1, 2}}); err == nil {
+	if _, err := m.InputGradients(nil, 0); err == nil {
+		t.Fatal("empty sequence must error")
+	}
+	if _, err := m.Survival([]nn.Vec{{1, 2}}); err == nil {
 		t.Fatal("wrong width must error")
+	}
+	if _, err := m.InputGradients([][]float64{{1, 2}}, 0); err == nil {
+		t.Fatal("wrong width must error")
+	}
+}
+
+func TestRaggedInputErrors(t *testing.T) {
+	// A short row in the middle of a sequence must be an error, not a
+	// panic, whichever branch pools it: all three, or only a pooled one.
+	medOnly := tinyConfig()
+	medOnly.UseShort, medOnly.UseLong = false, false
+	for _, cfg := range []Config{tinyConfig(), medOnly} {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := synthExample(rand.New(rand.NewSource(2)), 24, true, cfg.Window)
+		ex.X[13] = ex.X[13][:2]
+		if _, err := m.Survival(asVecs(ex.X)); err == nil {
+			t.Fatalf("short=%v: Survival accepted a ragged row", cfg.UseShort)
+		}
+		if _, err := m.InputGradients(ex.X, 0); err == nil {
+			t.Fatalf("short=%v: InputGradients accepted a ragged row", cfg.UseShort)
+		}
 	}
 }
 
@@ -119,12 +163,12 @@ func TestForwardShortSequenceClampsWindow(t *testing.T) {
 	for i := range xs {
 		xs[i] = nn.NewVec(4)
 	}
-	f, err := m.Forward(xs)
+	s, err := m.Survival(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Hazards) != 3 {
-		t.Fatalf("window must clamp to sequence length, got %d", len(f.Hazards))
+	if len(s) != 3 || m.WindowLen(len(xs)) != 3 {
+		t.Fatalf("window must clamp to sequence length, got %d (WindowLen %d)", len(s), m.WindowLen(len(xs)))
 	}
 }
 
@@ -135,10 +179,10 @@ func TestBranchAlignmentNoFutureLeakage(t *testing.T) {
 	cfg := tinyConfig()
 	m, _ := New(cfg)
 	T := 48
-	mk := func(spike bool) []nn.Vec {
-		xs := make([]nn.Vec, T)
+	mk := func(spike bool) [][]float64 {
+		xs := make([][]float64, T)
 		for i := range xs {
-			xs[i] = nn.NewVec(4)
+			xs[i] = make([]float64, 4)
 			xs[i][0] = 0.1
 		}
 		if spike {
@@ -149,16 +193,9 @@ func TestBranchAlignmentNoFutureLeakage(t *testing.T) {
 		}
 		return xs
 	}
-	f1, err := m.Forward(mk(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := m.Forward(mk(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f1.Hazards[0] != f2.Hazards[0] {
-		t.Fatalf("future inputs leaked into detection step 0: %v vs %v", f1.Hazards[0], f2.Hazards[0])
+	h1, h2 := hazards(t, m, mk(false)), hazards(t, m, mk(true))
+	if h1[0] != h2[0] {
+		t.Fatalf("future inputs leaked into detection step 0: %v vs %v", h1[0], h2[0])
 	}
 }
 
@@ -189,8 +226,8 @@ func TestFitLearnsSyntheticTask(t *testing.T) {
 	// benign example.
 	atk := synthExample(rng, 48, true, cfg.Window)
 	ben := synthExample(rng, 48, false, cfg.Window)
-	sa, _ := m.Survival(toVecs(atk.X))
-	sb, _ := m.Survival(toVecs(ben.X))
+	sa, _ := m.Survival(asVecs(atk.X))
+	sb, _ := m.Survival(asVecs(ben.X))
 	if !(sa[len(sa)-1] < sb[len(sb)-1]) {
 		t.Fatalf("attack survival %v not below benign %v", sa[len(sa)-1], sb[len(sb)-1])
 	}
@@ -270,7 +307,10 @@ func TestSingleTimescaleVariants(t *testing.T) {
 			t.Fatalf("%s: %v", variant.name, err)
 		}
 		ex := synthExample(rand.New(rand.NewSource(1)), 48, true, cfg.Window)
-		if _, err := m.TrainExample(&ex); err != nil {
+		if _, err := m.trainChunk([]Example{ex}, []int{0}, &trainScratch{}); err != nil {
+			t.Fatalf("%s: %v", variant.name, err)
+		}
+		if _, err := m.InputGradients(ex.X, ex.AttackStep); err != nil {
 			t.Fatalf("%s: %v", variant.name, err)
 		}
 	}
@@ -293,8 +333,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := synthExample(rng, 48, true, cfg.Window)
-	s1, _ := m.Survival(toVecs(ex.X))
-	s2, _ := m2.Survival(toVecs(ex.X))
+	s1, _ := m.Survival(asVecs(ex.X))
+	s2, _ := m2.Survival(asVecs(ex.X))
 	for i := range s1 {
 		if s1[i] != s2[i] {
 			t.Fatalf("loaded model differs at step %d: %v vs %v", i, s1[i], s2[i])
@@ -320,15 +360,11 @@ func TestTrainGradientMatchesNumeric(t *testing.T) {
 	ex := synthExample(rand.New(rand.NewSource(3)), 24, true, cfg.Window)
 
 	lossOf := func() float64 {
-		f, err := m.Forward(toVecs(ex.X))
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, _ := m.lossGrad(f, &ex)
-		return l
+		haz := hazards(t, m, ex.X)
+		return m.lossGradInto(haz, &ex, make([]float64, len(haz)))
 	}
 	m.ZeroGrad()
-	if _, err := m.TrainExample(&ex); err != nil {
+	if _, err := m.trainChunk([]Example{ex}, []int{0}, &trainScratch{}); err != nil {
 		t.Fatal(err)
 	}
 	params := m.Params()

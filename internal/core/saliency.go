@@ -11,20 +11,22 @@ import (
 // input features represents the contribution of the features towards the
 // final early detection". detStep indexes the detection window [0, Window).
 //
-// The model's gradient accumulators are used as scratch and zeroed before
-// returning, so it is safe to interleave with training (not concurrently).
+// It is the training pass on a batch of one: forward, a one-hot dλ at
+// detStep, backward with dL/dx, and the mean-pool gradient back to base
+// resolution. The model's gradient accumulators are used as scratch and
+// zeroed before returning, so it is safe to interleave with training (not
+// concurrently).
 func (m *Model) InputGradients(x [][]float64, detStep int) ([][]float64, error) {
-	xs := toVecs(x)
-	f, err := m.Forward(xs)
+	sc, err := m.forwardOne(x)
 	if err != nil {
 		return nil, err
 	}
-	if detStep < 0 || detStep >= len(f.Hazards) {
+	if detStep < 0 || detStep >= sc.w {
 		return nil, errors.New("core: detStep outside detection window")
 	}
-	dHaz := make([]float64, len(f.Hazards))
-	dHaz[detStep] = 1
-	dPooled := m.backward(f, dHaz, true)
+	sc.dHaz = make([]float64, sc.w)
+	sc.dHaz[detStep] = 1
+	m.backwardChunk(sc, true)
 	m.ZeroGrad() // discard the weight gradients this produced
 
 	out := make([][]float64, len(x))
@@ -32,11 +34,15 @@ func (m *Model) InputGradients(x [][]float64, detStep int) ([][]float64, error) 
 	for i := range out {
 		out[i] = make([]float64, dim)
 	}
-	for b := range dPooled {
-		if dPooled[b] == nil {
+	for b, l := range m.lstms {
+		if l == nil {
 			continue
 		}
-		dBase := nn.MeanPoolBackward(dPooled[b], m.poolFactor(b), len(x), dim)
+		dPooled := make([]nn.Vec, sc.tapes[b].T)
+		for t := range dPooled {
+			dPooled[t] = sc.dX[b].bs[t].Row(0)
+		}
+		dBase := nn.MeanPoolBackward(dPooled, m.poolFactor(b), len(x), dim)
 		for t := range dBase {
 			for j, v := range dBase[t] {
 				out[t][j] += v

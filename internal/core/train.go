@@ -1,18 +1,20 @@
 package core
 
-// Batched training. Fit buckets each shuffled mini-batch into lanes of
-// equal sequence length, splits every lane into near-even chunks, and runs
-// each chunk as one batched BPTT pass (forward and backward over B
-// sequences at once through the register-blocked nn kernels). All per-chunk
-// storage lives in grow-only scratch owned by a reusable fitter, so a
-// steady-state epoch — the same lane shapes recurring — allocates nothing.
+// Batched training, and the one forward/backward pass of the model. Fit
+// buckets each shuffled mini-batch into lanes of equal sequence length,
+// splits every lane into near-even chunks, and runs each chunk as one
+// batched BPTT pass (forward and backward over B sequences at once through
+// the register-blocked nn kernels). All per-chunk storage lives in
+// grow-only scratch owned by a reusable fitter, so a steady-state epoch —
+// the same lane shapes recurring — allocates nothing. Survival and
+// InputGradients run the same two halves on a batch of one.
 //
 // Determinism contract: chunks are assigned to workers round-robin
 // (chunk j → worker j%workers), replica gradients are merged and losses
-// summed in worker index order, and every batched kernel preserves the
-// scalar per-element summation order. Two Fit runs with the same
-// (examples, Seed, Workers, BatchSize) therefore produce byte-identical
-// weights, and a batch-1 chunk is bit-identical to TrainExample.
+// summed in worker index order, and every batched kernel keeps its
+// single-row counterpart's per-element summation order. Two Fit runs with
+// the same (examples, Seed, Workers, BatchSize) therefore produce
+// byte-identical weights.
 
 import (
 	"errors"
@@ -49,9 +51,12 @@ type TrainOptions struct {
 // Every buffer is grow-only: reused when large enough, reallocated only
 // when a bigger shape appears, so steady-state epochs run allocation-free.
 type trainScratch struct {
+	b, w, nShort int // the last forward: batch rows, detection steps, pooled-short steps
+
 	tapes   [numBranches]nn.BatchTape
 	dH      [numBranches]batchSeq // per-step dL/dH injections per branch
 	touched [numBranches][]bool   // which steps received an injection
+	dX      [numBranches]batchSeq // per-step dL/dx per branch, when requested
 	bwd     nn.BatchGradScratch
 	concats batchSeq  // head inputs, one B×(hidden·branches) batch per step
 	zB      nn.Batch  // head outputs, B×1
@@ -96,51 +101,47 @@ func growBools(s []bool, n int) []bool {
 	return s
 }
 
-// packPooled fills tp.Xs with the k-pooled inputs of the selected
-// examples: row e of step p is the mean of example idxs[e]'s base steps in
-// pooling block p, computed with exactly the arithmetic of nn.MeanPool
-// (sequential adds, one scale by the reciprocal; a plain copy when k ≤ 1),
-// so batched pooling is bit-identical to the scalar path.
-func packPooled(tp *nn.BatchTape, examples []Example, idxs []int, k, T int) {
-	for p := 0; p < tp.T; p++ {
-		xb := &tp.Xs[p]
-		lo := p * k
-		hi := lo + k
-		if hi > T {
-			hi = T
-		}
-		for e, ei := range idxs {
-			row := xb.Row(e)
-			x := examples[ei].X
-			if k <= 1 {
-				copy(row, x[p])
-			} else {
-				row.Zero()
-				for t := lo; t < hi; t++ {
-					row.Add(nn.Vec(x[t]))
-				}
-				row.Scale(1 / float64(hi-lo))
-			}
-		}
-	}
-}
-
 // trainChunk runs one batched forward/backward pass over the same-length
 // examples selected by idxs, accumulating gradients into m (normally a
-// replica) and returning their summed loss. It is the batched analogue of
-// calling TrainExample once per example: at len(idxs)==1 the accumulated
-// gradients are bit-identical to TrainExample's.
+// replica) and returning their summed loss.
 func (m *Model) trainChunk(examples []Example, idxs []int, sc *trainScratch) (float64, error) {
+	if err := m.forwardChunk(examples, idxs, sc); err != nil {
+		return 0, err
+	}
+	w := sc.w
+	sc.dHaz = growFloats(sc.dHaz, sc.b*w)
+	var loss float64
+	for e, ei := range idxs {
+		loss += m.lossGradInto(sc.haz[e*w:(e+1)*w], &examples[ei], sc.dHaz[e*w:(e+1)*w])
+	}
+	m.backwardChunk(sc, false)
+	return loss, nil
+}
+
+// forwardOne runs the forward pass over one base-resolution sequence as a
+// batch of one, on fresh scratch: the offline (Survival, InputGradients)
+// entry to the training pass.
+func (m *Model) forwardOne(x [][]float64) (*trainScratch, error) {
+	sc := &trainScratch{}
+	return sc, m.forwardChunk([]Example{{X: x}}, []int{0}, sc)
+}
+
+// forwardChunk is the forward half of a chunk: it checks the width of
+// every row of the same-length examples selected by idxs, runs every
+// enabled branch over its pooled inputs, then the head over the detection
+// window, leaving sc.w detection steps per example in sc (head inputs,
+// pre-link outputs zs and hazards haz, example-major).
+func (m *Model) forwardChunk(examples []Example, idxs []int, sc *trainScratch) error {
 	B := len(idxs)
 	T := len(examples[idxs[0]].X)
 	for _, ei := range idxs {
 		x := examples[ei].X
 		if len(x) == 0 {
-			return 0, errors.New("core: empty input sequence")
+			return errors.New("core: empty input sequence")
 		}
 		for t := range x {
 			if len(x[t]) != m.Cfg.NumFeatures {
-				return 0, fmt.Errorf("core: input width %d, model expects %d", len(x[t]), m.Cfg.NumFeatures)
+				return fmt.Errorf("core: input width %d at step %d, model expects %d", len(x[t]), t, m.Cfg.NumFeatures)
 			}
 		}
 	}
@@ -155,21 +156,20 @@ func (m *Model) trainChunk(examples []Example, idxs []int, sc *trainScratch) (fl
 		k := m.poolFactor(b)
 		tp := &sc.tapes[b]
 		tp.Reset(l, B, (T+k-1)/k)
-		packPooled(tp, examples, idxs, k, T)
+		for e, ei := range idxs {
+			nn.MeanPoolInto(tp.Xs, e, examples[ei].X, k)
+		}
 		tp.BuildSparse() // sparse input projection when the packed rows are sparse enough
 		l.ForwardBatch(tp)
 	}
 
 	// Head forward over the detection window: the last w pooled-short steps.
 	nShort := (T + m.Cfg.PoolShort - 1) / m.Cfg.PoolShort
-	w := m.Cfg.Window
-	if w > nShort {
-		w = nShort
-	}
+	w := m.WindowLen(T)
+	sc.b, sc.w, sc.nShort = B, w, nShort
 	concats := sc.concats.get(w, B, hd*act)
 	sc.zs = growFloats(sc.zs, B*w)
 	sc.haz = growFloats(sc.haz, B*w)
-	sc.dHaz = growFloats(sc.dHaz, B*w)
 	for i := 0; i < w; i++ {
 		t := nShort - w + i
 		cb := &concats[i]
@@ -196,11 +196,17 @@ func (m *Model) trainChunk(examples []Example, idxs []int, sc *trainScratch) (fl
 			sc.haz[e*w+i] = nn.Softplus(z)
 		}
 	}
+	return nil
+}
 
-	var loss float64
-	for e, ei := range idxs {
-		loss += m.lossGradInto(sc.haz[e*w:(e+1)*w], &examples[ei], sc.dHaz[e*w:(e+1)*w])
-	}
+// backwardChunk is the backward half: it propagates the hazard gradients
+// in sc.dHaz (example-major, as forwardChunk laid out the hazards) through
+// the head and every branch's LSTM, accumulating weight gradients into m.
+// With inputGrads set, sc.dX[b] also receives branch b's dL/dx per pooled
+// step.
+func (m *Model) backwardChunk(sc *trainScratch, inputGrads bool) {
+	B, w, hd := sc.b, sc.w, m.Cfg.Hidden
+	concats := sc.concats.bs[:w]
 
 	// Head backward per detection step, scattering dL/dH into the branch
 	// injection buffers. dH batches are zeroed lazily on first touch;
@@ -214,7 +220,7 @@ func (m *Model) trainChunk(examples []Example, idxs []int, sc *trainScratch) (fl
 		sc.touched[b] = growBools(sc.touched[b], Tb)
 	}
 	for i := 0; i < w; i++ {
-		t := nShort - w + i
+		t := sc.nShort - w + i
 		any := false
 		sc.dzB.Resize(B, 1)
 		for e := 0; e < B; e++ {
@@ -227,7 +233,7 @@ func (m *Model) trainChunk(examples []Example, idxs []int, sc *trainScratch) (fl
 			sc.dzB.Data[e] = g * nn.SoftplusPrime(sc.zs[e*w+i])
 		}
 		if !any {
-			continue // mirrors the scalar backward skipping g == 0 steps
+			continue // a step with no loss gradient contributes nothing
 		}
 		m.head.BackwardBatch(&concats[i], &sc.dzB, &sc.dcc)
 		off := 0
@@ -256,9 +262,12 @@ func (m *Model) trainChunk(examples []Example, idxs []int, sc *trainScratch) (fl
 		if l == nil {
 			continue
 		}
-		l.BackwardBatch(&sc.tapes[b], sc.dH[b].bs, sc.touched[b], &sc.bwd)
+		var dX []nn.Batch
+		if inputGrads {
+			dX = sc.dX[b].get(sc.tapes[b].T, B, l.In)
+		}
+		l.BackwardBatchDX(&sc.tapes[b], sc.dH[b].bs, sc.touched[b], &sc.bwd, dX)
 	}
-	return loss, nil
 }
 
 // lane is the set of batch positions sharing one sequence length.

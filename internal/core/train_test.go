@@ -2,9 +2,15 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"github.com/xatu-go/xatu/internal/nn"
 )
 
 // gradSnapshot copies every gradient accumulator of m into one flat slice.
@@ -25,108 +31,217 @@ func weightSnapshot(m *Model) []float64 {
 	return out
 }
 
+// goldenTrainDigest is the SHA-256 over the run below — the saved bytes of
+// three fitted configurations, their survival curves and input gradients —
+// recorded at commit 3658e15, the last one where Survival and
+// InputGradients ran a scalar forward/backward of their own beside the
+// batched trainer. An equal digest says the offline bytes did not move
+// when that second path was deleted.
+const goldenTrainDigest = "efe92930bbb99b47fd95178c04f2225ec68f2e5a913f2144323d5b4c53c8c49f"
+
+// goldenExample is a T-step example over 32 features: every row
+// Gaussian when dense, three non-zeros per row otherwise (the density of
+// live traffic counters, which takes the sparse input projection).
+func goldenExample(rng *rand.Rand, T int, dense, attack bool, window int) Example {
+	ex := Example{Attack: attack, AttackStep: window / 2}
+	for t := 0; t < T; t++ {
+		row := make([]float64, 32)
+		for k := range row {
+			if dense {
+				row[k] = rng.NormFloat64()
+			}
+		}
+		if !dense {
+			for k := 0; k < 3; k++ {
+				row[(k*11+t)%32] = rng.NormFloat64()
+			}
+		}
+		ex.X = append(ex.X, row)
+	}
+	return ex
+}
+
+func TestTrainGoldenDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest recorded on amd64; other ports may fuse multiply-adds")
+	}
+	sum := sha256.New()
+	putF := func(v float64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		sum.Write(b[:])
+	}
+	vecs := func(x [][]float64) []nn.Vec {
+		out := make([]nn.Vec, len(x))
+		for i := range x {
+			out[i] = x[i]
+		}
+		return out
+	}
+	base := tinyConfig()
+	base.NumFeatures = 32
+	noSurv, noMed := base, base
+	noSurv.UseSurvival = false
+	noMed.UseMed = false
+	for _, cfg := range []Config{base, noSurv, noMed} {
+		rng := rand.New(rand.NewSource(61))
+		var examples []Example
+		for i, T := range []int{48, 36, 48, 60, 36, 48, 60, 24, 48, 36} {
+			// Lengths 48 and 24 are sparse, 36 and 60 dense, so both input
+			// projections run; attack and benign alternate.
+			dense := T == 36 || T == 60
+			examples = append(examples, goldenExample(rng, T, dense, i%2 == 0, cfg.Window))
+		}
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Fit(examples, TrainOptions{Epochs: 2, BatchSize: 4, Workers: 2, Seed: 7}); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum.Write(buf.Bytes())
+		// Full-length sparse and dense sequences, and one shorter than the
+		// window; input gradients at the first and last detection steps.
+		for _, x := range [][][]float64{
+			goldenExample(rng, 48, false, true, cfg.Window).X,
+			goldenExample(rng, 60, true, true, cfg.Window).X,
+			goldenExample(rng, cfg.Window-3, true, true, cfg.Window).X,
+		} {
+			s, err := m.Survival(vecs(x))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range s {
+				putF(v)
+			}
+			for _, det := range []int{0, len(s) - 1} {
+				g, err := m.InputGradients(x, det)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, row := range g {
+					for _, v := range row {
+						putF(v)
+					}
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(sum.Sum(nil)); got != goldenTrainDigest {
+		t.Fatalf("train digest %s, want %s", got, goldenTrainDigest)
+	}
+}
+
+// checkBatchOneDigest runs a batch-1 trainChunk on each example in turn,
+// each on a fresh model of cfg, and checks the SHA-256 over every loss
+// followed by its gradient accumulators against want, recorded from the
+// scalar Model.TrainExample at commit 3658e15, the last one that had it.
+func checkBatchOneDigest(t *testing.T, cfg Config, examples []Example, want string) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest recorded on amd64; other ports may fuse multiply-adds")
+	}
+	sum := sha256.New()
+	put := func(v float64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		sum.Write(b[:])
+	}
+	for i := range examples {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := &trainScratch{}
+		l, err := m.trainChunk(examples, []int{i}, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.tapes[brShort].Sparse() != (cfg.NumFeatures == 32) {
+			t.Fatalf("features=%d: sparse input projection %v", cfg.NumFeatures, sc.tapes[brShort].Sparse())
+		}
+		put(l)
+		for _, g := range gradSnapshot(m) {
+			put(g)
+		}
+	}
+	if got := hex.EncodeToString(sum.Sum(nil)); got != want {
+		t.Fatalf("features=%d: batch-1 digest %s, TrainExample's %s", cfg.NumFeatures, got, want)
+	}
+}
+
 func TestTrainChunkBatchOneBitIdenticalToTrainExample(t *testing.T) {
-	// A batch-1 trainChunk must accumulate byte-for-byte the gradients
-	// TrainExample does: the batched trainer is a pure performance change.
+	// A batch-1 trainChunk must produce byte-for-byte the loss and gradients
+	// the scalar TrainExample did: the batched trainer is a pure
+	// performance change.
 	cfg := tinyConfig()
 	rng := rand.New(rand.NewSource(7))
-	for _, attack := range []bool{true, false} {
+	examples := []Example{synthExample(rng, 48, true, cfg.Window), synthExample(rng, 48, false, cfg.Window)}
+	checkBatchOneDigest(t, cfg, examples, "50197c7ada8215cd226f3e95f6be44ed50fedacdb41749d3b1c81a1c0d456434")
+}
+
+func TestTrainChunkSparseBitIdenticalToTrainExample(t *testing.T) {
+	// With realistically sparse feature rows (3/32 non-zero) the chunk
+	// switches to the CSR input-projection kernels; loss and gradients must
+	// still match the dense scalar TrainExample byte-for-byte.
+	cfg := tinyConfig()
+	cfg.NumFeatures = 32
+	ex := goldenExample(rand.New(rand.NewSource(41)), 48, false, true, cfg.Window)
+	checkBatchOneDigest(t, cfg, []Example{ex}, "f41479e18de3f75401cfd805105fd8c36efba32d79703124208d9d32acd72746")
+}
+
+func TestTrainChunkMatchesSumOfBatchOneChunks(t *testing.T) {
+	// A multi-example chunk sums per-example gradients; the summation order
+	// per weight element interleaves examples per timestep rather than
+	// concatenating whole examples, so compare within float tolerance. Run
+	// on dense rows and on 3/32-sparse rows, which take the CSR input
+	// projection.
+	dense := tinyConfig()
+	sparse := tinyConfig()
+	sparse.NumFeatures = 32
+	for _, cfg := range []Config{dense, sparse} {
+		rng := rand.New(rand.NewSource(11))
 		m1, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m2 := m1.Replica()
-		ex := synthExample(rng, 48, attack, cfg.Window)
-
-		if _, err := m1.TrainExample(&ex); err != nil {
-			t.Fatal(err)
-		}
-		sc := &trainScratch{}
-		if _, err := m2.trainChunk([]Example{ex}, []int{0}, sc); err != nil {
-			t.Fatal(err)
-		}
-
-		g1, g2 := gradSnapshot(m1), gradSnapshot(m2)
-		for i := range g1 {
-			if g1[i] != g2[i] {
-				t.Fatalf("attack=%v grad %d: scalar %v batched %v", attack, i, g1[i], g2[i])
+		examples := synthSet(rng, 5, 48, cfg.Window)
+		if cfg.NumFeatures == 32 {
+			for i := range examples {
+				examples[i] = goldenExample(rng, 48, false, i%2 == 0, cfg.Window)
 			}
 		}
-	}
-}
 
-func TestTrainChunkSparseBitIdenticalToTrainExample(t *testing.T) {
-	// With realistically sparse feature rows the chunk switches to the CSR
-	// input-projection kernels; gradients must still match the scalar path
-	// byte-for-byte.
-	cfg := tinyConfig()
-	cfg.NumFeatures = 32
-	rng := rand.New(rand.NewSource(41))
-	m1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := m1.Replica()
-	ex := Example{Attack: true, AttackStep: cfg.Window / 2}
-	for t2 := 0; t2 < 48; t2++ {
-		row := make([]float64, cfg.NumFeatures)
-		for k := 0; k < 3; k++ { // 3/32 non-zero, like live traffic counters
-			row[(k*11+t2)%cfg.NumFeatures] = rng.NormFloat64()
+		var want float64
+		one := &trainScratch{}
+		for i := range examples {
+			l, err := m1.trainChunk(examples, []int{i}, one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += l
 		}
-		ex.X = append(ex.X, row)
-	}
-
-	if _, err := m1.TrainExample(&ex); err != nil {
-		t.Fatal(err)
-	}
-	sc := &trainScratch{}
-	if _, err := m2.trainChunk([]Example{ex}, []int{0}, sc); err != nil {
-		t.Fatal(err)
-	}
-	if !sc.tapes[0].Sparse() {
-		t.Fatal("3/32 non-zero rows should take the sparse input projection")
-	}
-	g1, g2 := gradSnapshot(m1), gradSnapshot(m2)
-	for i := range g1 {
-		if g1[i] != g2[i] {
-			t.Fatalf("grad %d: scalar %v sparse-batched %v", i, g1[i], g2[i])
-		}
-	}
-}
-
-func TestTrainChunkMatchesSumOfTrainExamples(t *testing.T) {
-	// A multi-example chunk sums per-example gradients; the summation order
-	// per weight element interleaves examples per timestep rather than
-	// concatenating whole examples, so compare within float tolerance.
-	cfg := tinyConfig()
-	rng := rand.New(rand.NewSource(11))
-	m1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := m1.Replica()
-	examples := synthSet(rng, 5, 48, cfg.Window)
-
-	var want float64
-	for i := range examples {
-		l, err := m1.TrainExample(&examples[i])
+		sc := &trainScratch{}
+		got, err := m2.trainChunk(examples, []int{0, 1, 2, 3, 4}, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want += l
-	}
-	sc := &trainScratch{}
-	got, err := m2.trainChunk(examples, []int{0, 1, 2, 3, 4}, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-		t.Fatalf("chunk loss %v, scalar sum %v", got, want)
-	}
-	g1, g2 := gradSnapshot(m1), gradSnapshot(m2)
-	for i := range g1 {
-		if math.Abs(g1[i]-g2[i]) > 1e-9*(1+math.Abs(g1[i])) {
-			t.Fatalf("grad %d: scalar %v batched %v", i, g1[i], g2[i])
+		if sc.tapes[brShort].Sparse() != (cfg.NumFeatures == 32) {
+			t.Fatalf("features=%d: sparse input projection %v", cfg.NumFeatures, sc.tapes[brShort].Sparse())
+		}
+		if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
+			t.Fatalf("features=%d: chunk loss %v, batch-1 sum %v", cfg.NumFeatures, got, want)
+		}
+		g1, g2 := gradSnapshot(m1), gradSnapshot(m2)
+		for i := range g1 {
+			if math.Abs(g1[i]-g2[i]) > 1e-9*(1+math.Abs(g1[i])) {
+				t.Fatalf("features=%d grad %d: batch-1 sum %v chunk %v", cfg.NumFeatures, i, g1[i], g2[i])
+			}
 		}
 	}
 }
@@ -307,8 +422,8 @@ func TestFitSteadyStateEpochZeroAlloc(t *testing.T) {
 }
 
 func TestFitBatchedStillLearns(t *testing.T) {
-	// End-to-end sanity: the batched trainer separates attack from benign
-	// survival curves just like the scalar trainer did.
+	// End-to-end sanity with two workers: the trained model separates attack
+	// from benign survival curves.
 	cfg := tinyConfig()
 	m, err := New(cfg)
 	if err != nil {
@@ -321,11 +436,11 @@ func TestFitBatchedStillLearns(t *testing.T) {
 	}
 	atk := synthExample(rng, 48, true, cfg.Window)
 	ben := synthExample(rng, 48, false, cfg.Window)
-	sa, err := m.Survival(toVecs(atk.X))
+	sa, err := m.Survival(asVecs(atk.X))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := m.Survival(toVecs(ben.X))
+	sb, err := m.Survival(asVecs(ben.X))
 	if err != nil {
 		t.Fatal(err)
 	}

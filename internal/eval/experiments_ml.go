@@ -9,7 +9,6 @@ import (
 	"github.com/xatu-go/xatu/internal/ddos"
 	"github.com/xatu-go/xatu/internal/features"
 	"github.com/xatu-go/xatu/internal/metrics"
-	"github.com/xatu-go/xatu/internal/nn"
 )
 
 // MLContext caches the trained systems and episode traces shared by the
@@ -354,11 +353,7 @@ func Fig11Saliency(c *MLContext) (*Result, error) {
 	look := c.P.Cfg.LookbackSteps
 	end := pick.AnomStart + 2
 	x := c.P.SeriesFor(c.Ex, pick.CustomerIdx, end-look, end)
-	f, err := model.Forward(toVecsLocal(x))
-	if err != nil {
-		return nil, err
-	}
-	detStep := len(f.Hazards) - 1
+	detStep := model.WindowLen(len(x)) - 1
 	grads, err := model.InputGradients(x, detStep)
 	if err != nil {
 		return nil, err
@@ -389,13 +384,4 @@ func Fig11Saliency(c *MLContext) (*Result, error) {
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf("episode: %v on customer %d", pick.Type, pick.CustomerIdx))
 	return res, nil
-}
-
-// toVecsLocal views a [][]float64 as []nn.Vec without copying.
-func toVecsLocal(x [][]float64) []nn.Vec {
-	out := make([]nn.Vec, len(x))
-	for i := range x {
-		out[i] = nn.Vec(x[i])
-	}
-	return out
 }

@@ -44,8 +44,8 @@ const mulTileRows = 4
 // so every weight load feeds four independent accumulators. Per output
 // element the accumulation order is the plain left-to-right dot product of
 // Mat.MulVec — a Batch of B rows yields bit-identical results to B
-// independent MulVec calls, the invariant the batched and scalar training
-// paths rely on.
+// independent MulVec calls, the invariant that ties the batched forward to
+// the single-stream Step.
 func (x *Batch) MulT(w *Mat, dst *Batch) {
 	if x.Cols != w.Cols {
 		panic(fmt.Sprintf("nn: MulT shape mismatch (%dx%d)·(%dx%d)ᵀ", x.Rows, x.Cols, w.Rows, w.Cols))

@@ -40,16 +40,17 @@ func TestMulTMatchesMulVecBitwise(t *testing.T) {
 }
 
 // TestDenseForwardBatchMatchesForwardBitwise pins the batched head against
-// the scalar path.
+// the single-stream ForwardInto the online detector uses.
 func TestDenseForwardBatchMatchesForwardBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	d := NewDense(6, 3, rng)
+	want := NewVec(3)
 	for _, B := range []int{1, 4, 5} {
 		xs := randBatch(rng, B, 6)
 		var out Batch
 		d.ForwardBatch(xs, &out)
 		for i := 0; i < B; i++ {
-			want := d.Forward(xs.Row(i))
+			d.ForwardInto(xs.Row(i), want)
 			for r := range want {
 				if out.Row(i)[r] != want[r] {
 					t.Fatalf("B=%d row %d out %d: %v != %v", B, i, r, out.Row(i)[r], want[r])

@@ -5,25 +5,27 @@ import (
 	"math"
 )
 
-// Batched training kernels: the gate arithmetic shared by the scalar and
-// batched forward passes, the per-row BPTT gate gradients, and the two
-// batch-level gradient matmuls (outer-product accumulation and transposed
-// propagation). These are the inner loops of every training step, so like
-// the float32 serving kernels they must compile with zero per-element
-// bounds checks (`make bce`): every loop body indexes only slices whose
-// length the compiler has proven, via exact-length two-step reslicing.
+// Batched training kernels: the float64 gate arithmetic shared by Step and
+// ForwardBatch, the per-row BPTT gate gradients, and the two batch-level
+// gradient matmuls (outer-product accumulation and transposed
+// propagation, which also yields dL/dx). These are the inner loops of
+// every training step, so like the float32 serving kernels they must
+// compile with zero per-element bounds checks (`make bce`): every loop
+// body indexes only slices whose length the compiler has proven, via
+// exact-length two-step reslicing.
 //
 // Bit-exactness contract: per batch row, every kernel performs exactly the
-// arithmetic (and zero-skips) of its scalar counterpart in mat.go /
-// lstm.go, in the same per-element order, so a batch-1 training step is
-// bit-identical to the scalar path and any batch size is deterministic.
+// arithmetic (and zero-skips) of its single-row counterpart in mat.go
+// (MulVec, MulVecTrans, AddOuter), in the same per-element order, so what
+// a row computes does not depend on the batch it rides in and any batch
+// size is deterministic.
 
 // lstmGatesTape applies the gate nonlinearities for one stream and records
 // the post-activation gate values [i f g o] on the tape row. On entry c
 // holds the previous cell state; on return h and c hold the next hidden
-// and cell states. It is the single definition of the forward gate
-// arithmetic shared by the scalar Forward and ForwardBatch, so the two
-// training paths cannot drift.
+// and cell states. It is the single definition of the float64 forward gate
+// arithmetic, shared by Step (the streaming oracle) and ForwardBatch
+// (training and attribution), so the two cannot drift.
 func lstmGatesTape(hd int, pre, rec, bias, gates, h, c Vec) {
 	pi, pf, pg, po := pre[0:][:hd], pre[hd:][:hd], pre[2*hd:][:hd], pre[3*hd:][:hd]
 	ri, rf, rg, ro := rec[0:][:hd], rec[hd:][:hd], rec[2*hd:][:hd], rec[3*hd:][:hd]
@@ -50,7 +52,6 @@ func lstmGatesTape(hd int, pre, rec, bias, gates, h, c Vec) {
 // dL/dh at this step (recurrent flow plus any injection), and dc is dL/dc
 // flowing from step t+1 — updated in place to the value flowing into step
 // t-1 (scaled by the forget gate). dz receives the four gate gradients.
-// The expressions are exactly those of the scalar LSTM.Backward.
 func lstmGateGrads(hd int, gates, c, cPrev, dh, dc, dz Vec) {
 	gI, gF, gG, gO := gates[0:][:hd], gates[hd:][:hd], gates[2*hd:][:hd], gates[3*hd:][:hd]
 	zI, zF, zG, zO := dz[0:][:hd], dz[hd:][:hd], dz[2*hd:][:hd], dz[3*hd:][:hd]
@@ -176,10 +177,9 @@ func MulTransBatch(a *Batch, w *Mat, dst *Batch) {
 // BackwardBatch accumulates weight gradients for B (input row, output
 // gradient row) pairs and writes dL/dx into dxs (resized to B×In). Rows
 // whose output gradient is entirely zero are skipped outright — their dxs
-// rows stay zero — mirroring how the model-level backward skips detection
-// steps with zero loss gradient, so a batch-1 call is bit-identical to the
-// scalar Backward-or-skip. Per processed row the accumulation order is
-// exactly Backward's.
+// rows stay zero — so a row with no loss contributes nothing. Per processed
+// row the accumulation is AddOuter into GW, an add into GB and MulVecTrans
+// into the dx row.
 func (d *Dense) BackwardBatch(xs, dys, dxs *Batch) {
 	if xs.Rows != dys.Rows || xs.Cols != d.In || dys.Cols != d.Out {
 		panic(fmt.Sprintf("nn: Dense.BackwardBatch shape mismatch x(%dx%d) dy(%dx%d) layer(%dx%d)",

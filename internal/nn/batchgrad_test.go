@@ -6,110 +6,82 @@ import (
 	"testing"
 )
 
-// fillTapeInputs packs B random sequences of length T into the tape and
-// returns them in scalar []Vec form for reference passes.
-func fillTapeInputs(tp *BatchTape, l *LSTM, B, T int, rng *rand.Rand) [][]Vec {
-	tp.Reset(l, B, T)
-	seqs := make([][]Vec, B)
-	for i := range seqs {
-		seqs[i] = make([]Vec, T)
-		for t := 0; t < T; t++ {
-			x := NewVec(l.In)
-			for j := range x {
-				x[j] = rng.NormFloat64()
-			}
-			seqs[i][t] = x
+// packSeqs packs equal-length sequences into the tape: row i of step t is
+// seqs[i][t].
+func packSeqs(tp *BatchTape, l *LSTM, seqs ...[]Vec) {
+	tp.Reset(l, len(seqs), len(seqs[0]))
+	for i, seq := range seqs {
+		for t, x := range seq {
 			copy(tp.Xs[t].Row(i), x)
 		}
 	}
-	return seqs
+}
+
+// fillTapeInputs packs B random sequences of length T into the tape.
+func fillTapeInputs(tp *BatchTape, l *LSTM, B, T int, rng *rand.Rand) {
+	tp.Reset(l, B, T)
+	for t := 0; t < T; t++ {
+		for i := range tp.Xs[t].Data {
+			tp.Xs[t].Data[i] = rng.NormFloat64()
+		}
+	}
+}
+
+// stepMatchesTape steps every row of a forwarded tape through LSTM.Step
+// from zero state — the float64 streaming oracle — and fails unless the
+// hidden states, cell states and gate values are bit-identical.
+func stepMatchesTape(t *testing.T, l *LSTM, tp *BatchTape) {
+	t.Helper()
+	var sc StepScratch
+	for i := 0; i < tp.B; i++ {
+		var h, c Vec
+		for t2 := 0; t2 < tp.T; t2++ {
+			h, c = l.Step(h, c, tp.Xs[t2].Row(i), &sc)
+			for j := range h {
+				if h[j] != tp.H[t2].Row(i)[j] {
+					t.Fatalf("B=%d H[%d] row %d elem %d: batched %v step %v",
+						tp.B, t2, i, j, tp.H[t2].Row(i)[j], h[j])
+				}
+				if c[j] != tp.C[t2].Row(i)[j] {
+					t.Fatalf("B=%d C[%d] row %d differs from Step", tp.B, t2, i)
+				}
+			}
+			for j, g := range sc.gates {
+				if g != tp.Gates[t2].Row(i)[j] {
+					t.Fatalf("B=%d Gates[%d] row %d differ from Step", tp.B, t2, i)
+				}
+			}
+		}
+	}
 }
 
 func TestForwardBatchBitIdenticalToScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	l := NewLSTM(3, 5, rng)
-	const B, T = 3, 7
-	var tp BatchTape
-	seqs := fillTapeInputs(&tp, l, B, T, rng)
-	l.ForwardBatch(&tp)
-	for i := 0; i < B; i++ {
-		tape := l.Forward(seqs[i])
-		for t2 := 0; t2 < T; t2++ {
-			for j := 0; j < l.Hidden; j++ {
-				if tp.H[t2].Row(i)[j] != tape.H[t2][j] {
-					t.Fatalf("H[%d] row %d elem %d: batched %v scalar %v",
-						t2, i, j, tp.H[t2].Row(i)[j], tape.H[t2][j])
-				}
-				if tp.C[t2].Row(i)[j] != tape.C[t2][j] {
-					t.Fatalf("C[%d] row %d differs from scalar", t2, i)
-				}
-			}
-			for j := 0; j < 4*l.Hidden; j++ {
-				if tp.Gates[t2].Row(i)[j] != tape.Gates[t2][j] {
-					t.Fatalf("Gates[%d] row %d differ from scalar", t2, i)
-				}
-			}
-		}
+	for _, B := range []int{1, 3} {
+		var tp BatchTape
+		fillTapeInputs(&tp, l, B, 7, rng)
+		l.ForwardBatch(&tp)
+		stepMatchesTape(t, l, &tp)
 	}
 }
 
-func TestBackwardBatchOneBitIdenticalToScalar(t *testing.T) {
-	// A batch-1 BackwardBatch must accumulate exactly the bytes the scalar
-	// Backward does — the invariant that makes batched Fit a pure
-	// performance change at batch size 1.
-	rng := rand.New(rand.NewSource(23))
-	l := NewLSTM(4, 6, rng)
-	const T = 9
-	var tp BatchTape
-	seqs := fillTapeInputs(&tp, l, 1, T, rng)
-	l.ForwardBatch(&tp)
-
-	// Inject gradients at a sparse set of steps (including none at some) to
-	// exercise the touched[] convention against the scalar nil convention.
-	dH := make([]Batch, T)
-	touched := make([]bool, T)
-	dHs := make([]Vec, T)
-	for _, step := range []int{2, 5, T - 1} {
-		dH[step].Resize(1, l.Hidden)
-		v := NewVec(l.Hidden)
-		for j := range v {
-			v[j] = rng.NormFloat64()
+// sumSquaresGrad returns dL/dH for L = Σ H² over every step of a forwarded
+// tape (batchLSTMLoss), injected at every step.
+func sumSquaresGrad(tp *BatchTape, hidden int) ([]Batch, []bool) {
+	dH := make([]Batch, tp.T)
+	touched := make([]bool, tp.T)
+	for t := range dH {
+		dH[t].Resize(tp.B, hidden)
+		for i := range dH[t].Data {
+			dH[t].Data[i] = 2 * tp.H[t].Data[i]
 		}
-		copy(dH[step].Row(0), v)
-		dHs[step] = v
-		touched[step] = true
+		touched[t] = true
 	}
-
-	l.ZeroGrad()
-	var s BatchGradScratch
-	l.BackwardBatch(&tp, dH, touched, &s)
-	gwx := l.GWx.Clone()
-	gwh := l.GWh.Clone()
-	gb := l.GB.Clone()
-
-	l.ZeroGrad()
-	tape := l.Forward(seqs[0])
-	l.Backward(tape, dHs)
-
-	for i, v := range l.GWx.Data {
-		if gwx.Data[i] != v {
-			t.Fatalf("GWx[%d]: batched %v scalar %v", i, gwx.Data[i], v)
-		}
-	}
-	for i, v := range l.GWh.Data {
-		if gwh.Data[i] != v {
-			t.Fatalf("GWh[%d]: batched %v scalar %v", i, gwh.Data[i], v)
-		}
-	}
-	for i, v := range l.GB {
-		if gb[i] != v {
-			t.Fatalf("GB[%d]: batched %v scalar %v", i, gb[i], v)
-		}
-	}
+	return dH, touched
 }
 
-// batchLSTMLoss runs ForwardBatch and evaluates L = Σ_{i,t,j} H[t][i][j]²,
-// the batched analogue of lstmScalarLoss.
+// batchLSTMLoss runs ForwardBatch and evaluates L = Σ_{i,t,j} H[t][i][j]².
 func batchLSTMLoss(l *LSTM, tp *BatchTape) float64 {
 	l.ForwardBatch(tp)
 	var L float64
@@ -130,15 +102,7 @@ func TestLSTMBackwardBatchMatchesNumeric(t *testing.T) {
 		fillTapeInputs(&tp, l, B, T, rng)
 		l.ForwardBatch(&tp)
 
-		dH := make([]Batch, T)
-		touched := make([]bool, T)
-		for t2 := 0; t2 < T; t2++ {
-			dH[t2].Resize(B, l.Hidden)
-			for i := range dH[t2].Data {
-				dH[t2].Data[i] = 2 * tp.H[t2].Data[i]
-			}
-			touched[t2] = true
-		}
+		dH, touched := sumSquaresGrad(&tp, l.Hidden)
 		l.ZeroGrad()
 		var s BatchGradScratch
 		l.BackwardBatch(&tp, dH, touched, &s)
@@ -241,8 +205,8 @@ func TestDenseBackwardBatchMatchesNumeric(t *testing.T) {
 
 func TestDenseBackwardBatchSkipsZeroRows(t *testing.T) {
 	// Rows with an all-zero output gradient must contribute nothing and
-	// leave their dx row zero — mirroring the scalar path's skip of
-	// zero-gradient detection steps.
+	// leave their dx row zero: the batch must equal the batch without them,
+	// bit for bit.
 	rng := rand.New(rand.NewSource(43))
 	d := NewDense(3, 2, rng)
 	var xs, dys, dxs Batch
@@ -255,17 +219,27 @@ func TestDenseBackwardBatchSkipsZeroRows(t *testing.T) {
 	d.ZeroGrad()
 	d.BackwardBatch(&xs, &dys, &dxs)
 
-	gw := d.GW.Clone()
+	gw, gb := d.GW.Clone(), d.GB.Clone()
 	d.ZeroGrad()
-	dxRef := d.Backward(xs.Row(1), dys.Row(1))
+	var x1, dy1, dxRef Batch
+	x1.Resize(1, 3)
+	copy(x1.Data, xs.Row(1))
+	dy1.Resize(1, 2)
+	copy(dy1.Data, dys.Row(1))
+	d.BackwardBatch(&x1, &dy1, &dxRef)
 	for i, v := range d.GW.Data {
 		if gw.Data[i] != v {
-			t.Fatalf("GW[%d] differs from single-row scalar backward", i)
+			t.Fatalf("GW[%d] differs from the batch without the zero row", i)
 		}
 	}
-	for j, v := range dxRef {
+	for i, v := range d.GB {
+		if gb[i] != v {
+			t.Fatalf("GB[%d] differs from the batch without the zero row", i)
+		}
+	}
+	for j, v := range dxRef.Row(0) {
 		if dxs.Row(1)[j] != v {
-			t.Fatalf("dx row 1 elem %d differs from scalar", j)
+			t.Fatalf("dx row 1 elem %d differs from the batch without the zero row", j)
 		}
 	}
 	for _, v := range dxs.Row(0) {
@@ -333,25 +307,34 @@ func TestSparseForwardBackwardBitIdenticalToDense(t *testing.T) {
 		}
 		touched[step] = true
 	}
+	// The dense pass without dL/dx is the reference; asking for dL/dx adds
+	// one matmul per step and must not move a byte of the weight gradients
+	// on either projection, and the two projections' dL/dx must agree.
 	var s BatchGradScratch
 	l.ZeroGrad()
 	l.BackwardBatch(&dense, dH, touched, &s)
-	gwx, gwh, gb := l.GWx.Clone(), l.GWh.Clone(), l.GB.Clone()
-	l.ZeroGrad()
-	l.BackwardBatch(&sparse, dH, touched, &s)
-	for i, v := range l.GWx.Data {
-		if gwx.Data[i] != v {
-			t.Fatalf("GWx[%d]: sparse %v dense %v", i, v, gwx.Data[i])
+	want := [][]float64{l.GWx.Clone().Data, l.GWh.Clone().Data, l.GB.Clone()}
+	dXs := [2][]Batch{make([]Batch, T), make([]Batch, T)}
+	for run, tp := range []*BatchTape{&sparse, &dense, &sparse} {
+		l.ZeroGrad()
+		var dX []Batch
+		if run > 0 {
+			dX = dXs[run-1]
+		}
+		l.BackwardBatchDX(tp, dH, touched, &s, dX)
+		for p, got := range [][]float64{l.GWx.Data, l.GWh.Data, l.GB} {
+			for i, v := range got {
+				if v != want[p][i] {
+					t.Fatalf("run %d param %d elem %d: %v, dense reference %v", run, p, i, v, want[p][i])
+				}
+			}
 		}
 	}
-	for i, v := range l.GWh.Data {
-		if gwh.Data[i] != v {
-			t.Fatalf("GWh[%d]: sparse %v dense %v", i, v, gwh.Data[i])
-		}
-	}
-	for i, v := range l.GB {
-		if gb[i] != v {
-			t.Fatalf("GB[%d]: sparse %v dense %v", i, v, gb[i])
+	for t2 := 0; t2 < T; t2++ {
+		for i, v := range dXs[0][t2].Data {
+			if dXs[1][t2].Data[i] != v {
+				t.Fatalf("dX[%d][%d]: sparse %v dense %v", t2, i, dXs[1][t2].Data[i], v)
+			}
 		}
 	}
 }

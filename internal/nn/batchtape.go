@@ -8,9 +8,10 @@ package nn
 // after epoch) performs no allocation.
 //
 // The batched forward runs the register-blocked MulT kernel and the same
-// gate arithmetic as the scalar Forward (both paths share lstmGatesTape),
-// so row i of a batched pass is bit-identical to a scalar Forward over
-// sequence i.
+// gate arithmetic as Step (both share lstmGatesTape), so row i of a batched
+// pass is bit-identical to stepping sequence i through Step from zero
+// state. BackwardBatchDX is the only BPTT: training runs it for weight
+// gradients alone (BackwardBatch), attribution also for dL/dx.
 
 // BatchTape caches per-step batched activations from ForwardBatch for use
 // in BackwardBatch. Xs[t], H[t], C[t] and Gates[t] hold row i's input,
@@ -72,9 +73,9 @@ func (tp *BatchTape) Reset(l *LSTM, B, T int) {
 
 // ForwardBatch runs the LSTM over the B sequences packed into tp.Xs from
 // zero state, filling tp.H, tp.C and tp.Gates. Row i advances through
-// exactly the arithmetic of the scalar Forward (shared lstmGatesTape, MulT
-// per-element order equal to MulVec), so batched activations are
-// bit-identical to B independent scalar Forward passes.
+// exactly the arithmetic of Step (shared lstmGatesTape, MulT per-element
+// order equal to MulVec), so batched activations are bit-identical to B
+// independent Step sequences.
 func (l *LSTM) ForwardBatch(tp *BatchTape) {
 	hd := l.Hidden
 	T := tp.T
@@ -116,16 +117,25 @@ type BatchGradScratch struct {
 // BackwardBatch runs backpropagation through time over the batched tape.
 // dH[t] is the batch of dL/dH[t] gradients injected from above; touched[t]
 // reports whether step t received any injection (untouched steps skip the
-// add entirely, mirroring the nil-entry convention of the scalar Backward
-// so a batch-1 pass stays bit-identical to it). Weight gradients are
-// accumulated into the layer. Unlike the scalar Backward, input gradients
-// are not produced: training ignores them, and skipping the dL/dx matmul
-// removes the largest backward kernel (4H×In) entirely. Callers that need
-// input gradients (saliency) use the scalar path.
+// add entirely, and their dH[t] is never read). Weight gradients are
+// accumulated into the layer. Input gradients are not produced: training
+// ignores them, and skipping the dL/dx matmul removes the largest backward
+// kernel (4H×In) entirely; BackwardBatchDX is the same pass with them.
 func (l *LSTM) BackwardBatch(tp *BatchTape, dH []Batch, touched []bool, s *BatchGradScratch) {
+	l.BackwardBatchDX(tp, dH, touched, s, nil)
+}
+
+// BackwardBatchDX is BackwardBatch that also writes dL/dx: dX[t] is resized
+// to B×In and receives the input gradient of every row at step t (the
+// attribution of §6.2). A nil dX skips that matmul, which is all
+// BackwardBatch does; the weight gradients are the same bytes either way.
+func (l *LSTM) BackwardBatchDX(tp *BatchTape, dH []Batch, touched []bool, s *BatchGradScratch, dX []Batch) {
 	hd, B, T := l.Hidden, tp.B, tp.T
 	if len(dH) < T || len(touched) < T {
 		panic("nn: BackwardBatch dH/touched shorter than the tape")
+	}
+	if dX != nil && len(dX) < T {
+		panic("nn: BackwardBatchDX dX shorter than the tape")
 	}
 	dHA, touchedA := dH[:T], touched[:T]
 	xsA, hA, cA, gA := tp.Xs[:T], tp.H[:T], tp.C[:T], tp.Gates[:T]
@@ -169,6 +179,9 @@ func (l *LSTM) BackwardBatch(tp *BatchTape, dH []Batch, touched []bool, s *Batch
 		l.GWh.AddOuterBatch(&s.dz, hPrev)
 		for i := 0; i < B; i++ {
 			l.GB.Add(s.dz.Row(i))
+		}
+		if t < len(dX) { // false for every t when dX is nil
+			MulTransBatch(&s.dz, l.Wx, &dX[t])
 		}
 		MulTransBatch(&s.dz, l.Wh, &s.dhNext)
 	}

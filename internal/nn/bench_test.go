@@ -230,33 +230,3 @@ func benchBackwardBatch(b *testing.B, B int) {
 
 func BenchmarkLSTMBackwardBatch1(b *testing.B) { benchBackwardBatch(b, 1) }
 func BenchmarkLSTMBackwardBatch8(b *testing.B) { benchBackwardBatch(b, 8) }
-
-// BenchmarkLSTMBackwardScalar is the pre-batching reference: one scalar
-// Forward + Backward per op (the Backward needs a fresh tape each op, as
-// the scalar trainer allocates one per example).
-func BenchmarkLSTMBackwardScalar(b *testing.B) {
-	l := benchLSTM(b)
-	xs := make([]Vec, benchSeqLen)
-	for t := range xs {
-		xs[t] = NewVec(benchIn)
-		for i := range xs[t] {
-			xs[t][i] = float64(i%7) * 0.1
-		}
-	}
-	dH := make([]Vec, benchSeqLen)
-	for t := range dH {
-		dH[t] = NewVec(benchHidden)
-		for i := range dH[t] {
-			dH[t][i] = 0.01 * float64(i%5)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tape := l.Forward(xs)
-		l.Backward(tape, dH)
-	}
-	b.StopTimer()
-	l.ZeroGrad()
-	b.ReportMetric(float64(b.N)*benchSeqLen/b.Elapsed().Seconds(), "steps/sec")
-}

@@ -40,15 +40,8 @@ func (d *Dense) Params() []Param {
 	}
 }
 
-// Forward computes y = W·x + b.
-func (d *Dense) Forward(x Vec) Vec {
-	y := NewVec(d.Out)
-	d.ForwardInto(x, y)
-	return y
-}
-
 // ForwardInto computes y = W·x + b into the caller-owned dst (len Out),
-// allocating nothing. It performs exactly Forward's arithmetic.
+// allocating nothing: the single-stream form the online detector uses.
 func (d *Dense) ForwardInto(x, dst Vec) {
 	d.W.MulVec(x, dst)
 	dst.Add(d.B)
@@ -56,23 +49,13 @@ func (d *Dense) ForwardInto(x, dst Vec) {
 
 // ForwardBatch computes dst = xs·Wᵀ + b row-wise: row i of dst is the
 // layer output for row i of xs. dst is resized to xs.Rows × Out. Per row
-// the dot-product and bias-add order match Forward exactly, so batched
+// the dot-product and bias-add order match ForwardInto exactly, so batched
 // head evaluation is bit-identical to per-stream evaluation.
 func (d *Dense) ForwardBatch(xs, dst *Batch) {
 	xs.MulT(d.W, dst)
 	for i := 0; i < dst.Rows; i++ {
 		dst.Row(i).Add(d.B)
 	}
-}
-
-// Backward accumulates weight gradients for the pair (x, dy) and returns
-// dL/dx. x must be the input that produced the output whose gradient is dy.
-func (d *Dense) Backward(x, dy Vec) Vec {
-	d.GW.AddOuter(dy, x)
-	d.GB.Add(dy)
-	dx := NewVec(d.In)
-	d.W.MulVecTrans(dy, dx)
-	return dx
 }
 
 // ZeroGrad clears accumulated gradients.

@@ -9,7 +9,8 @@ import (
 // scalarLossDense evaluates a toy scalar loss L = sum(tanh(W·x+b)) used to
 // verify Dense gradients against finite differences.
 func scalarLossDense(d *Dense, x Vec) float64 {
-	y := d.Forward(x)
+	y := NewVec(d.Out)
+	d.ForwardInto(x, y)
 	var L float64
 	for _, v := range y {
 		L += math.Tanh(v)
@@ -20,19 +21,23 @@ func scalarLossDense(d *Dense, x Vec) float64 {
 func TestDenseGradientMatchesNumeric(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d := NewDense(4, 3, rng)
-	x := NewVec(4)
+	var xs, dys, dxs Batch
+	xs.Resize(1, 4)
+	x := xs.Row(0)
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
 	// analytic
-	y := d.Forward(x)
-	dy := NewVec(3)
+	y := NewVec(3)
+	d.ForwardInto(x, y)
+	dys.Resize(1, 3)
 	for i, v := range y {
 		th := math.Tanh(v)
-		dy[i] = 1 - th*th
+		dys.Data[i] = 1 - th*th
 	}
 	d.ZeroGrad()
-	dx := d.Backward(x, dy)
+	d.BackwardBatch(&xs, &dys, &dxs)
+	dx := dxs.Row(0)
 
 	const h = 1e-6
 	// weight gradients
@@ -76,73 +81,38 @@ func TestDenseGradientMatchesNumeric(t *testing.T) {
 	}
 }
 
-// lstmScalarLoss evaluates L = Σ_t Σ_j H[t][j]² over an LSTM run, a loss
-// that exercises gradient flow through every timestep.
-func lstmScalarLoss(l *LSTM, xs []Vec) float64 {
-	tape := l.Forward(xs)
-	var L float64
-	for _, h := range tape.H {
-		for _, v := range h {
-			L += v * v
-		}
-	}
-	return L
-}
-
+// TestLSTMGradientMatchesNumeric checks the input gradients BackwardBatchDX
+// emits against central differences of L = Σ H² (batchLSTMLoss), at batch
+// sizes on both sides of the kernels' four-row tile; the weight gradients
+// of the same pass are TestLSTMBackwardBatchMatchesNumeric's.
 func TestLSTMGradientMatchesNumeric(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	l := NewLSTM(3, 4, rng)
-	const T = 6
-	xs := make([]Vec, T)
-	for t2 := range xs {
-		xs[t2] = NewVec(3)
-		for i := range xs[t2] {
-			xs[t2][i] = rng.NormFloat64()
-		}
-	}
-	tape := l.Forward(xs)
-	dH := make([]Vec, T)
-	for t2, h := range tape.H {
-		dH[t2] = NewVec(4)
-		for j, v := range h {
-			dH[t2][j] = 2 * v
-		}
-	}
-	l.ZeroGrad()
-	dXs := l.Backward(tape, dH)
+	for _, B := range []int{1, 3, 8} {
+		rng := rand.New(rand.NewSource(int64(5 + B)))
+		l := NewLSTM(3, 4, rng)
+		const T = 6
+		var tp BatchTape
+		fillTapeInputs(&tp, l, B, T, rng)
+		l.ForwardBatch(&tp)
+		dH, touched := sumSquaresGrad(&tp, l.Hidden)
+		var s BatchGradScratch
+		dX := make([]Batch, T)
+		l.BackwardBatchDX(&tp, dH, touched, &s, dX)
+		l.ZeroGrad()
 
-	const h = 1e-6
-	check := func(name string, w *Mat, g *Mat) {
-		t.Helper()
-		for i := 0; i < len(w.Data); i += 7 { // sample every 7th element to keep test fast
-			orig := w.Data[i]
-			w.Data[i] = orig + h
-			lp := lstmScalarLoss(l, xs)
-			w.Data[i] = orig - h
-			lm := lstmScalarLoss(l, xs)
-			w.Data[i] = orig
-			num := (lp - lm) / (2 * h)
-			if !almostEq(num, g.Data[i], 1e-4) {
-				t.Fatalf("%s grad %d: analytic %v numeric %v", name, i, g.Data[i], num)
-			}
-		}
-	}
-	check("Wx", l.Wx, l.GWx)
-	check("Wh", l.Wh, l.GWh)
-	check("B", vecAsMat(l.B), vecAsMat(l.GB))
-
-	// input gradients
-	for t2 := 0; t2 < T; t2++ {
-		for i := range xs[t2] {
-			orig := xs[t2][i]
-			xs[t2][i] = orig + h
-			lp := lstmScalarLoss(l, xs)
-			xs[t2][i] = orig - h
-			lm := lstmScalarLoss(l, xs)
-			xs[t2][i] = orig
-			num := (lp - lm) / (2 * h)
-			if !almostEq(num, dXs[t2][i], 1e-4) {
-				t.Fatalf("x[%d][%d] grad: analytic %v numeric %v", t2, i, dXs[t2][i], num)
+		const h = 1e-6
+		for t2 := 0; t2 < T; t2++ {
+			xs := tp.Xs[t2].Data
+			for i := range xs {
+				orig := xs[i]
+				xs[i] = orig + h
+				lp := batchLSTMLoss(l, &tp)
+				xs[i] = orig - h
+				lm := batchLSTMLoss(l, &tp)
+				xs[i] = orig
+				num := (lp - lm) / (2 * h)
+				if got := dX[t2].Data[i]; !almostEq(num, got, 1e-4) {
+					t.Fatalf("B=%d x[%d][%d] grad: analytic %v numeric %v", B, t2, i, got, num)
+				}
 			}
 		}
 	}
@@ -153,13 +123,19 @@ func TestLSTMBackwardSparseInjection(t *testing.T) {
 	// only influenced earlier steps (through the recurrent path).
 	rng := rand.New(rand.NewSource(9))
 	l := NewLSTM(2, 3, rng)
-	xs := []Vec{{1, 0}, {0, 1}, {0.5, -0.5}}
-	tape := l.Forward(xs)
-	dH := make([]Vec, 3)
-	dH[2] = Vec{1, 1, 1}
+	var tp BatchTape
+	packSeqs(&tp, l, []Vec{{1, 0}, {0, 1}, {0.5, -0.5}})
+	l.ForwardBatch(&tp)
+	dH := make([]Batch, 3)
+	touched := make([]bool, 3)
+	dH[2].Resize(1, 3)
+	copy(dH[2].Data, []float64{1, 1, 1})
+	touched[2] = true
 	l.ZeroGrad()
-	dXs := l.Backward(tape, dH)
-	if dXs[0].Norm2() == 0 {
+	var s BatchGradScratch
+	dX := make([]Batch, 3)
+	l.BackwardBatchDX(&tp, dH, touched, &s, dX)
+	if dX[0].Data[0] == 0 && dX[0].Data[1] == 0 {
 		t.Fatal("gradient did not flow back to the first input")
 	}
 	var gw float64
@@ -175,11 +151,14 @@ func TestLSTMDeterministic(t *testing.T) {
 	l1 := NewLSTM(3, 4, rand.New(rand.NewSource(11)))
 	l2 := NewLSTM(3, 4, rand.New(rand.NewSource(11)))
 	xs := []Vec{{1, 2, 3}, {4, 5, 6}}
-	h1 := l1.Forward(xs).H
-	h2 := l2.Forward(xs).H
-	for t2 := range h1 {
-		for j := range h1[t2] {
-			if h1[t2][j] != h2[t2][j] {
+	var tp1, tp2 BatchTape
+	packSeqs(&tp1, l1, xs)
+	packSeqs(&tp2, l2, xs)
+	l1.ForwardBatch(&tp1)
+	l2.ForwardBatch(&tp2)
+	for t2 := range xs {
+		for j, v := range tp1.H[t2].Data {
+			if v != tp2.H[t2].Data[j] {
 				t.Fatal("same seed must give identical forward pass")
 			}
 		}
@@ -200,13 +179,17 @@ func TestLSTMForgetBiasInitialized(t *testing.T) {
 
 func TestLSTMEmptySequence(t *testing.T) {
 	l := NewLSTM(2, 3, rand.New(rand.NewSource(1)))
-	tape := l.Forward(nil)
-	if tape.T() != 0 {
-		t.Fatal("empty sequence must produce empty tape")
-	}
-	dXs := l.Backward(tape, nil)
-	if len(dXs) != 0 {
-		t.Fatal("backward over empty tape must return no gradients")
+	var tp BatchTape
+	tp.Reset(l, 1, 0)
+	l.ForwardBatch(&tp)
+	var s BatchGradScratch
+	l.BackwardBatchDX(&tp, nil, nil, &s, []Batch{})
+	for _, p := range l.Params() {
+		for _, g := range p.G.Data {
+			if g != 0 {
+				t.Fatal("backward over an empty tape must leave gradients zero")
+			}
+		}
 	}
 }
 

@@ -31,9 +31,9 @@ func TestParamsRoundTrip(t *testing.T) {
 		}
 	}
 	// Loaded values must be visible through the layer structs.
-	xs := []Vec{{1, 2, 3, 4, 5}}
-	h1 := l.Forward(xs).H[0]
-	h2 := l2.Forward(xs).H[0]
+	x := Vec{1, 2, 3, 4, 5}
+	h1, _ := l.Step(nil, nil, x, nil)
+	h2, _ := l2.Step(nil, nil, x, nil)
 	for j := range h1 {
 		if h1[j] != h2[j] {
 			t.Fatal("loaded LSTM does not reproduce original forward pass")
@@ -96,13 +96,18 @@ func TestAdamReducesLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	d := NewDense(2, 1, rng)
 	opt := NewAdam(0.05, d.Params())
+	var xs, ys, dys, dxs Batch
+	xs.Resize(16, 2)
+	dys.Resize(16, 1)
+	for i := 0; i < 16; i++ {
+		copy(xs.Row(i), []float64{float64(i%4) - 1.5, float64(i/4) - 1.5})
+	}
+	target := func(i int) float64 { return 2*xs.Row(i)[0] - 3*xs.Row(i)[1] }
 	loss := func() float64 {
+		d.ForwardBatch(&xs, &ys)
 		var L float64
 		for i := 0; i < 16; i++ {
-			x := Vec{float64(i%4) - 1.5, float64(i/4) - 1.5}
-			y := d.Forward(x)
-			target := 2*x[0] - 3*x[1]
-			diff := y[0] - target
+			diff := ys.Data[i] - target(i)
 			L += diff * diff
 		}
 		return L / 16
@@ -110,12 +115,11 @@ func TestAdamReducesLoss(t *testing.T) {
 	before := loss()
 	for epoch := 0; epoch < 300; epoch++ {
 		d.ZeroGrad()
+		d.ForwardBatch(&xs, &ys)
 		for i := 0; i < 16; i++ {
-			x := Vec{float64(i%4) - 1.5, float64(i/4) - 1.5}
-			y := d.Forward(x)
-			target := 2*x[0] - 3*x[1]
-			d.Backward(x, Vec{2 * (y[0] - target)})
+			dys.Data[i] = 2 * (ys.Data[i] - target(i))
 		}
+		d.BackwardBatch(&xs, &dys, &dxs)
 		opt.Step(1.0 / 16)
 	}
 	after := loss()

@@ -1,18 +1,16 @@
 package nn
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
-// LSTM is a single-layer long short-term memory network processing one
-// sequence at a time. Gate order in the stacked weight matrices is
-// input (i), forget (f), cell candidate (g), output (o).
+// LSTM is a single-layer long short-term memory network. Gate order in the
+// stacked weight matrices is input (i), forget (f), cell candidate (g),
+// output (o).
 //
-// The layer keeps no per-sequence state; Forward returns an LSTMTape the
-// caller hands back to Backward, so one LSTM instance can be evaluated on
-// many sequences (and reused across goroutines as long as gradient
-// accumulation is externally serialized).
+// The layer keeps no per-sequence state: Step advances one stream by one
+// timestep (the online detector), and ForwardBatch/BackwardBatch run
+// batched BPTT over a caller-owned BatchTape (training and attribution), so
+// one LSTM instance can serve many sequences (and goroutines, as long as
+// gradient accumulation is externally serialized).
 type LSTM struct {
 	In, Hidden int
 	Wx         *Mat // (4*Hidden)×In, input weights for all gates stacked
@@ -58,109 +56,4 @@ func (l *LSTM) ZeroGrad() {
 	l.GWx.Zero()
 	l.GWh.Zero()
 	l.GB.Zero()
-}
-
-// LSTMTape caches per-step activations from a Forward pass for use in
-// Backward. H[t] is the hidden state after consuming xs[t].
-type LSTMTape struct {
-	Xs    []Vec // inputs, aliased from the caller
-	H     []Vec // hidden states, len T
-	C     []Vec // cell states, len T
-	Gates []Vec // pre-activation-applied gate values [i f g o], len T, each 4*Hidden
-}
-
-// T returns the sequence length recorded on the tape.
-func (tp *LSTMTape) T() int { return len(tp.H) }
-
-// Forward runs the LSTM over xs starting from zero state and returns the
-// tape of hidden states and cached gate activations.
-func (l *LSTM) Forward(xs []Vec) *LSTMTape {
-	T := len(xs)
-	hd := l.Hidden
-	tape := &LSTMTape{
-		Xs:    xs,
-		H:     make([]Vec, T),
-		C:     make([]Vec, T),
-		Gates: make([]Vec, T),
-	}
-	hPrev := NewVec(hd)
-	cPrev := NewVec(hd)
-	pre := NewVec(4 * hd)
-	rec := NewVec(4 * hd)
-	for t := 0; t < T; t++ {
-		l.Wx.MulVec(xs[t], pre)
-		l.Wh.MulVec(hPrev, rec)
-		gates := NewVec(4 * hd)
-		h := NewVec(hd)
-		c := NewVec(hd)
-		copy(c, cPrev)
-		// The gate arithmetic lives in lstmGatesTape, shared with
-		// ForwardBatch so the scalar and batched training paths cannot
-		// drift (c is updated in place from the previous cell state).
-		lstmGatesTape(hd, pre, rec, l.B, gates, h, c)
-		tape.Gates[t] = gates
-		tape.C[t] = c
-		tape.H[t] = h
-		hPrev = h
-		cPrev = c
-	}
-	return tape
-}
-
-// Backward runs backpropagation through time. dH[t] is dL/dH[t] injected
-// from above (nil entries are treated as zero). Weight gradients are
-// accumulated into the layer; the returned slice holds dL/dxs[t] so callers
-// can chain further (e.g. through pooling, or for input-gradient saliency).
-func (l *LSTM) Backward(tape *LSTMTape, dH []Vec) []Vec {
-	T := tape.T()
-	hd := l.Hidden
-	dXs := make([]Vec, T)
-	dhNext := NewVec(hd) // dL/dh flowing from step t+1
-	dcNext := NewVec(hd) // dL/dc flowing from step t+1
-	dz := NewVec(4 * hd) // pre-activation gradients at step t
-	for t := T - 1; t >= 0; t-- {
-		dh := dhNext.Clone()
-		if t < len(dH) && dH[t] != nil {
-			dh.Add(dH[t])
-		}
-		gates := tape.Gates[t]
-		c := tape.C[t]
-		var cPrev Vec
-		if t > 0 {
-			cPrev = tape.C[t-1]
-		} else {
-			cPrev = NewVec(hd)
-		}
-		dcPrev := NewVec(hd)
-		for j := 0; j < hd; j++ {
-			gi := gates[j]
-			gf := gates[hd+j]
-			gg := gates[2*hd+j]
-			go_ := gates[3*hd+j]
-			tc := math.Tanh(c[j])
-			dc := dcNext[j] + dh[j]*go_*(1-tc*tc)
-			dz[j] = dc * gg * gi * (1 - gi)          // input gate
-			dz[hd+j] = dc * cPrev[j] * gf * (1 - gf) // forget gate
-			dz[2*hd+j] = dc * gi * (1 - gg*gg)       // candidate
-			dz[3*hd+j] = dh[j] * tc * go_ * (1 - go_)
-			dcPrev[j] = dc * gf
-		}
-		var hPrev Vec
-		if t > 0 {
-			hPrev = tape.H[t-1]
-		} else {
-			hPrev = NewVec(hd)
-		}
-		l.GWx.AddOuter(dz, tape.Xs[t])
-		l.GWh.AddOuter(dz, hPrev)
-		l.GB.Add(dz)
-		dx := NewVec(l.In)
-		l.Wx.MulVecTrans(dz, dx)
-		dXs[t] = dx
-		dhPrev := NewVec(hd)
-		l.Wh.MulVecTrans(dz, dhPrev)
-		dhNext = dhPrev
-		dcNext = dcPrev
-	}
-	return dXs
 }

@@ -74,8 +74,8 @@ func (l *LSTM32) Step32(h, c, x Vec32, s *StepScratch32) (Vec32, Vec32) {
 
 // lstmGates32 applies the gate nonlinearities for one stream in float32.
 // Single shared definition for Step32 and the batched kernels, mirroring
-// lstmGates, so the reference and the serving path stay bit-identical to
-// each other. Where the vector kernel is available it takes the units in
+// the float64 lstmGatesTape, so the reference and the serving path stay
+// bit-identical to each other. Where the vector kernel is available it takes the units in
 // groups of eight and the scalar loop finishes the remainder; the two are
 // bit-identical unit for unit (TestGates32MatchScalarBitwise), so where
 // the split falls changes nothing.

@@ -1,13 +1,13 @@
 // Package nn implements the small neural-network toolkit Xatu needs:
-// dense and LSTM layers with full backpropagation through time, mean-pool
-// downsampling, the Adam optimizer, and input-gradient attribution. It is
-// written against float64 slices and the standard library only; the model
-// sizes Xatu uses (a few hundred hidden units at most) do not justify an
-// external tensor framework.
+// dense and LSTM layers, batched backpropagation through time that can
+// also emit dL/dx, the mean-pool gradient, the Adam optimizer, and the
+// float32 serving kernels. Input-gradient attribution is built from these
+// in package core. It is written against float64 slices and the standard
+// library only; the model sizes Xatu uses (a few hundred hidden units at
+// most) do not justify an external tensor framework.
 package nn
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -63,15 +63,6 @@ func (v Vec) Dot(o Vec) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v.
-func (v Vec) Norm2() float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // Mat is a dense row-major matrix.
 type Mat struct {
 	Rows, Cols int
@@ -88,9 +79,6 @@ func NewMat(rows, cols int) *Mat {
 
 // At returns element (r,c).
 func (m *Mat) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
-
-// Set assigns element (r,c).
-func (m *Mat) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
 
 // Row returns row r as a slice aliasing the matrix storage.
 func (m *Mat) Row(r int) Vec { return Vec(m.Data[r*m.Cols : (r+1)*m.Cols]) }
@@ -181,10 +169,6 @@ func (m *Mat) XavierInit(rng *rand.Rand) {
 		m.Data[i] = (rng.Float64()*2 - 1) * limit
 	}
 }
-
-// ErrShape reports incompatible tensor shapes in exported APIs that return
-// errors rather than panic.
-var ErrShape = errors.New("nn: shape mismatch")
 
 // Sigmoid returns 1/(1+e^-x), computed stably for large |x|.
 func Sigmoid(x float64) float64 {

@@ -1,53 +1,38 @@
 package nn
 
-// MeanPool downsamples a sequence of feature vectors by averaging
-// non-overlapping windows of k consecutive steps. A trailing partial window
-// is averaged over its actual length, so no input step is dropped. k <= 1
-// returns xs unchanged (aliasing the input).
-func MeanPool(xs []Vec, k int) []Vec {
-	if k <= 1 || len(xs) == 0 {
-		return xs
-	}
-	n := (len(xs) + k - 1) / k
-	out := make([]Vec, n)
-	dim := len(xs[0])
-	for w := 0; w < n; w++ {
-		lo := w * k
-		hi := lo + k
-		if hi > len(xs) {
-			hi = len(xs)
+// MeanPoolInto downsamples the sequence x by averaging non-overlapping
+// windows of k consecutive steps, writing pooled step p into row e of
+// dst[p] (sequential adds in step order, one scale by the reciprocal of the
+// window length; a plain copy when k ≤ 1). A trailing partial window is
+// averaged over its actual length, so no input step is dropped. It returns
+// the number of pooled steps, ceil(len(x)/k); dst must hold at least that
+// many batches of at least e+1 rows of width len(x[t]).
+func MeanPoolInto(dst []Batch, e int, x [][]float64, k int) int {
+	k = max(k, 1)
+	n := (len(x) + k - 1) / k
+	for p := 0; p < n; p++ {
+		row := dst[p].Row(e)
+		if k == 1 {
+			copy(row, x[p])
+			continue
 		}
-		acc := NewVec(dim)
+		lo, hi := p*k, min(p*k+k, len(x))
+		row.Zero()
 		for t := lo; t < hi; t++ {
-			acc.Add(xs[t])
+			row.Add(x[t])
 		}
-		acc.Scale(1 / float64(hi-lo))
-		out[w] = acc
+		row.Scale(1 / float64(hi-lo))
 	}
-	return out
+	return n
 }
 
-// MeanPoolBackward distributes gradients of the pooled sequence back to the
-// original resolution: each input step in window w receives dPooled[w]/len(w).
-// origLen is the pre-pooling sequence length. nil entries in dPooled are
-// treated as zero.
+// MeanPoolBackward distributes gradients of a mean-pooled sequence back to
+// the original resolution: each input step in window w of MeanPoolInto's
+// pooling receives dPooled[w]/len(w). origLen is the pre-pooling sequence
+// length and k ≥ 1 (k = 1 copies). nil entries in dPooled are treated as
+// zero.
 func MeanPoolBackward(dPooled []Vec, k, origLen, dim int) []Vec {
 	dXs := make([]Vec, origLen)
-	if k <= 1 {
-		for t := 0; t < origLen && t < len(dPooled); t++ {
-			if dPooled[t] != nil {
-				dXs[t] = dPooled[t].Clone()
-			} else {
-				dXs[t] = NewVec(dim)
-			}
-		}
-		for t := range dXs {
-			if dXs[t] == nil {
-				dXs[t] = NewVec(dim)
-			}
-		}
-		return dXs
-	}
 	for t := 0; t < origLen; t++ {
 		dXs[t] = NewVec(dim)
 	}

@@ -2,32 +2,53 @@ package nn
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func TestMeanPoolBasic(t *testing.T) {
-	xs := []Vec{{2}, {4}, {6}, {8}, {10}}
-	out := MeanPool(xs, 2)
-	if len(out) != 3 {
-		t.Fatalf("len = %d, want 3", len(out))
+// meanPool pools the one-feature sequence vals by k through MeanPoolInto
+// into row 1 of two-row batches, leaving row 0 at a sentinel that pooling
+// must not touch.
+func meanPool(t *testing.T, k int, vals ...float64) []float64 {
+	t.Helper()
+	xs := make([][]float64, len(vals))
+	dst := make([]Batch, len(vals))
+	for i, v := range vals {
+		xs[i] = []float64{v}
+		dst[i].Resize(2, 1)
+		dst[i].Data[0] = -1
 	}
-	if out[0][0] != 3 || out[1][0] != 7 || out[2][0] != 10 {
-		t.Fatalf("got %v", out)
+	n := MeanPoolInto(dst, 1, xs, k)
+	out := make([]float64, n)
+	for p := range out {
+		out[p] = dst[p].Data[1]
+	}
+	for p := range dst {
+		if dst[p].Data[0] != -1 {
+			t.Fatalf("pooling wrote outside its row at step %d", p)
+		}
+	}
+	return out
+}
+
+func TestMeanPoolBasic(t *testing.T) {
+	if got := meanPool(t, 2, 2, 4, 6, 8, 10); !slices.Equal(got, []float64{3, 7, 10}) {
+		t.Fatalf("got %v, want [3 7 10]", got)
 	}
 }
 
 func TestMeanPoolK1Identity(t *testing.T) {
-	xs := []Vec{{1, 2}, {3, 4}}
-	out := MeanPool(xs, 1)
-	if len(out) != 2 || &out[0][0] != &xs[0][0] {
-		t.Fatal("k=1 should alias input")
+	for _, k := range []int{1, 0} {
+		if got := meanPool(t, k, 1, 3); !slices.Equal(got, []float64{1, 3}) {
+			t.Fatalf("k=%d: got %v, want a copy of the input", k, got)
+		}
 	}
 }
 
 func TestMeanPoolEmpty(t *testing.T) {
-	if got := MeanPool(nil, 3); len(got) != 0 {
-		t.Fatal("empty input must give empty output")
+	if n := MeanPoolInto(nil, 0, nil, 3); n != 0 {
+		t.Fatalf("empty input pooled to %d steps, want 0", n)
 	}
 }
 
@@ -38,21 +59,15 @@ func TestMeanPoolConservesMean(t *testing.T) {
 		n := int(nRaw)%50 + 1
 		k := int(kRaw)%10 + 1
 		rng := rand.New(rand.NewSource(seed))
-		xs := make([]Vec, n)
+		vals := make([]float64, n)
 		var total float64
-		for i := range xs {
-			xs[i] = Vec{rng.NormFloat64()}
-			total += xs[i][0]
+		for i := range vals {
+			vals[i] = rng.NormFloat64()
+			total += vals[i]
 		}
-		out := MeanPool(xs, k)
 		var pooledTotal float64
-		for w, v := range out {
-			lo := w * k
-			hi := lo + k
-			if hi > n {
-				hi = n
-			}
-			pooledTotal += v[0] * float64(hi-lo)
+		for w, v := range meanPool(t, k, vals...) {
+			pooledTotal += v * float64(min(w*k+k, n)-w*k)
 		}
 		return almostEq(total, pooledTotal, 1e-9)
 	}
@@ -62,15 +77,11 @@ func TestMeanPoolConservesMean(t *testing.T) {
 }
 
 func TestMeanPoolBackwardMatchesNumeric(t *testing.T) {
-	// L = Σ_w pooled[w][0]; dL/dx[t][0] must be 1/windowLen for t's window.
-	xs := []Vec{{1}, {2}, {3}, {4}, {5}}
+	// L = Σ_w pooled[w][0] over 5 steps pooled by 2 (three windows);
+	// dL/dx[t][0] must be 1/windowLen for t's window.
 	k := 2
-	out := MeanPool(xs, k)
-	dPooled := make([]Vec, len(out))
-	for i := range dPooled {
-		dPooled[i] = Vec{1}
-	}
-	dXs := MeanPoolBackward(dPooled, k, len(xs), 1)
+	dPooled := []Vec{{1}, {1}, {1}}
+	dXs := MeanPoolBackward(dPooled, k, 5, 1)
 	want := []float64{0.5, 0.5, 0.5, 0.5, 1} // last window has length 1
 	for t2, w := range want {
 		if !almostEq(dXs[t2][0], w, 1e-12) {

@@ -13,11 +13,10 @@ package nn
 // (x + (−x) rounds to +0), where adding ±0 again keeps +0. So per call the
 // sparse kernels accumulate exactly the dense kernels' per-element sums:
 // the forward pre-activations are bit-identical, and a BackwardBatch into
-// zero GWx matches the dense path bit-for-bit (so batch-1 remains
-// bit-identical to TrainExample). When GWx already holds a previous chunk's
-// gradients the end-of-call flush adds the same terms with one different
-// association; the dense/sparse choice is a pure function of the chunk's
-// data, so training stays deterministic either way.
+// zero GWx matches the dense path bit-for-bit. When GWx already holds a
+// previous chunk's gradients the end-of-call flush adds the same terms with
+// one different association; the dense/sparse choice is a pure function of
+// the chunk's data, so training stays deterministic either way.
 //
 // Like the other training kernels these compile with zero per-element
 // bounds checks (`make bce`) via exact-length reslicing.

@@ -1,23 +1,23 @@
 package nn
 
-import "math"
-
-// StepScratch holds the pre-activation buffers one LSTM Step needs. The
-// caller owns it (zero value is ready to use) and reuses it across steps,
-// so the single-stream hot path performs no allocation. A scratch may be
-// shared by LSTMs of different sizes — ensure regrows it as needed — but
-// not by concurrent goroutines.
+// StepScratch holds the pre-activation and gate buffers one LSTM Step
+// needs. The caller owns it (zero value is ready to use) and reuses it
+// across steps, so the single-stream hot path performs no allocation. A
+// scratch may be shared by LSTMs of different sizes — ensure regrows it as
+// needed — but not by concurrent goroutines.
 type StepScratch struct {
-	pre, rec Vec
+	pre, rec, gates Vec
 }
 
 func (s *StepScratch) ensure(n int) {
 	if cap(s.pre) < n {
 		s.pre = make(Vec, n)
 		s.rec = make(Vec, n)
+		s.gates = make(Vec, n)
 	}
 	s.pre = s.pre[:n]
 	s.rec = s.rec[:n]
+	s.gates = s.gates[:n]
 }
 
 // Step advances the LSTM by one timestep from state (h, c) with input x,
@@ -40,22 +40,8 @@ func (l *LSTM) Step(h, c, x Vec, s *StepScratch) (Vec, Vec) {
 	s.ensure(4 * hd)
 	l.Wx.MulVec(x, s.pre)
 	l.Wh.MulVec(h, s.rec)
-	lstmGates(hd, s.pre, s.rec, l.B, h, c)
+	lstmGatesTape(hd, s.pre, s.rec, l.B, s.gates, h, c)
 	return h, c
-}
-
-// lstmGates applies the gate nonlinearities for one stream: given the input
-// and recurrent pre-activations and the bias, it overwrites h and c with
-// the next hidden and cell states.
-func lstmGates(hd int, pre, rec, bias, h, c Vec) {
-	for j := 0; j < hd; j++ {
-		gi := Sigmoid(pre[j] + rec[j] + bias[j])
-		gf := Sigmoid(pre[hd+j] + rec[hd+j] + bias[hd+j])
-		gg := math.Tanh(pre[2*hd+j] + rec[2*hd+j] + bias[2*hd+j])
-		go_ := Sigmoid(pre[3*hd+j] + rec[3*hd+j] + bias[3*hd+j])
-		c[j] = gf*c[j] + gi*gg
-		h[j] = go_ * math.Tanh(c[j])
-	}
 }
 
 // ShareWeights returns an LSTM that aliases l's weight matrices but owns

@@ -6,29 +6,17 @@ import (
 )
 
 func TestStepMatchesForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	l := NewLSTM(3, 5, rng)
-	xs := make([]Vec, 8)
-	for i := range xs {
-		xs[i] = NewVec(3)
-		for j := range xs[i] {
-			xs[i][j] = rng.NormFloat64()
-		}
+	// The sparse input projection against the Step oracle: the CSR forward
+	// must reproduce Step's dense MulVec bit for bit, gates included.
+	l := NewLSTM(24, 5, rand.New(rand.NewSource(31)))
+	var tp BatchTape
+	fillTapeSparseInputs(&tp, l, 1, 8, 3, rand.New(rand.NewSource(37)))
+	tp.BuildSparse()
+	if !tp.Sparse() {
+		t.Fatal("3/24 non-zeros per row should enable the sparse path")
 	}
-	tape := l.Forward(xs)
-	var h, c Vec
-	var sc StepScratch
-	for i, x := range xs {
-		h, c = l.Step(h, c, x, &sc)
-		for j := range h {
-			if h[j] != tape.H[i][j] {
-				t.Fatalf("step %d hidden %d: %v != %v", i, j, h[j], tape.H[i][j])
-			}
-			if c[j] != tape.C[i][j] {
-				t.Fatalf("step %d cell %d mismatch", i, j)
-			}
-		}
-	}
+	l.ForwardBatch(&tp)
+	stepMatchesTape(t, l, &tp)
 }
 
 func TestStepNilStateIsZeroState(t *testing.T) {
@@ -53,9 +41,12 @@ func TestShareWeightsAliasesWeightsNotGrads(t *testing.T) {
 		t.Fatal("gradients must be independent")
 	}
 	// A replica backward must not touch the primary's gradients.
-	xs := []Vec{{1, 1}}
-	tape := r.Forward(xs)
-	r.Backward(tape, []Vec{{1, 1, 1}})
+	var tp BatchTape
+	packSeqs(&tp, r, []Vec{{1, 1}})
+	r.ForwardBatch(&tp)
+	dH := []Batch{{Rows: 1, Cols: 3, Data: []float64{1, 1, 1}}}
+	var s BatchGradScratch
+	r.BackwardBatch(&tp, dH, []bool{true}, &s)
 	for _, g := range l.GWx.Data {
 		if g != 0 {
 			t.Fatal("primary grads must stay zero")
@@ -84,7 +75,10 @@ func TestDenseShareWeightsAndMerge(t *testing.T) {
 	if &r.W.Data[0] != &d.W.Data[0] || &r.GW.Data[0] == &d.GW.Data[0] {
 		t.Fatal("sharing semantics wrong")
 	}
-	r.Backward(Vec{1, 2}, Vec{3, 4})
+	x := Batch{Rows: 1, Cols: 2, Data: []float64{1, 2}}
+	dy := Batch{Rows: 1, Cols: 2, Data: []float64{3, 4}}
+	var dx Batch
+	r.BackwardBatch(&x, &dy, &dx)
 	r.MergeGradsInto(d)
 	if d.GW.At(0, 0) != 3 || d.GW.At(1, 1) != 8 {
 		t.Fatalf("merged grads wrong: %v", d.GW.Data)
@@ -99,11 +93,14 @@ func TestReplicaForwardIdentical(t *testing.T) {
 	l := NewLSTM(3, 4, rng)
 	r := l.ShareWeights()
 	xs := []Vec{{1, 0, -1}, {0.5, 0.5, 0.5}}
-	h1 := l.Forward(xs).H
-	h2 := r.Forward(xs).H
-	for i := range h1 {
-		for j := range h1[i] {
-			if h1[i][j] != h2[i][j] {
+	var tl, tr BatchTape
+	packSeqs(&tl, l, xs)
+	packSeqs(&tr, r, xs)
+	l.ForwardBatch(&tl)
+	r.ForwardBatch(&tr)
+	for i := range xs {
+		for j, v := range tl.H[i].Data {
+			if v != tr.H[i].Data[j] {
 				t.Fatal("replica forward must match primary")
 			}
 		}
