@@ -200,7 +200,9 @@ func (s *shard) publishSnapshot(data []byte) {
 // recoverShard rebuilds the shard's monitor after a panic: last snapshot
 // restored, then the WAL replayed in arrival order (per-customer order is
 // preserved — the ring is the shard's processing order). Alerts raised by
-// replayed steps were delivered before the crash and are discarded. If
+// replayed steps were delivered before the crash: they are not delivered
+// again, and the replay runs with history writes off, because the
+// extractor's history registry already holds them (RecordHistory). If
 // the rebuild itself fails the shard cold-restarts with a fresh monitor
 // rather than dying; only an invalid MonitorConfig (impossible after New
 // succeeded) is terminal.
@@ -249,6 +251,9 @@ func (e *Engine) rebuildMonitor(s *shard) (mon *Monitor, replayed int, ok bool) 
 			return nil, 0, false
 		}
 	}
+	// Replayed alerts and attackers are already in the history registry:
+	// recording them again would count each alert twice in A4.
+	mon.cfg.RecordHistory = false
 	for i := 0; i < s.walN; i++ {
 		en := &s.wal[(s.walHead+i)%len(s.wal)]
 		switch en.op {
@@ -261,6 +266,7 @@ func (e *Engine) rebuildMonitor(s *shard) (mon *Monitor, replayed int, ok bool) 
 		}
 		replayed++
 	}
+	mon.cfg.RecordHistory = e.cfg.Monitor.RecordHistory
 	return mon, replayed, true
 }
 

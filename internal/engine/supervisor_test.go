@@ -118,6 +118,60 @@ func TestSupervisorRecoversInjectedPanic(t *testing.T) {
 	}
 }
 
+// TestSupervisorReplayRecordsHistoryOnce: with RecordHistory on, the WAL
+// replay of a supervised restart must not write the alerts it re-raises
+// into the history registry a second time — A4's severity histogram would
+// count each of them twice from then on.
+func TestSupervisorReplayRecordsHistoryOnce(t *testing.T) {
+	cfg := tinyMonitorConfig(t)
+	cfg.RecordHistory = true
+	eng, err := New(Config{
+		Monitor:            cfg,
+		Shards:             1,
+		Policy:             Block,
+		Watchdog:           -1,
+		CheckpointInterval: -1, // recovery replays every step from the WAL
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	go func() {
+		for range eng.Alerts() {
+		}
+	}()
+	customer := testCustomers(1)[0]
+	t0 := time.Date(2019, 7, 3, 0, 0, 0, 0, time.UTC)
+	for s := 0; s < 6; s++ {
+		if err := eng.Submit(customer, t0.Add(time.Duration(s)*time.Minute), udpFlows(customer, s, t0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	recorded := func() int { return len(cfg.Extractor.History.AlertsBefore(customer, t0.Add(time.Hour))) }
+	before := recorded()
+	if before == 0 {
+		t.Fatal("no alert recorded before the fault; the test needs one")
+	}
+	if err := eng.InjectFault(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Stats(); st.Restarts != 1 || st.WALReplayed != 6 {
+		t.Fatalf("restarts=%d replayed=%d, want 1/6", st.Restarts, st.WALReplayed)
+	}
+	if after := recorded(); after != before {
+		t.Fatalf("history holds %d alerts after the restart, %d before it", after, before)
+	}
+	if !eng.shards[0].mon.cfg.RecordHistory {
+		t.Fatal("the rebuilt monitor no longer records history")
+	}
+}
+
 // TestSupervisorBoundedLoss pins the loss bound: with a WAL of 4 and no
 // snapshots, a panic after 10 steps replays exactly the last 4 and
 // accounts the 6 evicted ones as lost.

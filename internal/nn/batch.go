@@ -82,3 +82,25 @@ func (x *Batch) MulT(w *Mat, dst *Batch) {
 		}
 	}
 }
+
+// mulTTransposed is MulT on the AVX kernels, against wT = wᵀ as
+// transposeInto lays it out (w.Cols rows of w.Rows; w.Rows a multiple of
+// 4): four batch rows share each weight load (mulT4avx), the rest go one
+// at a time (mulT1avx). Both keep one accumulator per output element that
+// starts at +0 and adds w[r][c]·x[i][c] in ascending c, unfused, so dst is
+// bit-identical to x.MulT(w, dst). Only ForwardBatch calls it, and only
+// when useAVX is set.
+func (x *Batch) mulTTransposed(wT *Batch, dst *Batch) {
+	if x.Cols != wT.Rows || wT.Cols%4 != 0 {
+		panic(fmt.Sprintf("nn: mulTTransposed shape mismatch (%dx%d)·(%dx%d)", x.Rows, x.Cols, wT.Rows, wT.Cols))
+	}
+	cols, n := x.Cols, wT.Cols
+	dst.Resize(x.Rows, n)
+	i := 0
+	for ; i+mulTileRows <= x.Rows; i += mulTileRows {
+		mulT4avx(&x.Data[i*cols], &wT.Data[0], cols, n, &dst.Data[i*n])
+	}
+	for ; i < x.Rows; i++ {
+		mulT1avx(&x.Data[i*cols], &wT.Data[0], cols, n, &dst.Data[i*n])
+	}
+}

@@ -18,7 +18,10 @@ import (
 // arithmetic (and zero-skips) of its single-row counterpart in mat.go
 // (MulVec, MulVecTrans, AddOuter), in the same per-element order, so what
 // a row computes does not depend on the batch it rides in and any batch
-// size is deterministic.
+// size is deterministic. On AVX machines the per-row updates run in
+// assembly (axpyavx, addOuter4avx; panel_amd64.s) that gives every element
+// these loops' operations in these loops' order, unfused, so useAVX moves
+// no byte; the Go loops are the portable path and the reference.
 
 // lstmGatesTape applies the gate nonlinearities for one stream and records
 // the post-activation gate values [i f g o] on the tape row. On entry c
@@ -82,7 +85,8 @@ func lstmGateGrads(hd int, gates, c, cPrev, dh, dc, dz Vec) {
 // summation order bit-for-bit; a tile is entered only when all four
 // coefficients are non-zero, preserving AddOuter's exact zero-skip
 // semantics (and batch-1 always takes the remainder path, so it is
-// bit-identical to AddOuter by construction).
+// bit-identical to AddOuter by construction). The remainder path is one
+// axpy per non-zero coefficient.
 func (m *Mat) AddOuterBatch(a, x *Batch) {
 	if a.Cols != m.Rows || x.Cols != m.Cols || a.Rows != x.Rows {
 		panic(fmt.Sprintf("nn: AddOuterBatch shape mismatch (%dx%d) += (%dx%d)ᵀ·(%dx%d)",
@@ -109,6 +113,10 @@ func (m *Mat) AddOuterBatch(a, x *Batch) {
 			x1 := x.Data[(i+1)*cols:][:cols][:len(row)]
 			x2 := x.Data[(i+2)*cols:][:cols][:len(row)]
 			x3 := x.Data[(i+3)*cols:][:cols][:len(row)]
+			if useAVX && len(row) > 0 {
+				addOuter4avx(&row[0], &x0[0], &x1[0], &x2[0], &x3[0], a0, a1, a2, a3, len(row))
+				continue
+			}
 			for c := range row {
 				row[c] = row[c] + a0*x0[c] + a1*x1[c] + a2*x2[c] + a3*x3[c]
 			}
@@ -134,11 +142,7 @@ func addOuterRows(row []float64, a, x *Batch, lo, hi, r int) {
 		if av == 0 {
 			continue
 		}
-		xi := x.Data[i*cols:][:cols]
-		xi = xi[:len(row)]
-		for c, xv := range xi {
-			row[c] += av * xv
-		}
+		axpy(row, x.Data[i*cols:][:cols], av)
 	}
 }
 
@@ -165,11 +169,7 @@ func MulTransBatch(a *Batch, w *Mat, dst *Batch) {
 			if av == 0 {
 				continue
 			}
-			di := dst.Data[i*cols:][:cols]
-			di = di[:len(wr)]
-			for c, wv := range wr {
-				di[c] += wv * av
-			}
+			axpy(dst.Data[i*cols:][:cols], wr, av)
 		}
 	}
 }

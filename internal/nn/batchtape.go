@@ -7,10 +7,11 @@ package nn
 // enough, so a steady-state training loop (same lane shapes recurring epoch
 // after epoch) performs no allocation.
 //
-// The batched forward runs the register-blocked MulT kernel and the same
-// gate arithmetic as Step (both share lstmGatesTape), so row i of a batched
-// pass is bit-identical to stepping sequence i through Step from zero
-// state. BackwardBatchDX is the only BPTT: training runs it for weight
+// The batched forward runs the register-blocked MulT kernel — on AVX
+// machines its vector form against weights transposed once per call — and
+// the same gate arithmetic as Step (both share lstmGatesTape), so row i of
+// a batched pass is bit-identical to stepping sequence i through Step from
+// zero state. BackwardBatchDX is the only BPTT: training runs it for weight
 // gradients alone (BackwardBatch), attribution also for dL/dx.
 
 // BatchTape caches per-step batched activations from ForwardBatch for use
@@ -37,7 +38,8 @@ type BatchTape struct {
 	nzIdx  []int32
 	nzVal  []float64
 	nzPtr  []int32
-	wxT    Batch // Wxᵀ scratch for the sparse forward
+	wxT    Batch // Wxᵀ scratch for the sparse forward and the AVX dense one
+	whT    Batch // Whᵀ scratch for the AVX recurrent product
 	gwxT   Batch // transposed GWx accumulation for the sparse backward
 }
 
@@ -80,10 +82,14 @@ func (l *LSTM) ForwardBatch(tp *BatchTape) {
 	hd := l.Hidden
 	T := tp.T
 	xsA, hA, cA, gA := tp.Xs[:T], tp.H[:T], tp.C[:T], tp.Gates[:T]
-	if tp.sparse {
-		// One transpose per call lets every step's input projection walk
-		// weight columns contiguously; amortized over T steps.
+	avx := useAVX
+	// One transpose per call lets every step's products walk weight
+	// columns contiguously, vectorised over outputs; amortized over T steps.
+	if tp.sparse || avx {
 		transposeInto(&tp.wxT, l.Wx)
+	}
+	if avx {
+		transposeInto(&tp.whT, l.Wh)
 	}
 	for t := 0; t < T; t++ {
 		xs := &xsA[t]
@@ -91,12 +97,19 @@ func (l *LSTM) ForwardBatch(tp *BatchTape) {
 		if t > 0 {
 			hPrev, cPrev = &hA[t-1], &cA[t-1]
 		}
-		if tp.sparse {
+		switch {
+		case tp.sparse:
 			tp.sparsePre(&tp.pre, &tp.wxT, t)
-		} else {
+		case avx:
+			xs.mulTTransposed(&tp.wxT, &tp.pre)
+		default:
 			xs.MulT(l.Wx, &tp.pre)
 		}
-		hPrev.MulT(l.Wh, &tp.rec)
+		if avx {
+			hPrev.mulTTransposed(&tp.whT, &tp.rec)
+		} else {
+			hPrev.MulT(l.Wh, &tp.rec)
+		}
 		ht, ct, gt := &hA[t], &cA[t], &gA[t]
 		// lstmGatesTape updates the cell state in place from its previous
 		// value; seed this step's C with the previous step's rows first.

@@ -175,19 +175,45 @@ const benchSeqLen = 60
 
 func benchTrainTape(b *testing.B, B int) (*LSTM, *BatchTape, []Batch, []bool) {
 	b.Helper()
-	l := benchLSTM(b)
+	return benchTape(b, benchLSTM(b), B, func(tp *BatchTape) {
+		for t := 0; t < benchSeqLen; t++ {
+			for i := range tp.Xs[t].Data {
+				tp.Xs[t].Data[i] = float64(i%7) * 0.1
+			}
+		}
+	})
+}
+
+// benchFitTape is benchTrainTape at the shape of the benchmark's train_fit
+// workload: Hidden 64, 273 features at 18 % density (so the sparse input
+// projection runs), a lane of 12 sequences.
+func benchFitTape(b *testing.B) (*LSTM, *BatchTape, []Batch, []bool) {
+	b.Helper()
+	l := NewLSTM(benchIn, benchCellHidden, rand.New(rand.NewSource(1)))
+	rng := rand.New(rand.NewSource(5))
+	return benchTape(b, l, 12, func(tp *BatchTape) {
+		for t := 0; t < benchSeqLen; t++ {
+			for i := range tp.Xs[t].Data {
+				tp.Xs[t].Data[i] = 0
+				if rng.Float64() < 0.18 {
+					tp.Xs[t].Data[i] = rng.NormFloat64()
+				}
+			}
+		}
+		tp.BuildSparse()
+	})
+}
+
+func benchTape(b *testing.B, l *LSTM, B int, fill func(*BatchTape)) (*LSTM, *BatchTape, []Batch, []bool) {
+	b.Helper()
 	tp := &BatchTape{}
 	tp.Reset(l, B, benchSeqLen)
-	for t := 0; t < benchSeqLen; t++ {
-		for i := range tp.Xs[t].Data {
-			tp.Xs[t].Data[i] = float64(i%7) * 0.1
-		}
-	}
+	fill(tp)
 	l.ForwardBatch(tp)
 	dH := make([]Batch, benchSeqLen)
 	touched := make([]bool, benchSeqLen)
 	for t := 0; t < benchSeqLen; t++ {
-		dH[t].Resize(B, benchHidden)
+		dH[t].Resize(B, l.Hidden)
 		for i := range dH[t].Data {
 			dH[t].Data[i] = 0.01 * float64(i%5)
 		}
@@ -198,23 +224,33 @@ func benchTrainTape(b *testing.B, B int) (*LSTM, *BatchTape, []Batch, []bool) {
 
 // benchForwardBatch runs one batched training forward per op; steps/sec
 // counts stream-steps so batch sizes compare directly.
-func benchForwardBatch(b *testing.B, B int) {
-	l, tp, _, _ := benchTrainTape(b, B)
+func benchForwardBatch(b *testing.B, l *LSTM, tp *BatchTape) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.ForwardBatch(tp)
 	}
-	b.ReportMetric(float64(b.N)*float64(B)*benchSeqLen/b.Elapsed().Seconds(), "steps/sec")
+	b.ReportMetric(float64(b.N)*float64(tp.B)*benchSeqLen/b.Elapsed().Seconds(), "steps/sec")
 }
 
-func BenchmarkLSTMForwardBatch1(b *testing.B) { benchForwardBatch(b, 1) }
-func BenchmarkLSTMForwardBatch8(b *testing.B) { benchForwardBatch(b, 8) }
+func BenchmarkLSTMForwardBatch1(b *testing.B) {
+	l, tp, _, _ := benchTrainTape(b, 1)
+	benchForwardBatch(b, l, tp)
+}
+
+func BenchmarkLSTMForwardBatch8(b *testing.B) {
+	l, tp, _, _ := benchTrainTape(b, 8)
+	benchForwardBatch(b, l, tp)
+}
+
+func BenchmarkLSTMForwardBatchFit(b *testing.B) {
+	l, tp, _, _ := benchFitTape(b)
+	benchForwardBatch(b, l, tp)
+}
 
 // benchBackwardBatch runs one batched BPTT pass per op over the warmed
 // tape; steps/sec counts stream-steps.
-func benchBackwardBatch(b *testing.B, B int) {
-	l, tp, dH, touched := benchTrainTape(b, B)
+func benchBackwardBatch(b *testing.B, l *LSTM, tp *BatchTape, dH []Batch, touched []bool) {
 	var s BatchGradScratch
 	l.BackwardBatch(tp, dH, touched, &s) // warm the gradient scratch
 	l.ZeroGrad()
@@ -225,8 +261,20 @@ func benchBackwardBatch(b *testing.B, B int) {
 	}
 	b.StopTimer()
 	l.ZeroGrad()
-	b.ReportMetric(float64(b.N)*float64(B)*benchSeqLen/b.Elapsed().Seconds(), "steps/sec")
+	b.ReportMetric(float64(b.N)*float64(tp.B)*benchSeqLen/b.Elapsed().Seconds(), "steps/sec")
 }
 
-func BenchmarkLSTMBackwardBatch1(b *testing.B) { benchBackwardBatch(b, 1) }
-func BenchmarkLSTMBackwardBatch8(b *testing.B) { benchBackwardBatch(b, 8) }
+func BenchmarkLSTMBackwardBatch1(b *testing.B) {
+	l, tp, dH, touched := benchTrainTape(b, 1)
+	benchBackwardBatch(b, l, tp, dH, touched)
+}
+
+func BenchmarkLSTMBackwardBatch8(b *testing.B) {
+	l, tp, dH, touched := benchTrainTape(b, 8)
+	benchBackwardBatch(b, l, tp, dH, touched)
+}
+
+func BenchmarkLSTMBackwardBatchFit(b *testing.B) {
+	l, tp, dH, touched := benchFitTape(b)
+	benchBackwardBatch(b, l, tp, dH, touched)
+}

@@ -67,6 +67,36 @@ func panelMulNZ4avx(wp *float32, stride int, x *float32, nz *int32, n int, dst *
 //go:noescape
 func lstmGates8avx(n, hd int, pre, rec, bias, h, c *float32, k *gateConsts)
 
+// The float64 training kernels. Each gives every output element the IEEE
+// operations of the Go loop it stands in for, in that loop's order, with
+// the multiply and the add as separate instructions, so flipping useAVX
+// moves no training byte.
+
+// axpyavx computes dst[i] = dst[i] + a·x[i] for i in [0, n), n > 0: axpy.
+//
+//go:noescape
+func axpyavx(dst, x *float64, a float64, n int)
+
+// addOuter4avx computes row[c] = (((row[c] + a0·x0[c]) + a1·x1[c]) +
+// a2·x2[c]) + a3·x3[c] for c in [0, n), n > 0: AddOuterBatch's 4-row tile.
+//
+//go:noescape
+func addOuter4avx(row, x0, x1, x2, x3 *float64, a0, a1, a2, a3 float64, n int)
+
+// mulT4avx computes, for the four batch rows x_i = x + i·cols, dst_i[r] =
+// Σ_c x_i[c]·wT[c·n+r] for r in [0, n), n a positive multiple of 4, dst_i
+// = dst + i·n: MulT against the transposed weights wT = wᵀ. Each output
+// element is one accumulator that starts at +0 and adds its products in
+// ascending c, as MulT's dot product does.
+//
+//go:noescape
+func mulT4avx(x, wT *float64, cols, n int, dst *float64)
+
+// mulT1avx is mulT4avx for one batch row.
+//
+//go:noescape
+func mulT1avx(x, wT *float64, cols, n int, dst *float64)
+
 // gateConsts is the constant table lstmGates8avx reads, each value
 // broadcast to one 32-byte vector. The assembly addresses the fields by
 // offset: keep the order.

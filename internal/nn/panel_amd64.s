@@ -309,3 +309,317 @@ loopgates:
 	JNZ     loopgates
 	VZEROUPPER
 	RET
+
+// The float64 training kernels. Every output element gets the Go loop's
+// operations in the Go loop's order: each product rounds on its own
+// (VMULPD), then joins the sum (VADDPD) — never fused.
+
+// func axpyavx(dst, x *float64, a float64, n int)
+//
+// dst[i] = dst[i] + a·x[i] for i in [0, n), n > 0: eight elements per
+// iteration, then four, then one at a time.
+TEXT ·axpyavx(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	VBROADCASTSD a+16(FP), Y0
+	MOVQ         n+24(FP), CX
+axpy8:
+	CMPQ    CX, $8
+	JLT     axpy4
+	VMULPD  (SI), Y0, Y1
+	VMULPD  32(SI), Y0, Y2
+	VMOVUPD (DI), Y3
+	VMOVUPD 32(DI), Y4
+	VADDPD  Y1, Y3, Y3
+	VADDPD  Y2, Y4, Y4
+	VMOVUPD Y3, (DI)
+	VMOVUPD Y4, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $8, CX
+	JMP     axpy8
+axpy4:
+	CMPQ    CX, $4
+	JLT     axpy1
+	VMULPD  (SI), Y0, Y1
+	VMOVUPD (DI), Y3
+	VADDPD  Y1, Y3, Y3
+	VMOVUPD Y3, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+axpy1:
+	TESTQ  CX, CX
+	JZ     axpydone
+	VMULSD (SI), X0, X1
+	VMOVSD (DI), X3
+	VADDSD X1, X3, X3
+	VMOVSD X3, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    axpy1
+axpydone:
+	VZEROUPPER
+	RET
+
+// func addOuter4avx(row, x0, x1, x2, x3 *float64, a0, a1, a2, a3 float64, n int)
+//
+// row[c] = (((row[c] + a0·x0[c]) + a1·x1[c]) + a2·x2[c]) + a3·x3[c] for c
+// in [0, n), n > 0: the four adds in that order per element, eight
+// elements per iteration, then four, then one at a time.
+TEXT ·addOuter4avx(SB), NOSPLIT, $0-80
+	MOVQ         row+0(FP), DI
+	MOVQ         x0+8(FP), SI
+	MOVQ         x1+16(FP), R8
+	MOVQ         x2+24(FP), R9
+	MOVQ         x3+32(FP), R10
+	VBROADCASTSD a0+40(FP), Y0
+	VBROADCASTSD a1+48(FP), Y1
+	VBROADCASTSD a2+56(FP), Y2
+	VBROADCASTSD a3+64(FP), Y3
+	MOVQ         n+72(FP), CX
+	XORQ         AX, AX
+outer8:
+	CMPQ    CX, $8
+	JLT     outer4
+	VMOVUPD (DI)(AX*1), Y4
+	VMOVUPD 32(DI)(AX*1), Y5
+	VMULPD  (SI)(AX*1), Y0, Y6
+	VMULPD  32(SI)(AX*1), Y0, Y7
+	VADDPD  Y6, Y4, Y4
+	VADDPD  Y7, Y5, Y5
+	VMULPD  (R8)(AX*1), Y1, Y6
+	VMULPD  32(R8)(AX*1), Y1, Y7
+	VADDPD  Y6, Y4, Y4
+	VADDPD  Y7, Y5, Y5
+	VMULPD  (R9)(AX*1), Y2, Y6
+	VMULPD  32(R9)(AX*1), Y2, Y7
+	VADDPD  Y6, Y4, Y4
+	VADDPD  Y7, Y5, Y5
+	VMULPD  (R10)(AX*1), Y3, Y6
+	VMULPD  32(R10)(AX*1), Y3, Y7
+	VADDPD  Y6, Y4, Y4
+	VADDPD  Y7, Y5, Y5
+	VMOVUPD Y4, (DI)(AX*1)
+	VMOVUPD Y5, 32(DI)(AX*1)
+	ADDQ    $64, AX
+	SUBQ    $8, CX
+	JMP     outer8
+outer4:
+	CMPQ    CX, $4
+	JLT     outer1
+	VMOVUPD (DI)(AX*1), Y4
+	VMULPD  (SI)(AX*1), Y0, Y6
+	VADDPD  Y6, Y4, Y4
+	VMULPD  (R8)(AX*1), Y1, Y6
+	VADDPD  Y6, Y4, Y4
+	VMULPD  (R9)(AX*1), Y2, Y6
+	VADDPD  Y6, Y4, Y4
+	VMULPD  (R10)(AX*1), Y3, Y6
+	VADDPD  Y6, Y4, Y4
+	VMOVUPD Y4, (DI)(AX*1)
+	ADDQ    $32, AX
+	SUBQ    $4, CX
+outer1:
+	TESTQ  CX, CX
+	JZ     outerdone
+	VMOVSD (DI)(AX*1), X4
+	VMULSD (SI)(AX*1), X0, X6
+	VADDSD X6, X4, X4
+	VMULSD (R8)(AX*1), X1, X6
+	VADDSD X6, X4, X4
+	VMULSD (R9)(AX*1), X2, X6
+	VADDSD X6, X4, X4
+	VMULSD (R10)(AX*1), X3, X6
+	VADDSD X6, X4, X4
+	VMOVSD X4, (DI)(AX*1)
+	ADDQ   $8, AX
+	DECQ   CX
+	JMP    outer1
+outerdone:
+	VZEROUPPER
+	RET
+
+// MT4(W, X, ACC): ACC += broadcast(*X) · W, multiply and add unfused.
+#define MT4(W, X, ACC) \
+	VBROADCASTSD X, Y10; \
+	VMULPD       W, Y10, Y11; \
+	VADDPD       Y11, ACC, ACC
+
+// func mulT4avx(x, wT *float64, cols, n int, dst *float64)
+//
+// Four batch rows (x + i·cols) against wT (cols rows of n): per pass over
+// the cols rows of wT, eight outputs of each batch row — eight independent
+// accumulator chains sharing two weight loads; a last four outputs, when
+// n is not a multiple of 8, take one vector per row. Every accumulator
+// starts at +0 and adds its products in ascending c.
+TEXT ·mulT4avx(SB), NOSPLIT, $0-40
+	MOVQ x+0(FP), SI
+	MOVQ wT+8(FP), BX
+	MOVQ cols+16(FP), R12
+	MOVQ n+24(FP), R13
+	MOVQ dst+32(FP), DI
+	MOVQ R12, R8
+	SHLQ $3, R8             // x row stride, bytes
+	MOVQ R13, R14
+	SHLQ $3, R14            // wT and dst row stride, bytes
+	LEAQ (SI)(R8*1), R9
+	LEAQ (R9)(R8*1), R10
+	LEAQ (R10)(R8*1), R11
+mt4w8:
+	CMPQ   R13, $8
+	JLT    mt4w4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   BX, DX
+	XORQ   AX, AX
+	MOVQ   R12, CX
+	TESTQ  CX, CX
+	JZ     mt4s8
+mt4l8:
+	VMOVUPD (DX), Y8
+	VMOVUPD 32(DX), Y9
+	MT4(Y8, (SI)(AX*1), Y0)
+	VMULPD  Y9, Y10, Y12
+	VADDPD  Y12, Y1, Y1
+	MT4(Y8, (R9)(AX*1), Y2)
+	VMULPD  Y9, Y10, Y12
+	VADDPD  Y12, Y3, Y3
+	MT4(Y8, (R10)(AX*1), Y4)
+	VMULPD  Y9, Y10, Y12
+	VADDPD  Y12, Y5, Y5
+	MT4(Y8, (R11)(AX*1), Y6)
+	VMULPD  Y9, Y10, Y12
+	VADDPD  Y12, Y7, Y7
+	ADDQ    R14, DX
+	ADDQ    $8, AX
+	DECQ    CX
+	JNZ     mt4l8
+mt4s8:
+	MOVQ    DI, DX
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	ADDQ    R14, DX
+	VMOVUPD Y2, (DX)
+	VMOVUPD Y3, 32(DX)
+	ADDQ    R14, DX
+	VMOVUPD Y4, (DX)
+	VMOVUPD Y5, 32(DX)
+	ADDQ    R14, DX
+	VMOVUPD Y6, (DX)
+	VMOVUPD Y7, 32(DX)
+	ADDQ    $64, BX
+	ADDQ    $64, DI
+	SUBQ    $8, R13
+	JMP     mt4w8
+mt4w4:
+	TESTQ  R13, R13
+	JZ     mt4done
+	VXORPD Y0, Y0, Y0
+	VXORPD Y2, Y2, Y2
+	VXORPD Y4, Y4, Y4
+	VXORPD Y6, Y6, Y6
+	MOVQ   BX, DX
+	XORQ   AX, AX
+	MOVQ   R12, CX
+	TESTQ  CX, CX
+	JZ     mt4s4
+mt4l4:
+	VMOVUPD (DX), Y8
+	MT4(Y8, (SI)(AX*1), Y0)
+	MT4(Y8, (R9)(AX*1), Y2)
+	MT4(Y8, (R10)(AX*1), Y4)
+	MT4(Y8, (R11)(AX*1), Y6)
+	ADDQ    R14, DX
+	ADDQ    $8, AX
+	DECQ    CX
+	JNZ     mt4l4
+mt4s4:
+	MOVQ    DI, DX
+	VMOVUPD Y0, (DX)
+	ADDQ    R14, DX
+	VMOVUPD Y2, (DX)
+	ADDQ    R14, DX
+	VMOVUPD Y4, (DX)
+	ADDQ    R14, DX
+	VMOVUPD Y6, (DX)
+mt4done:
+	VZEROUPPER
+	RET
+
+// func mulT1avx(x, wT *float64, cols, n int, dst *float64)
+//
+// mulT4avx for one batch row: sixteen outputs (four chains) per pass, then
+// four at a time.
+TEXT ·mulT1avx(SB), NOSPLIT, $0-40
+	MOVQ x+0(FP), SI
+	MOVQ wT+8(FP), BX
+	MOVQ cols+16(FP), R12
+	MOVQ n+24(FP), R13
+	MOVQ dst+32(FP), DI
+	MOVQ R13, R14
+	SHLQ $3, R14            // wT row stride, bytes
+mt1w16:
+	CMPQ   R13, $16
+	JLT    mt1w4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   BX, DX
+	XORQ   AX, AX
+	MOVQ   R12, CX
+	TESTQ  CX, CX
+	JZ     mt1s16
+mt1l16:
+	MT4((DX), (SI)(AX*1), Y0)
+	VMULPD 32(DX), Y10, Y12
+	VADDPD Y12, Y1, Y1
+	VMULPD 64(DX), Y10, Y13
+	VADDPD Y13, Y2, Y2
+	VMULPD 96(DX), Y10, Y14
+	VADDPD Y14, Y3, Y3
+	ADDQ   R14, DX
+	ADDQ   $8, AX
+	DECQ   CX
+	JNZ    mt1l16
+mt1s16:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, BX
+	ADDQ    $128, DI
+	SUBQ    $16, R13
+	JMP     mt1w16
+mt1w4:
+	CMPQ   R13, $4
+	JLT    mt1done
+	VXORPD Y0, Y0, Y0
+	MOVQ   BX, DX
+	XORQ   AX, AX
+	MOVQ   R12, CX
+	TESTQ  CX, CX
+	JZ     mt1s4
+mt1l4:
+	MT4((DX), (SI)(AX*1), Y0)
+	ADDQ R14, DX
+	ADDQ $8, AX
+	DECQ CX
+	JNZ  mt1l4
+mt1s4:
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, BX
+	ADDQ    $32, DI
+	SUBQ    $4, R13
+	JMP     mt1w4
+mt1done:
+	VZEROUPPER
+	RET

@@ -3,6 +3,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -126,6 +127,115 @@ func TestServingStepAVXMatchesGoBitwise(t *testing.T) {
 					t.Fatalf("hidden %d step %d element %d: AVX (%v,%v) != Go (%v,%v)",
 						hidden, step, i, hsA.Data[i], csA.Data[i], hsG.Data[i], csG.Data[i])
 				}
+			}
+		}
+	}
+}
+
+// sameFloat64 is bit equality, except that any NaN equals any NaN: which
+// payload survives an operation on two NaNs is the instruction's operand
+// order, not arithmetic.
+func sameFloat64(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+// edgyVec draws n values: mostly Gaussian, with ±0, subnormals, ±Inf and
+// NaN mixed in when specials is set.
+func edgyVec(rng *rand.Rand, n int, specials bool) []float64 {
+	edges := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, 1e-310, math.Inf(1), math.Inf(-1), math.NaN()}
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+		if specials && rng.Intn(4) == 0 {
+			v[i] = edges[rng.Intn(len(edges))]
+		}
+	}
+	return v
+}
+
+// checkSame64 fails the test at the first element where the AVX and the
+// Go results differ.
+func checkSame64(t *testing.T, what string, avx, goRef []float64) {
+	t.Helper()
+	for i := range goRef {
+		if !sameFloat64(avx[i], goRef[i]) {
+			t.Fatalf("%s: element %d AVX %v != Go %v", what, i, avx[i], goRef[i])
+		}
+	}
+}
+
+// TestTrainingKernelsAVXMatchesGoBitwise flips useAVX under each float64
+// training kernel — axpy (the sparse projection, its gradient and the
+// untiled outer-product and transposed-product rows), AddOuterBatch's
+// 4-row tile and MulT over transposed weights — at widths that leave
+// every tail of the 8-, 4- and 1-wide loops, at batch sizes that leave
+// every tile remainder, with zero coefficients (one inside a 4-row tile),
+// and over ±0, subnormals, ±Inf and NaN.
+func TestTrainingKernelsAVXMatchesGoBitwise(t *testing.T) {
+	if !hasAVX() {
+		t.Skip("no AVX on this machine")
+	}
+	saved := useAVX
+	defer func() { useAVX = saved }()
+
+	rng := rand.New(rand.NewSource(33))
+	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 40, 64, 256, 273}
+	for _, n := range widths {
+		for _, specials := range []bool{false, true} {
+			x := edgyVec(rng, n, specials)
+			base := edgyVec(rng, n, specials)
+			for _, a := range append(edgyVec(rng, 3, specials), 0, math.Copysign(0, -1)) {
+				avx, goRef := append([]float64(nil), base...), append([]float64(nil), base...)
+				useAVX = true
+				axpy(avx, x, a)
+				useAVX = false
+				axpy(goRef, x, a)
+				checkSame64(t, fmt.Sprintf("axpy n=%d a=%v", n, a), avx, goRef)
+			}
+		}
+	}
+
+	// The batch kernels: m is aRows×n, a is B×aRows, x is B×n.
+	const aRows = 6
+	for _, n := range widths {
+		for B := 1; B <= 9; B++ {
+			specials := (n+B)%2 == 0
+			a := &Batch{Rows: B, Cols: aRows, Data: edgyVec(rng, B*aRows, specials)}
+			// Zero coefficients: a whole coefficient row, and one entry of
+			// the first 4-row tile of another.
+			for i := 0; i < B; i++ {
+				a.Data[i*aRows+1] = 0
+			}
+			if B >= 4 {
+				a.Data[2*aRows+3] = math.Copysign(0, -1)
+			}
+			x := &Batch{Rows: B, Cols: n, Data: edgyVec(rng, B*n, specials)}
+			m := &Mat{Rows: aRows, Cols: n, Data: edgyVec(rng, aRows*n, specials)}
+
+			avx, goRef := m.Clone(), m.Clone()
+			useAVX = true
+			avx.AddOuterBatch(a, x)
+			useAVX = false
+			goRef.AddOuterBatch(a, x)
+			checkSame64(t, fmt.Sprintf("AddOuterBatch n=%d B=%d", n, B), avx.Data, goRef.Data)
+
+			var dAVX, dGo Batch
+			useAVX = true
+			MulTransBatch(a, m, &dAVX)
+			useAVX = false
+			MulTransBatch(a, m, &dGo)
+			checkSame64(t, fmt.Sprintf("MulTransBatch n=%d B=%d", n, B), dAVX.Data, dGo.Data)
+
+			// MulT: x (B×n) against w with a multiple-of-4 row count, as
+			// every LSTM weight matrix has (4·Hidden rows).
+			for _, rows := range []int{4, 8, 12, 16, 20, 40, 64, 256} {
+				w := &Mat{Rows: rows, Cols: n, Data: edgyVec(rng, rows*n, specials)}
+				var wT, pAVX, pGo Batch
+				transposeInto(&wT, w)
+				x.mulTTransposed(&wT, &pAVX)
+				x.MulT(w, &pGo)
+				checkSame64(t, fmt.Sprintf("MulT rows=%d cols=%d B=%d", rows, n, B), pAVX.Data, pGo.Data)
 			}
 		}
 	}

@@ -29,3 +29,19 @@ var gateK gateConsts
 func lstmGates8avx(n, hd int, pre, rec, bias, h, c *float32, k *gateConsts) {
 	panic("nn: lstmGates8avx unavailable on this architecture")
 }
+
+func axpyavx(dst, x *float64, a float64, n int) {
+	panic("nn: axpyavx unavailable on this architecture")
+}
+
+func addOuter4avx(row, x0, x1, x2, x3 *float64, a0, a1, a2, a3 float64, n int) {
+	panic("nn: addOuter4avx unavailable on this architecture")
+}
+
+func mulT4avx(x, wT *float64, cols, n int, dst *float64) {
+	panic("nn: mulT4avx unavailable on this architecture")
+}
+
+func mulT1avx(x, wT *float64, cols, n int, dst *float64) {
+	panic("nn: mulT1avx unavailable on this architecture")
+}

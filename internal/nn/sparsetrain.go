@@ -30,12 +30,17 @@ const (
 	sparseDensityDen = 2
 )
 
-// axpy computes dst[i] += a*x[i]. Lengths must match.
+// axpy computes dst[i] += a*x[i]. Lengths must match. On AVX machines
+// axpyavx does the same two operations per element, four elements wide.
 func axpy(dst, x []float64, a float64) {
 	if len(x) != len(dst) {
 		panic("nn: axpy length mismatch")
 	}
 	x = x[:len(dst)]
+	if useAVX && len(dst) > 0 {
+		axpyavx(&dst[0], &x[0], a, len(dst))
+		return
+	}
 	for i := range dst {
 		dst[i] += a * x[i]
 	}
