@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -76,6 +77,25 @@ func (c Config) Validate() error {
 		return errors.New("core: LearningRate must be positive")
 	}
 	return nil
+}
+
+// paramCount is the number of weights a model with this configuration
+// holds, or math.MaxInt64 when a width alone passes 1<<24 (the count
+// would then pass 1<<26 and could overflow). It assumes a valid
+// configuration.
+func (c Config) paramCount() int64 {
+	if c.NumFeatures > 1<<24 || c.Hidden > 1<<24 {
+		return math.MaxInt64
+	}
+	in, h := int64(c.NumFeatures), int64(c.Hidden)
+	branches := int64(0)
+	for _, use := range []bool{c.UseShort, c.UseMed, c.UseLong} {
+		if use {
+			branches++
+		}
+	}
+	lstm := 4*h*in + 4*h*h + 4*h // Wx, Wh, B
+	return branches*lstm + branches*h + 1
 }
 
 // branch indices.
@@ -303,6 +323,15 @@ func Load(r io.Reader) (*Model, error) {
 	var cfg Config
 	if err := json.Unmarshal(hdr, &cfg); err != nil {
 		return nil, fmt.Errorf("core: decoding config: %w", err)
+	}
+	// New allocates every weight the header implies before a single one is
+	// read, so a few hundred bytes could ask for any amount of memory.
+	// Bound it: the paper's Hidden 200 model has ≈1.1 M parameters.
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if p := cfg.paramCount(); p > 1<<24 {
+		return nil, fmt.Errorf("core: implausible model size: %d parameters", p)
 	}
 	m, err := New(cfg)
 	if err != nil {

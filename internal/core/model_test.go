@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -348,6 +351,53 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader([]byte("999999999\n"))); err == nil {
 		t.Fatal("absurd header must fail")
+	}
+}
+
+// oversizedHeader is a complete model file header whose configuration
+// implies a few billion parameters: a couple of hundred bytes that used
+// to reach New, and so a multi-gigabyte allocation, before any weight was
+// read.
+func oversizedHeader() []byte {
+	cfg := tinyConfig()
+	cfg.Hidden = 4000000
+	var buf bytes.Buffer
+	hdr, _ := json.Marshal(cfg)
+	fmt.Fprintf(&buf, "%d\n", len(hdr))
+	buf.Write(hdr)
+	buf.WriteString("XNN1")
+	return buf.Bytes()
+}
+
+func TestLoadRejectsOversizedModelBeforeAllocating(t *testing.T) {
+	data := oversizedHeader()
+	_, err := Load(bytes.NewReader(data))
+	if err == nil || !strings.Contains(err.Error(), "implausible model size") {
+		t.Fatalf("a %d-byte file claiming Hidden 4000000: err %v", len(data), err)
+	}
+}
+
+func TestParamCountMatchesModel(t *testing.T) {
+	for _, cfg := range []Config{tinyConfig(), DefaultConfig(273)} {
+		for _, use := range [][3]bool{{true, true, true}, {true, false, true}, {false, false, true}} {
+			cfg.UseShort, cfg.UseMed, cfg.UseLong = use[0], use[1], use[2]
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var n int64
+			for _, p := range m.Params() {
+				n += int64(len(p.W.Data))
+			}
+			if got := cfg.paramCount(); got != n {
+				t.Fatalf("%+v: paramCount %d, model holds %d", cfg, got, n)
+			}
+		}
+	}
+	cfg := DefaultConfig(273)
+	cfg.Hidden = 200
+	if p := cfg.paramCount(); p >= 1<<24 {
+		t.Fatalf("the paper's Hidden 200 model (%d parameters) must load", p)
 	}
 }
 

@@ -88,8 +88,9 @@ func (x *Batch) MulT(w *Mat, dst *Batch) {
 // 4): four batch rows share each weight load (mulT4avx), the rest go one
 // at a time (mulT1avx). Both keep one accumulator per output element that
 // starts at +0 and adds w[r][c]·x[i][c] in ascending c, unfused, so dst is
-// bit-identical to x.MulT(w, dst). Only ForwardBatch calls it, and only
-// when useAVX is set.
+// bit-identical to x.MulT(w, dst). ForwardBatch calls it for W_x·x and
+// W_h·h, BackwardBatchDX for the recurrent dL/dh (against Wh as stored),
+// and only when useAVX is set.
 func (x *Batch) mulTTransposed(wT *Batch, dst *Batch) {
 	if x.Cols != wT.Rows || wT.Cols%4 != 0 {
 		panic(fmt.Sprintf("nn: mulTTransposed shape mismatch (%dx%d)·(%dx%d)", x.Rows, x.Cols, wT.Rows, wT.Cols))

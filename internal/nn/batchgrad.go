@@ -24,18 +24,48 @@ import (
 // no byte; the Go loops are the portable path and the reference.
 
 // lstmGatesTape applies the gate nonlinearities for one stream and records
-// the post-activation gate values [i f g o] on the tape row. On entry c
-// holds the previous cell state; on return h and c hold the next hidden
+// the post-activation gate values [i f g o] on the tape row, and tanh of the
+// new cell state in tc (BPTT reads it instead of recomputing it). On entry
+// c holds the previous cell state; on return h and c hold the next hidden
 // and cell states. It is the single definition of the float64 forward gate
 // arithmetic, shared by Step (the streaming oracle) and ForwardBatch
-// (training and attribution), so the two cannot drift.
-func lstmGatesTape(hd int, pre, rec, bias, gates, h, c Vec) {
-	pi, pf, pg, po := pre[0:][:hd], pre[hd:][:hd], pre[2*hd:][:hd], pre[3*hd:][:hd]
-	ri, rf, rg, ro := rec[0:][:hd], rec[hd:][:hd], rec[2*hd:][:hd], rec[3*hd:][:hd]
-	bi, bf, bg, bo := bias[0:][:hd], bias[hd:][:hd], bias[2*hd:][:hd], bias[3*hd:][:hd]
-	gI, gF, gG, gO := gates[0:][:hd], gates[hd:][:hd], gates[2*hd:][:hd], gates[3*hd:][:hd]
-	h = h[0:][:hd]
-	c = c[0:][:hd]
+// (training and attribution), so the two cannot drift. Where the CPU has
+// AVX and FMA, lstmGates4avx takes the units four at a time with every bit
+// of lstmGatesTapeGo's; a group it cannot take (an argument outside exp's
+// polynomial range, a NaN) and the tail run the scalar loop.
+func lstmGatesTape(hd int, pre, rec, bias, gates, h, c, tc Vec) {
+	j := 0
+	if useAVX && hasFMA && hd >= 4 {
+		// The exact-length views the scalar loop takes: they panic on a
+		// short operand before the assembly indexes it unchecked.
+		p, r, b, g := pre[:4*hd], rec[:4*hd], bias[:4*hd], gates[:4*hd]
+		hh, cc, tt := h[:hd], c[:hd], tc[:hd]
+		n := hd &^ 3
+		for len(p) > 0 && j < n { // len(p) > 0 always holds; it proves the &p[0]
+			j = lstmGates4avx(j, n, hd, &p[0], &r[0], &b[0], &g[0], &hh[0], &cc[0], &tt[0], &gate64K)
+			if j < n {
+				lstmGatesTapeGo(hd, j, j+4, pre, rec, bias, gates, h, c, tc)
+				j += 4
+			}
+		}
+	}
+	lstmGatesTapeGo(hd, j, hd, pre, rec, bias, gates, h, c, tc)
+}
+
+// lstmGatesTapeGo is the scalar gate loop over units [from, to): the
+// portable path, the vector kernel's tail and fallback, and the reference
+// it is pinned to.
+func lstmGatesTapeGo(hd, from, to int, pre, rec, bias, gates, h, c, tc Vec) {
+	if from < 0 || from > to || to > hd {
+		panic("nn: lstmGatesTapeGo unit range out of bounds")
+	}
+	pi, pf, pg, po := pre[0:][:hd][from:to], pre[hd:][:hd][from:to], pre[2*hd:][:hd][from:to], pre[3*hd:][:hd][from:to]
+	ri, rf, rg, ro := rec[0:][:hd][from:to], rec[hd:][:hd][from:to], rec[2*hd:][:hd][from:to], rec[3*hd:][:hd][from:to]
+	bi, bf, bg, bo := bias[0:][:hd][from:to], bias[hd:][:hd][from:to], bias[2*hd:][:hd][from:to], bias[3*hd:][:hd][from:to]
+	gI, gF, gG, gO := gates[0:][:hd][from:to], gates[hd:][:hd][from:to], gates[2*hd:][:hd][from:to], gates[3*hd:][:hd][from:to]
+	h = h[:hd][from:to]
+	c = c[:hd][from:to]
+	tc = tc[:hd][from:to]
 	for j := range h {
 		gi := Sigmoid(pi[j] + ri[j] + bi[j])
 		gf := Sigmoid(pf[j] + rf[j] + bf[j])
@@ -46,30 +76,32 @@ func lstmGatesTape(hd int, pre, rec, bias, gates, h, c Vec) {
 		gG[j] = gg
 		gO[j] = go_
 		c[j] = gf*c[j] + gi*gg
-		h[j] = go_ * math.Tanh(c[j])
+		tc[j] = math.Tanh(c[j])
+		h[j] = go_ * tc[j]
 	}
 }
 
 // lstmGateGrads computes one stream's pre-activation gate gradients for one
-// timestep of BPTT. gates/c/cPrev are the taped forward values, dh is
-// dL/dh at this step (recurrent flow plus any injection), and dc is dL/dc
-// flowing from step t+1 — updated in place to the value flowing into step
-// t-1 (scaled by the forget gate). dz receives the four gate gradients.
-func lstmGateGrads(hd int, gates, c, cPrev, dh, dc, dz Vec) {
+// timestep of BPTT. gates/tc/cPrev are the taped forward values (tc is
+// tanh of the cell state), dh is dL/dh at this step (recurrent flow plus
+// any injection), and dc is dL/dc flowing from step t+1 — updated in place
+// to the value flowing into step t-1 (scaled by the forget gate). dz
+// receives the four gate gradients.
+func lstmGateGrads(hd int, gates, tc, cPrev, dh, dc, dz Vec) {
 	gI, gF, gG, gO := gates[0:][:hd], gates[hd:][:hd], gates[2*hd:][:hd], gates[3*hd:][:hd]
 	zI, zF, zG, zO := dz[0:][:hd], dz[hd:][:hd], dz[2*hd:][:hd], dz[3*hd:][:hd]
-	c = c[0:][:hd]
+	tc = tc[0:][:hd]
 	cPrev = cPrev[0:][:hd]
 	dh = dh[0:][:hd]
 	dc = dc[0:][:hd]
 	for j := range dh {
 		gi, gf, gg, go_ := gI[j], gF[j], gG[j], gO[j]
-		tc := math.Tanh(c[j])
-		d := dc[j] + dh[j]*go_*(1-tc*tc)
+		tcj := tc[j]
+		d := dc[j] + dh[j]*go_*(1-tcj*tcj)
 		zI[j] = d * gg * gi * (1 - gi)
 		zF[j] = d * cPrev[j] * gf * (1 - gf)
 		zG[j] = d * gi * (1 - gg*gg)
-		zO[j] = dh[j] * tc * go_ * (1 - go_)
+		zO[j] = dh[j] * tcj * go_ * (1 - go_)
 		dc[j] = d * gf
 	}
 }

@@ -17,8 +17,9 @@ package nn
 // BatchTape caches per-step batched activations from ForwardBatch for use
 // in BackwardBatch. Xs[t], H[t], C[t] and Gates[t] hold row i's input,
 // hidden state, cell state and post-activation gate values [i f g o] at
-// timestep t. The caller fills Xs (via Reset + packing rows) and hands the
-// tape to ForwardBatch.
+// timestep t; tc[t] holds tanh of the cell state, which the forward pass
+// computes for H and the backward pass needs again. The caller fills Xs
+// (via Reset + packing rows) and hands the tape to ForwardBatch.
 type BatchTape struct {
 	B, T   int // batch rows and timesteps currently active
 	in, hd int
@@ -26,6 +27,7 @@ type BatchTape struct {
 	H      []Batch // len ≥ T, each B×hd
 	C      []Batch // len ≥ T, each B×hd
 	Gates  []Batch // len ≥ T, each B×4hd
+	tc     []Batch // len ≥ T, each B×hd
 
 	pre, rec Batch // per-step pre-activation scratch
 	zero     Batch // all-zero B×hd batch standing in for the t=-1 state
@@ -58,7 +60,7 @@ func growBatches(bs []Batch, n, rows, cols int) []Batch {
 // Reset prepares the tape for a ForwardBatch of B sequences of length T
 // through l, reusing all backing storage that is already large enough.
 // Contents of Xs after Reset are unspecified; the caller overwrites every
-// row it uses. H, C and Gates are fully written by ForwardBatch.
+// row it uses. H, C, Gates and tc are fully written by ForwardBatch.
 func (tp *BatchTape) Reset(l *LSTM, B, T int) {
 	tp.B, tp.T = B, T
 	tp.in, tp.hd = l.In, l.Hidden
@@ -66,6 +68,7 @@ func (tp *BatchTape) Reset(l *LSTM, B, T int) {
 	tp.H = growBatches(tp.H, T, B, l.Hidden)
 	tp.C = growBatches(tp.C, T, B, l.Hidden)
 	tp.Gates = growBatches(tp.Gates, T, B, 4*l.Hidden)
+	tp.tc = growBatches(tp.tc, T, B, l.Hidden)
 	tp.zero.Resize(B, l.Hidden)
 	for i := range tp.zero.Data {
 		tp.zero.Data[i] = 0
@@ -81,7 +84,7 @@ func (tp *BatchTape) Reset(l *LSTM, B, T int) {
 func (l *LSTM) ForwardBatch(tp *BatchTape) {
 	hd := l.Hidden
 	T := tp.T
-	xsA, hA, cA, gA := tp.Xs[:T], tp.H[:T], tp.C[:T], tp.Gates[:T]
+	xsA, hA, cA, gA, tcA := tp.Xs[:T], tp.H[:T], tp.C[:T], tp.Gates[:T], tp.tc[:T]
 	avx := useAVX
 	// One transpose per call lets every step's products walk weight
 	// columns contiguously, vectorised over outputs; amortized over T steps.
@@ -110,12 +113,12 @@ func (l *LSTM) ForwardBatch(tp *BatchTape) {
 		} else {
 			hPrev.MulT(l.Wh, &tp.rec)
 		}
-		ht, ct, gt := &hA[t], &cA[t], &gA[t]
+		ht, ct, gt, tct := &hA[t], &cA[t], &gA[t], &tcA[t]
 		// lstmGatesTape updates the cell state in place from its previous
 		// value; seed this step's C with the previous step's rows first.
 		copy(ct.Data, cPrev.Data)
 		for i := 0; i < tp.B; i++ {
-			lstmGatesTape(hd, tp.pre.Row(i), tp.rec.Row(i), l.B, gt.Row(i), ht.Row(i), ct.Row(i))
+			lstmGatesTape(hd, tp.pre.Row(i), tp.rec.Row(i), l.B, gt.Row(i), ht.Row(i), ct.Row(i), tct.Row(i))
 		}
 	}
 }
@@ -151,7 +154,7 @@ func (l *LSTM) BackwardBatchDX(tp *BatchTape, dH []Batch, touched []bool, s *Bat
 		panic("nn: BackwardBatchDX dX shorter than the tape")
 	}
 	dHA, touchedA := dH[:T], touched[:T]
-	xsA, hA, cA, gA := tp.Xs[:T], tp.H[:T], tp.C[:T], tp.Gates[:T]
+	xsA, hA, cA, gA, tcA := tp.Xs[:T], tp.H[:T], tp.C[:T], tp.Gates[:T], tp.tc[:T]
 	s.dh.Resize(B, hd)
 	s.dhNext.Resize(B, hd)
 	s.dc.Resize(B, hd)
@@ -168,6 +171,14 @@ func (l *LSTM) BackwardBatchDX(tp *BatchTape, dH []Batch, touched []bool, s *Bat
 			tp.gwxT.Data[i] = 0
 		}
 	}
+	// The recurrent dL/dh = Whᵀ·dz is MulT against Wh as stored: its
+	// row-major 4H×H layout is already the transposed operand the tiled
+	// kernel walks. Per element the sum is MulTransBatch's, ascending from
+	// +0 and unfused, but without its zero-coefficient skip, which is
+	// invisible unless a weight is non-finite (0·Inf is NaN). So the tile
+	// runs only over an all-finite Wh, and needs H a multiple of 4.
+	whT := Batch{Rows: l.Wh.Rows, Cols: l.Wh.Cols, Data: l.Wh.Data}
+	tiled := useAVX && hd%4 == 0 && allFinite(l.Wh.Data)
 	for t := T - 1; t >= 0; t-- {
 		copy(s.dh.Data, s.dhNext.Data)
 		if touchedA[t] {
@@ -179,9 +190,9 @@ func (l *LSTM) BackwardBatchDX(tp *BatchTape, dH []Batch, touched []bool, s *Bat
 			cPrev = &cA[t-1]
 			hPrev = &hA[t-1]
 		}
-		ct, gt := &cA[t], &gA[t]
+		tct, gt := &tcA[t], &gA[t]
 		for i := 0; i < B; i++ {
-			lstmGateGrads(hd, gt.Row(i), ct.Row(i), cPrev.Row(i),
+			lstmGateGrads(hd, gt.Row(i), tct.Row(i), cPrev.Row(i),
 				s.dh.Row(i), s.dc.Row(i), s.dz.Row(i))
 		}
 		if tp.sparse {
@@ -196,7 +207,11 @@ func (l *LSTM) BackwardBatchDX(tp *BatchTape, dH []Batch, touched []bool, s *Bat
 		if t < len(dX) { // false for every t when dX is nil
 			MulTransBatch(&s.dz, l.Wx, &dX[t])
 		}
-		MulTransBatch(&s.dz, l.Wh, &s.dhNext)
+		if tiled {
+			s.dz.mulTTransposed(&whT, &s.dhNext)
+		} else {
+			MulTransBatch(&s.dz, l.Wh, &s.dhNext)
+		}
 	}
 	if tp.sparse {
 		// The transposed scratch holds this call's full GWx contribution;
@@ -204,6 +219,16 @@ func (l *LSTM) BackwardBatchDX(tp *BatchTape, dH []Batch, touched []bool, s *Bat
 		// dense per-step accumulation (0 + Σ terms, same term order).
 		flushSparseGrad(l.GWx, &tp.gwxT)
 	}
+}
+
+// allFinite reports whether no element of v is NaN or ±Inf.
+func allFinite(v []float64) bool {
+	for _, x := range v {
+		if x-x != 0 { // NaN for NaN and ±Inf, +0 otherwise
+			return false
+		}
+	}
+	return true
 }
 
 // addAll adds src to dst element-wise; lengths must match.

@@ -188,10 +188,21 @@ func benchTrainTape(b *testing.B, B int) (*LSTM, *BatchTape, []Batch, []bool) {
 // workload: Hidden 64, 273 features at 18 % density (so the sparse input
 // projection runs), a lane of 12 sequences.
 func benchFitTape(b *testing.B) (*LSTM, *BatchTape, []Batch, []bool) {
+	return benchSparseTape(b, benchCellHidden, 12)
+}
+
+// benchH200Tape is the same 18 %-dense input at the paper's Hidden 200 in
+// a lane of four, the lane size train_fit's mixed-length batches actually
+// form: the float64 baseline for a float32 training lane.
+func benchH200Tape(b *testing.B) (*LSTM, *BatchTape, []Batch, []bool) {
+	return benchSparseTape(b, 200, 4)
+}
+
+func benchSparseTape(b *testing.B, hidden, B int) (*LSTM, *BatchTape, []Batch, []bool) {
 	b.Helper()
-	l := NewLSTM(benchIn, benchCellHidden, rand.New(rand.NewSource(1)))
+	l := NewLSTM(benchIn, hidden, rand.New(rand.NewSource(1)))
 	rng := rand.New(rand.NewSource(5))
-	return benchTape(b, l, 12, func(tp *BatchTape) {
+	return benchTape(b, l, B, func(tp *BatchTape) {
 		for t := 0; t < benchSeqLen; t++ {
 			for i := range tp.Xs[t].Data {
 				tp.Xs[t].Data[i] = 0
@@ -248,6 +259,11 @@ func BenchmarkLSTMForwardBatchFit(b *testing.B) {
 	benchForwardBatch(b, l, tp)
 }
 
+func BenchmarkLSTMForwardBatchH200(b *testing.B) {
+	l, tp, _, _ := benchH200Tape(b)
+	benchForwardBatch(b, l, tp)
+}
+
 // benchBackwardBatch runs one batched BPTT pass per op over the warmed
 // tape; steps/sec counts stream-steps.
 func benchBackwardBatch(b *testing.B, l *LSTM, tp *BatchTape, dH []Batch, touched []bool) {
@@ -276,5 +292,10 @@ func BenchmarkLSTMBackwardBatch8(b *testing.B) {
 
 func BenchmarkLSTMBackwardBatchFit(b *testing.B) {
 	l, tp, dH, touched := benchFitTape(b)
+	benchBackwardBatch(b, l, tp, dH, touched)
+}
+
+func BenchmarkLSTMBackwardBatchH200(b *testing.B) {
+	l, tp, dH, touched := benchH200Tape(b)
 	benchBackwardBatch(b, l, tp, dH, touched)
 }

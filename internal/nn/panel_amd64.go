@@ -2,10 +2,21 @@
 
 package nn
 
+import "math"
+
 // useAVX selects the AVX panel kernels when the CPU and OS both support
 // 256-bit vector state. It is a variable, not a constant, so tests can
 // force the portable kernel and assert bit-identical outputs.
 var useAVX = hasAVX()
+
+// hasFMA records whether math.Exp takes its FMA branch here: the CPU has
+// FMA3 (with AVX, the condition math itself checks) and math has not been
+// told otherwise (GODEBUG=cpu.fma=off), which the probe shows — the two
+// branches round exp(−1.1099999999999999) differently. The float64 gate
+// kernel transcribes that branch, so it runs only when hasFMA is set (and
+// useAVX, the one switch). It is a fact about the process, not a switch:
+// tests flip useAVX.
+var hasFMA = hasAVX() && cpuFMA() && math.Exp(-1.1099999999999999) == 0.32955896107518906
 
 // hasAVX reports whether AVX instructions are safe to execute: CPUID
 // must advertise AVX and OSXSAVE, and XCR0 must show the OS preserving
@@ -18,6 +29,14 @@ func hasAVX() bool {
 		return false
 	}
 	return xgetbv0()&0x6 == 0x6
+}
+
+// cpuFMA reports the FMA3 bit of CPUID leaf 1. Like math's own check it
+// is only meaningful together with hasAVX (FMA uses the YMM state).
+func cpuFMA() bool {
+	_, _, ecx, _ := cpuidex(1, 0)
+	const fma = 1 << 12
+	return ecx&fma != 0
 }
 
 // cpuidex executes CPUID with the given leaf/subleaf.
@@ -96,6 +115,80 @@ func mulT4avx(x, wT *float64, cols, n int, dst *float64)
 //
 //go:noescape
 func mulT1avx(x, wT *float64, cols, n int, dst *float64)
+
+// lstmGates4avx is lstmGatesTapeGo over units [j, n), n a multiple of 4,
+// four units per iteration, each output the scalar loop's bits: the gate
+// adds, math.Exp's FMA branch (exp_amd64.s, label avxfma) op for op,
+// math.tanh's three branches unfused, Sigmoid's two sign branches, and
+// the c/h update, with the correctly rounded VDIVPD standing in for the
+// scalar divide. It stops at the first group of four in which a
+// sigmoid's exp leaves the polynomial range (NaN, ±Inf, overflow or a
+// denormal result) or a tanh argument is NaN, and returns that group's
+// first unit (n when every group was taken): the caller runs the scalar
+// loop for the group and calls again. A stopped group's c, h and tanh(c)
+// are untouched; its gate values may have been written. hd is the gate
+// segment length of pre, rec, bias and gates.
+//
+//go:noescape
+func lstmGates4avx(j, n, hd int, pre, rec, bias, gates, h, c, tc *float64, k *gate64Consts) int
+
+// adamavx is adamUpdateGo over elements [0, n), n a positive multiple of
+// 4, four wide: the optional clip multiply, both moments, the bias
+// corrections, the square root and the weight update, each the scalar
+// loop's IEEE operation in its order, and g zeroed.
+//
+//go:noescape
+func adamavx(w, grad, m, v *float64, n int, k *adamConsts)
+
+// gate64Consts is the constant table lstmGates4avx reads, each value
+// broadcast to one 32-byte vector. The assembly addresses the fields by
+// offset: keep the order.
+type gate64Consts struct {
+	log2e, ln2u, ln2l, sixteenth [4]float64 // 0, 32, 64, 96
+	e8, e7, e6, e5, e4, e3       [4]float64 // 128 … 288: exp's Taylor terms
+	half, one, two               [4]float64 // 320, 352, 384
+	sign                         [4]uint64  // 416
+	kMin, kMax                   [4]float64 // 448, 480
+	p0, p1, p2, q0, q1, q2       [4]float64 // 512 … 672: tanh's P and Q
+	tanhMid, tanhBig, maxLog     [4]float64 // 704, 736, 768
+	expBias                      [8]uint32  // 800
+}
+
+// gate64K spells each constant as exp_amd64.s and tanh.go do.
+var gate64K = gate64Consts{
+	log2e:     bcast4(1.4426950408889634073599246810018920),
+	ln2u:      bcast4(0.69314718055966295651160180568695068359375),
+	ln2l:      bcast4(0.28235290563031577122588448175013436025525412068e-12),
+	sixteenth: bcast4(0.0625),
+
+	e8: bcast4(2.4801587301587301587e-5),
+	e7: bcast4(1.9841269841269841270e-4),
+	e6: bcast4(1.3888888888888888889e-3),
+	e5: bcast4(8.3333333333333333333e-3),
+	e4: bcast4(4.1666666666666666667e-2),
+	e3: bcast4(1.6666666666666666667e-1),
+
+	half: bcast4(0.5), one: bcast4(1), two: bcast4(2),
+	sign: [4]uint64{1 << 63, 1 << 63, 1 << 63, 1 << 63},
+	// Exponents k outside [-1022, 1023] are where exp's scalar code
+	// branches (a denormal or zero result, +Inf); NaN and ±Inf arguments
+	// convert to k = -2³¹.
+	kMin: bcast4(-1022), kMax: bcast4(1023),
+
+	p0: bcast4(-9.64399179425052238628e-1),
+	p1: bcast4(-9.92877231001918586564e1),
+	p2: bcast4(-1.61468768441708447952e3),
+	q0: bcast4(1.12811678491632931402e2),
+	q1: bcast4(2.23548839060100448583e3),
+	q2: bcast4(4.84406305325125486048e3),
+
+	tanhMid: bcast4(0.625), tanhBig: bcast4(0.5 * tanhMaxLog), maxLog: bcast4(tanhMaxLog),
+	expBias: [8]uint32{1023, 1023, 1023, 1023, 1023, 1023, 1023, 1023},
+}
+
+// tanhMaxLog is math.tanh's MAXLOG, log(2**127): above half of it tanh is
+// ±1, so the vector kernel's exp(2|x|) never needs a larger argument.
+const tanhMaxLog = 8.8029691931113054295988e+01
 
 // gateConsts is the constant table lstmGates8avx reads, each value
 // broadcast to one 32-byte vector. The assembly addresses the fields by

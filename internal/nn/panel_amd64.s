@@ -623,3 +623,246 @@ mt1s4:
 mt1done:
 	VZEROUPPER
 	RET
+
+// The float64 gate kernel. DX points at a gate64Consts table
+// (panel_amd64.go gives the offsets); Y13 holds the sign mask, Y14 zero
+// and Y15 the lanes that must go to the scalar loop.
+//
+// EXP64: Y1 = math.Exp(Y1) on four lanes, exp_amd64.s's avxfma branch op
+// for op: the same FMAs where it fuses, the same separate multiply and add
+// where it does not, k rounded by the MXCSR mode as CVTSD2SL rounds it,
+// and the result scaled by 2^k built from k + 1023 (on the two 128-bit
+// halves, so the integer work needs AVX alone). Y3 keeps k as a float64
+// for the caller's range check. Clobbers Y2, Y4 and Y6.
+#define EXP64 \
+	VMULPD       0(DX), Y1, Y2;    \
+	VCVTPD2DQY   Y2, X2;           \
+	VCVTDQ2PD    X2, Y3;           \
+	VFNMADD231PD 32(DX), Y3, Y1;   \
+	VFNMADD231PD 64(DX), Y3, Y1;   \
+	VMULPD       96(DX), Y1, Y1;   \
+	VMOVUPD      128(DX), Y4;      \
+	VFMADD213PD  160(DX), Y1, Y4;  \
+	VFMADD213PD  192(DX), Y1, Y4;  \
+	VFMADD213PD  224(DX), Y1, Y4;  \
+	VFMADD213PD  256(DX), Y1, Y4;  \
+	VFMADD213PD  288(DX), Y1, Y4;  \
+	VFMADD213PD  320(DX), Y1, Y4;  \
+	VFMADD213PD  352(DX), Y1, Y4;  \
+	VMULPD       Y4, Y1, Y1;       \
+	VADDPD       384(DX), Y1, Y4;  \
+	VMULPD       Y4, Y1, Y1;       \
+	VADDPD       384(DX), Y1, Y4;  \
+	VMULPD       Y4, Y1, Y1;       \
+	VADDPD       384(DX), Y1, Y4;  \
+	VMULPD       Y4, Y1, Y1;       \
+	VADDPD       384(DX), Y1, Y4;  \
+	VFMADD213PD  352(DX), Y4, Y1;  \
+	VPADDD       800(DX), X2, X2;  \
+	VPUNPCKHDQ   X14, X2, X6;      \
+	VPUNPCKLDQ   X14, X2, X2;      \
+	VPSLLQ       $52, X2, X2;      \
+	VPSLLQ       $52, X6, X6;      \
+	VINSERTF128  $1, X6, Y2, Y2;   \
+	VMULPD       Y2, Y1, Y1
+
+// SIG64: Y0 = Sigmoid(Y0). Lanes with x >= 0 take exp(-x) and 1/(1+z),
+// the others exp(x) and z/(1+z); a lane whose k is out of [-1022, 1023]
+// (exp's scalar branches, NaN and ±Inf included) is marked in Y15.
+// Clobbers Y1-Y7.
+#define SIG64 \
+	VCMPPD    $13, Y14, Y0, Y5;    \
+	VANDPD    Y13, Y5, Y1;         \
+	VXORPD    Y1, Y0, Y1;          \
+	EXP64;                         \
+	VCMPPD    $1, 448(DX), Y3, Y6; \
+	VORPD     Y6, Y15, Y15;        \
+	VCMPPD    $14, 480(DX), Y3, Y6; \
+	VORPD     Y6, Y15, Y15;        \
+	VADDPD    352(DX), Y1, Y6;     \
+	VBLENDVPD Y5, 352(DX), Y1, Y7; \
+	VDIVPD    Y6, Y7, Y0
+
+// TANH64: Y0 = math.Tanh(Y0), its three branches computed on every lane
+// and blended: |x| > MAXLOG/2 gives ±1; |x| >= 0.625 gives 1 - 2/(e^2|x|
+// + 1) with x's sign (exp's argument clamped to MAXLOG, which no lane of
+// this branch exceeds); the rest the rational polynomial, and x itself
+// when x is ±0. A NaN lane is marked in Y15. Clobbers Y1-Y9.
+#define TANH64 \
+	VCMPPD    $3, Y0, Y0, Y6;      \
+	VORPD     Y6, Y15, Y15;        \
+	VANDNPD   Y0, Y13, Y8;         \
+	VANDPD    Y13, Y0, Y9;         \
+	VADDPD    Y8, Y8, Y1;          \
+	VMINPD    768(DX), Y1, Y1;     \
+	EXP64;                         \
+	VADDPD    352(DX), Y1, Y1;     \
+	VMOVUPD   384(DX), Y2;         \
+	VDIVPD    Y1, Y2, Y1;          \
+	VMOVUPD   352(DX), Y2;         \
+	VSUBPD    Y1, Y2, Y1;          \
+	VORPD     Y9, Y1, Y1;          \
+	VMULPD    Y0, Y0, Y2;          \
+	VMULPD    512(DX), Y2, Y3;     \
+	VADDPD    544(DX), Y3, Y3;     \
+	VMULPD    Y2, Y3, Y3;          \
+	VADDPD    576(DX), Y3, Y3;     \
+	VADDPD    608(DX), Y2, Y4;     \
+	VMULPD    Y2, Y4, Y4;          \
+	VADDPD    640(DX), Y4, Y4;     \
+	VMULPD    Y2, Y4, Y4;          \
+	VADDPD    672(DX), Y4, Y4;     \
+	VMULPD    Y2, Y0, Y2;          \
+	VMULPD    Y3, Y2, Y2;          \
+	VDIVPD    Y4, Y2, Y2;          \
+	VADDPD    Y2, Y0, Y2;          \
+	VCMPPD    $13, 704(DX), Y8, Y3; \
+	VBLENDVPD Y3, Y1, Y2, Y2;      \
+	VCMPPD    $14, 736(DX), Y8, Y3; \
+	VORPD     352(DX), Y9, Y4;     \
+	VBLENDVPD Y3, Y4, Y2, Y2;      \
+	VCMPPD    $0, Y14, Y0, Y3;     \
+	VBLENDVPD Y3, Y0, Y2, Y0
+
+// PREACT64(P, R, B): Y0 = (pre + rec) + bias for the four units at the
+// three operands, one gate segment of each row.
+#define PREACT64(P, R, B) \
+	VMOVUPD P, Y0;                 \
+	VADDPD  R, Y0, Y0;             \
+	VADDPD  B, Y0, Y0
+
+// func lstmGates4avx(j, n, hd int, pre, rec, bias, gates, h, c, tc *float64, k *gate64Consts) int
+//
+// lstmGatesTapeGo over units [j, n), four per iteration. Every pointer
+// advances 32 bytes a group; AX is the gate segment stride (hd·8 bytes)
+// and R9 three of them. A group with a marked lane stores no c, h or
+// tanh(c) and its first unit is returned.
+TEXT ·lstmGates4avx(SB), NOSPLIT, $0-96
+	MOVQ j+0(FP), R8
+	MOVQ n+8(FP), CX
+	MOVQ hd+16(FP), AX
+	MOVQ pre+24(FP), SI
+	MOVQ rec+32(FP), DI
+	MOVQ bias+40(FP), BX
+	MOVQ gates+48(FP), R12
+	MOVQ h+56(FP), R13
+	MOVQ c+64(FP), R14
+	MOVQ tc+72(FP), R11
+	MOVQ k+80(FP), DX
+	SUBQ R8, CX
+	SHRQ $2, CX             // groups left
+	MOVQ R8, R10
+	SHLQ $3, R10            // byte offset of unit j
+	ADDQ R10, SI
+	ADDQ R10, DI
+	ADDQ R10, BX
+	ADDQ R10, R12
+	ADDQ R10, R13
+	ADDQ R10, R14
+	ADDQ R10, R11
+	SHLQ $3, AX
+	LEAQ (AX)(AX*2), R9
+	VMOVUPD 416(DX), Y13
+	VXORPD  Y14, Y14, Y14
+	TESTQ   CX, CX
+	JLE     g4done
+g4loop:
+	VXORPD  Y15, Y15, Y15
+	PREACT64((SI), (DI), (BX))
+	SIG64
+	VMOVUPD Y0, (R12)           // i
+	VMOVAPD Y0, Y10
+	PREACT64((SI)(AX*2), (DI)(AX*2), (BX)(AX*2))
+	TANH64
+	VMOVUPD Y0, (R12)(AX*2)     // g
+	VMULPD  Y0, Y10, Y10        // gi*gg
+	PREACT64((SI)(AX*1), (DI)(AX*1), (BX)(AX*1))
+	SIG64
+	VMOVUPD Y0, (R12)(AX*1)     // f
+	VMULPD  (R14), Y0, Y11      // gf*c
+	VADDPD  Y10, Y11, Y12       // c = gf*c + gi*gg
+	VMOVAPD Y12, Y0
+	TANH64
+	VMOVAPD Y0, Y11             // tanh(c)
+	PREACT64((SI)(R9*1), (DI)(R9*1), (BX)(R9*1))
+	SIG64
+	VMOVUPD Y0, (R12)(R9*1)     // o
+	VMULPD  Y11, Y0, Y0         // h = go*tanh(c)
+	VMOVMSKPD Y15, R10
+	TESTQ   R10, R10
+	JNZ     g4done
+	VMOVUPD Y12, (R14)
+	VMOVUPD Y0, (R13)
+	VMOVUPD Y11, (R11)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	ADDQ    $32, BX
+	ADDQ    $32, R12
+	ADDQ    $32, R13
+	ADDQ    $32, R14
+	ADDQ    $32, R11
+	ADDQ    $4, R8
+	DECQ    CX
+	JNZ     g4loop
+g4done:
+	MOVQ R8, ret+88(FP)
+	VZEROUPPER
+	RET
+
+// func adamavx(w, grad, m, v *float64, n int, k *adamConsts)
+//
+// adamUpdateGo four elements at a time over [0, n), n a positive multiple
+// of 4: g·scale when k.clip is set, m = β1·m + (1-β1)·g, v = β2·v +
+// ((1-β2)·g)·g, w = w - (lr·(m/bc1))/(√(v/bc2) + eps), g = 0.
+TEXT ·adamavx(SB), NOSPLIT, $0-48
+	MOVQ         w+0(FP), DI
+	MOVQ         grad+8(FP), SI
+	MOVQ         m+16(FP), R8
+	MOVQ         v+24(FP), R9
+	MOVQ         n+32(FP), CX
+	MOVQ         k+40(FP), DX
+	VBROADCASTSD 0(DX), Y8      // scale
+	VBROADCASTSD 8(DX), Y9      // β1
+	VBROADCASTSD 16(DX), Y10    // 1-β1
+	VBROADCASTSD 24(DX), Y11    // β2
+	VBROADCASTSD 32(DX), Y12    // 1-β2
+	VBROADCASTSD 40(DX), Y13    // bc1
+	VBROADCASTSD 48(DX), Y14    // bc2
+	VBROADCASTSD 56(DX), Y15    // lr
+	VBROADCASTSD 64(DX), Y7     // eps
+	MOVQ         72(DX), R10    // clip
+	VXORPD       Y6, Y6, Y6
+	SHRQ         $2, CX
+adamloop:
+	VMOVUPD (SI), Y0            // g
+	TESTQ   R10, R10
+	JZ      adamnoclip
+	VMULPD  Y8, Y0, Y0
+adamnoclip:
+	VMULPD  (R8), Y9, Y1        // β1·m
+	VMULPD  Y0, Y10, Y2         // (1-β1)·g
+	VADDPD  Y2, Y1, Y1          // m
+	VMULPD  (R9), Y11, Y2       // β2·v
+	VMULPD  Y0, Y12, Y3         // (1-β2)·g
+	VMULPD  Y0, Y3, Y3          // ·g
+	VADDPD  Y3, Y2, Y2          // v
+	VMOVUPD Y1, (R8)
+	VMOVUPD Y2, (R9)
+	VDIVPD  Y13, Y1, Y1         // m/bc1
+	VDIVPD  Y14, Y2, Y2         // v/bc2
+	VSQRTPD Y2, Y2
+	VADDPD  Y7, Y2, Y2          // √ + eps
+	VMULPD  Y1, Y15, Y1         // lr·mh
+	VDIVPD  Y2, Y1, Y1
+	VMOVUPD (DI), Y3
+	VSUBPD  Y1, Y3, Y3
+	VMOVUPD Y3, (DI)
+	VMOVUPD Y6, (SI)            // g = 0
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	DECQ    CX
+	JNZ     adamloop
+	VZEROUPPER
+	RET

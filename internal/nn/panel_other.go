@@ -45,3 +45,19 @@ func mulT4avx(x, wT *float64, cols, n int, dst *float64) {
 func mulT1avx(x, wT *float64, cols, n int, dst *float64) {
 	panic("nn: mulT1avx unavailable on this architecture")
 }
+
+// gate64Consts is empty off amd64: only the assembly reads the table.
+type gate64Consts struct{}
+
+var gate64K gate64Consts
+
+// hasFMA is false off amd64: the float64 gate kernel is amd64 assembly.
+const hasFMA = false
+
+func lstmGates4avx(j, n, hd int, pre, rec, bias, gates, h, c, tc *float64, k *gate64Consts) int {
+	panic("nn: lstmGates4avx unavailable on this architecture")
+}
+
+func adamavx(w, grad, m, v *float64, n int, k *adamConsts) {
+	panic("nn: adamavx unavailable on this architecture")
+}

@@ -1,23 +1,27 @@
 package nn
 
-// StepScratch holds the pre-activation and gate buffers one LSTM Step
-// needs. The caller owns it (zero value is ready to use) and reuses it
+// StepScratch holds the pre-activation, gate and tanh(c) buffers one LSTM
+// Step needs. The caller owns it (zero value is ready to use) and reuses it
 // across steps, so the single-stream hot path performs no allocation. A
 // scratch may be shared by LSTMs of different sizes — ensure regrows it as
 // needed — but not by concurrent goroutines.
 type StepScratch struct {
-	pre, rec, gates Vec
+	pre, rec, gates, tc Vec
 }
 
-func (s *StepScratch) ensure(n int) {
+// ensure sizes the buffers for an LSTM of the given hidden width.
+func (s *StepScratch) ensure(hd int) {
+	n := 4 * hd
 	if cap(s.pre) < n {
 		s.pre = make(Vec, n)
 		s.rec = make(Vec, n)
 		s.gates = make(Vec, n)
+		s.tc = make(Vec, hd)
 	}
 	s.pre = s.pre[:n]
 	s.rec = s.rec[:n]
 	s.gates = s.gates[:n]
+	s.tc = s.tc[:hd]
 }
 
 // Step advances the LSTM by one timestep from state (h, c) with input x,
@@ -37,10 +41,10 @@ func (l *LSTM) Step(h, c, x Vec, s *StepScratch) (Vec, Vec) {
 	if s == nil {
 		s = &StepScratch{}
 	}
-	s.ensure(4 * hd)
+	s.ensure(hd)
 	l.Wx.MulVec(x, s.pre)
 	l.Wh.MulVec(h, s.rec)
-	lstmGatesTape(hd, s.pre, s.rec, l.B, s.gates, h, c)
+	lstmGatesTape(hd, s.pre, s.rec, l.B, s.gates, h, c, s.tc)
 	return h, c
 }
 

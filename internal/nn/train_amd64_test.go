@@ -40,11 +40,11 @@ func flipExamples(rng *rand.Rand, dense bool, window int) []core.Example {
 // flipRun trains a model with the kernel dispatch set to avx and returns
 // its saved bytes, the survival curve of one sequence and the input
 // gradients at its first and last detection steps.
-func flipRun(t *testing.T, avx, dense bool, workers int) (saved []byte, outs []float64) {
+func flipRun(t *testing.T, avx, dense bool, workers, hidden int) (saved []byte, outs []float64) {
 	t.Helper()
 	*nn.UseAVX = avx
 	cfg := core.DefaultConfig(24)
-	cfg.Hidden = 7 // 4·Hidden = 28 outputs: the 8-wide passes and a 4-wide remainder
+	cfg.Hidden = hidden
 	cfg.PoolShort, cfg.PoolMed, cfg.PoolLong = 1, 3, 6
 	cfg.Window = 8
 	rng := rand.New(rand.NewSource(81))
@@ -87,26 +87,33 @@ func flipRun(t *testing.T, avx, dense bool, workers int) (saved []byte, outs []f
 // TestFitAVXMatchesGoBitwise is the whole-model flip: Fit on sparse and on
 // dense rows with one and two workers, then Survival and InputGradients,
 // once on the AVX kernels and once on the portable Go loops. The saved
-// model bytes and every output bit must agree.
+// model bytes and every output bit must agree. Hidden 7 gives 4·Hidden =
+// 28 products (the 8-wide passes and a 4-wide remainder) and a gate group
+// plus a 3-unit scalar tail, and keeps the recurrent dL/dh on
+// MulTransBatch; Hidden 8 runs it on the tile. Both run the vector gates
+// (on FMA machines), the taped tanh(c), the blocked GWx flush and Adam's
+// four-wide update.
 func TestFitAVXMatchesGoBitwise(t *testing.T) {
 	if !nn.HasAVX() {
 		t.Skip("no AVX on this machine")
 	}
 	saved := *nn.UseAVX
 	defer func() { *nn.UseAVX = saved }()
-	for _, dense := range []bool{false, true} {
-		for _, workers := range []int{1, 2} {
-			modelAVX, outAVX := flipRun(t, true, dense, workers)
-			modelGo, outGo := flipRun(t, false, dense, workers)
-			if !bytes.Equal(modelAVX, modelGo) {
-				t.Fatalf("dense=%v workers=%d: saved models differ between AVX and Go kernels", dense, workers)
-			}
-			if len(outAVX) != len(outGo) {
-				t.Fatalf("dense=%v workers=%d: %d outputs vs %d", dense, workers, len(outAVX), len(outGo))
-			}
-			for i := range outGo {
-				if math.Float64bits(outAVX[i]) != math.Float64bits(outGo[i]) {
-					t.Fatalf("dense=%v workers=%d: output %d AVX %v != Go %v", dense, workers, i, outAVX[i], outGo[i])
+	for _, hidden := range []int{7, 8} {
+		for _, dense := range []bool{false, true} {
+			for _, workers := range []int{1, 2} {
+				modelAVX, outAVX := flipRun(t, true, dense, workers, hidden)
+				modelGo, outGo := flipRun(t, false, dense, workers, hidden)
+				if !bytes.Equal(modelAVX, modelGo) {
+					t.Fatalf("hidden=%d dense=%v workers=%d: saved models differ between AVX and Go kernels", hidden, dense, workers)
+				}
+				if len(outAVX) != len(outGo) {
+					t.Fatalf("hidden=%d dense=%v workers=%d: %d outputs vs %d", hidden, dense, workers, len(outAVX), len(outGo))
+				}
+				for i := range outGo {
+					if math.Float64bits(outAVX[i]) != math.Float64bits(outGo[i]) {
+						t.Fatalf("hidden=%d dense=%v workers=%d: output %d AVX %v != Go %v", hidden, dense, workers, i, outAVX[i], outGo[i])
+					}
 				}
 			}
 		}

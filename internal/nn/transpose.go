@@ -40,7 +40,8 @@ func transposeInto(dst *Batch, w *Mat) {
 // flushSparseGrad adds the transposed gradient scratch into g (the layer's
 // GWx): g[r][c] += gwxT[c][r]. Zero scratch entries are skipped — features
 // absent from the whole chunk leave their gradient column untouched, just
-// as the dense path's zero products do.
+// as the dense path's zero products do (and a −0 gradient stays −0, which
+// adding +0 would not keep).
 //
 //go:noinline
 func flushSparseGrad(g *Mat, gwxT *Batch) {
@@ -48,7 +49,35 @@ func flushSparseGrad(g *Mat, gwxT *Batch) {
 	if gwxT.Rows != cols || gwxT.Cols != rows {
 		panic("nn: flushSparseGrad shape mismatch")
 	}
-	for c := 0; c < cols; c++ {
+	c := 0
+	// Four scratch rows at a time, as transposeInto reads four source rows:
+	// each gradient row gets four adjacent elements per visit.
+	for ; c+4 <= cols; c += 4 {
+		s0 := gwxT.Data[c*rows:][:rows]
+		s1 := gwxT.Data[(c+1)*rows:][:rows]
+		s2 := gwxT.Data[(c+2)*rows:][:rows]
+		s3 := gwxT.Data[(c+3)*rows:][:rows]
+		for r, v0 := range s0 {
+			v1, v2, v3 := s1[r], s2[r], s3[r]
+			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
+				continue
+			}
+			d := g.Data[r*cols+c:][:4]
+			if v0 != 0 {
+				d[0] += v0
+			}
+			if v1 != 0 {
+				d[1] += v1
+			}
+			if v2 != 0 {
+				d[2] += v2
+			}
+			if v3 != 0 {
+				d[3] += v3
+			}
+		}
+	}
+	for ; c < cols; c++ {
 		grow := gwxT.Data[c*rows:][:rows]
 		for r, v := range grow {
 			if v == 0 {
