@@ -119,13 +119,16 @@ fleet-smoke:
 trace-smoke:
 	$(GO) run ./cmd/xatu-fleet -smoke -assert -trace 64 > /dev/null
 
-# Short fuzz pass over the wire codec, the journal and the model reader
-# (CI smoke; run longer locally with -fuzztime as needed). The model
-# reader may legitimately allocate a model of up to 1<<24 parameters for
-# a mutated header, so it fuzzes on one worker.
+# Short fuzz pass over the wire codec, the journal, the model reader and
+# the detector-state readers (XSC1 stream, XMC1 monitor checkpoints; CI
+# smoke; run longer locally with -fuzztime as needed). The model reader
+# may legitimately allocate a model of up to 1<<24 parameters for a
+# mutated header, so it fuzzes on one worker.
 fuzz:
 	$(GO) test ./internal/netflow -run '^$$' -fuzz FuzzDecodeV5 -fuzztime 10s
 	$(GO) test ./internal/netflow -run '^$$' -fuzz FuzzJournalRoundTrip -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLoad -fuzztime 10s -parallel 1
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRestoreStream -fuzztime 10s
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzMonitorRestore -fuzztime 10s
 
 check: build build-arm64 lint bce test race bench-check fleet-smoke trace-smoke

@@ -21,13 +21,16 @@ import (
 // behavioral, not bitwise: survival tracks it within the calibrated
 // tolerance (TestStream32TracksFloat64).
 //
-// Push does the input-side work — narrowing to float32, listing the
-// non-zero columns, W_x·x of every unpooled branch — once per distinct
-// input slice, not once per stream: adjacent rows whose xs[i] are one and
-// the same slice (same first element, same length — what a Monitor passes
-// for the channels of one customer) share it. Sharing is by identity, not
-// by value, and changes no bit: equal inputs project to equal bits either
-// way (TestLaneSharedInputInvariant).
+// Push does the input-side work once per distinct input, not once per
+// stream. Narrowing to float32, listing the non-zero columns and W_x·x of
+// every unpooled branch run once per input slice: adjacent rows whose
+// xs[i] are one and the same slice (same first element, same length — what
+// a Monitor passes for the channels of one customer) share them. Copying
+// the last input, adding the pooling sums and, when a pool fills, its mean
+// and W_x·mean run once per input record (inputRec), which such rows share
+// while their input sides are bit-equal. Sharing changes no bit: equal
+// inputs project to equal bits either way (TestLaneSharedInputInvariant,
+// TestLaneRecordSharingInvariant).
 //
 // A BatchRunner32 is not safe for concurrent use.
 type BatchRunner32 struct {
@@ -36,27 +39,40 @@ type BatchRunner32 struct {
 	arena arena
 	// The distinct inputs of one Push, narrowed, in the leading rows of
 	// xin: row src[i] is stream i's. nz is the non-zero column list of the
-	// row being projected, and pre[b] holds the rows' projections through
-	// unpooled branch b.
-	xin nn.Batch32
-	src []int
-	nz  []int32
-	pre [numBranches]nn.Batch32
-	// per-branch gather buffers: pooled-mean input rows, hidden/cell rows,
-	// and the indices (into the caller's streams slice) of the rows' owners.
-	xb, hb, cb [numBranches]nn.Batch32
-	idx        [numBranches][]int
-	sc         nn.BatchScratch32
-	concat, zs nn.Batch32
+	// row being projected and mean a filled pool's mean. pre[b] holds the
+	// projections branch b steps on: of the distinct inputs for an
+	// unpooled branch, of the means of the pools that filled for a pooled
+	// one.
+	xin  nn.Batch32
+	src  []int
+	nz   []int32
+	mean nn.Vec32
+	pre  [numBranches]nn.Batch32
+	// per-branch gather buffers: hidden/cell rows and the indices (into
+	// the caller's streams slice) of the rows' owners; for a pooled branch
+	// psrc[b][n] is the row of pre[b] that row n steps on.
+	hb, cb [numBranches]nn.Batch32
+	idx    [numBranches][]int
+	psrc   [numBranches][]int
+	sc     nn.BatchScratch32
+	concat nn.Batch32
+	zs     nn.Batch32
 	// epoch numbers the Push in progress; a stream carrying the current
-	// number has already been listed in it.
-	epoch uint64
-	stats LaneStats
-	// the batch of one behind Stream.Push/PushMissing, and the input a
-	// missing step synthesizes.
+	// number has already been listed in it. unit numbers the runs of rows
+	// that own a record (own). A restore decodes into decoded, and
+	// restored is the record the last restored stream took (adopt).
+	epoch    uint64
+	unit     uint64
+	decoded  *inputRec
+	restored *inputRec
+	stats    LaneStats
+	// the batch of one behind Stream.Push/PushMissing, the inputs of a
+	// missing push, and the all-zero input a missing step feeds under
+	// MissingZero (never written).
 	one    [1]*Stream
 	oneX   [1][]float64
 	oneOut [1]float64
+	missXs [][]float64
 	missX  nn.Vec
 }
 
@@ -82,27 +98,24 @@ func NewBatchRunner32(m *Model) (*BatchRunner32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &BatchRunner32{m: m, q: q, missX: nn.NewVec(m.Cfg.NumFeatures)}, nil
+	nf := m.Cfg.NumFeatures
+	return &BatchRunner32{m: m, q: q, missX: nn.NewVec(nf), mean: nn.NewVec32(nf)}, nil
 }
 
 // Model returns the shared model the runner steps streams through.
 func (r *BatchRunner32) Model() *Model { return r.m }
 
 // NewStream returns a fresh serving stream on this lane: recurrent state
-// and pooling sums in one contiguous arena slab.
+// in one contiguous arena slab. Its input record comes with its first
+// Push, shared with the adjacent rows fed the same slice.
 func (r *BatchRunner32) NewStream() *Stream {
 	s := newStreamBase(r.m)
 	s.lane = r
-	nf, hd := r.m.Cfg.NumFeatures, r.m.Cfg.Hidden
-	slab := r.arena.alloc(r.m.activeBranches() * (2*hd + nf))
-	carve := func(n int) nn.Vec32 {
-		v := slab[:n:n]
-		slab = slab[n:]
-		return v
-	}
+	hd := r.m.Cfg.Hidden
+	slab := r.arena.alloc(r.m.activeBranches() * 2 * hd)
 	for b, l := range r.q.lstms {
 		if l != nil {
-			s.h32[b], s.c32[b], s.bufSum32[b] = carve(hd), carve(hd), carve(nf)
+			s.h32[b], s.c32[b], slab = slab[:hd:hd], slab[hd:2*hd:2*hd], slab[2*hd:]
 		}
 	}
 	return s
@@ -111,16 +124,17 @@ func (r *BatchRunner32) NewStream() *Stream {
 // RestoreStream reads an XSC1 checkpoint into a serving stream on this
 // lane. A float32 round-trip is exact (the checkpoint stores widened
 // float32 values); a checkpoint written by a float64 stream narrows, which
-// stays within the precision parity tolerance.
+// stays within the precision parity tolerance. Streams restored one after
+// another with bit-equal input sides share one record, as they did live.
 func (r *BatchRunner32) RestoreStream(rd io.Reader) (*Stream, error) {
 	return restoreStream(rd, r.m, r.NewStream)
 }
 
 // pushOne is Push for a batch of one, through lane-owned slices so the
 // lone step allocates nothing.
-func (r *BatchRunner32) pushOne(s *Stream, x []float64, observed bool) float64 {
+func (r *BatchRunner32) pushOne(s *Stream, x []float64) float64 {
 	r.one[0], r.oneX[0] = s, x
-	r.step(r.one[:], r.oneX[:], r.oneOut[:], observed)
+	r.step(r.one[:], r.oneX[:], r.oneOut[:], true)
 	return r.oneOut[0]
 }
 
@@ -136,6 +150,28 @@ func (r *BatchRunner32) Push(streams []*Stream, xs [][]float64, out []float64) [
 		out = make([]float64, len(streams))
 	}
 	r.step(streams, xs, out, true)
+	return out
+}
+
+// PushMissing advances every stream one step with no telemetry, feeding
+// each the input policy substitutes (Stream.PushMissing), and writes the
+// survival probabilities into out as Push does. Streams sharing an input
+// record are fed one slice, so they go on sharing it: a Monitor steps a
+// customer's channels through one PushMissing.
+func (r *BatchRunner32) PushMissing(streams []*Stream, policy MissingPolicy, out []float64) []float64 {
+	if len(out) != len(streams) {
+		out = make([]float64, len(streams))
+	}
+	xs := r.missXs[:0]
+	for _, s := range streams {
+		x := r.missX
+		if policy == MissingCarry && s.rec != nil {
+			x = s.rec.lastX
+		}
+		xs = append(xs, x)
+	}
+	r.missXs = xs
+	r.step(streams, xs, out, false)
 	return out
 }
 
@@ -175,17 +211,15 @@ func (r *BatchRunner32) step(streams []*Stream, xs [][]float64, out []float64, o
 	// Input side, once per distinct input slice (at most B of them).
 	r.xin.Resize(B, cfg.NumFeatures)
 	for b, l := range r.q.lstms {
-		if l != nil && r.m.poolFactor(b) <= 1 {
+		if l != nil {
 			r.pre[b].Resize(B, l.Wx.Padded())
+			r.idx[b], r.psrc[b] = r.idx[b][:0], r.psrc[b][:0]
 		}
 	}
 	src := r.src[:0]
 	distinct := 0
 	for i, s := range streams {
-		if observed {
-			copy(s.lastX, xs[i])
-		}
-		s.steps++
+		s.countStep()
 		if i > 0 && sameSlice(xs[i], xs[i-1]) {
 			src = append(src, distinct-1)
 			continue
@@ -205,26 +239,59 @@ func (r *BatchRunner32) step(streams []*Stream, xs [][]float64, out []float64, o
 	r.src = src
 	r.stats.Rows += uint64(B)
 	r.stats.Projections += uint64(distinct)
+	// Input records, once per run of adjacent rows fed one slice whose
+	// records are bit-equal: the last input, the pooling sums and, for each
+	// pool that fills, its mean's projection.
+	filled := [numBranches]int{}
+	for lo := 0; lo < B; {
+		hi := lo + 1
+		for hi < B && src[hi] == src[lo] && sameInput(streams[hi].rec, streams[hi-1].rec) {
+			hi++
+		}
+		rec := r.own(streams[lo:hi])
+		if observed {
+			copy(rec.lastX, xs[lo])
+		}
+		for b, sum := range rec.sum {
+			if sum == nil {
+				continue
+			}
+			sum.Add(r.xin.Row(src[lo]))
+			rec.n[b]++
+			k := r.m.poolFactor(b)
+			if rec.n[b] < k {
+				continue
+			}
+			// The pool steps on its mean — the oracle's expression in
+			// float32, sum[j] * (1/k) — and restarts.
+			inv := 1 / float32(k)
+			for j, v := range sum {
+				r.mean[j] = v * inv
+			}
+			sum.Zero()
+			rec.n[b] = 0
+			r.nz = nn.NonZero32(r.mean, r.nz)
+			r.q.lstms[b].Wx.MulVecNZ32(r.mean, r.nz, r.pre[b].Row(filled[b]))
+			for i := lo; i < hi; i++ {
+				r.idx[b] = append(r.idx[b], i)
+				r.psrc[b] = append(r.psrc[b], filled[b])
+			}
+			filled[b]++
+		}
+		lo = hi
+	}
 	for b, l := range r.q.lstms {
 		if l == nil {
 			continue
 		}
-		k := r.m.poolFactor(b)
-		idx := r.idx[b][:0]
-		if k <= 1 {
+		src := r.psrc[b]
+		if r.m.poolFactor(b) <= 1 {
 			for i := range streams {
-				idx = append(idx, i)
+				r.idx[b] = append(r.idx[b], i)
 			}
-		} else {
-			for i, s := range streams {
-				s.bufSum32[b].Add(r.xin.Row(src[i]))
-				s.bufN[b]++
-				if s.bufN[b] >= k {
-					idx = append(idx, i)
-				}
-			}
+			src = r.src
 		}
-		r.idx[b] = idx
+		idx := r.idx[b]
 		if len(idx) == 0 {
 			continue
 		}
@@ -234,25 +301,7 @@ func (r *BatchRunner32) step(streams []*Stream, xs [][]float64, out []float64, o
 			copy(r.hb[b].Row(n), streams[i].h32[b])
 			copy(r.cb[b].Row(n), streams[i].c32[b])
 		}
-		if k <= 1 {
-			l.StepProjected32(&r.hb[b], &r.cb[b], &r.pre[b], src, &r.sc)
-		} else {
-			// Each ready stream steps on its own pooled mean — the
-			// oracle's expression in float32, bufSum32[j] * (1/k) — and
-			// its buffer restarts.
-			r.xb[b].Resize(len(idx), cfg.NumFeatures)
-			inv := 1 / float32(k)
-			for n, i := range idx {
-				s := streams[i]
-				row := r.xb[b].Row(n)
-				for j, sum := range s.bufSum32[b] {
-					row[j] = sum * inv
-				}
-				s.bufSum32[b].Zero()
-				s.bufN[b] = 0
-			}
-			l.StepBatch32(&r.hb[b], &r.cb[b], &r.xb[b], &r.sc)
-		}
+		l.StepProjected32(&r.hb[b], &r.cb[b], &r.pre[b], src, &r.sc)
 		for n, i := range idx {
 			s := streams[i]
 			copy(s.h32[b], r.hb[b].Row(n))

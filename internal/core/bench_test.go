@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/xatu-go/xatu/internal/features"
@@ -79,6 +81,65 @@ func benchBatchRunnerPush32(b *testing.B, B int) {
 
 func BenchmarkBatchRunnerPush8F32(b *testing.B)  { benchBatchRunnerPush32(b, 8) }
 func BenchmarkBatchRunnerPush64F32(b *testing.B) { benchBatchRunnerPush32(b, 64) }
+
+// BenchmarkLanePushWide is the lane at the wide_quiet benchmark workload's
+// shape: 4096 customers of six channels on one Hidden-64 lane, each
+// customer's channels pushed together on one feature vector with 18 % of
+// its 273 features non-zero, as a Monitor pushes them. One op is one
+// customer-step, visiting the customers in turn so their state comes from
+// memory, not cache. It reports the time per customer-step and the heap
+// the streams and their input records hold per stream.
+func BenchmarkLanePushWide(b *testing.B) {
+	const customers, channels, density = 4096, 6, 0.18
+	cfg := DefaultConfig(features.NumFeatures)
+	cfg.Hidden = 64
+	m, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := newLane(b, m)
+	rng := rand.New(rand.NewSource(1))
+	inputs := make([][]float64, 64)
+	for i := range inputs {
+		inputs[i] = make([]float64, cfg.NumFeatures)
+		for j := range inputs[i] {
+			if rng.Float64() < density {
+				inputs[i][j] = rng.NormFloat64()
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	streams := make([][]*Stream, customers)
+	for c := range streams {
+		streams[c] = make([]*Stream, channels)
+		for k := range streams[c] {
+			streams[c][k] = r.NewStream()
+		}
+	}
+	xs := make([][]float64, channels)
+	out := make([]float64, channels)
+	push := func(c, step int) {
+		for k := range xs {
+			xs[k] = inputs[(c+step)%len(inputs)]
+		}
+		r.Push(streams[c], xs, out)
+	}
+	for c := range streams { // every customer's first step makes its input record
+		push(c, 0)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		push(i%customers, 1+i/customers)
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N), "us/customer-step")
+	b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/(customers*channels), "heap-B/stream")
+	runtime.KeepAlive(streams)
+}
 
 // benchTrainSet builds n uniform-length training series at the deployed
 // feature width: 2 pooled-long steps of lookback (120 base steps) with the

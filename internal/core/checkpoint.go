@@ -54,19 +54,24 @@ func (s *Stream) Checkpoint(w io.Writer) error {
 		if l == nil {
 			continue
 		}
-		h, c, buf := s.h[b], s.c[b], s.bufSum[b]
+		h, c, buf, n := s.h[b], s.c[b], s.bufSum[b], s.bufN[b]
 		if s.lane != nil {
 			// Widening float32 state to the checkpoint's float64 vectors is
 			// exact, so the XSC1 format (and every consumer of it) is
-			// precision-agnostic; restore narrows back losslessly.
+			// precision-agnostic; restore narrows back losslessly. The
+			// pooling sum is the input record's; an unpooled branch's,
+			// which nothing adds to, is the zero vector the oracle keeps.
 			h = s.h32[b].Widen(nil)
 			c = s.c32[b].Widen(nil)
-			buf = s.bufSum32[b].Widen(nil)
+			buf, n = nn.NewVec(cfg.NumFeatures), 0
+			if s.rec != nil && s.rec.sum[b] != nil {
+				buf, n = s.rec.sum[b].Widen(buf), s.rec.n[b]
+			}
 		}
 		cw.vec(h)
 		cw.vec(c)
 		cw.vec(buf)
-		cw.i32(s.bufN[b])
+		cw.i32(n)
 		cw.bool(s.seen[b])
 	}
 	for _, h := range s.hazards {
@@ -75,7 +80,14 @@ func (s *Stream) Checkpoint(w io.Writer) error {
 	cw.i32(s.hazPos)
 	cw.i32(s.hazCount)
 	cw.i32(s.steps)
-	cw.vec(s.lastX)
+	lastX := s.lastX
+	if s.lane != nil {
+		lastX = nn.NewVec(cfg.NumFeatures) // the zero record's
+		if s.rec != nil {
+			lastX = s.rec.lastX
+		}
+	}
+	cw.vec(lastX)
 	return cw.err
 }
 
@@ -129,6 +141,12 @@ func restoreStream(r io.Reader, m *Model, fresh func() *Stream) (*Stream, error)
 		return nil, fmt.Errorf("core: checkpoint branch mask %03b, model has %03b", got, mask)
 	}
 	s := fresh()
+	// A serving stream's pooling sums, counts and last input decode into
+	// the lane's scratch record, and the stream adopts one equal to it.
+	var in *inputRec
+	if s.lane != nil {
+		in = s.lane.decodeRec()
+	}
 	// Vectors are always present in checkpoints taken since streams began
 	// preallocating their state; absent vectors (older checkpoints, or a
 	// never-pushed lastX) mean the zero state fresh already installed.
@@ -141,14 +159,22 @@ func restoreStream(r io.Reader, m *Model, fresh func() *Stream) (*Stream, error)
 			*dst64 = v
 		}
 	}
+	var bufN [numBranches]int
 	for b, l := range m.lstms {
 		if l == nil {
 			continue
 		}
 		into(cr.vec(cfg.Hidden), &s.h[b], s.h32[b])
 		into(cr.vec(cfg.Hidden), &s.c[b], s.c32[b])
-		into(cr.vec(cfg.NumFeatures), &s.bufSum[b], s.bufSum32[b])
-		s.bufN[b] = cr.i32()
+		sum := cr.vec(cfg.NumFeatures)
+		switch {
+		case in == nil:
+			into(sum, &s.bufSum[b], nil)
+		case sum != nil && in.sum[b] != nil:
+			// (an unpooled branch's sum, which nothing adds to, is dropped)
+			nn.Narrow32(sum, in.sum[b])
+		}
+		bufN[b] = cr.i32()
 		s.seen[b] = cr.bool()
 	}
 	for i := range s.hazards {
@@ -158,7 +184,11 @@ func restoreStream(r io.Reader, m *Model, fresh func() *Stream) (*Stream, error)
 	s.hazCount = cr.i32()
 	s.steps = cr.i32()
 	if lx := cr.vec(cfg.NumFeatures); lx != nil {
-		s.lastX = lx
+		if in != nil {
+			copy(in.lastX, lx)
+		} else {
+			s.lastX = lx
+		}
 	}
 	if cr.err != nil {
 		return nil, fmt.Errorf("core: reading stream checkpoint: %w", cr.err)
@@ -166,10 +196,16 @@ func restoreStream(r io.Reader, m *Model, fresh func() *Stream) (*Stream, error)
 	if s.hazPos < 0 || s.hazPos >= len(s.hazards) || s.hazCount < 0 || s.hazCount > len(s.hazards) || s.steps < 0 {
 		return nil, fmt.Errorf("core: corrupt stream checkpoint (hazPos=%d hazCount=%d steps=%d)", s.hazPos, s.hazCount, s.steps)
 	}
-	for b := range s.bufN {
-		if s.bufN[b] < 0 || s.bufN[b] >= maxI(1, m.poolFactor(b)) {
-			return nil, fmt.Errorf("core: corrupt stream checkpoint (bufN[%d]=%d)", b, s.bufN[b])
+	for b, n := range bufN {
+		if n < 0 || n >= maxI(1, m.poolFactor(b)) {
+			return nil, fmt.Errorf("core: corrupt stream checkpoint (bufN[%d]=%d)", b, n)
 		}
+	}
+	if in != nil {
+		in.n = bufN
+		s.rec = s.lane.adopt(in)
+	} else {
+		s.bufN = bufN
 	}
 	// The rolling-sum state is derived, not serialized: rebuild it from the
 	// ring so the restored stream's survival outputs continue bit-exactly.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -268,4 +270,36 @@ func testPushMissingPolicies(t *testing.T, m *Model, fresh func() *Stream) {
 			t.Fatalf("Steps=%d, want %d", a.Steps(), steps+5)
 		}
 	})
+}
+
+// TestStreamStepsSaturate: the XSC1 step count is an int32, so a stream
+// restored at the largest count must still checkpoint into a file that
+// restores after another push — the count stays there instead of wrapping
+// negative, which restore would refuse as corrupt.
+func TestStreamStepsSaturate(t *testing.T) {
+	m, err := New(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newLane(t, m)
+	for name, restore := range map[string]func([]byte) (*Stream, error){
+		"float64": func(b []byte) (*Stream, error) { return RestoreStream(bytes.NewReader(b), m) },
+		"float32": func(b []byte) (*Stream, error) { return r.RestoreStream(bytes.NewReader(b)) },
+	} {
+		ck := checkpointBytes(t, NewStream(m))
+		at := len(ck) - (1 + 4 + 8*m.Cfg.NumFeatures) - 4
+		binary.LittleEndian.PutUint32(ck[at:], math.MaxInt32)
+		s, err := restore(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Push(make([]float64, m.Cfg.NumFeatures))
+		s.PushMissing(MissingZero)
+		if s, err = restore(checkpointBytes(t, s)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.Steps() != math.MaxInt32 {
+			t.Fatalf("%s: %d steps, want %d", name, s.Steps(), math.MaxInt32)
+		}
+	}
 }

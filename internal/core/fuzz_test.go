@@ -42,3 +42,58 @@ func FuzzLoad(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRestoreStream feeds arbitrary bytes to the XSC1 stream reader, as
+// the float64 oracle (RestoreStream) and as a serving stream
+// (BatchRunner32.RestoreStream) over one tiny model. Whatever the input,
+// the reader must return an error or a stream; a stream it accepts must
+// push, checkpoint, and restore from that checkpoint into a stream whose
+// checkpoint is the same bytes, and the two must then push to the same
+// survival value and the same bytes again. The committed corpus
+// (testdata/fuzz/FuzzRestoreStream) holds a checkpoint with both pools part
+// full, truncations of it, a wrong vector length, an out-of-range bufN and
+// a NaN state.
+func FuzzRestoreStream(f *testing.F) {
+	m, err := New(tinyConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	x := []float64{0.5, 0, -1.25, 2}
+	ckpt := func(t *testing.T, s *Stream) []byte {
+		var buf bytes.Buffer
+		if err := s.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	check := func(t *testing.T, s *Stream, restore func([]byte) (*Stream, error)) {
+		s.Push(x)
+		a := ckpt(t, s)
+		s2, err := restore(a)
+		if err != nil {
+			t.Fatalf("restoring a checkpoint of a restored stream: %v", err)
+		}
+		if !bytes.Equal(ckpt(t, s2), a) {
+			t.Fatal("checkpoint/restore/checkpoint changed the bytes")
+		}
+		v, v2 := s.Push(x), s2.Push(x)
+		if math.Float64bits(v) != math.Float64bits(v2) {
+			t.Fatalf("restored stream pushed to %v, original to %v", v2, v)
+		}
+		if !bytes.Equal(ckpt(t, s2), ckpt(t, s)) {
+			t.Fatal("restored and original streams diverged")
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if s, err := RestoreStream(bytes.NewReader(data), m); err == nil {
+			check(t, s, func(b []byte) (*Stream, error) { return RestoreStream(bytes.NewReader(b), m) })
+		}
+		r, err := NewBatchRunner32(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, err := r.RestoreStream(bytes.NewReader(data)); err == nil {
+			check(t, s, func(b []byte) (*Stream, error) { return r.RestoreStream(bytes.NewReader(b)) })
+		}
+	})
+}

@@ -12,12 +12,15 @@ import (
 // and maintains the survival probability over a sliding detection window.
 // Each Push is O(model) work — the paper's "each detection runs within
 // 10 ms" property — independent of how long the stream has been running,
-// and allocates nothing: recurrent state and pooling buffers are owned by
-// the Stream, kernel scratch by whoever steps it, all reused every step.
+// and allocates nothing in steady state: recurrent state and pooling
+// buffers are owned by the Stream, kernel scratch by whoever steps it, all
+// reused every step.
 //
 // One type, two roles. NewStream makes the float64 oracle, which steps
 // itself through the training-precision kernels. BatchRunner32.NewStream
-// makes a serving stream: float32 state, stepped only by that lane.
+// makes a serving stream: float32 state, stepped only by that lane, whose
+// pooling buffers and last input are an input record it shares with the
+// streams fed the same inputs (inputRec).
 //
 // A Stream is not safe for concurrent use.
 type Stream struct {
@@ -25,7 +28,8 @@ type Stream struct {
 	// per-branch recurrent state, allocated at construction so the hot
 	// path never checks for nil and batch packing can always copy rows.
 	h, c [numBranches]nn.Vec
-	// pooling buffers for med/long branches
+	// pooling buffers for med/long branches (oracle streams; a serving
+	// stream's are in its input record)
 	bufSum   [numBranches]nn.Vec
 	bufN     [numBranches]int
 	seen     [numBranches]bool // branch has produced at least one state
@@ -46,6 +50,7 @@ type Stream struct {
 	steps  int
 	// lastX is the most recent real (non-missing) input, feeding the
 	// carry-forward policy of PushMissing. Zero until the first real push.
+	// Oracle streams only: a serving stream's is in its input record.
 	lastX nn.Vec
 	// reusable float64 scratch, never checkpointed: per-step kernel
 	// buffers, the pooled-mean vector, the head input/output, and the
@@ -58,15 +63,16 @@ type Stream struct {
 
 	// A serving stream belongs to the float32 lane that created it
 	// (BatchRunner32.NewStream) and is advanced only by that lane: lane is
-	// non-nil, the float32 state below replaces h/c/bufSum — carved
-	// contiguously from the lane's arena so gather/scatter walks linear
-	// memory — and every kernel buffer is the lane's, not the stream's. The
-	// survival accounting above (hazards, sums, steps, lastX) stays float64
-	// and the checkpoint format is the oracle's: float32 state widens
-	// exactly to float64 on write and narrows exactly back on restore.
+	// non-nil, the float32 h32/c32 below replace h/c — carved contiguously
+	// from the lane's arena so gather/scatter walks linear memory — rec
+	// replaces bufSum/bufN/lastX, shared with the customer's other channels
+	// (inputRec), and every kernel buffer is the lane's, not the stream's.
+	// The survival accounting above (hazards, sums, steps) stays float64 and
+	// the checkpoint format is the oracle's: float32 state widens exactly to
+	// float64 on write and narrows exactly back on restore.
 	lane     *BatchRunner32
 	h32, c32 [numBranches]nn.Vec32
-	bufSum32 [numBranches]nn.Vec32
+	rec      *inputRec
 	// pushEpoch is the lane's number for the last Push that listed this
 	// stream: how a Push tells a stream listed twice. Never checkpointed.
 	pushEpoch uint64
@@ -91,6 +97,7 @@ const (
 // parity tests drive. Serving streams come from BatchRunner32.NewStream.
 func NewStream(m *Model) *Stream {
 	s := newStreamBase(m)
+	s.lastX = nn.NewVec(m.Cfg.NumFeatures)
 	s.missX = nn.NewVec(m.Cfg.NumFeatures)
 	s.poolMean = nn.NewVec(m.Cfg.NumFeatures)
 	s.concat = nn.NewVec(m.Cfg.Hidden * m.activeBranches())
@@ -111,7 +118,6 @@ func newStreamBase(m *Model) *Stream {
 		m:       m,
 		hazards: make([]float64, m.Cfg.Window),
 		suffix:  make([]float64, m.Cfg.Window+1),
-		lastX:   nn.NewVec(m.Cfg.NumFeatures),
 	}
 }
 
@@ -138,7 +144,7 @@ func (s *Stream) Warm() bool {
 // stream's lane.
 func (s *Stream) Push(x []float64) float64 {
 	if s.lane != nil {
-		return s.lane.pushOne(s, x, true)
+		return s.lane.pushOne(s, x)
 	}
 	copy(s.lastX, x)
 	return s.push(x)
@@ -147,28 +153,35 @@ func (s *Stream) Push(x []float64) float64 {
 // PushMissing advances the stream one step with no telemetry, substituting
 // an input per the policy. Mitigates detector blindness across collector
 // gaps: every branch still steps, the hazard ring still advances, and the
-// stream stays warm. lastX is deliberately untouched: it tracks real inputs.
+// stream stays warm. lastX is deliberately untouched: it tracks real
+// inputs. On a serving stream it is a batch of one on the stream's lane
+// (BatchRunner32.PushMissing).
 func (s *Stream) PushMissing(policy MissingPolicy) float64 {
-	if s.lane != nil {
-		return s.lane.pushOne(s, s.missingInput(s.lane.missX, policy), false)
+	if r := s.lane; r != nil {
+		r.one[0] = s
+		return r.PushMissing(r.one[:], policy, r.oneOut[:])[0]
 	}
-	return s.push(s.missingInput(s.missX, policy))
+	if policy == MissingCarry {
+		copy(s.missX, s.lastX)
+	} else {
+		s.missX.Zero()
+	}
+	return s.push(s.missX)
 }
 
-// missingInput synthesizes a missing step's input into buf.
-func (s *Stream) missingInput(buf nn.Vec, policy MissingPolicy) nn.Vec {
-	if policy == MissingCarry {
-		copy(buf, s.lastX)
-	} else {
-		buf.Zero()
+// countStep counts one consumed input. The count saturates at the largest
+// value the XSC1 checkpoint's int32 field holds, so a checkpoint of a
+// stream that ran that long still restores.
+func (s *Stream) countStep() {
+	if s.steps < math.MaxInt32 {
+		s.steps++
 	}
-	return buf
 }
 
 // push is the oracle's step: float64 kernels, stream-owned scratch.
 func (s *Stream) push(x []float64) float64 {
 	v := nn.Vec(x)
-	s.steps++
+	s.countStep()
 	for b, l := range s.m.lstms {
 		if l == nil {
 			continue
@@ -272,7 +285,6 @@ func (s *Stream) Reset() {
 		if s.h32[b] != nil {
 			s.h32[b].Zero()
 			s.c32[b].Zero()
-			s.bufSum32[b].Zero()
 		}
 		s.bufN[b] = 0
 		s.seen[b] = false
@@ -286,4 +298,5 @@ func (s *Stream) Reset() {
 	s.sumNew = 0
 	s.hazPos, s.hazCount, s.steps = 0, 0, 0
 	s.lastX.Zero()
+	s.dropRec()
 }

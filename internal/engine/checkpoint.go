@@ -443,7 +443,7 @@ func scanMonitorBody(seg []byte) ([]rawChan, error) {
 		return nil, fmt.Errorf("implausible channel count %d", n)
 	}
 	body := seg[4:]
-	chans := make([]rawChan, 0, n)
+	chans := make([]rawChan, 0, min(int(n), len(body)/8)) // a record is ≥ 8 bytes
 	off := 0
 	need := func(want int, what string) error {
 		if off+want > len(body) {

@@ -2,6 +2,11 @@ package engine
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -365,5 +370,213 @@ func TestMonitorRestoreRejectsEngineCheckpoint(t *testing.T) {
 	}
 	if err := mon.Restore(bytes.NewReader(ck.Bytes())); err == nil {
 		t.Fatal("monitor restored an engine checkpoint")
+	}
+}
+
+// sixTypeMonitor returns a monitor watching all six attack types that has
+// observed every customer for steps steps.
+func sixTypeMonitor(t *testing.T, customers []netip.Addr, steps int) *Monitor {
+	t.Helper()
+	cfg := tinyMonitorConfig(t)
+	cfg.Types = nil
+	mon, err := NewMonitor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Date(2019, 7, 3, 0, 0, 0, 0, time.UTC)
+	for s := 0; s < steps; s++ {
+		for _, c := range customers {
+			mon.ObserveStep(c, t0.Add(time.Duration(s)*time.Minute), udpFlows(c, s, t0))
+		}
+	}
+	return mon
+}
+
+// TestRestoreRejectsDuplicateChannel: a checkpoint naming one
+// (customer, attack type) twice is corrupt — two states for one channel,
+// of which a reader could only keep one. A 48-channel blob with its first
+// record appended again must be refused by all three readers (they share
+// readChannels), each leaving its previous state untouched.
+func TestRestoreRejectsDuplicateChannel(t *testing.T) {
+	mon := sixTypeMonitor(t, testCustomers(8), 5)
+	chans, err := monitorRawChans(mon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chans) != 48 {
+		t.Fatalf("%d channels, want 48", len(chans))
+	}
+	blob := buildMonitorBlob(append(chans, chans[0]))
+	var before bytes.Buffer
+	if err := mon.Checkpoint(&before); err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.Restore(bytes.NewReader(blob)); err == nil {
+		t.Errorf("Monitor.Restore accepted a duplicated channel into %d channels", mon.Channels())
+	}
+	var after bytes.Buffer
+	if err := mon.Checkpoint(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after.Bytes(), before.Bytes()) {
+		t.Error("a refused Monitor.Restore changed the monitor")
+	}
+	cfg := tinyMonitorConfig(t)
+	cfg.Types = nil
+	eng, err := New(Config{Monitor: cfg, Shards: 2, Policy: Block})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.Restore(bytes.NewReader(blob)); err == nil {
+		t.Error("Engine.Restore accepted a duplicated channel")
+	}
+	if st := eng.Stats(); st.Channels != 0 {
+		t.Errorf("a refused Engine.Restore left %d channels in the engine", st.Channels)
+	}
+	// (RestoreCustomers merges shard by shard, each atomically: the shard
+	// without the duplicate may have absorbed its channels.)
+	if n, err := eng.RestoreCustomers(bytes.NewReader(blob), nil); err == nil {
+		t.Errorf("Engine.RestoreCustomers accepted a duplicated channel (%d channels)", n)
+	}
+}
+
+// TestMonitorRestoreSharesInputRecords: the six channels of a customer
+// share one input record live, and a restored monitor must share them as
+// well, not hold six equal copies. Restoring six channels of one customer
+// therefore allocates fewer objects than restoring one channel each of six
+// customers, whose inputs differ.
+func TestMonitorRestoreSharesInputRecords(t *testing.T) {
+	customers := testCustomers(6)
+	oneCustomer := sixTypeMonitor(t, customers[:1], 13)
+	sixCustomers, err := NewMonitor(tinyMonitorConfig(t)) // one type each
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Date(2019, 7, 3, 0, 0, 0, 0, time.UTC)
+	for s := 0; s < 13; s++ {
+		for i, c := range customers {
+			sixCustomers.ObserveStep(c, t0.Add(time.Duration(s)*time.Minute), udpFlows(c, s+i, t0))
+		}
+	}
+	restoreAllocs := func(mon *Monitor) float64 {
+		var ck bytes.Buffer
+		if err := mon.Checkpoint(&ck); err != nil {
+			t.Fatal(err)
+		}
+		if mon.Channels() != 6 {
+			t.Fatalf("%d channels, want 6", mon.Channels())
+		}
+		cfg := tinyMonitorConfig(t)
+		cfg.Types = nil
+		fresh, err := NewMonitor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if err := fresh.Restore(bytes.NewReader(ck.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	shared, distinct := restoreAllocs(oneCustomer), restoreAllocs(sixCustomers)
+	if shared+5 > distinct {
+		t.Fatalf("restoring one customer's six channels allocates %v objects, six customers' %v: the six do not share one input record", shared, distinct)
+	}
+}
+
+// TestRestoreClaimedChannelCountAllocatesLazily: a checkpoint header's
+// channel count is read before any channel is, so the readers must not
+// size their tables by it — a 10-byte file claiming four million channels
+// once made Monitor.Restore allocate hundreds of megabytes before failing,
+// and the engine's segment scanner likewise.
+func TestRestoreClaimedChannelCountAllocatesLazily(t *testing.T) {
+	blob := append(append([]byte{}, monitorCkptMagic[:]...), 1, 0, 0, 0, 0x40, 0) // v1, 1<<22 channels
+	mon, err := NewMonitor(tinyMonitorConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(Config{Monitor: tinyMonitorConfig(t), Shards: 1, Policy: Block})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for name, restore := range map[string]func() error{
+		"Monitor.Restore": func() error { return mon.Restore(bytes.NewReader(blob)) },
+		"Engine.Restore":  func() error { return eng.Restore(bytes.NewReader(blob)) },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := restore(); err == nil {
+			t.Fatalf("%s accepted a header with no channels behind it", name)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s allocated %d bytes for a 10-byte checkpoint", name, grew)
+		}
+	}
+}
+
+// goldenMonitorDigests are the SHA-256s, per missing policy, of the alert
+// counts and XMC1 checkpoints of the seeded six-type run below, recorded
+// on the commit before a customer's channels shared one input record.
+// Equal digests say the sharing — six channels on one record, missing
+// steps batched, EndMitigation resets splitting a record, restores
+// re-sharing it — moved no serving byte.
+var goldenMonitorDigests = [...]string{
+	core.MissingZero:  "477f3e91ff0eac9f1835d28004187c3f12e16cbaa80f95d8a555d0978463bec4",
+	core.MissingCarry: "8649ef91fd9f39b817d356852642fa1a678747dffd2704e1ff5e7b557476bb89",
+}
+
+func TestMonitorGoldenDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest recorded on amd64; other ports may fuse multiply-adds")
+	}
+	for policy, want := range goldenMonitorDigests {
+		cfg := tinyMonitorConfig(t)
+		cfg.Types = nil
+		cfg.MissingPolicy = core.MissingPolicy(policy)
+		mon, err := NewMonitor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.New()
+		ckpt := func() []byte {
+			var b bytes.Buffer
+			if err := mon.Checkpoint(&b); err != nil {
+				t.Fatal(err)
+			}
+			sum.Write(b.Bytes())
+			return b.Bytes()
+		}
+		customers := testCustomers(5)
+		t0 := time.Date(2019, 7, 3, 0, 0, 0, 0, time.UTC)
+		for s := 0; s < 70; s++ {
+			at := t0.Add(time.Duration(s) * time.Minute)
+			for i, c := range customers {
+				if (s+i)%7 == 3 {
+					mon.ObserveMissing(c, at)
+					continue
+				}
+				fmt.Fprintln(sum, len(mon.ObserveStep(c, at, udpFlows(c, s+i, t0))))
+			}
+			if s == 17 || s == 41 {
+				mon.EndMitigation(customers[2], ddos.AttackType(3))
+				mon.EndMitigation(customers[4], ddos.UDPFlood)
+			}
+			if s == 23 || s == 50 {
+				b := ckpt()
+				if mon, err = NewMonitor(cfg); err != nil {
+					t.Fatal(err)
+				}
+				if err := mon.Restore(bytes.NewReader(b)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		ckpt()
+		if got := hex.EncodeToString(sum.Sum(nil)); got != want {
+			t.Errorf("policy %d: monitor digest %s, want %s", policy, got, want)
+		}
 	}
 }

@@ -153,11 +153,21 @@ func (g *modelGroup) reset() {
 	g.xs = g.xs[:0]
 }
 
-// add enrolls one channel for this step with input feat.
+// add enrolls one channel for this step with input feat (nil for a
+// missing step).
 func (g *modelGroup) add(ch *monChan, feat []float64) {
 	g.chans = append(g.chans, ch)
 	g.streams = append(g.streams, ch.stream)
 	g.xs = append(g.xs, feat)
+}
+
+// out returns the reused survival buffer, one entry per enrolled channel.
+func (g *modelGroup) out() []float64 {
+	if cap(g.survs) < len(g.chans) {
+		g.survs = make([]float64, len(g.chans))
+	}
+	g.survs = g.survs[:len(g.chans)]
+	return g.survs
 }
 
 type monKey struct {
@@ -312,14 +322,10 @@ func (m *Monitor) ObserveStepTraced(customer netip.Addr, at time.Time, flows []n
 		if len(g.chans) == 0 {
 			continue
 		}
-		if cap(g.survs) < len(g.chans) {
-			g.survs = make([]float64, len(g.chans))
-		}
-		g.survs = g.survs[:len(g.chans)]
-		g.runner.Push(g.streams, g.xs, g.survs)
-		for i, ch := range g.chans {
-			ch.surv = g.survs[i]
-			ch.noteSurvival(ch.surv)
+		for i, v := range g.runner.Push(g.streams, g.xs, g.out()) {
+			ch := g.chans[i]
+			ch.surv = v
+			ch.noteSurvival(v)
 		}
 		g.reset()
 	}
@@ -415,17 +421,26 @@ func signalContributions(feat []float64) map[string]float64 {
 // customer that is being watched — the branches keep stepping in lockstep
 // instead of silently freezing, and mitigation timeouts keep counting
 // down. No alerts are raised: with no flows there is no signature match to
-// divert (§2.1).
+// divert (§2.1). The customer's channels step as one batch per model lane,
+// as in ObserveStep, so channels sharing an input record go on sharing it.
 func (m *Monitor) ObserveMissing(customer netip.Addr, at time.Time) {
 	for _, atype := range m.types {
-		ch := m.chans[monKey{customer, atype}]
-		if ch == nil {
+		if ch := m.chans[monKey{customer, atype}]; ch != nil {
+			m.groupFor(m.modelFor(atype)).add(ch, nil)
+		}
+	}
+	for _, g := range m.groups {
+		if len(g.chans) == 0 {
 			continue
 		}
-		ch.noteSurvival(ch.stream.PushMissing(m.cfg.MissingPolicy))
-		if ch.mitigating && at.Sub(ch.since) >= m.cfg.MitigationTimeout {
-			ch.mitigating = false // CScrub gave up waiting
+		for i, v := range g.runner.PushMissing(g.streams, m.cfg.MissingPolicy, g.out()) {
+			ch := g.chans[i]
+			ch.noteSurvival(v)
+			if ch.mitigating && at.Sub(ch.since) >= m.cfg.MitigationTimeout {
+				ch.mitigating = false // CScrub gave up waiting
+			}
 		}
+		g.reset()
 	}
 }
 

@@ -146,7 +146,9 @@ func (m *Monitor) readChannels(r io.Reader, n uint32) (map[monKey]*monChan, erro
 		return nil, fmt.Errorf("xatu: implausible channel count %d", n)
 	}
 	le := binary.LittleEndian
-	chans := make(map[monKey]*monChan, n)
+	// n is not yet backed by any bytes read: size the map for at most a
+	// few thousand channels up front, not for whatever the header claims.
+	chans := make(map[monKey]*monChan, min(n, 1<<12))
 	for i := uint32(0); i < n; i++ {
 		var addrLen [1]byte
 		if _, err := io.ReadFull(r, addrLen[:]); err != nil {
@@ -188,11 +190,15 @@ func (m *Monitor) readChannels(r io.Reader, n uint32) (map[monKey]*monChan, erro
 		if _, err := io.ReadFull(r, streamBuf); err != nil {
 			return nil, fmt.Errorf("xatu: channel %d stream: %w", i, err)
 		}
+		key := monKey{customer, at}
+		if chans[key] != nil {
+			return nil, fmt.Errorf("xatu: channel %d (%v/%v): duplicate channel", i, customer, at)
+		}
 		stream, err := m.groupFor(m.modelFor(at)).runner.RestoreStream(bytes.NewReader(streamBuf))
 		if err != nil {
 			return nil, fmt.Errorf("xatu: channel %d (%v/%v): %w", i, customer, at, err)
 		}
-		chans[monKey{customer, at}] = &monChan{
+		chans[key] = &monChan{
 			stream:     stream,
 			mitigating: meta[1] != 0,
 			since:      since,

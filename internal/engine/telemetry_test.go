@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/xatu-go/xatu/internal/core"
 	"github.com/xatu-go/xatu/internal/ddos"
 	"github.com/xatu-go/xatu/internal/telemetry"
 )
@@ -321,8 +322,8 @@ func TestEngineLaneCounters(t *testing.T) {
 		if want := 2 * (steps + missing); rows != want {
 			t.Fatalf("lane rows %v, want %v", rows, want)
 		}
-		if want := steps + 2*missing; proj != want {
-			t.Fatalf("lane projections %v, want %v (one per customer-step, one per channel of a missing step)", proj, want)
+		if want := steps + missing; proj != want {
+			t.Fatalf("lane projections %v, want %v (one per customer-step, missing or not: a customer's channels share the input)", proj, want)
 		}
 		nf := float64(cfg.Default.Cfg.NumFeatures)
 		if nonzero < steps || nonzero > proj*nf {
@@ -376,5 +377,35 @@ func TestObserveStepAllocFree(t *testing.T) {
 	}
 	if records, extract := mon.ExtractStats(); records != uint64(step*len(flows)) || extract <= 0 {
 		t.Fatalf("ExtractStats = %d records, %v; want %d records and a positive time", records, extract, step*len(flows))
+	}
+}
+
+// TestMonitorObserveMissingAllocFree pins a warmed customer's missing step
+// at zero allocations under both policies: its six channels step as one
+// batch on the lane's buffers and go on sharing one input record.
+func TestMonitorObserveMissingAllocFree(t *testing.T) {
+	for _, policy := range []core.MissingPolicy{core.MissingZero, core.MissingCarry} {
+		cfg := tinyMonitorConfig(t)
+		cfg.Types = nil
+		cfg.Threshold = 1e-12
+		cfg.MissingPolicy = policy
+		mon, err := NewMonitor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t0 := time.Date(2019, 7, 3, 0, 0, 0, 0, time.UTC)
+		c := testCustomers(1)[0]
+		step := 0
+		missing := func() {
+			mon.ObserveMissing(c, t0.Add(time.Duration(step)*time.Minute))
+			step++
+		}
+		for ; step < 8; step++ {
+			mon.ObserveStep(c, t0.Add(time.Duration(step)*time.Minute), udpFlows(c, step, t0))
+		}
+		missing()
+		if allocs := testing.AllocsPerRun(100, missing); allocs != 0 {
+			t.Fatalf("policy %d: ObserveMissing allocs/op = %v, want 0", policy, allocs)
+		}
 	}
 }

@@ -130,9 +130,12 @@ type BatchScratch32 struct {
 	nz       []int32
 }
 
-// StepBatch32 is the serving kernel: it advances B independent streams
-// through the shared quantized weights in one pass. Row i of hs/cs is
-// stream i's recurrent state (updated in place), row i of xs its input.
+// StepBatch32 is one batched cell step from raw inputs: it advances B
+// independent streams through the shared quantized weights in one pass.
+// Row i of hs/cs is stream i's recurrent state (updated in place), row i
+// of xs its input. The serving lane runs its two halves itself —
+// MulVecNZ32 once per distinct input or filled pool, then StepProjected32
+// — and this composition is what the tests pin to Step32.
 // Per row the arithmetic is exactly Step32's — the input projection
 // visits only the row's non-zero columns, which changes no bit (see
 // MulVecNZ32) — so StepBatch32 row i is bit-identical to
