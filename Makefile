@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build build-arm64 vet test race fuzz bce bench-smoke bench-check soak soak-smoke fleet-smoke trace-smoke lint loc check
+.PHONY: build build-arm64 vet test race fuzz detect-smoke bce bench-smoke bench-check soak soak-smoke fleet-smoke trace-smoke lint loc check
 
 build:
 	$(GO) build ./...
@@ -25,10 +25,11 @@ test:
 # engine, the parallel ingest pipeline, the telemetry registry, the
 # feature extractor with the registries it reads (blocklists, attack
 # history, spoof checker) — the only state shard goroutines share on every
-# step — and the root-package integration tests.
+# step —, xatu-detect's gap-filling sink (fed by every aggregation worker)
+# and the root-package integration tests.
 race:
 	$(GO) test -race ./internal/netflow ./internal/nn ./internal/core ./internal/engine ./internal/ingest ./internal/cluster ./internal/telemetry ./internal/trace \
-		./internal/features ./internal/attackhist ./internal/blocklist ./internal/spoof .
+		./internal/features ./internal/attackhist ./internal/blocklist ./internal/spoof ./cmd/xatu-detect .
 
 # The float32 serving kernels (quantized panel matmuls, gate
 # nonlinearities, widen/narrow) and the batched training kernels (tape
@@ -119,16 +120,31 @@ fleet-smoke:
 trace-smoke:
 	$(GO) run ./cmd/xatu-fleet -smoke -assert -trace 64 > /dev/null
 
-# Short fuzz pass over the wire codec, the journal, the model reader and
-# the detector-state readers (XSC1 stream, XMC1 monitor checkpoints; CI
-# smoke; run longer locally with -fuzztime as needed). The model reader
-# may legitimately allocate a model of up to 1<<24 parameters for a
-# mutated header, so it fuzzes on one worker.
+# Short fuzz pass over every reader of bytes from the wire or disk: the
+# NetFlow v5 decoder, the journal (writer round trip and reader), the
+# model reader, the detector-state readers (XSC1 stream, XMC1 monitor
+# checkpoints) and the three registry files xatu-detect loads next to the
+# models (blocklists.txt, routes.txt, history.snap). Ten seconds each from
+# the committed seed corpora (CI smoke; run longer locally with -fuzztime
+# as needed). The model reader may legitimately allocate a model of up to
+# 1<<24 parameters for a mutated header, so it fuzzes on one worker.
 fuzz:
 	$(GO) test ./internal/netflow -run '^$$' -fuzz FuzzDecodeV5 -fuzztime 10s
 	$(GO) test ./internal/netflow -run '^$$' -fuzz FuzzJournalRoundTrip -fuzztime 10s
+	$(GO) test ./internal/netflow -run '^$$' -fuzz FuzzJournalReader -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLoad -fuzztime 10s -parallel 1
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRestoreStream -fuzztime 10s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzMonitorRestore -fuzztime 10s
+	$(GO) test ./internal/blocklist -run '^$$' -fuzz FuzzBlocklistLoadText -fuzztime 10s
+	$(GO) test ./internal/routing -run '^$$' -fuzz FuzzRoutingLoadText -fuzztime 10s
+	$(GO) test ./internal/attackhist -run '^$$' -fuzz FuzzAttackhistLoad -fuzztime 10s
 
-check: build build-arm64 lint bce test race bench-check fleet-smoke trace-smoke
+# xatu-detect's two inputs end to end: a tiny model, then the steps around
+# ispgen's first attack as a journal through -replay and as NetFlow v5 over
+# loopback UDP into a live detector stopped with SIGINT. Both must print
+# the same non-empty set of ALERT lines, and the live run must lose no
+# record and decode every datagram (~5 s; scripts/detect-smoke.sh).
+detect-smoke:
+	bash scripts/detect-smoke.sh
+
+check: build build-arm64 lint bce test race bench-check detect-smoke fleet-smoke trace-smoke

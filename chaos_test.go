@@ -11,10 +11,10 @@ import (
 // TestChaosIngestDetectionParity is the end-to-end fault-tolerance
 // acceptance test: a trained monitor watches a real test attack streamed
 // through a faulty transport (10% loss, 5% duplication, 5% reordering,
-// seeded) and must still alert within 5 steps of the fault-free detection
-// time, while the collector's accounting separates upstream loss from
-// duplication from shedding. The chaos schedule is seeded, so the whole
-// test is deterministic.
+// seeded) into the ingest pipeline, and must still alert within 5 steps of
+// the fault-free detection time, while the pipeline's accounting separates
+// upstream loss from duplication. The chaos schedule is seeded and the
+// pipe delivers synchronously, so the whole test is deterministic.
 func TestChaosIngestDetectionParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
@@ -40,22 +40,15 @@ func TestChaosIngestDetectionParity(t *testing.T) {
 	}
 	ep := eps[0]
 	customer := p.World.Customers[ep.CustomerIdx].Addr
+	step := cfg.World.Step
+	first := max(ep.StreamStart, 0)
 
 	// runEpisode streams the episode's flows through an exporter → chaos
-	// pipe → collector → monitor chain and reports the first alert step.
-	runEpisode := func(t *testing.T, chaos ChaosConfig) (alertStep int, st CollectorStats, cs ChaosStats) {
+	// pipe → ingest pipeline → monitor chain and reports the first alert
+	// step. The exporter runs on the record clock, so the pipeline seals
+	// the simulated steps.
+	runEpisode := func(t *testing.T, chaos ChaosConfig) (alertStep int, st IngestStats, cs ChaosStats) {
 		t.Helper()
-		col, err := NewCollector("127.0.0.1:0", 1<<16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pipe := NewChaosPipe(col, "192.0.2.1:2055", chaos)
-		exp, err := NewExporterWithConfig(ExporterConfig{
-			Dial: func() (net.Conn, error) { return pipe, nil },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		mon, err := NewMonitor(MonitorConfig{
 			Models:        ml.Models.ByType,
 			Default:       ml.Models.Shared,
@@ -68,10 +61,37 @@ func TestChaosIngestDetectionParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		alertStep = -1
-		for s := ep.StreamStart; s < ep.StreamEnd; s++ {
-			if s < 0 {
-				continue
-			}
+		var last time.Time
+		pipe, err := NewIngestPipeline(IngestConfig{
+			DecodeWorkers: 1,
+			AggWorkers:    1,
+			Step:          step,
+			Lateness:      step,
+			OnStep: func(_ netip.Addr, at time.Time, _ []float64, flows []Record) {
+				// A fully-lost step seals nothing: keep the detector
+				// branches stepping through it.
+				for !last.IsZero() && last.Add(step).Before(at) {
+					last = last.Add(step)
+					mon.ObserveMissing(customer, last)
+				}
+				last = at
+				if alerts := mon.ObserveStep(customer, at, flows); len(alerts) > 0 && alertStep < 0 {
+					alertStep = cfg.World.StepOf(at)
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := NewChaosPipe(pipe, "192.0.2.1:2055", chaos)
+		exp, err := NewExporterWithConfig(ExporterConfig{
+			Dial:     func() (net.Conn, error) { return cp, nil },
+			BootTime: cfg.World.TimeOf(first).Add(-time.Minute),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := first; s < ep.StreamEnd; s++ {
 			for _, r := range p.World.FlowsAt(ep.CustomerIdx, s) {
 				if err := exp.Export(r); err != nil {
 					t.Fatal(err)
@@ -80,39 +100,23 @@ func TestChaosIngestDetectionParity(t *testing.T) {
 			if err := exp.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			// The pipe delivers synchronously, so this step's surviving
-			// records are already buffered.
-			var flows []Record
-		drain:
-			for {
-				select {
-				case r := <-col.Records():
-					flows = append(flows, r)
-				default:
-					break drain
-				}
-			}
-			at := cfg.World.TimeOf(s)
-			if len(flows) == 0 {
-				// A fully-lost step: keep the detector branches stepping.
-				mon.ObserveMissing(customer, at)
-				continue
-			}
-			if alerts := mon.ObserveStep(customer, at, flows); len(alerts) > 0 && alertStep < 0 {
-				alertStep = s
-			}
 		}
 		if err := exp.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return alertStep, col.FullStats(), pipe.Stats()
+		pipe.Close() // seals the open steps
+		st = pipe.Stats()
+		// Free-list hit counts depend on goroutine timing; the accounting
+		// the assertions read does not.
+		st.PoolHits, st.PoolMisses, st.AggPoolHits, st.AggPoolMisses = 0, 0, 0, 0
+		return alertStep, st, cp.Stats()
 	}
 
 	cleanStep, cleanStats, _ := runEpisode(t, ChaosConfig{Seed: 1})
 	if cleanStep < 0 {
 		t.Fatal("fault-free run never alerted; detection is broken before chaos enters")
 	}
-	if cleanStats.LostRecords != 0 || cleanStats.DupPackets != 0 || cleanStats.Shed != 0 {
+	if cleanStats.LostRecords != 0 || cleanStats.DupPackets != 0 || cleanStats.DroppedLate != 0 {
 		t.Fatalf("fault-free run shows faults: %+v", cleanStats)
 	}
 
@@ -125,23 +129,21 @@ func TestChaosIngestDetectionParity(t *testing.T) {
 		t.Fatalf("chaos detection at step %d, fault-free at %d: drift %d steps exceeds 5",
 			chaosStep, cleanStep, d)
 	}
-	// The collector must separate the loss classes: sequence gaps from
-	// dropped datagrams, duplicate deliveries, and (here) zero shedding.
+	t.Logf("alert at step %d fault-free, %d under chaos; %+v", cleanStep, chaosStep, chaosStats)
+	// The pipeline must separate the loss classes: sequence gaps from
+	// dropped datagrams, and duplicate deliveries.
 	if chaosFaults.Dropped == 0 || chaosFaults.Duplicated == 0 {
 		t.Fatalf("chaos transport injected nothing: %+v", chaosFaults)
 	}
 	if chaosStats.LostRecords == 0 {
-		t.Fatal("collector did not account dropped datagrams as lost records")
+		t.Fatal("pipeline did not account dropped datagrams as lost records")
 	}
 	if chaosStats.DupPackets == 0 {
-		t.Fatal("collector did not account duplicated datagrams")
-	}
-	if chaosStats.Shed != 0 {
-		t.Fatalf("collector shed %d records with a non-full channel", chaosStats.Shed)
+		t.Fatal("pipeline did not account duplicated datagrams")
 	}
 
 	// Seeded chaos is deterministic: an identical rerun reproduces the
-	// alert step, the fault schedule, and the collector accounting exactly.
+	// alert step, the fault schedule, and the pipeline accounting exactly.
 	againStep, againStats, againFaults := runEpisode(t, chaosCfg)
 	if againStep != chaosStep || againStats != chaosStats || againFaults != chaosFaults {
 		t.Fatalf("chaos rerun diverged:\n  step %d vs %d\n  stats %+v vs %+v\n  faults %+v vs %+v",

@@ -1,11 +1,13 @@
 // Command ispgen generates a synthetic ISP world and either prints a
 // summary of its traffic and attack schedule or exports the flow records of
-// a time range as NetFlow v5 datagrams to a collector (see xatu-detect).
+// a time range as NetFlow v5 datagrams to a collector (see xatu-detect),
+// or writes them to a flow journal (xatu-detect -replay).
 //
 // Usage:
 //
 //	ispgen -days 5 -summary
-//	ispgen -export 127.0.0.1:2055 -from 0 -to 1440 -sample 10
+//	ispgen -export 127.0.0.1:2055 -from 0 -to 720 -sample 10
+//	ispgen -journal trace.xfj -to 720
 package main
 
 import (
@@ -24,7 +26,7 @@ func main() {
 		days      = flag.Int("days", 5, "simulated days")
 		seed      = flag.Int64("seed", 1, "world seed")
 		customers = flag.Int("customers", 10, "number of customers")
-		stepMin   = flag.Int("step", 1, "step minutes")
+		stepMin   = flag.Int("step", 2, "step minutes (xatu-train trains and xatu-detect aggregates at 2)")
 		summary   = flag.Bool("summary", false, "print world summary and exit")
 		export    = flag.String("export", "", "collector address to export NetFlow v5 to")
 		journal   = flag.String("journal", "", "write flow records to a journal file instead of exporting")
@@ -59,7 +61,14 @@ func main() {
 		return
 	}
 
-	exp, err := netflow.NewExporter(*export, uint16(*sample))
+	// Export on the record clock: the detector seals steps by flow event
+	// time, so datagrams must carry the simulated timestamps instead of
+	// clamping them into the wall-clock epoch.
+	exp, err := netflow.NewExporterWithConfig(netflow.ExporterConfig{
+		Addr:     *export,
+		Sampling: uint16(*sample),
+		BootTime: cfg.TimeOf(*from).Add(-time.Minute),
+	})
 	if err != nil {
 		fatal("%v", err)
 	}

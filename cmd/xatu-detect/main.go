@@ -1,11 +1,15 @@
 // Command xatu-detect runs the online detection loop of §2.6: it listens
-// for NetFlow v5 datagrams, aggregates flows per customer per step, feeds
-// them through a sharded detection Engine (trained models + 273-feature
-// extractor, one single-threaded Monitor per shard) and prints alerts.
-// Pair it with ispgen:
+// for NetFlow v5 datagrams, aggregates flows per customer per step of
+// record event time through the ingest pipeline, feeds them through a
+// sharded detection Engine (trained models + 273-feature extractor, one
+// single-threaded Monitor per shard) and prints alerts. Pair it with ispgen,
+// whose exporter stamps the simulated flow times:
 //
-//	xatu-detect -models ./models -listen 127.0.0.1:2055 -step 5s -shards 4 &
+//	xatu-detect -models ./models -listen 127.0.0.1:2055 -shards 4 &
 //	ispgen -export 127.0.0.1:2055 -from 0 -to 720 -rate 10ms
+//
+// -replay reads a flow journal (ispgen -journal) instead of the socket and
+// seals its steps by the same event-time rule.
 package main
 
 import (
@@ -15,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/netip"
 	"os"
@@ -23,6 +28,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/xatu-go/xatu"
@@ -36,18 +42,16 @@ func main() {
 	var (
 		modelDir = flag.String("models", "models", "directory written by xatu-train")
 		listen   = flag.String("listen", "127.0.0.1:2055", "NetFlow listen address")
-		step     = flag.Duration("step", 5*time.Second, "aggregation step (wall clock)")
+		step     = flag.Duration("step", 2*time.Minute, "aggregation step in record event time (xatu-train trains at 2m)")
+		lateness = flag.Duration("lateness", 2*time.Minute, "how far out of order records may arrive before a step seals without them")
 		thFlag   = flag.Float64("threshold", 0, "survival threshold override (0 = use saved)")
 		replay   = flag.String("replay", "", "replay a flow journal file instead of listening on UDP")
-		simStep  = flag.Duration("sim-step", 2*time.Minute, "journal replay: step size of the recorded flows")
 		ckpt     = flag.String("checkpoint", "", "detector state file: restored on startup if present, saved periodically and on shutdown")
 		ckptIval = flag.Duration("checkpoint-interval", time.Minute, "how often to save -checkpoint")
 		ckptInc  = flag.Bool("checkpoint-incremental", true, "periodic saves read the supervisor's background per-shard snapshots instead of stalling the fleet at a barrier (shutdown still writes a barrier checkpoint)")
 		shards   = flag.Int("shards", runtime.GOMAXPROCS(0), "detection shards (single-threaded monitors); customers are hash-partitioned across them")
 		queue    = flag.Int("queue", 1024, "per-shard mailbox capacity (live ingest sheds oldest on overflow; replay blocks)")
 		telAddr  = flag.String("telemetry-addr", "", "serve Prometheus /metrics, /healthz, /debug/alerts and pprof on this address (empty = disabled)")
-		ingestW  = flag.Int("ingest-workers", 0, "run the parallel allocation-lean ingest pipeline with this many decode and aggregation workers; steps are sealed by record event time with -lateness allowance (0 = legacy collector with wall-clock stepping)")
-		lateness = flag.Duration("lateness", 2*time.Minute, "ingest pipeline: how far out of order records may arrive before a step seals without them")
 	)
 	flag.Parse()
 
@@ -63,14 +67,12 @@ func main() {
 		}
 	}
 
-	// Live ingest sheds oldest rather than blocking the collector drain
+	// Live ingest sheds oldest rather than stalling the socket's read
 	// loop; a journal replay has no liveness constraint, so it blocks and
 	// loses nothing.
-	// engineStep tells the engine how much traffic time one Submit covers,
-	// which the CDetOnly fallback needs to turn byte counts into rates.
-	policy, engineStep := xatu.BackpressureShedOldest, *step
+	policy := xatu.BackpressureShedOldest
 	if *replay != "" {
-		policy, engineStep = xatu.BackpressureBlock, *simStep
+		policy = xatu.BackpressureBlock
 	}
 	var reg *xatu.TelemetryRegistry
 	if *telAddr != "" {
@@ -84,7 +86,7 @@ func main() {
 		Shards:    *shards,
 		Queue:     *queue,
 		Policy:    policy,
-		Step:      engineStep,
+		Step:      *step,
 		Telemetry: reg,
 	})
 	if err != nil {
@@ -135,113 +137,92 @@ func main() {
 		}
 	}()
 
+	sink := newGapFiller(eng, *step)
 	if *replay != "" {
-		replayJournal(eng, *replay, *simStep)
-		saveCheckpoint(eng, *ckpt, false)
-		printHealthSummary(eng)
-		eng.Close()
-		<-alertsDone
-		return
+		replayJournal(eng, sink, *replay, *step, *lateness)
+	} else {
+		serve(eng, sink, reg, *listen, threshold, *step, *lateness, *ckpt, *ckptIval, *ckptInc)
 	}
-
-	if *ingestW > 0 {
-		runPipeline(eng, reg, *listen, *ingestW, *step, *lateness, *ckpt, *ckptIval, *ckptInc)
-		eng.Close()
-		<-alertsDone
-		return
-	}
-
-	col, err := xatu.NewCollector(*listen, 65536)
-	if err != nil {
-		fatal("%v", err)
-	}
-	if reg != nil {
-		col.RegisterMetrics(reg)
-	}
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer cancel()
-	go col.Run(ctx)
-	fmt.Printf("listening on %s, survival threshold %.4f, step %v, %d shards (queue %d)\n",
-		col.Addr(), threshold, *step, eng.Shards(), *queue)
-
-	var (
-		pending  = map[netip.Addr][]xatu.Record{}
-		known    = map[netip.Addr]bool{} // customers seen at least once
-		lastSave time.Time
-	)
-	shutdown := func() {
-		st := col.FullStats()
-		es := eng.Stats()
-		fmt.Printf("shutting down (records=%d shed=%d lost=%d dup=%d reordered=%d bad=%d exporters=%d)\n",
-			st.Records, st.Shed, st.LostRecords, st.DupPackets, st.ReorderedPackets, st.BadPackets, st.Exporters)
-		fmt.Printf("engine: %d shards, steps=%d missing=%d shed=%d alerts=%d queue-hw=%d\n",
-			eng.Shards(), es.Steps, es.Missing, es.Shed, es.Alerts, es.QueueHighWater)
-		saveCheckpoint(eng, *ckpt, false)
-		printHealthSummary(eng)
-		eng.Close()
-		<-alertsDone
-	}
-	ticker := time.NewTicker(*step)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			shutdown()
-			return
-		case r, ok := <-col.Records():
-			if !ok {
-				shutdown()
-				return
-			}
-			pending[r.Dst] = append(pending[r.Dst], r)
-		case <-ticker.C:
-			now := time.Now()
-			// Customers that went quiet this step still get a gap step, so
-			// their detector branches keep advancing in lockstep.
-			for customer := range known {
-				if _, ok := pending[customer]; !ok {
-					eng.ObserveMissing(customer, now)
-				}
-			}
-			for customer, flows := range pending {
-				known[customer] = true
-				eng.Submit(customer, now, flows)
-				delete(pending, customer)
-			}
-			if *ckpt != "" && now.Sub(lastSave) >= *ckptIval {
-				saveCheckpoint(eng, *ckpt, *ckptInc)
-				lastSave = now
-			}
-		}
-	}
+	saveCheckpoint(eng, *ckpt, false)
+	printHealthSummary(eng)
+	eng.Close()
+	<-alertsDone
 }
 
-// runPipeline serves live ingest through the parallel allocation-lean
-// pipeline: decode workers partition packets by exporter, aggregation
-// workers seal per-customer steps by record event time, and sealed steps
-// feed the engine's shards directly. Unlike the legacy collector loop
-// there is no wall-clock ticker — step boundaries come from the records
-// themselves, sealed once the watermark passes the lateness allowance.
-func runPipeline(eng *xatu.Engine, reg *xatu.TelemetryRegistry, listen string, workers int, step, lateness time.Duration, ckpt string, ckptIval time.Duration, ckptInc bool) {
+// stepSink is the part of the engine a gapFiller drives.
+type stepSink interface {
+	Submit(customer netip.Addr, at time.Time, flows []xatu.Record) error
+	ObserveMissing(customer netip.Addr, at time.Time) error
+}
+
+// maxGapSteps bounds the missing steps reported for one return: a corrupt
+// far-future record time must not queue millions of them on a shard. At
+// 2-minute steps it covers 5.7 days; a longer absence is filled only
+// that far.
+const maxGapSteps = 1 << 12
+
+// gapFiller feeds sealed steps to the engine in both modes. Before it
+// forwards a customer's step, it reports each step the customer skipped
+// since its previous one to ObserveMissing, so the detector branches have
+// stepped in lockstep by the time the customer returns. This is the lazy
+// form of a missing-step observation at every elapsed step: ObserveMissing
+// never alerts, so the alerts and the returning customer's state are the
+// same. Safe for concurrent use: the pipeline's aggregation workers submit
+// from several goroutines, each owning a disjoint set of customers.
+type gapFiller struct {
+	eng  stepSink
+	step time.Duration
+	mu   sync.Mutex
+	last map[netip.Addr]time.Time
+}
+
+func newGapFiller(eng stepSink, step time.Duration) *gapFiller {
+	return &gapFiller{eng: eng, step: step, last: make(map[netip.Addr]time.Time)}
+}
+
+// Submit implements the ingest pipeline's Submitter.
+func (g *gapFiller) Submit(customer netip.Addr, at time.Time, flows []xatu.Record) error {
+	g.mu.Lock()
+	prev, seen := g.last[customer]
+	if !seen || at.After(prev) {
+		g.last[customer] = at
+	}
+	g.mu.Unlock()
+	if seen {
+		t := prev.Add(g.step)
+		for n := 0; n < maxGapSteps && t.Before(at); n++ {
+			if err := g.eng.ObserveMissing(customer, t); err != nil {
+				return err
+			}
+			t = t.Add(g.step)
+		}
+	}
+	return g.eng.Submit(customer, at, flows)
+}
+
+// serve runs live ingest: the pipeline's read loop takes datagrams off the
+// socket, decode workers partition them by exporter, aggregation workers
+// seal per-customer steps by record event time once the watermark passes
+// the lateness allowance, and sealed steps feed the engine's shards. It
+// returns on SIGINT after the pipeline has flushed its open steps.
+func serve(eng *xatu.Engine, sink *gapFiller, reg *xatu.TelemetryRegistry, listen string, threshold float64, step, lateness time.Duration, ckpt string, ckptIval time.Duration, ckptInc bool) {
 	pc, err := net.ListenPacket("udp", listen)
 	if err != nil {
 		fatal("%v", err)
 	}
 	pipe, err := xatu.NewIngestPipeline(xatu.IngestConfig{
-		DecodeWorkers: workers,
-		AggWorkers:    workers,
-		Step:          step,
-		Lateness:      lateness,
-		Engine:        eng,
-		Telemetry:     reg,
+		Step:      step,
+		Lateness:  lateness,
+		Sink:      sink,
+		Telemetry: reg,
 	})
 	if err != nil {
 		fatal("%v", err)
 	}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
-	fmt.Printf("listening on %s, ingest pipeline with %d decode + %d aggregation workers, step %v, lateness %v\n",
-		pc.LocalAddr(), workers, workers, step, lateness)
+	fmt.Printf("listening on %s, survival threshold %.4f, step %v, lateness %v, %d shards\n",
+		pc.LocalAddr(), threshold, step, lateness, eng.Shards())
 
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- pipe.Serve(ctx, pc) }()
@@ -255,8 +236,9 @@ func runPipeline(eng *xatu.Engine, reg *xatu.TelemetryRegistry, listen string, w
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "xatu-detect: serve: %v\n", err)
 			}
-			if cerr := pipe.Close(); cerr != nil {
-				fmt.Fprintf(os.Stderr, "xatu-detect: %v\n", cerr)
+			pipe.Close() // seals the open steps into the engine
+			if err := eng.Drain(); err != nil {
+				fmt.Fprintf(os.Stderr, "xatu-detect: %v\n", err)
 			}
 			st := pipe.Stats()
 			es := eng.Stats()
@@ -264,8 +246,6 @@ func runPipeline(eng *xatu.Engine, reg *xatu.TelemetryRegistry, listen string, w
 				st.Packets, st.Records, st.Steps, st.DupPackets, st.ReorderedPackets, st.LostRecords, st.DroppedLate, st.BadPackets)
 			fmt.Printf("engine: %d shards, steps=%d missing=%d shed=%d alerts=%d queue-hw=%d\n",
 				eng.Shards(), es.Steps, es.Missing, es.Shed, es.Alerts, es.QueueHighWater)
-			saveCheckpoint(eng, ckpt, false)
-			printHealthSummary(eng)
 			return
 		}
 	}
@@ -370,9 +350,12 @@ func loadExtractor(dir string) *xatu.FeatureExtractor {
 	return ext
 }
 
-// replayJournal streams a recorded flow journal through the engine,
-// bucketing records into simulated steps by their start timestamps.
-func replayJournal(eng *xatu.Engine, path string, step time.Duration) {
+// replayJournal streams a recorded flow journal through the engine. Steps
+// are sealed by the rule the live pipeline's aggregation workers apply
+// (netflow.Aggregator: a step seals once a record lateness past its end has
+// been read), so a journal replays the steps a live run of the same flows
+// seals.
+func replayJournal(eng *xatu.Engine, sink *gapFiller, path string, step, lateness time.Duration) {
 	f, err := os.Open(path)
 	if err != nil {
 		fatal("%v", err)
@@ -382,18 +365,17 @@ func replayJournal(eng *xatu.Engine, path string, step time.Duration) {
 	if err != nil {
 		fatal("%v", err)
 	}
-	var (
-		curStep time.Time
-		pending = map[netip.Addr][]xatu.Record{}
-		flushFn = func() {
-			for customer, flows := range pending {
-				if err := eng.Submit(customer, curStep, flows); err != nil {
+	agg := netflow.NewAggregator(step, lateness)
+	submit := func(sealed []netflow.StepBatch) {
+		for _, b := range sealed {
+			for customer, flows := range b.ByDst {
+				if err := sink.Submit(customer, b.Start, flows); err != nil {
 					fatal("replay: %v", err)
 				}
-				delete(pending, customer)
 			}
+			agg.RecycleShell(b) // the record slices now belong to the engine
 		}
-	)
+	}
 	for {
 		r, err := jr.Next()
 		if err == io.EOF {
@@ -402,22 +384,14 @@ func replayJournal(eng *xatu.Engine, path string, step time.Duration) {
 		if err != nil {
 			fatal("replay: %v", err)
 		}
-		bucket := r.Start.Truncate(step)
-		if curStep.IsZero() {
-			curStep = bucket
-		}
-		for bucket.After(curStep) {
-			flushFn()
-			curStep = curStep.Add(step)
-		}
-		pending[r.Dst] = append(pending[r.Dst], r)
+		submit(agg.Add(r))
 	}
-	flushFn()
+	submit(agg.Flush())
 	if err := eng.Drain(); err != nil {
 		fatal("replay: %v", err)
 	}
-	fmt.Printf("replayed %d records, %d alerts across %d shards\n",
-		jr.Count(), eng.Stats().Alerts, eng.Shards())
+	fmt.Printf("replayed %d records (%d late), %d alerts across %d shards\n",
+		jr.Count(), agg.Dropped(), eng.Stats().Alerts, eng.Shards())
 }
 
 func loadModels(dir string) (map[xatu.AttackType]*xatu.Model, *xatu.Model, error) {
@@ -467,7 +441,14 @@ func loadThreshold(path string) (float64, error) {
 	if !sc.Scan() {
 		return 0, fmt.Errorf("empty threshold file %s", path)
 	}
-	return strconv.ParseFloat(strings.TrimSpace(sc.Text()), 64)
+	v, err := strconv.ParseFloat(strings.TrimSpace(sc.Text()), 64)
+	if err != nil {
+		return 0, fmt.Errorf("threshold file %s: %w", path, err)
+	}
+	if !(v > 0) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("threshold file %s: %v is not a positive finite survival threshold", path, v)
+	}
+	return v, nil
 }
 
 func fatal(format string, args ...any) {

@@ -284,7 +284,7 @@ func (sk *soak) run(sched []phaseChange) runResult {
 		Step:          stepDur,
 		Lateness:      2 * stepDur,
 		QueueDepth:    1024,
-		Engine:        eng,
+		Sink:          eng,
 		Telemetry:     reg,
 	})
 	if err != nil {

@@ -116,6 +116,14 @@ func (r *Registry) Load(rd io.Reader) error {
 			if err != nil {
 				return fmt.Errorf("attackhist: line %d: %v", lineNo, err)
 			}
+			// Save writes attacker times in UTC, and a JSON time has a
+			// four-digit year: an offset that moves one out of 0000–9999
+			// would load a snapshot that cannot be saved.
+			for _, at := range []time.Time{pa.First, pa.Last} {
+				if y := at.UTC().Year(); y < 0 || y > 9999 {
+					return fmt.Errorf("attackhist: line %d: %v is outside years 0000-9999 in UTC", lineNo, at)
+				}
+			}
 			r.RecordAttacker(customer, src, pa.First)
 			if pa.Last.After(pa.First) {
 				r.RecordAttacker(customer, src, pa.Last)

@@ -47,6 +47,11 @@ func LoadText(r io.Reader, reg *Registry) (int, error) {
 		if err != nil {
 			return n, fmt.Errorf("blocklist: line %d: bad timestamp: %v", lineNo, err)
 		}
+		// WriteText writes listing times in UTC with a four-digit year; an
+		// offset that moves one out of 0000–9999 could not be read back.
+		if y := listedAt.UTC().Year(); y < 0 || y > 9999 {
+			return n, fmt.Errorf("blocklist: line %d: timestamp outside years 0000-9999 in UTC", lineNo)
+		}
 		var ttl time.Duration
 		if len(parts) == 4 {
 			ttl, err = time.ParseDuration(strings.TrimSpace(parts[3]))
@@ -79,10 +84,11 @@ func LoadText(r io.Reader, reg *Registry) (int, error) {
 
 // addPrefix expands a prefix into its /24 subnets.
 func addPrefix(reg *Registry, cat Category, p netip.Prefix, listedAt time.Time, ttl time.Duration) (int, error) {
-	p = p.Masked()
-	if !p.Addr().Unmap().Is4() {
+	p4, ok := compact.IPv4Prefix(p)
+	if !ok {
 		return 0, fmt.Errorf("only IPv4 prefixes supported, got %v", p)
 	}
+	p = p4
 	if p.Bits() >= 24 {
 		reg.Add(cat, p.Addr(), listedAt, ttl)
 		return 1, nil
@@ -90,7 +96,7 @@ func addPrefix(reg *Registry, cat Category, p netip.Prefix, listedAt time.Time, 
 	if p.Bits() < 16 {
 		return 0, fmt.Errorf("prefix %v broader than /16 refused", p)
 	}
-	base := p.Addr().Unmap().As4()
+	base := p.Addr().As4()
 	count := 1 << (24 - p.Bits())
 	for i := 0; i < count; i++ {
 		a := base
@@ -113,6 +119,8 @@ func categoryBySlug(slug string) (Category, bool) {
 
 // WriteText serializes the registry in LoadText's format, deterministically
 // ordered (category, then subnet). Permanent entries omit the ttl field.
+// Listing times keep their fractional seconds, so LoadText reads back the
+// same instants.
 func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -127,10 +135,10 @@ func (r *Registry) WriteText(w io.Writer) error {
 			e := r.cats[c][k]
 			listed := e.listedAt.Time()
 			if e.expiresAt == compact.Never {
-				fmt.Fprintf(bw, "%s,%s/24,%s\n", c, compact.Addr(k), listed.Format(time.RFC3339))
+				fmt.Fprintf(bw, "%s,%s/24,%s\n", c, compact.Addr(k), listed.Format(time.RFC3339Nano))
 			} else {
 				fmt.Fprintf(bw, "%s,%s/24,%s,%s\n", c, compact.Addr(k),
-					listed.Format(time.RFC3339), e.expiresAt.Time().Sub(listed))
+					listed.Format(time.RFC3339Nano), e.expiresAt.Time().Sub(listed))
 			}
 		}
 	}

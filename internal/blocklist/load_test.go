@@ -117,3 +117,32 @@ func TestWriteTextRoundTrip(t *testing.T) {
 		t.Fatal("WriteText must be deterministic")
 	}
 }
+
+// TestLoadTextMappedPrefix pins that an IPv4-mapped IPv6 prefix is read as
+// the IPv4 prefix it maps (::ffff:a.b.c.d/112 is a.b.c.d/16), not as one
+// /24 because its IPv6 length exceeds 24; a listing time whose UTC form
+// has no four-digit year is refused, since WriteText could not write it
+// back.
+func TestLoadTextMappedPrefix(t *testing.T) {
+	reg := NewRegistry()
+	n, err := LoadText(strings.NewReader("bot,::ffff:11.22.0.0/112,2019-04-01T00:00:00Z\n"), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 256 {
+		t.Fatalf("entries = %d, want the 256 /24s of 11.22.0.0/16", n)
+	}
+	if !reg.ListedAt(Bot, netip.MustParseAddr("11.22.255.9"), time.Date(2019, 5, 1, 0, 0, 0, 0, time.UTC)) {
+		t.Fatal("the last /24 of the mapped /16 is not listed")
+	}
+	for _, line := range []string{
+		"bot,::ffff:0.0.0.0/90,2019-04-01T00:00:00Z", // shorter than the mapping
+		"bot,2001:db8::/112,2019-04-01T00:00:00Z",    // not mapped
+		"bot,1.2.3.4,0000-01-01T00:00:00+01:00",      // year -1 in UTC
+		"bot,1.2.3.4,9999-12-31T23:00:00-05:00,1h",   // year 10000 in UTC
+	} {
+		if _, err := LoadText(strings.NewReader(line+"\n"), NewRegistry()); err == nil {
+			t.Errorf("%q loaded", line)
+		}
+	}
+}

@@ -24,6 +24,20 @@ func IPv4(addr netip.Addr) (word uint32, ok bool) {
 	return binary.BigEndian.Uint32(b[:]), true
 }
 
+// IPv4Prefix returns p as a masked IPv4 prefix; an IPv4-mapped IPv6
+// prefix (::ffff:a.b.c.d/96+n) becomes a.b.c.d/n. ok is false for every
+// other prefix, so a mapped prefix never counts its 96 mapping bits as
+// IPv4 prefix length.
+func IPv4Prefix(p netip.Prefix) (netip.Prefix, bool) {
+	if a := p.Addr(); a.Is4In6() && p.Bits() >= 96 {
+		p = netip.PrefixFrom(a.Unmap(), p.Bits()-96)
+	}
+	if !p.IsValid() || !p.Addr().Is4() {
+		return netip.Prefix{}, false
+	}
+	return p.Masked(), true
+}
+
 // Addr is the inverse of IPv4.
 func Addr(word uint32) netip.Addr {
 	var b [4]byte

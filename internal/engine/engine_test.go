@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"net"
 	"net/netip"
 	"sync"
 	"testing"
@@ -154,99 +153,6 @@ func replayIntoEngine(t *testing.T, cfg Config, customers []netip.Addr, batches 
 		got[alertKey{ev.Customer, ev.Alert.Sig.Type, ev.At}] = true
 	}
 	return got, st
-}
-
-// recordChaosStream pushes a deterministic multi-customer trace through
-// the exporter → seeded chaos pipe → collector chain and records the
-// surviving per-step batches.
-func recordChaosStream(t *testing.T, customers []netip.Addr, steps int, chaos netflow.ChaosConfig) []stepBatch {
-	t.Helper()
-	col, err := netflow.NewCollector("127.0.0.1:0", 1<<16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe := netflow.NewChaosPipe(col, "192.0.2.1:2055", chaos)
-	exp, err := netflow.NewExporterWithConfig(netflow.ExporterConfig{
-		Dial: func() (net.Conn, error) { return pipe, nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Date(2019, 7, 3, 0, 0, 0, 0, time.UTC)
-	batches := make([]stepBatch, 0, steps)
-	for s := 0; s < steps; s++ {
-		for _, c := range customers {
-			for _, r := range udpFlows(c, s, t0) {
-				if err := exp.Export(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := exp.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		// The pipe delivers synchronously: this step's surviving records
-		// are already buffered in the collector.
-		b := stepBatch{at: t0.Add(time.Duration(s) * time.Minute), flows: map[netip.Addr][]netflow.Record{}}
-	drain:
-		for {
-			select {
-			case r := <-col.Records():
-				b.flows[r.Dst] = append(b.flows[r.Dst], r)
-			default:
-				break drain
-			}
-		}
-		batches = append(batches, b)
-	}
-	if err := exp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return batches
-}
-
-// TestEngineMonitorParityChaosStream is the tentpole acceptance test: a
-// seeded chaos stream (drops, duplicates, reorders) over 32 customers is
-// fed once to a single Monitor and once to a 4-shard Engine, and the two
-// must produce the identical alert set (customer, type, step time).
-func TestEngineMonitorParityChaosStream(t *testing.T) {
-	customers := testCustomers(32)
-	chaos := netflow.ChaosConfig{Seed: 42, DropRate: 0.10, DupRate: 0.05, ReorderRate: 0.05}
-	batches := recordChaosStream(t, customers, 40, chaos)
-
-	model := tinyModel(t)
-	ext := tinyExtractor()
-	mkCfg := func() MonitorConfig {
-		return MonitorConfig{
-			Default:           model,
-			Extractor:         ext,
-			Threshold:         1.5,
-			Types:             []ddos.AttackType{ddos.UDPFlood},
-			MitigationTimeout: 10 * time.Minute,
-		}
-	}
-
-	want := replayIntoMonitor(t, mkCfg(), customers, batches)
-	if len(want) == 0 {
-		t.Fatal("reference monitor never alerted; the fixture is broken")
-	}
-	for _, shards := range []int{1, 4} {
-		got, st := replayIntoEngine(t, Config{Monitor: mkCfg(), Shards: shards, Policy: Block}, customers, batches)
-		if len(got) != len(want) {
-			t.Fatalf("%d shards: %d alerts, monitor raised %d", shards, len(got), len(want))
-		}
-		for k := range want {
-			if !got[k] {
-				t.Fatalf("%d shards: missing alert %+v", shards, k)
-			}
-		}
-		if st.Shed != 0 {
-			t.Fatalf("%d shards: Block policy shed %d messages", shards, st.Shed)
-		}
-		if st.Steps+st.Missing != st.Submitted {
-			t.Fatalf("%d shards: processed %d+%d of %d submitted after drain", shards, st.Steps, st.Missing, st.Submitted)
-		}
-	}
 }
 
 // TestEngineParityWithEndMitigation interleaves EndMitigation signals and

@@ -215,8 +215,11 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if cfg.Extractor == nil {
 		return nil, errors.New("xatu: MonitorConfig.Extractor is required")
 	}
-	if cfg.Threshold <= 0 {
-		return nil, errors.New("xatu: MonitorConfig.Threshold must be positive")
+	// A NaN threshold would pass a `<= 0` test and then alert on every
+	// matching step (s >= NaN is false). Values above 1 stay legal: they
+	// mean "alert whenever the signature matches".
+	if !(cfg.Threshold > 0) || math.IsInf(cfg.Threshold, 1) {
+		return nil, errors.New("xatu: MonitorConfig.Threshold must be positive and finite")
 	}
 	types := cfg.Types
 	if types == nil {

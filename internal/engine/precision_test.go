@@ -9,7 +9,6 @@ import (
 	"github.com/xatu-go/xatu/internal/core"
 	"github.com/xatu-go/xatu/internal/ddos"
 	"github.com/xatu-go/xatu/internal/features"
-	"github.com/xatu-go/xatu/internal/netflow"
 )
 
 // referenceAlerts is the float64 oracle of a single-type monitor, built
@@ -61,50 +60,6 @@ func referenceAlerts(cfg MonitorConfig, customers []netip.Addr, batches []stepBa
 		}
 	}
 	return got
-}
-
-// TestMonitorFloat32ParityChaosStream replays the seeded chaos stream of
-// the engine/monitor parity test through the float64 reference above, a
-// Monitor, and a 4-shard Engine. Warm-up counting, signature matching and
-// mitigation bookkeeping are precision-independent, so with the
-// warm-equals-alert threshold the three alert sets must be identical —
-// this pins the serving plumbing (lane construction, stream creation,
-// batched dispatch, missing steps) end to end against an implementation
-// that has none of it; the survival-value tolerance argument lives in the
-// trained-model test at the repo root.
-func TestMonitorFloat32ParityChaosStream(t *testing.T) {
-	customers := testCustomers(16)
-	chaos := netflow.ChaosConfig{Seed: 42, DropRate: 0.10, DupRate: 0.05, ReorderRate: 0.05}
-	batches := recordChaosStream(t, customers, 40, chaos)
-
-	cfg := MonitorConfig{
-		Default:           tinyModel(t),
-		Extractor:         tinyExtractor(),
-		Threshold:         1.5,
-		Types:             []ddos.AttackType{ddos.UDPFlood},
-		MitigationTimeout: 10 * time.Minute,
-	}
-	want := referenceAlerts(cfg, customers, batches)
-	if len(want) == 0 {
-		t.Fatal("float64 reference never alerted; the fixture is broken")
-	}
-	sameAlerts := func(name string, got map[alertKey]bool) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s raised %d alerts, float64 reference raised %d", name, len(got), len(want))
-		}
-		for k := range want {
-			if !got[k] {
-				t.Fatalf("%s missing alert %+v", name, k)
-			}
-		}
-	}
-	sameAlerts("monitor", replayIntoMonitor(t, cfg, customers, batches))
-	eng, st := replayIntoEngine(t, Config{Monitor: cfg, Shards: 4, Policy: Block}, customers, batches)
-	sameAlerts("engine", eng)
-	if st.Shed != 0 {
-		t.Fatalf("Block policy shed %d messages", st.Shed)
-	}
 }
 
 // TestMonitorFloat32CheckpointRoundTrip checkpoints a monitor at a

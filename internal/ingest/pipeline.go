@@ -54,8 +54,7 @@ type Submitter interface {
 }
 
 // Config assembles a Pipeline. Exactly one sink must be set: OnStep
-// (optionally with an Extractor), Engine, or Sink (both of which extract
-// downstream).
+// (optionally with an Extractor) or Sink (which extracts downstream).
 type Config struct {
 	// DecodeWorkers is the number of decode goroutines (M). Zero =
 	// GOMAXPROCS.
@@ -71,16 +70,12 @@ type Config struct {
 	// queue blocks the producer (backpressure), never sheds.
 	QueueDepth int
 	// Extractor, when set with OnStep, extracts the feature vector passed
-	// to the sink. Must be nil when Engine is set (its monitors extract).
+	// to the sink. Must be nil when Sink is set (its monitors extract).
 	Extractor *features.Extractor
 	// OnStep receives sealed steps. See StepFunc for ownership rules.
 	OnStep StepFunc
-	// Engine receives sealed steps via Submit. Record slices are handed
-	// off to the engine's mailboxes per its contract.
-	Engine *engine.Engine
-	// Sink receives sealed steps via Submit under the same ownership
-	// handoff as Engine, through the Submitter interface instead of a
-	// concrete engine.
+	// Sink receives sealed steps via Submit; record slices are handed off
+	// to it (an *engine.Engine queues them in its shard mailboxes).
 	Sink Submitter
 	// Telemetry, when non-nil, registers the xatu_ingest_* metric
 	// families. Nil disables instrumentation at zero hot-path cost.
@@ -193,21 +188,11 @@ type aggWorker struct {
 
 // New validates cfg, starts the workers, and returns the running pipeline.
 func New(cfg Config) (*Pipeline, error) {
-	sinks := 0
-	for _, set := range []bool{cfg.OnStep != nil, cfg.Engine != nil, cfg.Sink != nil} {
-		if set {
-			sinks++
-		}
+	if (cfg.OnStep == nil) == (cfg.Sink == nil) {
+		return nil, errors.New("ingest: exactly one of OnStep and Sink must be set")
 	}
-	if sinks != 1 {
-		return nil, errors.New("ingest: exactly one of OnStep, Engine, and Sink must be set")
-	}
-	if cfg.OnStep == nil && cfg.Extractor != nil {
-		return nil, errors.New("ingest: Extractor must be nil with Engine or Sink (monitors extract internally)")
-	}
-	if cfg.Engine != nil {
-		// One internal path: an Engine is just the concrete Submitter.
-		cfg.Sink = cfg.Engine
+	if cfg.Sink != nil && cfg.Extractor != nil {
+		return nil, errors.New("ingest: Extractor must be nil with Sink (monitors extract internally)")
 	}
 	if cfg.DecodeWorkers <= 0 {
 		cfg.DecodeWorkers = runtime.GOMAXPROCS(0)

@@ -291,7 +291,7 @@ func TestPipelineChaosAlertParity(t *testing.T) {
 		AggWorkers:    3,
 		Step:          time.Minute,
 		Lateness:      time.Hour,
-		Engine:        eng,
+		Sink:          eng,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -433,11 +433,11 @@ func TestPipelineConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if _, err := New(Config{OnStep: sink, Engine: eng}); err == nil {
+	if _, err := New(Config{OnStep: sink, Sink: eng}); err == nil {
 		t.Fatal("two sinks must be rejected")
 	}
-	if _, err := New(Config{Engine: eng, Extractor: testExtractor()}); err == nil {
-		t.Fatal("Engine with Extractor must be rejected")
+	if _, err := New(Config{Sink: eng, Extractor: testExtractor()}); err == nil {
+		t.Fatal("an engine Sink with Extractor must be rejected")
 	}
 }
 

@@ -8,11 +8,12 @@ import (
 	"net/netip"
 )
 
-// Serve reads datagrams from pc into the pipeline until ctx is canceled or
-// the socket closes, mirroring netflow.Collector.Run: the UDP fast path
-// receives without allocating and source names are cached per remote
-// address. Serve does not close the pipeline; call Close after Serve
-// returns to flush pending steps.
+// Serve is the UDP read loop: it reads datagrams from pc into the pipeline
+// until ctx is canceled or the socket closes. The UDP fast path receives
+// without allocating and source names are cached per remote address. A
+// full pipeline blocks the loop (the kernel socket buffer absorbs bursts)
+// rather than shedding records. Serve does not close the pipeline; call
+// Close after Serve returns to flush pending steps.
 func (p *Pipeline) Serve(ctx context.Context, pc net.PacketConn) error {
 	go func() {
 		<-ctx.Done()

@@ -2,7 +2,6 @@ package netflow
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -107,165 +106,6 @@ func TestChaosConnIndependentFaultStreams(t *testing.T) {
 	}
 }
 
-func TestChaosPipeCollectorSeparatesLossClasses(t *testing.T) {
-	col, err := NewCollector("127.0.0.1:0", 1<<14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.pc.Close()
-	chaos := NewChaosPipe(col, "exporter-1", ChaosConfig{
-		Seed: 42, DropRate: 0.10, DupRate: 0.05, ReorderRate: 0.05,
-	})
-	exp, err := NewExporterWithConfig(ExporterConfig{
-		Sampling: 1,
-		Dial:     func() (net.Conn, error) { return chaos, nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const total = 3000
-	for i := 0; i < total; i++ {
-		if err := exp.Export(testRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := exp.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := exp.Sent(); got != total {
-		t.Fatalf("Sent = %d, want %d", got, total)
-	}
-
-	cs := chaos.Stats()
-	st := col.FullStats()
-	if cs.Dropped == 0 || cs.Duplicated == 0 || cs.Reordered == 0 {
-		t.Fatalf("chaos did not exercise all faults: %+v", cs)
-	}
-	// Duplicate datagrams are delivered immediately after their original,
-	// so every one must be caught by the recently-seen ring.
-	if st.DupPackets != cs.Duplicated {
-		t.Fatalf("DupPackets = %d, chaos duplicated %d", st.DupPackets, cs.Duplicated)
-	}
-	// Reordered datagrams are delivered one write late and show up as
-	// out-of-order arrivals — unless the intervening write was itself
-	// dropped, in which case they arrive effectively in order. So the
-	// collector sees at most (and usually about) as many as were injected.
-	if st.ReorderedPackets == 0 || st.ReorderedPackets > cs.Reordered {
-		t.Fatalf("ReorderedPackets = %d, chaos reordered %d", st.ReorderedPackets, cs.Reordered)
-	}
-	if st.Shed != 0 {
-		t.Fatalf("nothing should be shed with a %d-record buffer: %+v", 1<<14, st)
-	}
-	if st.LostRecords == 0 {
-		t.Fatal("10% datagram loss must surface as sequence-gap records")
-	}
-	// Conservation: every exported record is either delivered or charged
-	// as lost, modulo a trailing dropped datagram no later packet reveals.
-	delivered := uint64(len(col.out))
-	if delivered != st.Records {
-		t.Fatalf("channel holds %d, stats say %d delivered", delivered, st.Records)
-	}
-	if got := delivered + st.LostRecords; got > total || got < total-MaxRecordsPerPacket {
-		t.Fatalf("delivered(%d) + lost(%d) = %d, want within one datagram of %d",
-			delivered, st.LostRecords, got, total)
-	}
-	if st.Exporters != 1 {
-		t.Fatalf("Exporters = %d, want 1", st.Exporters)
-	}
-}
-
-func TestCollectorShedSeparateFromLoss(t *testing.T) {
-	// Tiny channel, nobody draining: records shed at the collector must
-	// not be charged as upstream loss.
-	col, err := NewCollector("127.0.0.1:0", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.pc.Close()
-	pipe := NewChaosPipe(col, "exporter-1", ChaosConfig{}) // no faults
-	exp, err := NewExporterWithConfig(ExporterConfig{
-		Sampling: 1,
-		Dial:     func() (net.Conn, error) { return pipe, nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		if err := exp.Export(testRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := exp.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st := col.FullStats()
-	if st.LostRecords != 0 || st.DupPackets != 0 {
-		t.Fatalf("clean transport charged loss: %+v", st)
-	}
-	if st.Shed == 0 {
-		t.Fatal("overflowing an 8-record channel must shed")
-	}
-	if st.Records != 8 {
-		t.Fatalf("Records = %d, want 8 (channel capacity)", st.Records)
-	}
-	if st.Records+st.Shed != 300 {
-		t.Fatalf("delivered %d + shed %d != 300", st.Records, st.Shed)
-	}
-}
-
-func TestExporterReconnectsAfterWriteFailure(t *testing.T) {
-	col, err := NewCollector("127.0.0.1:0", 1<<12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.pc.Close()
-	// Fail roughly half the writes: the exporter must keep records
-	// pending across failures, redial, and eventually deliver everything
-	// (chaos write failures are pre-send, so no datagrams are lost).
-	var dials int
-	exp, err := NewExporterWithConfig(ExporterConfig{
-		Sampling:    1,
-		BaseBackoff: time.Microsecond,
-		MaxBackoff:  10 * time.Microsecond,
-		Dial: func() (net.Conn, error) {
-			dials++
-			return NewChaosPipe(col, "exporter-1", ChaosConfig{Seed: int64(dials), FailRate: 0.5}), nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const total = 2000
-	for i := 0; i < total; i++ {
-		if err := exp.Export(testRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for exp.Sent() < total {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d sent: %+v", exp.Sent(), total, exp.Stats())
-		}
-		if err := exp.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	es := exp.Stats()
-	if es.WriteErrors == 0 || es.Reconnects == 0 {
-		t.Fatalf("expected write errors and reconnects: %+v", es)
-	}
-	st := col.FullStats()
-	// Each reconnect restarts the chaos conn but the v5 sequence keeps
-	// counting, so the collector must see a contiguous stream: no loss.
-	if st.LostRecords != 0 {
-		t.Fatalf("pre-send failures must not lose records: %+v", st)
-	}
-	if st.Records != total {
-		t.Fatalf("Records = %d, want %d", st.Records, total)
-	}
-}
-
 func TestExporterShedsWhenCollectorDead(t *testing.T) {
 	dead := &deadConn{}
 	exp, err := NewExporterWithConfig(ExporterConfig{
@@ -311,12 +151,12 @@ func (deadConn) SetReadDeadline(time.Time) error  { return nil }
 func (deadConn) SetWriteDeadline(time.Time) error { return nil }
 
 func TestExporterCloseIdempotent(t *testing.T) {
-	col, err := NewCollector("127.0.0.1:0", 64)
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer col.pc.Close()
-	exp, err := NewExporter(col.Addr(), 1)
+	defer pc.Close()
+	exp, err := NewExporter(pc.LocalAddr().String(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,68 +174,5 @@ func TestExporterCloseIdempotent(t *testing.T) {
 	}
 	if err := exp.Flush(); !errors.Is(err, ErrExporterClosed) {
 		t.Fatalf("Flush after close = %v, want ErrExporterClosed", err)
-	}
-}
-
-func TestChaosConnOverRealUDP(t *testing.T) {
-	// The same chaos schedule over a real kernel socket: content is
-	// deterministic, timing is not, so assertions are structural.
-	col, err := NewCollector("127.0.0.1:0", 1<<14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- col.Run(ctx) }()
-
-	exp, err := NewExporterWithConfig(ExporterConfig{
-		Sampling: 1,
-		Dial: func() (net.Conn, error) {
-			conn, err := net.Dial("udp", col.Addr())
-			if err != nil {
-				return nil, err
-			}
-			return NewChaosConn(conn, ChaosConfig{Seed: 99, DropRate: 0.1, DupRate: 0.05}), nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const total = 1500
-	for i := 0; i < total; i++ {
-		if err := exp.Export(testRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := exp.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Drain until the delivered count stabilizes.
-	received := 0
-	idle := 0
-	for idle < 20 {
-		select {
-		case <-col.Records():
-			received++
-			idle = 0
-		case <-time.After(10 * time.Millisecond):
-			idle++
-		}
-	}
-	exp.Close()
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	st := col.FullStats()
-	if received == 0 || st.LostRecords == 0 {
-		t.Fatalf("received=%d stats=%+v: expected both delivery and loss", received, st)
-	}
-	if st.DupPackets == 0 {
-		t.Fatalf("5%% duplication over %d datagrams must surface: %+v", total/MaxRecordsPerPacket, st)
-	}
-	if got := uint64(received) + st.LostRecords; got > total || got+MaxRecordsPerPacket < total {
-		t.Fatalf("received(%d) + lost(%d) not within one datagram of %d", received, st.LostRecords, total)
 	}
 }

@@ -1,6 +1,7 @@
 // Package netflow implements the traffic-feed substrate Xatu consumes: a
-// flow-record model, a NetFlow v5 wire codec, a UDP exporter/collector pair
-// (so the §2.6 deployment loop can run over a real socket), and 1:N packet
+// flow-record model, a NetFlow v5 wire codec, a fault-tolerant UDP exporter
+// with per-exporter sequence accounting for the receiving side (the ingest
+// pipeline serves the socket), a seeded chaos transport, and 1:N packet
 // sampling mirroring the ISP's sampled NetFlow (§2.2, sampling rates 1:1 to
 // 1:10000).
 package netflow

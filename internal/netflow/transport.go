@@ -1,7 +1,6 @@
 package netflow
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -9,7 +8,6 @@ import (
 	"net"
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/xatu-go/xatu/internal/telemetry"
@@ -396,86 +394,29 @@ func (e *Exporter) Close() error {
 	return closeErr
 }
 
-// CollectorStats separates the ways telemetry can degrade on the way into
-// the detector, so operators can tell shed load (our fault) from upstream
-// loss (the network's fault) from duplication (usually a misbehaving
-// exporter or chaotic path).
-type CollectorStats struct {
-	Packets          uint64 // well-formed v5 datagrams processed
-	Records          uint64 // records delivered to the consumer channel
-	Shed             uint64 // records dropped because the consumer fell behind
-	BadPackets       uint64 // datagrams that failed to decode
-	DupPackets       uint64 // duplicate datagrams discarded (recently-seen sequence)
-	ReorderedPackets uint64 // late datagrams delivered out of order
-	LostRecords      uint64 // records missing per v5 sequence-gap accounting
-	Exporters        int    // distinct (source, engine) export streams observed
-}
-
 // seenRing remembers the last packet sequence numbers from one exporter so
 // duplicates can be told apart from late (reordered) datagrams.
 const seenRingSize = 64
 
 // exporterState tracks one (source address, engine) NetFlow v5 stream.
 type exporterState struct {
-	inited bool
 	next   uint32 // expected FlowSequence of the next datagram
 	seen   [seenRingSize]uint32
 	seenN  int
 	seenAt int
 }
 
-// seqCounters is the loss-accounting slice of CollectorStats that sequence
-// tracking mutates; both the Collector (under its mutex) and the ingest
-// pipeline's per-worker trackers (lock-free, single-writer) feed one.
-type seqCounters struct {
-	DupPackets       uint64
-	ReorderedPackets uint64
-	LostRecords      uint64
-}
-
-// track runs v5 sequence-gap accounting for one datagram carrying nrecs
-// records and reports whether it is a duplicate to drop. Signed distance
-// handles sequence wraparound at 2^32.
-func (st *exporterState) track(flowSeq uint32, nrecs int, c *seqCounters) (drop bool) {
-	if !st.inited {
-		st.inited = true
-		st.next = flowSeq + uint32(nrecs)
-		st.remember(flowSeq)
-		return false
-	}
-	switch diff := int32(flowSeq - st.next); {
-	case diff == 0: // in order
-		st.next += uint32(nrecs)
-		st.remember(flowSeq)
-	case diff > 0: // gap: diff records never arrived (so far)
-		c.LostRecords += uint64(diff)
-		st.next = flowSeq + uint32(nrecs)
-		st.remember(flowSeq)
-	default: // datagram from the past
-		if st.recentlySeen(flowSeq) {
-			c.DupPackets++
-			return true
-		}
-		// Late arrival of a datagram we charged as lost: deliver it and
-		// refund the gap accounting.
-		c.ReorderedPackets++
-		if n := uint64(nrecs); n <= c.LostRecords {
-			c.LostRecords -= n
-		} else {
-			c.LostRecords = 0
-		}
-		st.remember(flowSeq)
-	}
-	return false
-}
-
-// SeqTracker runs the Collector's per-exporter v5 sequence accounting for
-// a single-threaded consumer that holds its own state — one ingest decode
-// worker owns all packets of its hashed sources, so tracking needs no
-// lock. Not safe for concurrent use.
+// SeqTracker runs per-exporter NetFlow v5 sequence accounting, so upstream
+// loss (the network's fault) and duplication (a misbehaving exporter or
+// chaotic path) are counted apart. It serves a single-threaded consumer
+// that holds its own state — one ingest decode worker owns all packets of
+// its hashed sources, so tracking needs no lock. Not safe for concurrent
+// use.
 type SeqTracker struct {
-	src map[sourceKey]*exporterState
-	c   seqCounters
+	src              map[sourceKey]*exporterState
+	dupPackets       uint64
+	reorderedPackets uint64
+	lostRecords      uint64
 }
 
 // NewSeqTracker returns an empty tracker.
@@ -485,28 +426,48 @@ func NewSeqTracker() *SeqTracker {
 
 // Track accounts one datagram from src carrying nrecs records under header
 // h and reports whether it is a duplicate to drop. Loss, duplication, and
-// reorder totals accumulate internally (see Counters).
+// reorder totals accumulate internally (see Counters). Signed distance
+// handles sequence wraparound at 2^32.
 func (t *SeqTracker) Track(src string, h Header, nrecs int) (drop bool) {
 	key := sourceKey{src: src, engineType: h.EngineType, engineID: h.EngineID}
 	st := t.src[key]
 	if st == nil {
-		st = &exporterState{}
+		st = &exporterState{next: h.FlowSequence + uint32(nrecs)}
+		st.remember(h.FlowSequence)
 		t.src[key] = st
+		return false
 	}
-	return st.track(h.FlowSequence, nrecs, &t.c)
+	switch diff := int32(h.FlowSequence - st.next); {
+	case diff == 0: // in order
+		st.next += uint32(nrecs)
+	case diff > 0: // gap: diff records never arrived (so far)
+		t.lostRecords += uint64(diff)
+		st.next = h.FlowSequence + uint32(nrecs)
+	default: // datagram from the past
+		if st.recentlySeen(h.FlowSequence) {
+			t.dupPackets++
+			return true
+		}
+		// Late arrival of a datagram we charged as lost: deliver it and
+		// refund the gap accounting.
+		t.reorderedPackets++
+		t.lostRecords -= min(uint64(nrecs), t.lostRecords)
+	}
+	st.remember(h.FlowSequence)
+	return false
 }
 
 // Counters reports the tracker's running loss-accounting totals.
 func (t *SeqTracker) Counters() (dupPackets, reorderedPackets, lostRecords uint64) {
-	return t.c.DupPackets, t.c.ReorderedPackets, t.c.LostRecords
+	return t.dupPackets, t.reorderedPackets, t.lostRecords
 }
 
 // Exporters reports the distinct (source, engine) streams observed.
 func (t *SeqTracker) Exporters() int { return len(t.src) }
 
-// sourceKey identifies one (source, engine) export stream without the
-// fmt.Sprintf of old: an equality-comparable struct key allocates nothing
-// on the per-datagram lookup path.
+// sourceKey identifies one (source, engine) export stream: an
+// equality-comparable struct key allocates nothing on the per-datagram
+// lookup path.
 type sourceKey struct {
 	src        string
 	engineType uint8
@@ -528,290 +489,6 @@ func (s *exporterState) recentlySeen(seq uint32) bool {
 		}
 	}
 	return false
-}
-
-// Collector listens for NetFlow v5 datagrams and delivers decoded records
-// on a channel, the shape Xatu's online detector consumes. It tracks v5
-// sequence numbers per exporter stream, so upstream loss, duplication and
-// reordering are separately counted and queryable via FullStats.
-//
-// A collector built with NewCollectorBatched delivers []Record chunks on
-// Batches() instead — one channel operation per datagram rather than one
-// per record — with chunk storage pooled via RecycleBatch. The per-record
-// Records() channel remains the compatibility path.
-type Collector struct {
-	pc   net.PacketConn
-	out  chan Record   // per-record mode (nil in batched mode)
-	outB chan []Record // batched mode (nil in per-record mode)
-
-	// chunkFree is the pool of record chunks for decode scratch and the
-	// batched handoff: a locked free-list rather than sync.Pool because
-	// returning a raw []Record to a sync.Pool would box a fresh slice
-	// header on every Put, defeating the allocation-free steady state.
-	chunkMu   sync.Mutex
-	chunkFree [][]Record
-
-	delivered atomic.Uint64 // records delivered to the consumer
-	shed      atomic.Uint64 // records dropped: consumer fell behind
-
-	mu    sync.Mutex
-	stats CollectorStats
-	src   map[sourceKey]*exporterState
-}
-
-// NewCollector binds a UDP listener on addr (use "127.0.0.1:0" for an
-// ephemeral test port). bufSize is the channel capacity; records are
-// shed (and counted) when the consumer falls behind, matching how real
-// collectors shed load rather than block the socket reader.
-func NewCollector(addr string, bufSize int) (*Collector, error) {
-	pc, err := net.ListenPacket("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("netflow: binding collector: %w", err)
-	}
-	return &Collector{
-		pc:  pc,
-		out: make(chan Record, bufSize),
-		src: make(map[sourceKey]*exporterState),
-	}, nil
-}
-
-// NewCollectorBatched binds a UDP listener whose output is whole decoded
-// datagrams: Batches() delivers []Record chunks (up to MaxRecordsPerPacket
-// each), and the consumer returns chunk storage with RecycleBatch. bufSize
-// is the batch-channel capacity; whole chunks are shed (counted per
-// record) when the consumer falls behind.
-func NewCollectorBatched(addr string, bufSize int) (*Collector, error) {
-	pc, err := net.ListenPacket("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("netflow: binding collector: %w", err)
-	}
-	return &Collector{
-		pc:   pc,
-		outB: make(chan []Record, bufSize),
-		src:  make(map[sourceKey]*exporterState),
-	}, nil
-}
-
-// Addr returns the bound listen address.
-func (c *Collector) Addr() string { return c.pc.LocalAddr().String() }
-
-// Records is the stream of decoded flow records. It is closed when Run
-// returns. Nil for a batched collector.
-func (c *Collector) Records() <-chan Record { return c.out }
-
-// Batches is the stream of decoded datagram record chunks of a collector
-// built with NewCollectorBatched; it is closed when Run returns. Pass each
-// consumed chunk to RecycleBatch to keep the steady state allocation-free.
-func (c *Collector) Batches() <-chan []Record { return c.outB }
-
-// RecycleBatch returns a chunk received from Batches to the collector's
-// pool. The caller must not retain the slice afterwards.
-func (c *Collector) RecycleBatch(b []Record) {
-	if cap(b) == 0 {
-		return
-	}
-	c.chunkMu.Lock()
-	c.chunkFree = append(c.chunkFree, b[:0])
-	c.chunkMu.Unlock()
-}
-
-// getChunk takes a pooled record chunk, or allocates one.
-func (c *Collector) getChunk() []Record {
-	c.chunkMu.Lock()
-	if n := len(c.chunkFree); n > 0 {
-		b := c.chunkFree[n-1]
-		c.chunkFree = c.chunkFree[:n-1]
-		c.chunkMu.Unlock()
-		return b
-	}
-	c.chunkMu.Unlock()
-	return make([]Record, 0, MaxRecordsPerPacket)
-}
-
-// Run reads datagrams until ctx is canceled or the socket is closed.
-// Malformed packets are counted and skipped. Source names are cached per
-// remote address, so the steady-state read loop performs no per-packet
-// string conversion.
-func (c *Collector) Run(ctx context.Context) error {
-	if c.out != nil {
-		defer close(c.out)
-	} else {
-		defer close(c.outB)
-	}
-	go func() {
-		<-ctx.Done()
-		c.pc.Close()
-	}()
-	buf := make([]byte, 65535)
-	names := make(map[netip.AddrPort]string) // remote addr -> cached src string
-	udp, _ := c.pc.(*net.UDPConn)
-	for {
-		var (
-			n   int
-			src string
-			err error
-		)
-		if udp != nil {
-			// Allocation-free receive: netip.AddrPort is a value, and the
-			// name cache amortizes String() to once per distinct source.
-			var ap netip.AddrPort
-			n, ap, err = udp.ReadFromUDPAddrPort(buf)
-			if err == nil {
-				var ok bool
-				if src, ok = names[ap]; !ok {
-					src = ap.String()
-					names[ap] = src
-				}
-			}
-		} else {
-			var addr net.Addr
-			n, addr, err = c.pc.ReadFrom(buf)
-			if err == nil {
-				src = addr.String()
-			}
-		}
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("netflow: reading datagram: %w", err)
-		}
-		c.HandlePacket(src, buf[:n])
-	}
-}
-
-// HandlePacket processes one raw datagram attributed to the exporter at
-// src. Run calls it for every UDP read; in-process transports (chaos
-// pipes, replays) may call it directly. It must not be called after the
-// record channel has been closed by a returning Run. The hot path is
-// allocation-free at steady state: decode scratch is pooled and the
-// (source, engine) key is an equality-comparable struct, not a formatted
-// string.
-func (c *Collector) HandlePacket(src string, pkt []byte) {
-	chunk := c.getChunk()
-	h, recs, err := DecodeV5Into(pkt, chunk)
-	if err != nil {
-		c.RecycleBatch(recs)
-		c.mu.Lock()
-		c.stats.BadPackets++
-		c.mu.Unlock()
-		return
-	}
-	key := sourceKey{src: src, engineType: h.EngineType, engineID: h.EngineID}
-
-	c.mu.Lock()
-	c.stats.Packets++
-	st := c.src[key]
-	if st == nil {
-		st = &exporterState{}
-		c.src[key] = st
-		c.stats.Exporters = len(c.src)
-	}
-	// track mutates the counters in place (a reorder refunds LostRecords),
-	// so seed it with the running totals and write them back.
-	sc := seqCounters{
-		DupPackets:       c.stats.DupPackets,
-		ReorderedPackets: c.stats.ReorderedPackets,
-		LostRecords:      c.stats.LostRecords,
-	}
-	drop := st.track(h.FlowSequence, len(recs), &sc)
-	c.stats.DupPackets = sc.DupPackets
-	c.stats.ReorderedPackets = sc.ReorderedPackets
-	c.stats.LostRecords = sc.LostRecords
-	c.mu.Unlock()
-	if drop {
-		c.RecycleBatch(recs)
-		return
-	}
-
-	if c.outB != nil {
-		// Batched handoff: one channel op per datagram; ownership of the
-		// chunk moves to the consumer (returned via RecycleBatch).
-		select {
-		case c.outB <- recs:
-			c.delivered.Add(uint64(len(recs)))
-		default:
-			c.shed.Add(uint64(len(recs)))
-			c.RecycleBatch(recs)
-		}
-		return
-	}
-	var delivered, shed uint64
-	for _, r := range recs {
-		select {
-		case c.out <- r:
-			delivered++
-		default:
-			shed++
-		}
-	}
-	c.delivered.Add(delivered)
-	c.shed.Add(shed)
-	c.RecycleBatch(recs)
-}
-
-// Stats reports shed records and malformed packets seen so far. Kept for
-// backward compatibility; FullStats has the complete breakdown.
-func (c *Collector) Stats() (dropped, badPackets uint64) {
-	s := c.FullStats()
-	return s.Shed, s.BadPackets
-}
-
-// FullStats returns the complete loss-accounting breakdown.
-func (c *Collector) FullStats() CollectorStats {
-	c.mu.Lock()
-	s := c.stats
-	c.mu.Unlock()
-	s.Records = c.delivered.Load()
-	s.Shed = c.shed.Load()
-	return s
-}
-
-// RegisterMetrics exposes the collector's loss-accounting breakdown on
-// reg as the xatu_collector_* families, so shed load (our fault),
-// upstream loss (the network's), and duplication (a misbehaving exporter)
-// stay separable on a dashboard. Readers lock the stats mutex at scrape
-// time; the packet path is untouched.
-func (c *Collector) RegisterMetrics(reg *telemetry.Registry) {
-	counter := func(get func(CollectorStats) uint64) func() float64 {
-		return func() float64 {
-			return float64(get(c.FullStats()))
-		}
-	}
-	reg.CounterFunc("xatu_collector_packets_total",
-		"Well-formed NetFlow v5 datagrams processed.",
-		counter(func(s CollectorStats) uint64 { return s.Packets }))
-	reg.CounterFunc("xatu_collector_records_total",
-		"Flow records delivered to the consumer channel.",
-		counter(func(s CollectorStats) uint64 { return s.Records }))
-	reg.CounterFunc("xatu_collector_shed_records_total",
-		"Records dropped because the consumer fell behind.",
-		counter(func(s CollectorStats) uint64 { return s.Shed }))
-	reg.CounterFunc("xatu_collector_bad_packets_total",
-		"Datagrams that failed to decode.",
-		counter(func(s CollectorStats) uint64 { return s.BadPackets }))
-	reg.CounterFunc("xatu_collector_dup_packets_total",
-		"Duplicate datagrams discarded (recently-seen sequence).",
-		counter(func(s CollectorStats) uint64 { return s.DupPackets }))
-	reg.CounterFunc("xatu_collector_reordered_packets_total",
-		"Late datagrams delivered out of order.",
-		counter(func(s CollectorStats) uint64 { return s.ReorderedPackets }))
-	reg.GaugeFunc("xatu_collector_lost_records",
-		"Records missing per v5 sequence-gap accounting (refunded when a late datagram arrives).",
-		counter(func(s CollectorStats) uint64 { return s.LostRecords }))
-	reg.GaugeFunc("xatu_collector_exporters",
-		"Distinct (source, engine) export streams observed.",
-		func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return float64(len(c.src))
-		})
-	reg.GaugeFunc("xatu_collector_queue_depth",
-		"Decoded records buffered for the consumer.",
-		func() float64 { return float64(len(c.out)) })
-	reg.GaugeFunc("xatu_collector_queue_capacity",
-		"Record channel capacity.",
-		func() float64 { return float64(cap(c.out)) })
 }
 
 // Sampler applies 1:N random packet sampling to a flow stream, the way the

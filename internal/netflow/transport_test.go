@@ -1,192 +1,9 @@
 package netflow
 
 import (
-	"context"
 	"math/rand"
-	"net/netip"
 	"testing"
-	"time"
 )
-
-func TestExporterCollectorEndToEnd(t *testing.T) {
-	col, err := NewCollector("127.0.0.1:0", 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- col.Run(ctx) }()
-
-	exp, err := NewExporter(col.Addr(), 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const total = 95 // forces 3 full packets + 1 partial flush
-	start := time.Now().Add(-30 * time.Second)
-	for i := 0; i < total; i++ {
-		r := Record{
-			Src:     netip.AddrFrom4([4]byte{11, 0, byte(i / 250), byte(i%250 + 1)}),
-			Dst:     netip.MustParseAddr("23.1.1.1"),
-			SrcPort: uint16(1000 + i),
-			DstPort: 53,
-			Proto:   ProtoUDP,
-			Packets: uint32(i + 1),
-			Bytes:   uint32((i + 1) * 64),
-			Start:   start,
-			End:     start.Add(time.Second),
-		}
-		if err := exp.Export(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := exp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if exp.Sent() != total {
-		t.Fatalf("Sent = %d, want %d", exp.Sent(), total)
-	}
-
-	received := 0
-	timeout := time.After(5 * time.Second)
-	for received < total {
-		select {
-		case r, ok := <-col.Records():
-			if !ok {
-				t.Fatalf("collector closed early after %d records", received)
-			}
-			if r.Proto != ProtoUDP || r.DstPort != 53 {
-				t.Fatalf("corrupted record: %+v", r)
-			}
-			received++
-		case <-timeout:
-			t.Fatalf("timed out after %d/%d records", received, total)
-		}
-	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	dropped, bad := col.Stats()
-	if dropped != 0 || bad != 0 {
-		t.Fatalf("dropped=%d bad=%d", dropped, bad)
-	}
-}
-
-// TestExporterRecordClockRoundTrip pins the BootTime (record-clock) mode:
-// simulated flow timestamps far in the past must survive the encode/decode
-// round trip to millisecond precision instead of being clamped into the
-// exporter's wall-clock epoch. Event-time consumers (the ingest pipeline's
-// aggregation workers) seal steps by these timestamps, so clamping would
-// collapse a replayed window into a single bucket.
-func TestExporterRecordClockRoundTrip(t *testing.T) {
-	col, err := NewCollector("127.0.0.1:0", 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go col.Run(ctx)
-
-	base := time.Date(2019, 7, 3, 12, 0, 0, 0, time.UTC) // nowhere near time.Now()
-	exp, err := NewExporterWithConfig(ExporterConfig{
-		Addr:     col.Addr(),
-		Sampling: 1,
-		BootTime: base.Add(-time.Minute),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exp.Close()
-
-	const total = 40 // spans two datagrams
-	want := make(map[netip.Addr]Record, total)
-	for i := 0; i < total; i++ {
-		start := base.Add(time.Duration(i) * time.Minute)
-		r := Record{
-			Src:     netip.AddrFrom4([4]byte{11, 0, 0, byte(i + 1)}),
-			Dst:     netip.MustParseAddr("23.1.1.1"),
-			SrcPort: uint16(1000 + i), DstPort: 53, Proto: ProtoUDP,
-			Packets: uint32(i + 1), Bytes: uint32((i + 1) * 64),
-			Start: start, End: start.Add(30 * time.Second),
-		}
-		want[r.Src] = r
-		if err := exp.Export(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := exp.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	timeout := time.After(5 * time.Second)
-	for received := 0; received < total; received++ {
-		select {
-		case got, ok := <-col.Records():
-			if !ok {
-				t.Fatalf("collector closed early after %d records", received)
-			}
-			w := want[got.Src]
-			if !got.Start.Equal(w.Start) || !got.End.Equal(w.End) {
-				t.Fatalf("record %v timestamps clamped: got [%v, %v], want [%v, %v]",
-					got.Src, got.Start, got.End, w.Start, w.End)
-			}
-		case <-timeout:
-			t.Fatalf("timed out after %d/%d records", received, total)
-		}
-	}
-}
-
-func TestCollectorIgnoresGarbageDatagrams(t *testing.T) {
-	col, err := NewCollector("127.0.0.1:0", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go col.Run(ctx)
-
-	exp, err := NewExporter(col.Addr(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exp.Close()
-	// Send garbage straight through the exporter's socket.
-	if _, err := exp.conn.Write([]byte("this is not netflow")); err != nil {
-		t.Fatal(err)
-	}
-	// Then a valid record; it must still arrive.
-	r := Record{
-		Src: netip.MustParseAddr("11.1.1.1"), Dst: netip.MustParseAddr("23.1.1.1"),
-		Proto: ProtoICMP, Packets: 1, Bytes: 64,
-		Start: time.Now().Add(-time.Second), End: time.Now(),
-	}
-	if err := exp.Export(r); err != nil {
-		t.Fatal(err)
-	}
-	if err := exp.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case got := <-col.Records():
-		if got.Proto != ProtoICMP {
-			t.Fatalf("got %+v", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("valid record never arrived")
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		_, bad := col.Stats()
-		if bad == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("bad packet counter = %d, want 1", bad)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
 
 func TestSamplerPassThrough(t *testing.T) {
 	s := NewSampler(1, rand.New(rand.NewSource(1)))

@@ -67,11 +67,13 @@ func writeNode(w io.Writer, n *node, addr netip.Addr, depth int) error {
 			return err
 		}
 	}
-	a4 := addr.As4()
 	if err := writeNode(w, n.child[0], addr, depth+1); err != nil {
 		return err
 	}
-	b := a4
+	if n.child[1] == nil {
+		return nil // a /32 leaf: depth 32 has no bit to set
+	}
+	b := addr.As4()
 	b[depth/8] |= 1 << (7 - uint(depth%8))
 	return writeNode(w, n.child[1], netip.AddrFrom4(b), depth+1)
 }

@@ -64,3 +64,29 @@ func TestWriteTextRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadTextMappedAndHostRoutes pins two cases the table writer used to
+// get wrong: a /32 route (WriteText indexed a fifth address byte) and an
+// IPv4-mapped prefix, which is the IPv4 prefix it maps
+// (::ffff:10.0.0.0/104 is 10.0.0.0/8) rather than a 104-bit trie path.
+func TestLoadTextMappedAndHostRoutes(t *testing.T) {
+	tbl, err := LoadText(strings.NewReader("::ffff:10.0.0.0/104 9\n192.0.2.7/32 8\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for addr, want := range map[string]ASN{"10.9.9.9": 9, "192.0.2.7": 8} {
+		if r, ok := tbl.Lookup(netip.MustParseAddr(addr)); !ok || r.Origin != want {
+			t.Errorf("Lookup(%s) = %+v, %v; want origin %d", addr, r, ok, want)
+		}
+	}
+	var b bytes.Buffer
+	if err := tbl.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := b.String(), "10.0.0.0/8 9\n192.0.2.7/32 8\n"; got != want {
+		t.Fatalf("WriteText = %q, want %q", got, want)
+	}
+	if _, err := LoadText(strings.NewReader("2001:db8::/32 1\n")); err == nil {
+		t.Error("an IPv6 prefix loaded")
+	}
+}

@@ -36,11 +36,12 @@ type node struct {
 // Insert adds a route. Inserting the same prefix twice replaces the origin.
 // Only IPv4 (or 4-in-6) prefixes are accepted.
 func (t *Table) Insert(p netip.Prefix, origin ASN) error {
-	p = p.Masked()
-	w, ok := compact.IPv4(p.Addr())
+	p4, ok := compact.IPv4Prefix(p)
 	if !ok {
 		return fmt.Errorf("routing: only IPv4 prefixes supported, got %v", p)
 	}
+	p = p4
+	w, _ := compact.IPv4(p.Addr())
 	if t.root == nil {
 		t.root = &node{}
 	}

@@ -38,11 +38,6 @@ type (
 	Record = netflow.Record
 	// Proto is an IP protocol number.
 	Proto = netflow.Proto
-	// Collector receives NetFlow v5 datagrams over UDP.
-	Collector = netflow.Collector
-	// CollectorStats separates shed load, upstream loss, duplication and
-	// reordering in the collector's accounting.
-	CollectorStats = netflow.CollectorStats
 	// Exporter batches records into NetFlow v5 datagrams over UDP.
 	Exporter = netflow.Exporter
 	// ExporterConfig tunes the exporter's queue bound and reconnect backoff.
@@ -57,6 +52,8 @@ type (
 	ChaosConn = netflow.ChaosConn
 	// ChaosStats counts injected transport faults.
 	ChaosStats = netflow.ChaosStats
+	// PacketSink consumes raw datagrams; an IngestPipeline is one.
+	PacketSink = netflow.PacketSink
 )
 
 // Protocol numbers.
@@ -232,12 +229,6 @@ type (
 // NewIngestPipeline validates cfg and starts the ingest workers.
 func NewIngestPipeline(cfg IngestConfig) (*IngestPipeline, error) { return ingest.New(cfg) }
 
-// NewCollector binds a NetFlow v5 UDP listener; bufSize is the record
-// channel capacity.
-func NewCollector(addr string, bufSize int) (*Collector, error) {
-	return netflow.NewCollector(addr, bufSize)
-}
-
 // NewExporter dials a NetFlow v5 collector; sampling is the advertised 1:N
 // sampling interval.
 func NewExporter(addr string, sampling uint16) (*Exporter, error) {
@@ -257,7 +248,8 @@ func NewChaosConn(conn net.Conn, cfg ChaosConfig) *ChaosConn {
 }
 
 // NewChaosPipe builds a deterministic in-memory chaos transport delivering
-// datagrams synchronously into col (which implements netflow.PacketSink).
-func NewChaosPipe(col *Collector, src string, cfg ChaosConfig) *ChaosConn {
-	return netflow.NewChaosPipe(col, src, cfg)
+// datagrams synchronously into sink (e.g. an IngestPipeline), labeled as
+// coming from src.
+func NewChaosPipe(sink PacketSink, src string, cfg ChaosConfig) *ChaosConn {
+	return netflow.NewChaosPipe(sink, src, cfg)
 }

@@ -2,6 +2,7 @@ package xatu
 
 import (
 	"bytes"
+	"math"
 	"net/netip"
 	"testing"
 	"time"
@@ -70,6 +71,16 @@ func TestNewMonitorValidation(t *testing.T) {
 	}
 	if _, err := NewMonitor(MonitorConfig{Default: m, Extractor: tinyExtractor()}); err == nil {
 		t.Fatal("missing threshold must error")
+	}
+	// A NaN threshold would otherwise alert on every matching step
+	// (s >= NaN is false); above 1 stays legal ("always alert").
+	for _, th := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
+		if _, err := NewMonitor(MonitorConfig{Default: m, Extractor: tinyExtractor(), Threshold: th}); err == nil {
+			t.Fatalf("threshold %v must error", th)
+		}
+	}
+	if _, err := NewMonitor(MonitorConfig{Default: m, Extractor: tinyExtractor(), Threshold: 1.5}); err != nil {
+		t.Fatalf("threshold 1.5 (always alert) must stay legal: %v", err)
 	}
 	if _, err := NewMonitor(MonitorConfig{Extractor: tinyExtractor(), Threshold: 0.5}); err == nil {
 		t.Fatal("no models must error")
