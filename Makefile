@@ -123,11 +123,13 @@ trace-smoke:
 # Short fuzz pass over every reader of bytes from the wire or disk: the
 # NetFlow v5 decoder, the journal (writer round trip and reader), the
 # model reader, the detector-state readers (XSC1 stream, XMC1 monitor
-# checkpoints) and the three registry files xatu-detect loads next to the
-# models (blocklists.txt, routes.txt, history.snap). Ten seconds each from
-# the committed seed corpora (CI smoke; run longer locally with -fuzztime
-# as needed). The model reader may legitimately allocate a model of up to
-# 1<<24 parameters for a mutated header, so it fuzzes on one worker.
+# checkpoints, and XMC1's version-2 shard framing through Engine.Restore
+# and RestoreCustomers) and the three registry files xatu-detect loads
+# next to the models (blocklists.txt, routes.txt, history.snap). Ten
+# seconds each from the committed seed corpora (CI smoke; run longer
+# locally with -fuzztime as needed). The model reader may legitimately
+# allocate a model of up to 1<<24 parameters for a mutated header, so it
+# fuzzes on one worker.
 fuzz:
 	$(GO) test ./internal/netflow -run '^$$' -fuzz FuzzDecodeV5 -fuzztime 10s
 	$(GO) test ./internal/netflow -run '^$$' -fuzz FuzzJournalRoundTrip -fuzztime 10s
@@ -135,6 +137,7 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLoad -fuzztime 10s -parallel 1
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRestoreStream -fuzztime 10s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzMonitorRestore -fuzztime 10s
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzEngineRestore -fuzztime 10s
 	$(GO) test ./internal/blocklist -run '^$$' -fuzz FuzzBlocklistLoadText -fuzztime 10s
 	$(GO) test ./internal/routing -run '^$$' -fuzz FuzzRoutingLoadText -fuzztime 10s
 	$(GO) test ./internal/attackhist -run '^$$' -fuzz FuzzAttackhistLoad -fuzztime 10s

@@ -41,7 +41,7 @@ func main() {
 		api      = flag.String("api", "127.0.0.1:0", "cluster API listen address (table pushes, forwarded steps, migration segments)")
 		telAddr  = flag.String("telemetry", "127.0.0.1:0", "Prometheus /metrics + /healthz listen address (scraped by the coordinator's federated /metrics)")
 		shards   = flag.Int("shards", runtime.GOMAXPROCS(0), "detection shards (must match the coordinator's -shards)")
-		step     = flag.Duration("step", 5*time.Second, "aggregation step")
+		step     = flag.Duration("step", 2*time.Minute, "aggregation step in record event time (xatu-train trains at 2m)")
 		lateness = flag.Duration("lateness", 2*time.Minute, "how far out of order records may arrive before a step seals without them")
 		workers  = flag.Int("workers", 2, "ingest decode + aggregation workers")
 		queue    = flag.Int("queue", 1024, "per-shard mailbox capacity")

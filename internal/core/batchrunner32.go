@@ -37,6 +37,9 @@ type BatchRunner32 struct {
 	m     *Model
 	q     *Quantized32
 	arena arena
+	// off[b] is where branch b's h starts in a stream's state slab; its c
+	// follows Hidden floats later.
+	off [numBranches]int
 	// The distinct inputs of one Push, narrowed, in the leading rows of
 	// xin: row src[i] is stream i's. nz is the non-zero column list of the
 	// row being projected and mean a filled pool's mean. pre[b] holds the
@@ -99,7 +102,15 @@ func NewBatchRunner32(m *Model) (*BatchRunner32, error) {
 		return nil, err
 	}
 	nf := m.Cfg.NumFeatures
-	return &BatchRunner32{m: m, q: q, missX: nn.NewVec(nf), mean: nn.NewVec32(nf)}, nil
+	r := &BatchRunner32{m: m, q: q, missX: nn.NewVec(nf), mean: nn.NewVec32(nf)}
+	off := 0
+	for b, l := range q.lstms {
+		if l != nil {
+			r.off[b] = off
+			off += 2 * m.Cfg.Hidden
+		}
+	}
+	return r, nil
 }
 
 // Model returns the shared model the runner steps streams through.
@@ -109,16 +120,12 @@ func (r *BatchRunner32) Model() *Model { return r.m }
 // in one contiguous arena slab. Its input record comes with its first
 // Push, shared with the adjacent rows fed the same slice.
 func (r *BatchRunner32) NewStream() *Stream {
-	s := newStreamBase(r.m)
-	s.lane = r
-	hd := r.m.Cfg.Hidden
-	slab := r.arena.alloc(r.m.activeBranches() * 2 * hd)
-	for b, l := range r.q.lstms {
-		if l != nil {
-			s.h32[b], s.c32[b], slab = slab[:hd:hd], slab[hd:2*hd:2*hd], slab[2*hd:]
-		}
+	return &Stream{
+		m:       r.m,
+		lane:    r,
+		state:   r.arena.alloc(r.m.activeBranches() * 2 * r.m.Cfg.Hidden),
+		hazards: make([]float64, r.m.Cfg.Window),
 	}
-	return s
 }
 
 // RestoreStream reads an XSC1 checkpoint into a serving stream on this
@@ -297,15 +304,17 @@ func (r *BatchRunner32) step(streams []*Stream, xs [][]float64, out []float64, o
 		}
 		r.hb[b].Resize(len(idx), cfg.Hidden)
 		r.cb[b].Resize(len(idx), cfg.Hidden)
+		h, c, end := r.off[b], r.off[b]+cfg.Hidden, r.off[b]+2*cfg.Hidden
 		for n, i := range idx {
-			copy(r.hb[b].Row(n), streams[i].h32[b])
-			copy(r.cb[b].Row(n), streams[i].c32[b])
+			st := streams[i].state
+			copy(r.hb[b].Row(n), st[h:c])
+			copy(r.cb[b].Row(n), st[c:end])
 		}
 		l.StepProjected32(&r.hb[b], &r.cb[b], &r.pre[b], src, &r.sc)
 		for n, i := range idx {
 			s := streams[i]
-			copy(s.h32[b], r.hb[b].Row(n))
-			copy(s.c32[b], r.cb[b].Row(n))
+			copy(s.state[h:c], r.hb[b].Row(n))
+			copy(s.state[c:end], r.cb[b].Row(n))
 			s.seen[b] = true
 		}
 	}
@@ -319,7 +328,7 @@ func (r *BatchRunner32) step(streams []*Stream, xs [][]float64, out []float64, o
 			if l == nil {
 				continue
 			}
-			copy(row[off:off+hd], s.h32[b])
+			copy(row[off:off+hd], s.state[r.off[b]:r.off[b]+hd])
 			off += hd
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"github.com/xatu-go/xatu/internal/nn"
 )
@@ -32,63 +33,110 @@ var streamCkptMagic = [4]byte{'X', 'S', 'C', '1'}
 
 const streamCkptVersion = 1
 
-// Checkpoint serializes the stream's full online state to w.
+// Checkpoint serializes the stream's full online state to w, in one
+// write.
 func (s *Stream) Checkpoint(w io.Writer) error {
-	if _, err := w.Write(streamCkptMagic[:]); err != nil {
-		return err
-	}
-	cw := &ckptWriter{w: w}
-	cw.u16(streamCkptVersion)
+	_, err := w.Write(s.AppendCheckpoint(make([]byte, 0, s.checkpointLen())))
+	return err
+}
+
+// checkpointLen is the length of the stream's XSC1 checkpoint.
+func (s *Stream) checkpointLen() int {
 	cfg := s.m.Cfg
-	for _, v := range []int{cfg.NumFeatures, cfg.Hidden, cfg.Window, cfg.PoolShort, cfg.PoolMed, cfg.PoolLong} {
-		cw.i32(v)
+	vec := func(n int) int { return 5 + 8*n }
+	branch := 2*vec(cfg.Hidden) + vec(cfg.NumFeatures) + 5
+	return 31 + s.m.activeBranches()*branch + 8*cfg.Window + 12 + vec(cfg.NumFeatures)
+}
+
+// AppendCheckpoint appends the stream's XSC1 checkpoint to dst and returns
+// the extended buffer, so a caller checkpointing many streams encodes them
+// all through one buffer. A serving stream's float32 state is widened as
+// it is written: widening is exact, so the format (and every consumer of
+// it) is precision-agnostic, and restore narrows back losslessly. Its
+// pooling sums and last input are its input record's; an unpooled
+// branch's sum, which nothing adds to, and a missing record's fields are
+// the zero vectors the oracle keeps.
+func (s *Stream) AppendCheckpoint(dst []byte) []byte {
+	le := binary.LittleEndian
+	cfg := s.m.Cfg
+	dst = append(dst, streamCkptMagic[:]...)
+	dst = le.AppendUint16(dst, streamCkptVersion)
+	for _, v := range [...]int{cfg.NumFeatures, cfg.Hidden, cfg.Window, cfg.PoolShort, cfg.PoolMed, cfg.PoolLong} {
+		dst = appendI32(dst, v)
 	}
-	var mask uint8
-	for b, l := range s.m.lstms {
-		if l != nil {
-			mask |= 1 << b
-		}
-	}
-	cw.u8(mask)
+	dst = append(dst, s.m.branchMask())
+	hd, nf := cfg.Hidden, cfg.NumFeatures
 	for b, l := range s.m.lstms {
 		if l == nil {
 			continue
 		}
-		h, c, buf, n := s.h[b], s.c[b], s.bufSum[b], s.bufN[b]
-		if s.lane != nil {
-			// Widening float32 state to the checkpoint's float64 vectors is
-			// exact, so the XSC1 format (and every consumer of it) is
-			// precision-agnostic; restore narrows back losslessly. The
-			// pooling sum is the input record's; an unpooled branch's,
-			// which nothing adds to, is the zero vector the oracle keeps.
-			h = s.h32[b].Widen(nil)
-			c = s.c32[b].Widen(nil)
-			buf, n = nn.NewVec(cfg.NumFeatures), 0
+		if o := s.o; o != nil {
+			dst = appendVec(dst, o.h[b])
+			dst = appendVec(dst, o.c[b])
+			dst = appendVec(dst, o.bufSum[b])
+			dst = appendI32(dst, o.bufN[b])
+		} else {
+			h := s.state[s.lane.off[b]:]
+			dst = appendVec32(dst, h[:hd])
+			dst = appendVec32(dst, h[hd:2*hd])
 			if s.rec != nil && s.rec.sum[b] != nil {
-				buf, n = s.rec.sum[b].Widen(buf), s.rec.n[b]
+				dst = appendVec32(dst, s.rec.sum[b])
+				dst = appendI32(dst, s.rec.n[b])
+			} else {
+				dst = appendZeroVec(dst, nf)
+				dst = appendI32(dst, 0)
 			}
 		}
-		cw.vec(h)
-		cw.vec(c)
-		cw.vec(buf)
-		cw.i32(n)
-		cw.bool(s.seen[b])
-	}
-	for _, h := range s.hazards {
-		cw.f64(h)
-	}
-	cw.i32(s.hazPos)
-	cw.i32(s.hazCount)
-	cw.i32(s.steps)
-	lastX := s.lastX
-	if s.lane != nil {
-		lastX = nn.NewVec(cfg.NumFeatures) // the zero record's
-		if s.rec != nil {
-			lastX = s.rec.lastX
+		if s.seen[b] {
+			dst = append(dst, 1)
+		} else {
+			dst = append(dst, 0)
 		}
 	}
-	cw.vec(lastX)
-	return cw.err
+	for _, h := range s.hazards {
+		dst = le.AppendUint64(dst, math.Float64bits(h))
+	}
+	dst = appendI32(dst, s.hazPos)
+	dst = appendI32(dst, s.hazCount)
+	dst = appendI32(dst, s.steps)
+	switch {
+	case s.o != nil:
+		return appendVec(dst, s.o.lastX)
+	case s.rec != nil:
+		return appendVec(dst, s.rec.lastX)
+	default:
+		return appendZeroVec(dst, nf)
+	}
+}
+
+func appendI32(dst []byte, v int) []byte {
+	return binary.LittleEndian.AppendUint32(dst, uint32(int32(v)))
+}
+
+// appendVec, appendVec32 and appendZeroVec write a present "vec": flag,
+// length, float64 payload.
+func appendVec(dst []byte, v nn.Vec) []byte {
+	dst = appendI32(append(dst, 1), len(v))
+	for _, x := range v {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+	}
+	return dst
+}
+
+func appendVec32(dst []byte, v nn.Vec32) []byte {
+	dst = appendI32(append(dst, 1), len(v))
+	for _, x := range v {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(float64(x)))
+	}
+	return dst
+}
+
+func appendZeroVec(dst []byte, n int) []byte {
+	dst = appendI32(append(dst, 1), n)
+	end := len(dst) + 8*n
+	dst = slices.Grow(dst, 8*n)[:end]
+	clear(dst[end-8*n:])
+	return dst
 }
 
 // RestoreStream reads a checkpoint written by Checkpoint and returns a
@@ -131,51 +179,52 @@ func restoreStream(r io.Reader, m *Model, fresh func() *Stream) (*Stream, error)
 			return nil, fmt.Errorf("core: checkpoint %s=%d, model has %d", f.name, got, f.val)
 		}
 	}
-	var mask uint8
-	for b, l := range m.lstms {
-		if l != nil {
-			mask |= 1 << b
-		}
-	}
+	mask := m.branchMask()
 	if got := cr.u8(); cr.err == nil && got != mask {
 		return nil, fmt.Errorf("core: checkpoint branch mask %03b, model has %03b", got, mask)
 	}
 	s := fresh()
-	// A serving stream's pooling sums, counts and last input decode into
-	// the lane's scratch record, and the stream adopts one equal to it.
-	var in *inputRec
-	if s.lane != nil {
-		in = s.lane.decodeRec()
-	}
 	// Vectors are always present in checkpoints taken since streams began
 	// preallocating their state; absent vectors (older checkpoints, or a
-	// never-pushed lastX) mean the zero state fresh already installed.
-	into := func(v nn.Vec, dst64 *nn.Vec, dst32 nn.Vec32) {
-		switch {
-		case v == nil:
-		case s.lane != nil:
-			nn.Narrow32(v, dst32)
-		default:
-			*dst64 = v
+	// never-pushed lastX) mean the zero state fresh already installed. An
+	// oracle stream takes the float64 vectors as they are. A serving stream
+	// narrows h and c into its slab, and its pooling sums, counts and last
+	// input into the lane's scratch record; it adopts one equal to that.
+	o, in := s.o, (*inputRec)(nil)
+	if o == nil {
+		in = s.lane.decodeRec()
+	}
+	set := func(dst *nn.Vec, v nn.Vec) {
+		if v != nil {
+			*dst = v
+		}
+	}
+	narrow := func(dst nn.Vec32, v nn.Vec) {
+		if v != nil {
+			nn.Narrow32(v, dst)
 		}
 	}
 	var bufN [numBranches]int
+	hd := cfg.Hidden
 	for b, l := range m.lstms {
 		if l == nil {
 			continue
 		}
-		into(cr.vec(cfg.Hidden), &s.h[b], s.h32[b])
-		into(cr.vec(cfg.Hidden), &s.c[b], s.c32[b])
-		sum := cr.vec(cfg.NumFeatures)
-		switch {
-		case in == nil:
-			into(sum, &s.bufSum[b], nil)
-		case sum != nil && in.sum[b] != nil:
-			// (an unpooled branch's sum, which nothing adds to, is dropped)
-			nn.Narrow32(sum, in.sum[b])
-		}
+		h, c, sum := cr.vec(hd), cr.vec(hd), cr.vec(cfg.NumFeatures)
 		bufN[b] = cr.i32()
-		s.seen[b] = cr.bool()
+		s.seen[b] = cr.u8() != 0
+		if o != nil {
+			set(&o.h[b], h)
+			set(&o.c[b], c)
+			set(&o.bufSum[b], sum)
+			continue
+		}
+		st := s.state[s.lane.off[b]:]
+		narrow(st[:hd], h)
+		narrow(st[hd:2*hd], c)
+		if in.sum[b] != nil { // an unpooled branch's sum, which nothing adds to, is dropped
+			narrow(in.sum[b], sum)
+		}
 	}
 	for i := range s.hazards {
 		s.hazards[i] = cr.f64()
@@ -184,10 +233,10 @@ func restoreStream(r io.Reader, m *Model, fresh func() *Stream) (*Stream, error)
 	s.hazCount = cr.i32()
 	s.steps = cr.i32()
 	if lx := cr.vec(cfg.NumFeatures); lx != nil {
-		if in != nil {
-			copy(in.lastX, lx)
+		if o != nil {
+			o.lastX = lx
 		} else {
-			s.lastX = lx
+			copy(in.lastX, lx)
 		}
 	}
 	if cr.err != nil {
@@ -201,11 +250,11 @@ func restoreStream(r io.Reader, m *Model, fresh func() *Stream) (*Stream, error)
 			return nil, fmt.Errorf("core: corrupt stream checkpoint (bufN[%d]=%d)", b, n)
 		}
 	}
-	if in != nil {
+	if o != nil {
+		o.bufN = bufN
+	} else {
 		in.n = bufN
 		s.rec = s.lane.adopt(in)
-	} else {
-		s.bufN = bufN
 	}
 	// The rolling-sum state is derived, not serialized: rebuild it from the
 	// ring so the restored stream's survival outputs continue bit-exactly.
@@ -220,55 +269,7 @@ func maxI(a, b int) int {
 	return b
 }
 
-// ckptWriter accumulates the first write error, keeping the encoders flat.
-type ckptWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (c *ckptWriter) write(buf []byte) {
-	if c.err == nil {
-		_, c.err = c.w.Write(buf)
-	}
-}
-
-func (c *ckptWriter) u8(v uint8) { c.write([]byte{v}) }
-func (c *ckptWriter) bool(v bool) {
-	b := uint8(0)
-	if v {
-		b = 1
-	}
-	c.u8(b)
-}
-func (c *ckptWriter) u16(v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	c.write(b[:])
-}
-func (c *ckptWriter) i32(v int) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(int32(v)))
-	c.write(b[:])
-}
-func (c *ckptWriter) f64(v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	c.write(b[:])
-}
-
-func (c *ckptWriter) vec(v nn.Vec) {
-	if v == nil {
-		c.u8(0)
-		return
-	}
-	c.u8(1)
-	c.i32(len(v))
-	for _, x := range v {
-		c.f64(x)
-	}
-}
-
-// ckptReader mirrors ckptWriter; after the first error every read returns
+// ckptReader reads what AppendCheckpoint writes; after the first error every read returns
 // zero values and the error sticks.
 type ckptReader struct {
 	r   io.Reader
@@ -294,8 +295,6 @@ func (c *ckptReader) u8() uint8 {
 	return b[0]
 }
 
-func (c *ckptReader) bool() bool { return c.u8() != 0 }
-
 func (c *ckptReader) u16() uint16 {
 	var b [2]byte
 	if !c.read(b[:]) {
@@ -320,7 +319,7 @@ func (c *ckptReader) f64() float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
 }
 
-// vec reads a vector written by ckptWriter.vec, enforcing wantLen.
+// vec reads a vector written by appendVec, enforcing wantLen.
 func (c *ckptReader) vec(wantLen int) nn.Vec {
 	if c.u8() == 0 || c.err != nil {
 		return nil

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -300,6 +301,25 @@ func TestStreamStepsSaturate(t *testing.T) {
 		}
 		if s.Steps() != math.MaxInt32 {
 			t.Fatalf("%s: %d steps, want %d", name, s.Steps(), math.MaxInt32)
+		}
+	}
+}
+
+// TestCheckpointAllocs pins Stream.Checkpoint at one allocation — the
+// buffer it encodes into — whatever the model's size, on both kinds of
+// stream.
+func TestCheckpointAllocs(t *testing.T) {
+	m, err := New(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{0.5, -1, 0, 2}
+	for name, s := range map[string]*Stream{"oracle": NewStream(m), "serving": newLane(t, m).NewStream()} {
+		for i := 0; i < 13; i++ { // pools part full, ring wrapped
+			s.Push(x)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { s.Checkpoint(io.Discard) }); allocs > 1 {
+			t.Errorf("%s Stream.Checkpoint allocates %v/op, want ≤ 1", name, allocs)
 		}
 	}
 }

@@ -138,6 +138,17 @@ func New(cfg Config) (*Model, error) {
 	return m, nil
 }
 
+// branchMask has bit b set when branch b is enabled.
+func (m *Model) branchMask() uint8 {
+	var mask uint8
+	for b, l := range m.lstms {
+		if l != nil {
+			mask |= 1 << b
+		}
+	}
+	return mask
+}
+
 func (m *Model) activeBranches() int {
 	n := 0
 	for _, l := range m.lstms {

@@ -16,66 +16,65 @@ import (
 // buffers are owned by the Stream, kernel scratch by whoever steps it, all
 // reused every step.
 //
-// One type, two roles. NewStream makes the float64 oracle, which steps
-// itself through the training-precision kernels. BatchRunner32.NewStream
-// makes a serving stream: float32 state, stepped only by that lane, whose
+// One type, with the oracle's state behind one pointer. NewStream makes
+// the float64 oracle, which steps itself through the training-precision
+// kernels: its recurrent state, pooling buffers, last input and kernel
+// scratch are in o. BatchRunner32.NewStream makes a serving stream: o is
+// nil, its float32 recurrent state is one slab of the lane's arena, its
 // pooling buffers and last input are an input record it shares with the
-// streams fed the same inputs (inputRec).
+// streams fed the same inputs (inputRec), and only that lane steps it.
+// The survival accounting (seen, the hazard ring and its sum, steps) is
+// float64 in both, and so is the checkpoint format: a serving stream's
+// float32 state widens exactly to float64 on write and narrows exactly
+// back on restore.
 //
 // A Stream is not safe for concurrent use.
 type Stream struct {
 	m *Model
-	// per-branch recurrent state, allocated at construction so the hot
-	// path never checks for nil and batch packing can always copy rows.
-	h, c [numBranches]nn.Vec
-	// pooling buffers for med/long branches (oracle streams; a serving
-	// stream's are in its input record)
-	bufSum   [numBranches]nn.Vec
-	bufN     [numBranches]int
-	seen     [numBranches]bool // branch has produced at least one state
-	hazards  []float64         // ring buffer of the last Window hazards
+	o *oracle // nil on a serving stream
+	// A serving stream's lane, its float32 h and c of every enabled branch
+	// — one slab carved from the lane's arena so gather/scatter walks
+	// linear memory; branch b's h at lane.off[b], its c Hidden further —
+	// and its input record, shared with the customer's other channels.
+	lane  *BatchRunner32
+	state nn.Vec32
+	rec   *inputRec
+	// hazards is the ring buffer of the last Window hazards. The window
+	// total at ring position p is sumNew plus the previous epoch's slots
+	// [p, Window): sumNew is the left-to-right sum of the hazards written
+	// since the ring last wrapped (the current epoch), and the tail is
+	// summed right to left, from the slot the ring reaches last, on every
+	// step (recordHazard). No value is ever subtracted out, so there is no
+	// float drift to bound, and both are pure functions of the
+	// checkpointed ring — a restored stream continues bit-exactly
+	// (rebuildHazardSums).
+	hazards  []float64
 	hazPos   int
 	hazCount int
-	// Rolling hazard-window sum, maintained without re-summing the ring
-	// each step. The window total at ring position p is sumNew+suffix[p]:
-	// sumNew is the left-to-right sum of the hazards written since the
-	// ring last wrapped (the current epoch), and suffix[i] = hazards[i] +
-	// suffix[i+1] is the suffix-sum table of the previous epoch, rebuilt
-	// exactly once per Window steps at the wrap. No value is ever
-	// subtracted out, so there is no float drift to bound, and both
-	// quantities are pure functions of the checkpointed ring — a restored
-	// stream rebuilds them bit-exactly (rebuildHazardSums).
-	sumNew float64
-	suffix []float64 // len Window+1, suffix[Window] == 0
-	steps  int
-	// lastX is the most recent real (non-missing) input, feeding the
-	// carry-forward policy of PushMissing. Zero until the first real push.
-	// Oracle streams only: a serving stream's is in its input record.
-	lastX nn.Vec
-	// reusable float64 scratch, never checkpointed: per-step kernel
-	// buffers, the pooled-mean vector, the head input/output, and the
-	// synthesized missing-step input. Oracle streams only.
+	steps    int
+	sumNew   float64
+	// pushEpoch is the lane's number for the last Push that listed this
+	// stream: how a Push tells a stream listed twice. Never checkpointed.
+	pushEpoch uint64
+	seen      [numBranches]bool // branch has produced at least one state
+}
+
+// oracle is the float64 stream's own state: per-branch recurrent state
+// and pooling buffers (allocated at construction so the hot path never
+// checks for nil), the most recent real (non-missing) input, feeding the
+// carry-forward policy of PushMissing, and reusable scratch, never
+// checkpointed: per-step kernel buffers, the pooled-mean vector, the head
+// input/output, and the synthesized missing-step input.
+type oracle struct {
+	h, c     [numBranches]nn.Vec
+	bufSum   [numBranches]nn.Vec
+	bufN     [numBranches]int
+	lastX    nn.Vec
 	scratch  nn.StepScratch
 	poolMean nn.Vec
 	concat   nn.Vec
 	headOut  nn.Vec
 	missX    nn.Vec
-
-	// A serving stream belongs to the float32 lane that created it
-	// (BatchRunner32.NewStream) and is advanced only by that lane: lane is
-	// non-nil, the float32 h32/c32 below replace h/c — carved contiguously
-	// from the lane's arena so gather/scatter walks linear memory — rec
-	// replaces bufSum/bufN/lastX, shared with the customer's other channels
-	// (inputRec), and every kernel buffer is the lane's, not the stream's.
-	// The survival accounting above (hazards, sums, steps) stays float64 and
-	// the checkpoint format is the oracle's: float32 state widens exactly to
-	// float64 on write and narrows exactly back on restore.
-	lane     *BatchRunner32
-	h32, c32 [numBranches]nn.Vec32
-	rec      *inputRec
-	// pushEpoch is the lane's number for the last Push that listed this
-	// stream: how a Push tells a stream listed twice. Never checkpointed.
-	pushEpoch uint64
 }
 
 // MissingPolicy selects what a Stream feeds itself for a step with no
@@ -96,29 +95,22 @@ const (
 // reference oracle that offline scoring, threshold calibration and the
 // parity tests drive. Serving streams come from BatchRunner32.NewStream.
 func NewStream(m *Model) *Stream {
-	s := newStreamBase(m)
-	s.lastX = nn.NewVec(m.Cfg.NumFeatures)
-	s.missX = nn.NewVec(m.Cfg.NumFeatures)
-	s.poolMean = nn.NewVec(m.Cfg.NumFeatures)
-	s.concat = nn.NewVec(m.Cfg.Hidden * m.activeBranches())
-	s.headOut = nn.NewVec(1)
-	for b := range s.bufSum {
-		if m.lstms[b] != nil {
-			s.h[b] = nn.NewVec(m.Cfg.Hidden)
-			s.c[b] = nn.NewVec(m.Cfg.Hidden)
-			s.bufSum[b] = nn.NewVec(m.Cfg.NumFeatures)
+	nf := m.Cfg.NumFeatures
+	o := &oracle{
+		lastX:    nn.NewVec(nf),
+		missX:    nn.NewVec(nf),
+		poolMean: nn.NewVec(nf),
+		concat:   nn.NewVec(m.Cfg.Hidden * m.activeBranches()),
+		headOut:  nn.NewVec(1),
+	}
+	for b, l := range m.lstms {
+		if l != nil {
+			o.h[b] = nn.NewVec(m.Cfg.Hidden)
+			o.c[b] = nn.NewVec(m.Cfg.Hidden)
+			o.bufSum[b] = nn.NewVec(nf)
 		}
 	}
-	return s
-}
-
-// newStreamBase allocates the precision-independent survival accounting.
-func newStreamBase(m *Model) *Stream {
-	return &Stream{
-		m:       m,
-		hazards: make([]float64, m.Cfg.Window),
-		suffix:  make([]float64, m.Cfg.Window+1),
-	}
+	return &Stream{m: m, o: o, hazards: make([]float64, m.Cfg.Window)}
 }
 
 // Steps returns how many inputs have been consumed.
@@ -146,27 +138,28 @@ func (s *Stream) Push(x []float64) float64 {
 	if s.lane != nil {
 		return s.lane.pushOne(s, x)
 	}
-	copy(s.lastX, x)
+	copy(s.o.lastX, x)
 	return s.push(x)
 }
 
 // PushMissing advances the stream one step with no telemetry, substituting
 // an input per the policy. Mitigates detector blindness across collector
 // gaps: every branch still steps, the hazard ring still advances, and the
-// stream stays warm. lastX is deliberately untouched: it tracks real
-// inputs. On a serving stream it is a batch of one on the stream's lane
+// stream stays warm. The last real input is deliberately untouched. On a
+// serving stream it is a batch of one on the stream's lane
 // (BatchRunner32.PushMissing).
 func (s *Stream) PushMissing(policy MissingPolicy) float64 {
 	if r := s.lane; r != nil {
 		r.one[0] = s
 		return r.PushMissing(r.one[:], policy, r.oneOut[:])[0]
 	}
+	o := s.o
 	if policy == MissingCarry {
-		copy(s.missX, s.lastX)
+		copy(o.missX, o.lastX)
 	} else {
-		s.missX.Zero()
+		o.missX.Zero()
 	}
-	return s.push(s.missX)
+	return s.push(o.missX)
 }
 
 // countStep counts one consumed input. The count saturates at the largest
@@ -180,7 +173,7 @@ func (s *Stream) countStep() {
 
 // push is the oracle's step: float64 kernels, stream-owned scratch.
 func (s *Stream) push(x []float64) float64 {
-	v := nn.Vec(x)
+	v, o := nn.Vec(x), s.o
 	s.countStep()
 	for b, l := range s.m.lstms {
 		if l == nil {
@@ -188,21 +181,21 @@ func (s *Stream) push(x []float64) float64 {
 		}
 		k := s.m.poolFactor(b)
 		if k <= 1 {
-			l.Step(s.h[b], s.c[b], v, &s.scratch)
+			l.Step(o.h[b], o.c[b], v, &o.scratch)
 			s.seen[b] = true
 			continue
 		}
-		s.bufSum[b].Add(v)
-		s.bufN[b]++
-		if s.bufN[b] >= k {
+		o.bufSum[b].Add(v)
+		o.bufN[b]++
+		if o.bufN[b] >= k {
 			inv := 1 / float64(k)
-			for j, sum := range s.bufSum[b] {
-				s.poolMean[j] = sum * inv
+			for j, sum := range o.bufSum[b] {
+				o.poolMean[j] = sum * inv
 			}
-			l.Step(s.h[b], s.c[b], s.poolMean, &s.scratch)
+			l.Step(o.h[b], o.c[b], o.poolMean, &o.scratch)
 			s.seen[b] = true
-			s.bufSum[b].Zero()
-			s.bufN[b] = 0
+			o.bufSum[b].Zero()
+			o.bufN[b] = 0
 		}
 	}
 	// Head over the latest available states (zeros before a branch warms).
@@ -211,17 +204,19 @@ func (s *Stream) push(x []float64) float64 {
 		if l == nil {
 			continue
 		}
-		copy(s.concat[off:off+s.m.Cfg.Hidden], s.h[b])
+		copy(o.concat[off:off+s.m.Cfg.Hidden], o.h[b])
 		off += s.m.Cfg.Hidden
 	}
-	s.m.head.ForwardInto(s.concat, s.headOut)
-	return s.recordHazard(nn.Softplus(s.headOut[0]))
+	s.m.head.ForwardInto(o.concat, o.headOut)
+	return s.recordHazard(nn.Softplus(o.headOut[0]))
 }
 
 // recordHazard appends one hazard to the ring and returns the survival
-// probability over the window, maintaining the rolling sum in O(1) with an
-// exact O(Window) suffix rebuild once per wrap. Shared by the oracle push
-// and the lane so both sum in the same order.
+// probability over the window: sumNew plus the previous epoch's tail,
+// which costs at most Window-1 adds a step and no table. The tail's
+// additions are fixed right to left, so the sum at every position is the
+// same bits whether the ring was filled live or restored. Shared by the
+// oracle push and the lane so both sum in the same order.
 func (s *Stream) recordHazard(lam float64) float64 {
 	s.hazards[s.hazPos] = lam
 	s.sumNew += lam
@@ -229,74 +224,49 @@ func (s *Stream) recordHazard(lam float64) float64 {
 	if s.hazCount < len(s.hazards) {
 		s.hazCount++
 	}
-	var total float64
 	if s.hazPos == len(s.hazards) {
 		// The ring wrapped: every slot now belongs to the current epoch,
-		// so the window total is sumNew alone. Rebuild the suffix table
-		// from the ring (the exact per-Window refresh) and start a new
-		// epoch.
-		s.hazPos = 0
-		total = s.sumNew
-		s.rebuildSuffix(0)
-		s.sumNew = 0
-	} else {
-		total = s.sumNew + s.suffix[s.hazPos]
+		// so the window total is sumNew alone. Start a new epoch.
+		total := s.sumNew
+		s.hazPos, s.sumNew = 0, 0
+		return math.Exp(-total)
 	}
-	return math.Exp(-total)
+	var tail float64
+	for i := len(s.hazards) - 1; i >= s.hazPos; i-- {
+		tail = s.hazards[i] + tail
+	}
+	return math.Exp(-(s.sumNew + tail))
 }
 
-// rebuildSuffix recomputes suffix[i] = hazards[i] + suffix[i+1] for
-// i ∈ [from, Window). The recursion is fixed right-to-left so a rebuild
-// from checkpointed ring contents reproduces the live table bit-exactly.
-func (s *Stream) rebuildSuffix(from int) {
-	s.suffix[len(s.hazards)] = 0
-	for i := len(s.hazards) - 1; i >= from; i-- {
-		s.suffix[i] = s.hazards[i] + s.suffix[i+1]
-	}
-}
-
-// rebuildHazardSums reconstructs the rolling-sum state (sumNew and the
-// suffix table) from the hazard ring and position. Both are pure functions
-// of the checkpointed fields: sumNew is the left-to-right sum of the
-// current epoch's slots [0, hazPos) — the same additions, in the same
-// order, the live stream performed incrementally — and the suffix table
-// covers the previous epoch's slots [hazPos, Window), untouched since the
-// last wrap. Used on restore.
+// rebuildHazardSums reconstructs sumNew from the hazard ring and position:
+// the left-to-right sum of the current epoch's slots [0, hazPos) — the
+// same additions, in the same order, the live stream performed
+// incrementally. Used on restore.
 func (s *Stream) rebuildHazardSums() {
-	for i := 0; i < s.hazPos; i++ {
-		s.suffix[i] = 0
-	}
-	s.rebuildSuffix(s.hazPos)
 	s.sumNew = 0
-	for i := 0; i < s.hazPos; i++ {
-		s.sumNew += s.hazards[i]
+	for _, h := range s.hazards[:s.hazPos] {
+		s.sumNew += h
 	}
 }
 
 // Reset clears all state, returning the stream to its initial condition
 // (used when mitigation ends and detection restarts, §2.6).
 func (s *Stream) Reset() {
-	for b := range s.h {
-		if s.h[b] != nil {
-			s.h[b].Zero()
-			s.c[b].Zero()
-			s.bufSum[b].Zero()
+	if o := s.o; o != nil {
+		for b := range o.h {
+			if o.h[b] != nil {
+				o.h[b].Zero()
+				o.c[b].Zero()
+				o.bufSum[b].Zero()
+			}
+			o.bufN[b] = 0
 		}
-		if s.h32[b] != nil {
-			s.h32[b].Zero()
-			s.c32[b].Zero()
-		}
-		s.bufN[b] = 0
-		s.seen[b] = false
+		o.lastX.Zero()
 	}
-	for i := range s.hazards {
-		s.hazards[i] = 0
-	}
-	for i := range s.suffix {
-		s.suffix[i] = 0
-	}
+	s.state.Zero()
+	s.seen = [numBranches]bool{}
+	clear(s.hazards)
 	s.sumNew = 0
 	s.hazPos, s.hazCount, s.steps = 0, 0, 0
-	s.lastX.Zero()
 	s.dropRec()
 }

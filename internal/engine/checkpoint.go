@@ -140,8 +140,9 @@ func (e *Engine) CheckpointCustomers(w io.Writer, pred func(netip.Addr) bool) (i
 // routing table" so a source can broadcast one segment to many
 // successors). Each shard's merge runs atomically on the shard's own
 // goroutine, so steps concurrently submitted for non-moving customers are
-// never lost or applied to stale state. Returns the number of channels
-// absorbed.
+// never lost or applied to stale state. A checkpoint any record of which
+// fails to restore is refused before any shard changes. Returns the
+// number of channels absorbed.
 func (e *Engine) RestoreCustomers(r io.Reader, pred func(netip.Addr) bool) (int, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -172,7 +173,22 @@ func (e *Engine) RestoreCustomers(r io.Reader, pred func(netip.Addr) bool) (int,
 	if total == 0 {
 		return 0, nil
 	}
+	// Decode every incoming record off to the side first, so a file that
+	// fails anywhere is refused whole: no shard's customers are replaced
+	// while another shard's merge fails.
 	mcfg := e.cfg.Monitor
+	for i, add := range parts {
+		if len(add) == 0 {
+			continue
+		}
+		mon, err := NewMonitor(mcfg)
+		if err != nil {
+			return 0, err
+		}
+		if err := mon.Restore(bytes.NewReader(buildMonitorBlob(add))); err != nil {
+			return 0, fmt.Errorf("xatu: merging shard %d: %w", i, err)
+		}
+	}
 	errs, err := e.barrier(func(s *shard) message {
 		add := parts[s.id]
 		return message{op: opRewrite, rewrite: func(m *Monitor) (*Monitor, error) {

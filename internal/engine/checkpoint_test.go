@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"net/netip"
 	"runtime"
 	"testing"
@@ -578,5 +579,20 @@ func TestMonitorGoldenDigest(t *testing.T) {
 		if got := hex.EncodeToString(sum.Sum(nil)); got != want {
 			t.Errorf("policy %d: monitor digest %s, want %s", policy, got, want)
 		}
+	}
+}
+
+// TestMonitorCheckpointAllocs pins Monitor.Checkpoint at a constant number
+// of allocations per channel: every channel record, stream included, is
+// encoded into one reused buffer, so what remains per channel is the
+// address and the since time marshalling themselves.
+func TestMonitorCheckpointAllocs(t *testing.T) {
+	allocs := func(customers int) float64 {
+		mon := sixTypeMonitor(t, testCustomers(customers), 5)
+		return testing.AllocsPerRun(20, func() { mon.Checkpoint(io.Discard) })
+	}
+	small, large := allocs(8), allocs(16)
+	if perChan := (large - small) / 48; perChan > 2 {
+		t.Errorf("Monitor.Checkpoint allocates %.2f per channel (%v at 48 channels, %v at 96), want ≤ 2", perChan, small, large)
 	}
 }

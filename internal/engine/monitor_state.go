@@ -66,6 +66,9 @@ func (m *Monitor) Checkpoint(w io.Writer) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
+	// Every channel record is encoded into one buffer, reused across
+	// channels, and written whole.
+	var buf []byte
 	for _, k := range keys {
 		ch := m.chans[k]
 		addr, err := k.customer.MarshalBinary()
@@ -76,21 +79,17 @@ func (m *Monitor) Checkpoint(w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("xatu: checkpoint since time: %w", err)
 		}
-		var stream bytes.Buffer
-		if err := ch.stream.Checkpoint(&stream); err != nil {
-			return fmt.Errorf("xatu: checkpoint stream %v/%v: %w", k.customer, k.at, err)
-		}
 		mit := byte(0)
 		if ch.mitigating {
 			mit = 1
 		}
-		buf := make([]byte, 0, 8+len(addr)+len(since)+stream.Len())
-		buf = append(buf, byte(len(addr)))
+		buf = append(buf[:0], byte(len(addr)))
 		buf = append(buf, addr...)
 		buf = append(buf, byte(k.at), mit, byte(len(since)))
 		buf = append(buf, since...)
-		buf = le.AppendUint32(buf, uint32(stream.Len()))
-		buf = append(buf, stream.Bytes()...)
+		at := len(buf)
+		buf = ch.stream.AppendCheckpoint(append(buf, 0, 0, 0, 0))
+		le.PutUint32(buf[at:], uint32(len(buf)-at-4))
 		if _, err := w.Write(buf); err != nil {
 			return err
 		}
