@@ -121,17 +121,18 @@ trace-smoke:
 	$(GO) run ./cmd/xatu-fleet -smoke -assert -trace 64 > /dev/null
 
 # Short fuzz pass over every reader of bytes from the wire or disk: the
-# NetFlow v5 decoder, the journal (writer round trip and reader), the
-# model reader, the detector-state readers (XSC1 stream, XMC1 monitor
-# checkpoints, and XMC1's version-2 shard framing through Engine.Restore
-# and RestoreCustomers) and the three registry files xatu-detect loads
-# next to the models (blocklists.txt, routes.txt, history.snap). Ten
-# seconds each from the committed seed corpora (CI smoke; run longer
-# locally with -fuzztime as needed). The model reader may legitimately
-# allocate a model of up to 1<<24 parameters for a mutated header, so it
-# fuzzes on one worker.
+# NetFlow v5 decoder, the XTR1 trace-trailer probe, the journal (writer
+# round trip and reader), the model reader, the detector-state readers
+# (XSC1 stream, XMC1 monitor checkpoints, and XMC1's version-2 shard
+# framing through Engine.Restore and RestoreCustomers) and the three
+# registry files xatu-detect loads next to the models (blocklists.txt,
+# routes.txt, history.snap). Ten seconds each from the committed seed
+# corpora (CI smoke; run longer locally with -fuzztime as needed). The
+# model reader may legitimately allocate a model of up to 1<<24
+# parameters for a mutated header, so it fuzzes on one worker.
 fuzz:
 	$(GO) test ./internal/netflow -run '^$$' -fuzz FuzzDecodeV5 -fuzztime 10s
+	$(GO) test ./internal/netflow -run '^$$' -fuzz FuzzParseTrailerV1 -fuzztime 10s
 	$(GO) test ./internal/netflow -run '^$$' -fuzz FuzzJournalRoundTrip -fuzztime 10s
 	$(GO) test ./internal/netflow -run '^$$' -fuzz FuzzJournalReader -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLoad -fuzztime 10s -parallel 1

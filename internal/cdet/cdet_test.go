@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -231,5 +232,44 @@ func TestFinishClosesActiveAlerts(t *testing.T) {
 	alerts := d.Finish(end)
 	if len(alerts) != 1 || !alerts[0].MitigatedAt.Equal(end) {
 		t.Fatalf("Finish must close the active alert at end time: %+v", alerts)
+	}
+}
+
+// TestFinishDeterministicOrder: Finish closes the mitigations still open
+// in (victim, attack type) order, so two identical runs return equal
+// slices whatever order the detector's map iterates in.
+func TestFinishDeterministicOrder(t *testing.T) {
+	step := time.Minute
+	t0 := time.Date(2019, 7, 3, 0, 0, 0, 0, time.UTC)
+	run := func() []ddos.Alert {
+		d := NewFastNetMon(step)
+		for s := 0; s < 20; s++ {
+			for v := 1; v <= 24; v++ {
+				var perType [ddos.NumAttackTypes]float64
+				for at := range perType {
+					perType[at] = 1e3
+					if s >= 12 && (v+at)%3 == 0 {
+						perType[at] = 1e9 // a flood that never ends
+					}
+				}
+				d.Observe(netip.AddrFrom4([4]byte{203, 0, 113, byte(v)}), t0.Add(time.Duration(s)*step), perType)
+			}
+		}
+		return d.Finish(t0.Add(time.Hour))
+	}
+	a := run()
+	if len(a) < 20 {
+		t.Fatalf("%d alerts closed by Finish, want the open floods", len(a))
+	}
+	for i := 1; i < len(a); i++ {
+		p, q := a[i-1].Sig, a[i].Sig
+		if c := p.Victim.Compare(q.Victim); c > 0 || c == 0 && p.Type >= q.Type {
+			t.Fatalf("alert %d (%v/%v) closed after %v/%v", i, q.Victim, q.Type, p.Victim, p.Type)
+		}
+	}
+	for r := 0; r < 4; r++ {
+		if b := run(); !reflect.DeepEqual(a, b) {
+			t.Fatal("two identical runs returned different alert slices")
+		}
 	}
 }

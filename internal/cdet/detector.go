@@ -3,6 +3,7 @@ package cdet
 import (
 	"math"
 	"net/netip"
+	"sort"
 	"time"
 
 	"github.com/xatu-go/xatu/internal/ddos"
@@ -74,21 +75,17 @@ type chanState struct {
 // Detector is a streaming threshold detector over per-signature traffic
 // rates. It is not safe for concurrent use; run one per stream.
 type Detector struct {
-	P      Params
-	step   time.Duration
-	states map[chanKey]*chanState
+	P    Params
+	step time.Duration
+	// states holds each victim's channels, indexed by attack type.
+	states map[netip.Addr]*[ddos.NumAttackTypes]chanState
 	done   []ddos.Alert
-}
-
-type chanKey struct {
-	victim netip.Addr
-	at     ddos.AttackType
 }
 
 // New returns a Detector with the given parameters operating at the given
 // step resolution.
 func New(p Params, step time.Duration) *Detector {
-	return &Detector{P: p, step: step, states: make(map[chanKey]*chanState)}
+	return &Detector{P: p, step: step, states: make(map[netip.Addr]*[ddos.NumAttackTypes]chanState)}
 }
 
 // NewNetScout is a convenience constructor.
@@ -103,16 +100,16 @@ func NewFastNetMon(step time.Duration) *Detector { return New(FastNetMonParams(s
 func (d *Detector) Observe(victim netip.Addr, at time.Time, perTypeBytes [ddos.NumAttackTypes]float64) []ddos.Alert {
 	var raised []ddos.Alert
 	stepSec := d.step.Seconds()
+	chans := d.states[victim]
+	if chans == nil {
+		chans = new([ddos.NumAttackTypes]chanState)
+		d.states[victim] = chans
+	}
 	for t := ddos.AttackType(0); t < ddos.NumAttackTypes; t++ {
 		mbps := perTypeBytes[t] * 8 / 1e6 / stepSec
-		key := chanKey{victim, t}
-		st := d.states[key]
-		if st == nil {
-			st = &chanState{}
-			d.states[key] = st
-		}
+		st := &chans[t]
 		if st.active {
-			d.observeActive(st, key, at, mbps)
+			d.observeActive(st, at, mbps)
 			continue
 		}
 		threshold := math.Max(d.P.AbsFloorMbps, d.P.Multiplier*st.mean+d.P.SigmaK*math.Sqrt(st.varEst))
@@ -146,7 +143,7 @@ func (d *Detector) Observe(victim netip.Addr, at time.Time, perTypeBytes [ddos.N
 	return raised
 }
 
-func (d *Detector) observeActive(st *chanState, key chanKey, at time.Time, mbps float64) {
+func (d *Detector) observeActive(st *chanState, at time.Time, mbps float64) {
 	if mbps > st.peakMbps {
 		st.peakMbps = mbps
 	}
@@ -178,11 +175,20 @@ func (d *Detector) learn(st *chanState, mbps float64) {
 }
 
 // Finish closes any still-active mitigations at the given end time and
-// returns all completed alerts, ordered by completion.
+// returns all completed alerts, ordered by completion; the mitigations it
+// closes complete in (victim, attack type) order.
 func (d *Detector) Finish(at time.Time) []ddos.Alert {
-	for _, st := range d.states {
-		if st.active {
-			d.finishAlert(st, at)
+	victims := make([]netip.Addr, 0, len(d.states))
+	for v := range d.states {
+		victims = append(victims, v)
+	}
+	sort.Slice(victims, func(i, j int) bool { return victims[i].Less(victims[j]) })
+	for _, v := range victims {
+		chans := d.states[v]
+		for t := range chans {
+			if chans[t].active {
+				d.finishAlert(&chans[t], at)
+			}
 		}
 	}
 	return d.done

@@ -215,16 +215,23 @@ func (r *BatchRunner32) step(streams []*Stream, xs [][]float64, out []float64, o
 	}
 	r.validate(streams, xs)
 	cfg := r.m.Cfg
-	// Input side, once per distinct input slice (at most B of them).
-	r.xin.Resize(B, cfg.NumFeatures)
+	// Input side, once per distinct input slice. The scratch holds those
+	// rows only: a Push of many customers lists six rows per input.
+	distinct := 1
+	for i := 1; i < B; i++ {
+		if !sameSlice(xs[i], xs[i-1]) {
+			distinct++
+		}
+	}
+	r.xin.Resize(distinct, cfg.NumFeatures)
 	for b, l := range r.q.lstms {
 		if l != nil {
-			r.pre[b].Resize(B, l.Wx.Padded())
+			r.pre[b].Resize(distinct, l.Wx.Padded())
 			r.idx[b], r.psrc[b] = r.idx[b][:0], r.psrc[b][:0]
 		}
 	}
 	src := r.src[:0]
-	distinct := 0
+	distinct = 0
 	for i, s := range streams {
 		s.countStep()
 		if i > 0 && sameSlice(xs[i], xs[i-1]) {
@@ -278,6 +285,12 @@ func (r *BatchRunner32) step(streams []*Stream, xs [][]float64, out []float64, o
 			sum.Zero()
 			rec.n[b] = 0
 			r.nz = nn.NonZero32(r.mean, r.nz)
+			if filled[b] == r.pre[b].Rows {
+				// Unequal records split one input's rows: more pools fill
+				// than there are inputs.
+				r.pre[b].Data = append(r.pre[b].Data, make([]float32, r.pre[b].Cols)...)
+				r.pre[b].Rows++
+			}
 			r.q.lstms[b].Wx.MulVecNZ32(r.mean, r.nz, r.pre[b].Row(filled[b]))
 			for i := lo; i < hi; i++ {
 				r.idx[b] = append(r.idx[b], i)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -87,9 +88,17 @@ func BenchmarkBatchRunnerPush64F32(b *testing.B) { benchBatchRunnerPush32(b, 64)
 // customer's channels pushed together on one feature vector with 18 % of
 // its 273 features non-zero, as a Monitor pushes them. One op is one
 // customer-step, visiting the customers in turn so their state comes from
-// memory, not cache. It reports the time per customer-step and the heap
+// memory, not cache. A sub-benchmark pushes that many customers per Push,
+// as an engine shard steps a run of its mailbox (maxRun in
+// internal/engine). It reports the time per customer-step and the heap
 // the streams and their input records hold per stream.
 func BenchmarkLanePushWide(b *testing.B) {
+	for _, k := range []int{1, 2, 4, 16, 32, 64, 256} {
+		b.Run(fmt.Sprintf("customers=%d", k), func(b *testing.B) { benchLanePushWide(b, k) })
+	}
+}
+
+func benchLanePushWide(b *testing.B, perPush int) {
 	const customers, channels, density = 4096, 6, 0.18
 	cfg := DefaultConfig(features.NumFeatures)
 	cfg.Hidden = 64
@@ -111,32 +120,39 @@ func BenchmarkLanePushWide(b *testing.B) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	streams := make([][]*Stream, customers)
-	for c := range streams {
-		streams[c] = make([]*Stream, channels)
-		for k := range streams[c] {
-			streams[c][k] = r.NewStream()
-		}
+	streams := make([]*Stream, customers*channels)
+	for i := range streams {
+		streams[i] = r.NewStream()
 	}
-	xs := make([][]float64, channels)
-	out := make([]float64, channels)
+	rows := make([]*Stream, 0, perPush*channels)
+	xs := make([][]float64, 0, perPush*channels)
+	out := make([]float64, perPush*channels)
+	// push steps customers c, c+1, … c+perPush-1 (mod customers) in one
+	// Push, each on its own input.
 	push := func(c, step int) {
-		for k := range xs {
-			xs[k] = inputs[(c+step)%len(inputs)]
+		rows, xs = rows[:0], xs[:0]
+		for j := 0; j < perPush; j++ {
+			cj := (c + j) % customers
+			x := inputs[(cj+step)%len(inputs)]
+			for k := 0; k < channels; k++ {
+				rows = append(rows, streams[cj*channels+k])
+				xs = append(xs, x)
+			}
 		}
-		r.Push(streams[c], xs, out)
+		r.Push(rows, xs, out[:len(rows)])
 	}
-	for c := range streams { // every customer's first step makes its input record
+	for c := 0; c < customers; c += perPush { // every customer's first step makes its input record
 		push(c, 0)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		push(i%customers, 1+i/customers)
+	n := 0
+	for ; n < b.N; n += perPush {
+		push(n%customers, 1+n/customers)
 	}
-	b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N), "us/customer-step")
+	b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(n), "us/customer-step")
 	b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/(customers*channels), "heap-B/stream")
 	runtime.KeepAlive(streams)
 }

@@ -533,51 +533,70 @@ func TestMonitorGoldenDigest(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digest recorded on amd64; other ports may fuse multiply-adds")
 	}
-	for policy, want := range goldenMonitorDigests {
-		cfg := tinyMonitorConfig(t)
-		cfg.Types = nil
-		cfg.MissingPolicy = core.MissingPolicy(policy)
-		mon, err := NewMonitor(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.New()
-		ckpt := func() []byte {
-			var b bytes.Buffer
-			if err := mon.Checkpoint(&b); err != nil {
+	for _, batched := range []bool{false, true} {
+		for policy, want := range goldenMonitorDigests {
+			cfg := tinyMonitorConfig(t)
+			cfg.Types = nil
+			cfg.MissingPolicy = core.MissingPolicy(policy)
+			mon, err := NewMonitor(cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
-			sum.Write(b.Bytes())
-			return b.Bytes()
-		}
-		customers := testCustomers(5)
-		t0 := time.Date(2019, 7, 3, 0, 0, 0, 0, time.UTC)
-		for s := 0; s < 70; s++ {
-			at := t0.Add(time.Duration(s) * time.Minute)
-			for i, c := range customers {
-				if (s+i)%7 == 3 {
-					mon.ObserveMissing(c, at)
-					continue
-				}
-				fmt.Fprintln(sum, len(mon.ObserveStep(c, at, udpFlows(c, s+i, t0))))
-			}
-			if s == 17 || s == 41 {
-				mon.EndMitigation(customers[2], ddos.AttackType(3))
-				mon.EndMitigation(customers[4], ddos.UDPFlood)
-			}
-			if s == 23 || s == 50 {
-				b := ckpt()
-				if mon, err = NewMonitor(cfg); err != nil {
+			sum := sha256.New()
+			ckpt := func() []byte {
+				var b bytes.Buffer
+				if err := mon.Checkpoint(&b); err != nil {
 					t.Fatal(err)
 				}
-				if err := mon.Restore(bytes.NewReader(b)); err != nil {
-					t.Fatal(err)
+				sum.Write(b.Bytes())
+				return b.Bytes()
+			}
+			// With batched set, the steps between two missing ones go
+			// through the monitor as one batch, as an engine shard steps a
+			// run of its mailbox.
+			var run []stepIn
+			flush := func() {
+				mon.observeBatch(run, false)
+				for _, st := range run {
+					fmt.Fprintln(sum, len(st.alerts))
+				}
+				run = run[:0]
+			}
+			customers := testCustomers(5)
+			t0 := time.Date(2019, 7, 3, 0, 0, 0, 0, time.UTC)
+			for s := 0; s < 70; s++ {
+				at := t0.Add(time.Duration(s) * time.Minute)
+				for i, c := range customers {
+					if (s+i)%7 == 3 {
+						flush()
+						mon.ObserveMissing(c, at)
+						continue
+					}
+					if batched {
+						run = append(run, stepIn{customer: c, at: at, flows: udpFlows(c, s+i, t0)})
+						continue
+					}
+					fmt.Fprintln(sum, len(mon.ObserveStep(c, at, udpFlows(c, s+i, t0))))
+				}
+				flush()
+				if s == 17 || s == 41 {
+					mon.EndMitigation(customers[2], ddos.AttackType(3))
+					mon.EndMitigation(customers[4], ddos.UDPFlood)
+				}
+				if s == 23 || s == 50 {
+					b := ckpt()
+					if mon, err = NewMonitor(cfg); err != nil {
+						t.Fatal(err)
+					}
+					if err := mon.Restore(bytes.NewReader(b)); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-		}
-		ckpt()
-		if got := hex.EncodeToString(sum.Sum(nil)); got != want {
-			t.Errorf("policy %d: monitor digest %s, want %s", policy, got, want)
+			ckpt()
+			if got := hex.EncodeToString(sum.Sum(nil)); got != want {
+				t.Errorf("batched=%v policy %d: monitor digest %s, want %s", batched, policy, got, want)
+			}
 		}
 	}
 }

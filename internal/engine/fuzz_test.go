@@ -67,13 +67,9 @@ func FuzzMonitorRestore(f *testing.F) {
 			t.Fatal("checkpoint/restore/checkpoint changed the bytes")
 		}
 		at := time.Date(2019, 7, 3, 0, 0, 0, 0, time.UTC)
-		seen := map[netip.Addr]bool{}
-		for k := range m.chans {
-			if !seen[k.customer] {
-				seen[k.customer] = true
-				m.ObserveMissing(k.customer, at)
-				m2.ObserveMissing(k.customer, at)
-			}
+		for c := range m.custs {
+			m.ObserveMissing(c, at)
+			m2.ObserveMissing(c, at)
 		}
 		if !bytes.Equal(ckpt(t, m2), ckpt(t, m)) {
 			t.Fatal("restored and original monitors diverged")
@@ -155,14 +151,17 @@ func fuzzMonitor(t testing.TB, cfg MonitorConfig, customers []netip.Addr) *Monit
 	if err != nil {
 		t.Fatal(err)
 	}
-	lane := mon.groupFor(cfg.Default).runner
+	lane := mon.laneOf[cfg.Types[0]].runner
 	rng := rand.New(rand.NewSource(1))
 	for _, c := range customers {
 		streams := make([]*core.Stream, len(cfg.Types))
 		xs := make([][]float64, len(streams))
+		rec := new(custChans)
+		mon.custs[c] = rec
 		for i, at := range cfg.Types {
 			streams[i] = lane.NewStream()
-			mon.chans[monKey{c, at}] = &monChan{stream: streams[i]}
+			rec[at].stream = streams[i]
+			mon.nchans++
 		}
 		for s := 0; s < 3; s++ {
 			x := []float64{rng.NormFloat64(), rng.NormFloat64(), 0}

@@ -112,19 +112,26 @@ type Trace struct {
 type Monitor struct {
 	cfg   MonitorConfig
 	types []ddos.AttackType
-	chans map[monKey]*monChan
-	// groups are the per-model batching lanes of ObserveStep: every
-	// channel whose attack type resolves to the same *core.Model is
-	// advanced through that model's BatchRunner32 in one kernel pass
-	// instead of stream-at-a-time (with the default single shared model,
-	// all six attack-type channels of a customer step as one batch). The
-	// slices inside are reused across steps, so the hot path allocates
-	// only when a new model first appears.
-	groups  []*modelGroup
-	groupOf map[*core.Model]*modelGroup
-	// featBuf and scratch are the reused feature-extraction state of
-	// ObserveStep. Safe without locking: a Monitor is single-threaded.
-	featBuf []float64
+	// custs holds each customer's channels, indexed by attack type: one
+	// map lookup per customer-step. nchans counts the channels that exist.
+	custs  map[netip.Addr]*custChans
+	nchans int
+	// groups are the per-model batching lanes of a step: every channel
+	// whose attack type resolves to the same *core.Model is advanced
+	// through that model's BatchRunner32 in one kernel pass (with the
+	// default single shared model, every channel of every customer in a
+	// batch steps as one Push). laneOf[t] is attack type t's lane, nil
+	// until the type is first needed. The slices inside are reused across
+	// steps, so the hot path allocates only when a new model first appears.
+	groups []*modelGroup
+	laneOf [ddos.NumAttackTypes]*modelGroup
+	// The reused state of observeBatch: the batch of one behind
+	// ObserveStep, the i-th customer's normalized feature vector and
+	// channels, and the extraction scratch. Safe without locking: a
+	// Monitor is single-threaded.
+	one     [1]stepIn
+	feats   [][]float64
+	recs    []*custChans
 	scratch features.Scratch
 	// stepRecords and extractTime count the records handed to ObserveStep
 	// and the time spent turning them into the normalized feature vector:
@@ -135,7 +142,7 @@ type Monitor struct {
 }
 
 // modelGroup batches the channels of one shared model for a single
-// ObserveStep call. The runner is the model's float32 lane: it creates and
+// lane push. The runner is the model's float32 lane: it creates and
 // restores the group's streams (state carved from its arena) and is the
 // only thing that steps them.
 type modelGroup struct {
@@ -170,18 +177,17 @@ func (g *modelGroup) out() []float64 {
 	return g.survs
 }
 
-type monKey struct {
-	customer netip.Addr
-	at       ddos.AttackType
-}
+// custChans is one customer's channels, indexed by attack type. A channel
+// with a nil stream does not exist.
+type custChans [ddos.NumAttackTypes]monChan
 
 type monChan struct {
 	stream     *core.Stream
 	mitigating bool
 	since      time.Time
-	// surv is the survival value of the current ObserveStep, written by
-	// the batched push and read by the alert loop. Transient per step;
-	// never checkpointed.
+	// surv is the survival value of the current step, written by the
+	// batched push and read by the alert loop. Transient per step; never
+	// checkpointed.
 	surv float64
 	// recent is a ring of the last survival values (real and missing
 	// steps), feeding alert trace trajectories. Not checkpointed: a
@@ -227,68 +233,65 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 			types = append(types, at)
 		}
 	}
-	for _, at := range types {
-		if cfg.Models[at] == nil && cfg.Default == nil {
-			return nil, errors.New("xatu: no model for type " + at.String() + " and no Default")
-		}
-	}
 	if cfg.MitigationTimeout <= 0 {
 		cfg.MitigationTimeout = 30 * time.Minute
 	}
-	m := &Monitor{
-		cfg:     cfg,
-		types:   types,
-		chans:   make(map[monKey]*monChan),
-		groupOf: make(map[*core.Model]*modelGroup),
-	}
-	// Build every reachable model's batching lane up front. This quantizes
+	m := &Monitor{cfg: cfg, types: types, custs: make(map[netip.Addr]*custChans)}
+	// Build every watched type's batching lane up front. This quantizes
 	// the weights now, so a corrupt or diverged weight file fails
 	// NewMonitor with a diagnosis instead of serving garbage.
 	for _, at := range types {
-		if _, err := m.lane(m.modelFor(at)); err != nil {
+		if _, err := m.laneFor(at); err != nil {
 			return nil, err
 		}
 	}
 	return m, nil
 }
 
-// lane returns the batching lane for a model, creating it on first sight.
-func (m *Monitor) lane(mm *core.Model) (*modelGroup, error) {
-	g := m.groupOf[mm]
-	if g == nil {
-		r, err := core.NewBatchRunner32(mm)
-		if err != nil {
-			return nil, err
-		}
-		g = &modelGroup{runner: r}
-		m.groupOf[mm] = g
-		m.groups = append(m.groups, g)
+// laneFor returns attack type at's batching lane, creating it on first
+// sight: types whose models are one *core.Model share one lane.
+func (m *Monitor) laneFor(at ddos.AttackType) (*modelGroup, error) {
+	if g := m.laneOf[at]; g != nil {
+		return g, nil
 	}
+	mm := m.cfg.Models[at]
+	if mm == nil {
+		mm = m.cfg.Default
+	}
+	if mm == nil {
+		return nil, errors.New("xatu: no model for type " + at.String() + " and no Default")
+	}
+	for _, g := range m.groups {
+		if g.runner.Model() == mm {
+			m.laneOf[at] = g
+			return g, nil
+		}
+	}
+	r, err := core.NewBatchRunner32(mm)
+	if err != nil {
+		return nil, err
+	}
+	g := &modelGroup{runner: r}
+	m.groups = append(m.groups, g)
+	m.laneOf[at] = g
 	return g, nil
 }
 
-// groupFor is lane for callers past construction: every reachable model's
-// lane already exists (NewMonitor built them), so this cannot fail.
-func (m *Monitor) groupFor(mm *core.Model) *modelGroup {
-	g, err := m.lane(mm)
-	if err != nil {
-		panic(err) // unreachable: NewMonitor pre-built all lanes
-	}
-	return g
-}
-
-func (m *Monitor) modelFor(at ddos.AttackType) *core.Model {
-	if mm := m.cfg.Models[at]; mm != nil {
-		return mm
-	}
-	return m.cfg.Default
+// stepIn is one customer's step in a batch (observeBatch): ObserveStep's
+// arguments, and the alerts and decision traces the step raised.
+type stepIn struct {
+	customer netip.Addr
+	at       time.Time
+	flows    []netflow.Record
+	alerts   []ddos.Alert
+	traces   []*Trace
 }
 
 // ObserveStep consumes one step of flows destined to customer and returns
 // any alerts raised at this step. Flows must already be aggregated to the
 // deployment's step resolution (e.g. one minute).
 func (m *Monitor) ObserveStep(customer netip.Addr, at time.Time, flows []netflow.Record) []ddos.Alert {
-	alerts, _ := m.ObserveStepTraced(customer, at, flows)
+	alerts, _ := m.observeOne(customer, at, flows, false)
 	return alerts
 }
 
@@ -296,49 +299,95 @@ func (m *Monitor) ObserveStep(customer netip.Addr, at time.Time, flows []netflow
 // aligned by index. Traces are built only on the (rare) alert path; the
 // no-alert hot path does no extra work beyond the trajectory ring.
 func (m *Monitor) ObserveStepTraced(customer netip.Addr, at time.Time, flows []netflow.Record) ([]ddos.Alert, []*Trace) {
-	start := time.Now()
-	m.featBuf = m.cfg.Extractor.ExtractInto(m.featBuf, &m.scratch, customer, at, flows)
-	feat := m.featBuf
-	features.Normalize(feat)
-	m.stepRecords += uint64(len(flows))
-	m.extractTime += time.Since(start)
-	var alerts []ddos.Alert
-	var traces []*Trace
-	var contrib map[string]float64 // shared by every alert this step
-	// Phase 1 — batched inference: enroll every attack-type channel in its
-	// model's batching lane and advance each lane through one
-	// BatchRunner32 pass. Channels sharing a model (all of them, under a
-	// single Default) step through the shared weights together; the lane
-	// is batch-size-invariant, so the per-stream survival values are
-	// bit-identical to stepping each channel alone.
-	for _, atype := range m.types {
-		key := monKey{customer, atype}
-		g := m.groupFor(m.modelFor(atype))
-		ch := m.chans[key]
-		if ch == nil {
-			ch = &monChan{stream: g.runner.NewStream()}
-			m.chans[key] = ch
-		}
-		g.add(ch, feat)
+	return m.observeOne(customer, at, flows, true)
+}
+
+// observeOne is ObserveStep as a batch of one.
+func (m *Monitor) observeOne(customer netip.Addr, at time.Time, flows []netflow.Record, traced bool) ([]ddos.Alert, []*Trace) {
+	m.one[0] = stepIn{customer: customer, at: at, flows: flows}
+	m.observeBatch(m.one[:], traced)
+	st := m.one[0]
+	m.one[0] = stepIn{} // hold no reference to the caller's flows
+	return st.alerts, st.traces
+}
+
+// observeBatch is ObserveStep for a batch of distinct customers, in
+// order, filling each stepIn's alerts (and, when traced, its traces). It
+// runs in three passes: extract and normalize every customer's features
+// into its own buffer, enrolling its channels in their lanes; one lane
+// Push per model over every enrolled channel; then each customer's alert
+// loop, in batch order. The lanes are batch-size-invariant, so every
+// survival value and stream state is bit-identical to stepping the
+// customers one at a time. What a batch can change is a history read:
+// with RecordHistory on, a customer's extraction runs before the alerts
+// of the customers ahead of it in the batch are recorded (DESIGN.md).
+func (m *Monitor) observeBatch(steps []stepIn, traced bool) {
+	for len(m.feats) < len(steps) {
+		m.feats = append(m.feats, nil)
 	}
+	start := time.Now()
+	for i := range steps {
+		st := &steps[i]
+		st.alerts, st.traces = nil, nil
+		m.feats[i] = m.cfg.Extractor.ExtractInto(m.feats[i], &m.scratch, st.customer, st.at, st.flows)
+		features.Normalize(m.feats[i])
+		m.stepRecords += uint64(len(st.flows))
+	}
+	m.extractTime += time.Since(start)
+	m.recs = m.recs[:0]
+	for i := range steps {
+		rec := m.custs[steps[i].customer]
+		if rec == nil {
+			rec = new(custChans)
+			m.custs[steps[i].customer] = rec
+		}
+		m.recs = append(m.recs, rec)
+		for _, atype := range m.types {
+			g, ch := m.laneOf[atype], &rec[atype]
+			if ch.stream == nil {
+				ch.stream = g.runner.NewStream()
+				m.nchans++
+			}
+			g.add(ch, m.feats[i])
+		}
+	}
+	m.pushLanes(false)
+	for i := range steps {
+		m.alertLoop(&steps[i], m.recs[i], m.feats[i], traced)
+	}
+}
+
+// pushLanes advances every enrolled channel through its lane, one Push
+// (PushMissing when missing) per lane, and notes each survival value.
+func (m *Monitor) pushLanes(missing bool) {
 	for _, g := range m.groups {
 		if len(g.chans) == 0 {
 			continue
 		}
-		for i, v := range g.runner.Push(g.streams, g.xs, g.out()) {
+		var out []float64
+		if missing {
+			out = g.runner.PushMissing(g.streams, m.cfg.MissingPolicy, g.out())
+		} else {
+			out = g.runner.Push(g.streams, g.xs, g.out())
+		}
+		for i, v := range out {
 			ch := g.chans[i]
 			ch.surv = v
 			ch.noteSurvival(v)
 		}
 		g.reset()
 	}
-	// Phase 2 — alerting: the original per-type decision loop, reading the
-	// survival values the batch produced.
+}
+
+// alertLoop is the per-type decision of one customer's step, reading the
+// survival values the batch produced.
+func (m *Monitor) alertLoop(st *stepIn, rec *custChans, feat []float64, traced bool) {
+	var contrib map[string]float64 // shared by every alert this step
 	for _, atype := range m.types {
-		ch := m.chans[monKey{customer, atype}]
+		ch := &rec[atype]
 		s := ch.surv
 		if ch.mitigating {
-			if at.Sub(ch.since) >= m.cfg.MitigationTimeout {
+			if st.at.Sub(ch.since) >= m.cfg.MitigationTimeout {
 				ch.mitigating = false // CScrub gave up waiting
 			} else {
 				continue
@@ -350,10 +399,10 @@ func (m *Monitor) ObserveStepTraced(customer netip.Addr, at time.Time, flows []n
 		// Only raise a type's alert when traffic matching its signature is
 		// actually present this step — the alert's purpose is to divert that
 		// signature to scrubbing (§2.1), which is pointless on zero match.
-		sig := ddos.SignatureFor(atype, customer)
+		sig := ddos.SignatureFor(atype, st.customer)
 		matched := 0
-		for i := range flows {
-			if sig.MatchesRecord(&flows[i]) {
+		for i := range st.flows {
+			if sig.MatchesRecord(&st.flows[i]) {
 				matched++
 			}
 		}
@@ -361,40 +410,41 @@ func (m *Monitor) ObserveStepTraced(customer netip.Addr, at time.Time, flows []n
 			continue
 		}
 		ch.mitigating = true
-		ch.since = at
+		ch.since = st.at
 		alert := ddos.Alert{
 			Sig:        sig,
-			DetectedAt: at,
+			DetectedAt: st.at,
 			Source:     "xatu",
 		}
-		alerts = append(alerts, alert)
-		if contrib == nil {
-			contrib = signalContributions(feat)
+		st.alerts = append(st.alerts, alert)
+		if traced {
+			if contrib == nil {
+				contrib = signalContributions(feat)
+			}
+			st.traces = append(st.traces, &Trace{
+				Customer:      st.customer,
+				Type:          atype.String(),
+				At:            st.at,
+				Survival:      s,
+				Threshold:     m.cfg.Threshold,
+				OverheadBound: m.cfg.OverheadBound,
+				Trajectory:    ch.trajectory(),
+				Contributions: contrib,
+				StreamSteps:   ch.stream.Steps(),
+				Window:        ch.stream.Model().Cfg.Window,
+				MatchedFlows:  matched,
+				TotalFlows:    len(st.flows),
+			})
 		}
-		traces = append(traces, &Trace{
-			Customer:      customer,
-			Type:          atype.String(),
-			At:            at,
-			Survival:      s,
-			Threshold:     m.cfg.Threshold,
-			OverheadBound: m.cfg.OverheadBound,
-			Trajectory:    ch.trajectory(),
-			Contributions: contrib,
-			StreamSteps:   ch.stream.Steps(),
-			Window:        m.modelFor(atype).Cfg.Window,
-			MatchedFlows:  matched,
-			TotalFlows:    len(flows),
-		})
 		if m.cfg.RecordHistory && m.cfg.Extractor.History != nil {
 			m.cfg.Extractor.History.RecordAlert(alert)
-			for i := range flows {
-				if sig.MatchesRecord(&flows[i]) {
-					m.cfg.Extractor.History.RecordAttacker(customer, flows[i].Src, at)
+			for i := range st.flows {
+				if sig.MatchesRecord(&st.flows[i]) {
+					m.cfg.Extractor.History.RecordAttacker(st.customer, st.flows[i].Src, st.at)
 				}
 			}
 		}
 	}
-	return alerts, traces
 }
 
 // signalContributions aggregates the absolute normalized feature mass per
@@ -427,31 +477,37 @@ func signalContributions(feat []float64) map[string]float64 {
 // divert (§2.1). The customer's channels step as one batch per model lane,
 // as in ObserveStep, so channels sharing an input record go on sharing it.
 func (m *Monitor) ObserveMissing(customer netip.Addr, at time.Time) {
+	rec := m.custs[customer]
+	if rec == nil {
+		return
+	}
 	for _, atype := range m.types {
-		if ch := m.chans[monKey{customer, atype}]; ch != nil {
-			m.groupFor(m.modelFor(atype)).add(ch, nil)
+		if ch := &rec[atype]; ch.stream != nil {
+			m.laneOf[atype].add(ch, nil)
 		}
 	}
-	for _, g := range m.groups {
-		if len(g.chans) == 0 {
-			continue
+	m.pushLanes(true)
+	for _, atype := range m.types {
+		if ch := &rec[atype]; ch.mitigating && at.Sub(ch.since) >= m.cfg.MitigationTimeout {
+			ch.mitigating = false // CScrub gave up waiting
 		}
-		for i, v := range g.runner.PushMissing(g.streams, m.cfg.MissingPolicy, g.out()) {
-			ch := g.chans[i]
-			ch.noteSurvival(v)
-			if ch.mitigating && at.Sub(ch.since) >= m.cfg.MitigationTimeout {
-				ch.mitigating = false // CScrub gave up waiting
-			}
-		}
-		g.reset()
 	}
+}
+
+// channel returns the customer's channel of attack type at, or nil if it
+// does not exist.
+func (m *Monitor) channel(customer netip.Addr, at ddos.AttackType) *monChan {
+	rec := m.custs[customer]
+	if rec == nil || at < 0 || at >= ddos.NumAttackTypes || rec[at].stream == nil {
+		return nil
+	}
+	return &rec[at]
 }
 
 // EndMitigation signals that CScrub finished mitigating the given customer
 // and attack type; detection for that channel resumes from a clean state.
 func (m *Monitor) EndMitigation(customer netip.Addr, at ddos.AttackType) {
-	key := monKey{customer, at}
-	if ch := m.chans[key]; ch != nil {
+	if ch := m.channel(customer, at); ch != nil {
 		ch.mitigating = false
 		ch.stream.Reset()
 	}
@@ -460,7 +516,7 @@ func (m *Monitor) EndMitigation(customer netip.Addr, at ddos.AttackType) {
 // Mitigating reports whether a diversion is currently active for the
 // customer and attack type.
 func (m *Monitor) Mitigating(customer netip.Addr, at ddos.AttackType) bool {
-	ch := m.chans[monKey{customer, at}]
+	ch := m.channel(customer, at)
 	return ch != nil && ch.mitigating
 }
 
@@ -485,12 +541,12 @@ func (m *Monitor) ExtractStats() (records uint64, extract time.Duration) {
 
 // Channels returns the number of live (customer, attack-type) detector
 // channels.
-func (m *Monitor) Channels() int { return len(m.chans) }
+func (m *Monitor) Channels() int { return m.nchans }
 
 // StreamSteps returns how many inputs the detector stream for the given
 // customer and attack type has consumed, or 0 if no such channel exists.
 func (m *Monitor) StreamSteps(customer netip.Addr, at ddos.AttackType) int {
-	ch := m.chans[monKey{customer, at}]
+	ch := m.channel(customer, at)
 	if ch == nil {
 		return 0
 	}

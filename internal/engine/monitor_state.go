@@ -46,52 +46,53 @@ const (
 // Checkpoint serializes the monitor's full detection state to w. Channels
 // are written in sorted order, so identical state yields identical bytes.
 func (m *Monitor) Checkpoint(w io.Writer) error {
-	keys := make([]monKey, 0, len(m.chans))
-	for k := range m.chans {
-		keys = append(keys, k)
+	customers := make([]netip.Addr, 0, len(m.custs))
+	for c := range m.custs {
+		customers = append(customers, c)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if c := keys[i].customer.Compare(keys[j].customer); c != 0 {
-			return c < 0
-		}
-		return keys[i].at < keys[j].at
-	})
+	sort.Slice(customers, func(i, j int) bool { return customers[i].Less(customers[j]) })
 	if _, err := w.Write(monitorCkptMagic[:]); err != nil {
 		return err
 	}
 	le := binary.LittleEndian
 	var hdr [6]byte
 	le.PutUint16(hdr[0:], monitorCkptVersion)
-	le.PutUint32(hdr[2:], uint32(len(keys)))
+	le.PutUint32(hdr[2:], uint32(m.nchans))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
 	// Every channel record is encoded into one buffer, reused across
 	// channels, and written whole.
 	var buf []byte
-	for _, k := range keys {
-		ch := m.chans[k]
-		addr, err := k.customer.MarshalBinary()
+	for _, c := range customers {
+		addr, err := c.MarshalBinary()
 		if err != nil {
-			return fmt.Errorf("xatu: checkpoint customer %v: %w", k.customer, err)
+			return fmt.Errorf("xatu: checkpoint customer %v: %w", c, err)
 		}
-		since, err := ch.since.MarshalBinary()
-		if err != nil {
-			return fmt.Errorf("xatu: checkpoint since time: %w", err)
-		}
-		mit := byte(0)
-		if ch.mitigating {
-			mit = 1
-		}
-		buf = append(buf[:0], byte(len(addr)))
-		buf = append(buf, addr...)
-		buf = append(buf, byte(k.at), mit, byte(len(since)))
-		buf = append(buf, since...)
-		at := len(buf)
-		buf = ch.stream.AppendCheckpoint(append(buf, 0, 0, 0, 0))
-		le.PutUint32(buf[at:], uint32(len(buf)-at-4))
-		if _, err := w.Write(buf); err != nil {
-			return err
+		rec := m.custs[c]
+		for atype := range rec {
+			ch := &rec[atype]
+			if ch.stream == nil {
+				continue
+			}
+			since, err := ch.since.MarshalBinary()
+			if err != nil {
+				return fmt.Errorf("xatu: checkpoint since time: %w", err)
+			}
+			mit := byte(0)
+			if ch.mitigating {
+				mit = 1
+			}
+			buf = append(buf[:0], byte(len(addr)))
+			buf = append(buf, addr...)
+			buf = append(buf, byte(atype), mit, byte(len(since)))
+			buf = append(buf, since...)
+			at := len(buf)
+			buf = ch.stream.AppendCheckpoint(append(buf, 0, 0, 0, 0))
+			le.PutUint32(buf[at:], uint32(len(buf)-at-4))
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -113,11 +114,11 @@ func (m *Monitor) Restore(r io.Reader) error {
 		}
 		return fmt.Errorf("xatu: unsupported monitor checkpoint version %d", version)
 	}
-	chans, err := m.readChannels(r, n)
+	custs, err := m.readChannels(r, n)
 	if err != nil {
 		return err
 	}
-	m.chans = chans
+	m.custs, m.nchans = custs, int(n)
 	return nil
 }
 
@@ -139,15 +140,15 @@ func readMonitorCkptHeader(r io.Reader) (version uint16, n uint32, err error) {
 	return le.Uint16(hdr[0:]), le.Uint32(hdr[2:]), nil
 }
 
-// readChannels parses n channel records into a fresh channel map.
-func (m *Monitor) readChannels(r io.Reader, n uint32) (map[monKey]*monChan, error) {
+// readChannels parses n channel records into a fresh customer map.
+func (m *Monitor) readChannels(r io.Reader, n uint32) (map[netip.Addr]*custChans, error) {
 	if n > 1<<22 {
 		return nil, fmt.Errorf("xatu: implausible channel count %d", n)
 	}
 	le := binary.LittleEndian
 	// n is not yet backed by any bytes read: size the map for at most a
 	// few thousand channels up front, not for whatever the header claims.
-	chans := make(map[monKey]*monChan, min(n, 1<<12))
+	custs := make(map[netip.Addr]*custChans, min(n, 1<<12))
 	for i := uint32(0); i < n; i++ {
 		var addrLen [1]byte
 		if _, err := io.ReadFull(r, addrLen[:]); err != nil {
@@ -189,19 +190,27 @@ func (m *Monitor) readChannels(r io.Reader, n uint32) (map[monKey]*monChan, erro
 		if _, err := io.ReadFull(r, streamBuf); err != nil {
 			return nil, fmt.Errorf("xatu: channel %d stream: %w", i, err)
 		}
-		key := monKey{customer, at}
-		if chans[key] != nil {
+		rec := custs[customer]
+		if rec == nil {
+			rec = new(custChans)
+			custs[customer] = rec
+		}
+		if rec[at].stream != nil {
 			return nil, fmt.Errorf("xatu: channel %d (%v/%v): duplicate channel", i, customer, at)
 		}
-		stream, err := m.groupFor(m.modelFor(at)).runner.RestoreStream(bytes.NewReader(streamBuf))
+		g, err := m.laneFor(at)
 		if err != nil {
 			return nil, fmt.Errorf("xatu: channel %d (%v/%v): %w", i, customer, at, err)
 		}
-		chans[key] = &monChan{
+		stream, err := g.runner.RestoreStream(bytes.NewReader(streamBuf))
+		if err != nil {
+			return nil, fmt.Errorf("xatu: channel %d (%v/%v): %w", i, customer, at, err)
+		}
+		rec[at] = monChan{
 			stream:     stream,
 			mitigating: meta[1] != 0,
 			since:      since,
 		}
 	}
-	return chans, nil
+	return custs, nil
 }

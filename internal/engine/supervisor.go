@@ -99,17 +99,23 @@ type shardSnapshot struct {
 	at   time.Time
 }
 
-// supervise runs one message under panic protection. On panic the
-// message is quarantined and the shard restarts from its last snapshot +
-// WAL; with Config.DisableSupervision the shard dies instead (surfaced
-// via Stats/Health and barrier errors, never a hung Drain).
-func (e *Engine) supervise(s *shard, msg message) (alive bool) {
-	st := e.healthNow()
+// supervise runs one message, or a run of step messages, under panic
+// protection. On panic the message is quarantined and the shard restarts
+// from its last snapshot + WAL; with Config.DisableSupervision the shard
+// dies instead (surfaced via Stats/Health and barrier errors, never a
+// hung Drain). A run that panics is handled again one message at a time
+// (rerun), so the poison message alone is quarantined.
+func (e *Engine) supervise(s *shard, run []message, st HealthState) (alive bool) {
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
+		if len(run) > 1 {
+			alive = e.rerun(s, run, st, r)
+			return
+		}
+		msg := run[0]
 		s.quarantined.Add(1)
 		if msg.op == opStep || msg.op == opMissing || msg.op == opEnd {
 			s.lost.Add(1) // the poison message's telemetry is gone for good
@@ -128,27 +134,71 @@ func (e *Engine) supervise(s *shard, msg message) (alive bool) {
 		}
 		alive = e.recoverShard(s)
 	}()
-	if !e.handle(s, msg, st) {
+	if !e.handle(s, run, st) {
 		return false
 	}
-	e.postHandle(s, msg, st)
-	s.handled.Add(1)
+	e.postHandle(s, run, st)
+	s.handled.Add(uint64(len(run)))
 	return true
 }
 
-// postHandle appends a successfully processed telemetry message to the
-// WAL (so it can be replayed after a later panic) and takes a background
-// snapshot when the checkpoint interval has elapsed. Messages bypassed in
-// CDetOnly never touched the monitor and are not logged — the WAL
-// mirrors monitor state exactly.
-func (e *Engine) postHandle(s *shard, msg message, st HealthState) {
-	switch msg.op {
+// rerun recovers from a panic inside a run of step messages whose first
+// s.runDone were fully handled: it logs those, rebuilds the monitor from
+// the last snapshot and the WAL — the state before the rest of the run,
+// none of which is logged yet — and handles the rest one message at a
+// time under supervise. Only the poison message is quarantined, and no
+// other message is applied twice. While the WAL holds everything since
+// the snapshot the rebuild is exact and counts nothing, so the counters
+// read as if the run had come one message at a time; otherwise it is a
+// counted restart (recoverShard), or with supervision disabled the death
+// of the shard.
+func (e *Engine) rerun(s *shard, run []message, st HealthState, r any) bool {
+	done := s.runDone
+	for _, msg := range run[:done] {
+		s.walAppend(msg)
+	}
+	s.handled.Add(uint64(done))
+	e.cfg.Flight.Record("panic", "shard %d: a run of %d steps panicked (%v); handling the last %d one at a time",
+		s.id, len(run), r, len(run)-done)
+	var mon *Monitor
+	if len(s.wal) > 0 && s.walEvicted == 0 {
+		mon, _, _ = e.rebuildMonitor(s) // nil if the rebuild itself failed
+	}
+	switch {
+	case mon != nil:
+		s.mon = mon
+	case e.cfg.DisableSupervision:
+		s.quarantined.Add(1)
+		s.lost.Add(uint64(len(run) - done))
+		s.setLastPanic(r)
+		e.cfg.Flight.Dump("panic")
+		return false
+	case !e.recoverShard(s):
+		return false
+	}
+	for i := done; i < len(run); i++ {
+		if !e.supervise(s, run[i:i+1], st) {
+			return false
+		}
+	}
+	return true
+}
+
+// postHandle appends a successfully processed telemetry message, or run,
+// to the WAL (so it can be replayed after a later panic) and takes a
+// background snapshot when the checkpoint interval has elapsed. Messages
+// bypassed in CDetOnly never touched the monitor and are not logged —
+// the WAL mirrors monitor state exactly.
+func (e *Engine) postHandle(s *shard, run []message, st HealthState) {
+	switch run[0].op {
 	case opStep, opMissing:
 		if st != CDetOnly {
-			s.walAppend(msg)
+			for _, msg := range run {
+				s.walAppend(msg)
+			}
 		}
 	case opEnd:
-		s.walAppend(msg)
+		s.walAppend(run[0])
 	default:
 		return // barrier-family messages do not mutate customer state
 	}

@@ -39,7 +39,7 @@ type engineMetrics struct {
 func (e *Engine) registerMetrics(reg *telemetry.Registry) *engineMetrics {
 	m := &engineMetrics{
 		stepLatency: reg.Histogram("xatu_engine_step_seconds",
-			"In-shard detection step latency (feature extraction + model forward)."),
+			"In-shard detection step latency (feature extraction + model forward). A shard steps the run of one tick's steps waiting in its mailbox as one batch; each step observes its share of the batch (batch time / steps in it)."),
 		submitLatency: reg.Histogram("xatu_engine_submit_to_alert_seconds",
 			"Latency from Submit/ObserveMissing to the step fully processed and its alerts emitted (queue wait + detection)."),
 		checkpointLatency: reg.Histogram("xatu_engine_checkpoint_seconds",

@@ -133,7 +133,7 @@ func (p *Pipeline) runLabeler(name string) []ddos.Alert {
 		}
 	}
 	alerts := det.Finish(p.Cfg.World.TimeOf(steps))
-	sort.Slice(alerts, func(i, j int) bool { return alerts[i].DetectedAt.Before(alerts[j].DetectedAt) })
+	sortAlerts(alerts)
 	return alerts
 }
 
@@ -149,8 +149,24 @@ func (p *Pipeline) runEntropyDetector() []ddos.Alert {
 		}
 	}
 	alerts := det.Finish(p.Cfg.World.TimeOf(steps))
-	sort.Slice(alerts, func(i, j int) bool { return alerts[i].DetectedAt.Before(alerts[j].DetectedAt) })
+	sortAlerts(alerts)
 	return alerts
+}
+
+// sortAlerts orders baseline alerts by detection time, then victim, then
+// attack type: a total key (a detector holds one open alert per victim and
+// type), so two runs over the same world give equal slices.
+func sortAlerts(alerts []ddos.Alert) {
+	sort.SliceStable(alerts, func(i, j int) bool {
+		a, b := &alerts[i], &alerts[j]
+		if !a.DetectedAt.Equal(b.DetectedAt) {
+			return a.DetectedAt.Before(b.DetectedAt)
+		}
+		if c := a.Sig.Victim.Compare(b.Sig.Victim); c != 0 {
+			return c < 0
+		}
+		return a.Sig.Type < b.Sig.Type
+	})
 }
 
 // populateHistory records every labeler alert and its attack sources into

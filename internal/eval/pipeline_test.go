@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -184,4 +185,23 @@ func minI(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestLabelerAlertsDeterministic: each baseline labeler returns the same
+// alert slice on every run, in (detection time, victim, type) order.
+func TestLabelerAlertsDeterministic(t *testing.T) {
+	p := pipeline(t)
+	for _, name := range []string{"fastnetmon", "entropy"} {
+		a, b := p.runLabeler(name), p.runLabeler(name)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: two runs returned different alert slices", name)
+		}
+		for i := 1; i < len(a); i++ {
+			x, y := a[i-1], a[i]
+			if x.DetectedAt.After(y.DetectedAt) || x.DetectedAt.Equal(y.DetectedAt) &&
+				(x.Sig.Victim.Compare(y.Sig.Victim) > 0 || x.Sig.Victim == y.Sig.Victim && x.Sig.Type >= y.Sig.Type) {
+				t.Fatalf("%s: alert %d out of order", name, i)
+			}
+		}
+	}
 }

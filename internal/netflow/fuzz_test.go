@@ -2,9 +2,11 @@ package netflow
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 )
@@ -81,6 +83,48 @@ func FuzzDecodeV5(f *testing.F) {
 			if err := r.Validate(); err != nil {
 				t.Fatalf("decoder accepted invalid record: %v", err)
 			}
+		}
+	})
+}
+
+// FuzzParseTrailerV1 probes arbitrary datagrams for an XTR1 trace
+// trailer the way ingest does: after DecodeV5Into accepted the packet,
+// with its record count. Whatever the bytes, the probe must not panic; a
+// trailer it finds must start right past the record region, so cutting
+// the packet there decodes to the same header and records; and the
+// trailer must re-encode through AppendTrailerV1 to its own bytes (the
+// reserved flags byte aside, which the probe ignores and the writer
+// zeroes). The probe at the header's raw count must not panic either, on
+// packets the decoder refused. The committed corpus
+// (testdata/fuzz/FuzzParseTrailerV1) holds a traced datagram, its bare
+// twin, a trailer with a bad version, one cut mid-trailer and one behind
+// a record count that claims too many records.
+func FuzzParseTrailerV1(f *testing.F) {
+	f.Fuzz(func(t *testing.T, pkt []byte) {
+		if len(pkt) >= 4 {
+			ParseTrailerV1(pkt, int(binary.BigEndian.Uint16(pkt[2:])))
+		}
+		h, recs, err := DecodeV5Into(pkt, nil)
+		if err != nil {
+			return
+		}
+		tr, ok := ParseTrailerV1(pkt, len(recs))
+		if !ok {
+			return
+		}
+		end := v5HeaderLen + len(recs)*v5RecordLen
+		h2, recs2, err := DecodeV5Into(pkt[:end], nil)
+		if err != nil || h2 != h || !slices.Equal(recs2, recs) {
+			t.Fatalf("the records before the trailer decode differently alone: %v", err)
+		}
+		got := AppendTrailerV1(append([]byte(nil), pkt[:end]...), int(tr.Rate), tr.T0)
+		want := append([]byte(nil), pkt[:end+trailerV1Len]...)
+		want[end+5] = 0 // flags: reserved, ignored by the probe
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trailer re-encodes as %x, want %x", got[end:], want[end:])
+		}
+		if tr2, ok := ParseTrailerV1(got, len(recs)); !ok || tr2.Rate != tr.Rate || !tr2.T0.Equal(tr.T0) {
+			t.Fatalf("re-encoded trailer parses as %+v (%v), want %+v", tr2, ok, tr)
 		}
 	})
 }

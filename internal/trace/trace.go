@@ -42,7 +42,8 @@ const (
 	// StageBuffer: the step was buffered in a migration inbound window.
 	StageBuffer
 	// StageStep: an engine shard ran the detection step (latency is the
-	// in-shard inference duration).
+	// in-shard inference duration; a shard steps a run of one tick's
+	// customers as one batch, and each step records its share of it).
 	StageStep
 	// StageFanin: the coordinator accepted the resulting alert into the
 	// fleet-wide deduped set.
