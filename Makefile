@@ -126,10 +126,11 @@ trace-smoke:
 # (XSC1 stream, XMC1 monitor checkpoints, and XMC1's version-2 shard
 # framing through Engine.Restore and RestoreCustomers) and the three
 # registry files xatu-detect loads next to the models (blocklists.txt,
-# routes.txt, history.snap). Ten seconds each from the committed seed
-# corpora (CI smoke; run longer locally with -fuzztime as needed). The
-# model reader may legitimately allocate a model of up to 1<<24
-# parameters for a mutated header, so it fuzzes on one worker.
+# routes.txt, history.snap); plus the WAL's vector encoding, which must
+# round-trip every float64 bit pattern. Ten seconds each from the
+# committed seed corpora (CI smoke; run longer locally with -fuzztime as
+# needed). The model reader may legitimately allocate a model of up to
+# 1<<24 parameters for a mutated header, so it fuzzes on one worker.
 fuzz:
 	$(GO) test ./internal/netflow -run '^$$' -fuzz FuzzDecodeV5 -fuzztime 10s
 	$(GO) test ./internal/netflow -run '^$$' -fuzz FuzzParseTrailerV1 -fuzztime 10s
@@ -139,6 +140,7 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRestoreStream -fuzztime 10s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzMonitorRestore -fuzztime 10s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzEngineRestore -fuzztime 10s
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzWALVector -fuzztime 10s
 	$(GO) test ./internal/blocklist -run '^$$' -fuzz FuzzBlocklistLoadText -fuzztime 10s
 	$(GO) test ./internal/routing -run '^$$' -fuzz FuzzRoutingLoadText -fuzztime 10s
 	$(GO) test ./internal/attackhist -run '^$$' -fuzz FuzzAttackhistLoad -fuzztime 10s

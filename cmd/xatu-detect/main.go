@@ -373,7 +373,7 @@ func replayJournal(eng *xatu.Engine, sink *gapFiller, path string, step, latenes
 					fatal("replay: %v", err)
 				}
 			}
-			agg.RecycleShell(b) // the record slices now belong to the engine
+			agg.Recycle(b) // the engine copied the records it queued
 		}
 	}
 	for {

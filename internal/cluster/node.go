@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -370,13 +371,16 @@ func (n *Node) WaitReady(timeout time.Duration) error {
 }
 
 // Submit implements ingest.Submitter: locally aggregated steps enter the
-// same routing path as steps forwarded by peers.
+// same routing path as steps forwarded by peers. flows is valid only for
+// the call; route copies a step it keeps past it.
 func (n *Node) Submit(customer netip.Addr, at time.Time, flows []netflow.Record) error {
 	return n.route(WireStep{Customer: customer, At: at, Flows: flows})
 }
 
 // route delivers one step per the current table: buffer (mid-migration
-// gain), submit locally (owned), or forward (owned elsewhere).
+// gain), submit locally (owned), or forward (owned elsewhere). The step's
+// flows are the caller's, valid only for the call, so a step that waits —
+// in the inbound-migration buffer or on a forwarder queue — holds a copy.
 func (n *Node) route(step WireStep) error {
 	n.mu.Lock()
 	if n.killed || n.table == nil || len(n.table.Nodes) == 0 {
@@ -388,6 +392,7 @@ func (n *Node) route(step WireStep) error {
 	owner, _ := t.Owner(step.Customer)
 	if owner.ID == n.cfg.ID {
 		if w := n.inbound; w != nil && n.gainedLocked(w, step.Customer) {
+			step.Flows = slices.Clone(step.Flows)
 			w.buf = append(w.buf, step)
 			n.stepsBuffered.Add(1)
 			n.mu.Unlock()
@@ -407,6 +412,7 @@ func (n *Node) route(step WireStep) error {
 	step.Hops++
 	f := n.forwarderLocked(owner)
 	n.mu.Unlock()
+	step.Flows = slices.Clone(step.Flows)
 	select {
 	case f.ch <- step:
 		n.stepsForwarded.Add(1)

@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"net/netip"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -262,5 +264,47 @@ func TestNodeKillHeartbeatTakeover(t *testing.T) {
 	})
 	if f := a.Stats().StepsForwarded; f != 0 {
 		t.Errorf("survivor forwarded %d steps after takeover, want 0", f)
+	}
+}
+
+// TestRouteCopiesWaitingSteps: route keeps its own copy of a step only
+// when the step outlives the call — on a forwarder queue or in the
+// inbound-migration buffer — so the caller (the ingest pipeline) may
+// recycle its record slice as soon as Submit returns.
+func TestRouteCopiesWaitingSteps(t *testing.T) {
+	self := NodeInfo{ID: "a", API: "a:1"}
+	peer := NodeInfo{ID: "b", API: "b:1"}
+	table := &Table{Version: 1, Shards: 2, Nodes: []NodeInfo{self, peer}}
+	fwd := &forwarder{id: peer.ID, api: peer.API, ch: make(chan WireStep, 1), done: make(chan struct{})}
+	n := &Node{
+		cfg:     NodeConfig{ID: self.ID},
+		table:   table,
+		fwd:     map[string]*forwarder{peer.ID: fwd},
+		inbound: &inboundWindow{}, // a first join: every customer owned is gained
+	}
+	var mine, theirs netip.Addr
+	for _, c := range clusterCustomers(64) {
+		if id := table.OwnerID(c); id == self.ID && !mine.IsValid() {
+			mine = c
+		} else if id == peer.ID && !theirs.IsValid() {
+			theirs = c
+		}
+	}
+	for _, c := range []netip.Addr{mine, theirs} {
+		flows := clusterUDPFlows(c, 2)
+		want := slices.Clone(flows)
+		if err := n.Submit(c, testT0, flows); err != nil {
+			t.Fatal(err)
+		}
+		clear(flows) // the caller recycles its slice
+		var got WireStep
+		if c == mine {
+			got = n.inbound.buf[0]
+		} else {
+			got = <-fwd.ch
+		}
+		if !reflect.DeepEqual(got.Flows, want) {
+			t.Errorf("customer %v: the waiting step changed with the caller's slice", c)
+		}
 	}
 }

@@ -78,8 +78,9 @@ type Config struct {
 	Fallback *cdet.Params
 	// WAL is the per-shard replay-log capacity: telemetry messages
 	// processed since the shard's last background snapshot, replayed after
-	// a panic recovery. Zero = 512. Negative disables replay (recovery
-	// restarts from the last snapshot alone).
+	// a panic recovery (a step as the feature vector its monitor consumed).
+	// Zero = 512. Negative disables replay (recovery restarts from the last
+	// snapshot alone).
 	WAL int
 	// CheckpointInterval is how often each shard snapshots its monitor in
 	// the background, with no fleet barrier and no pause of the other
@@ -311,12 +312,18 @@ type shard struct {
 	// by the shard goroutine, read by CheckpointIncremental and recovery.
 	snap atomic.Pointer[shardSnapshot]
 
-	// WAL state below is touched only by the owning shard goroutine.
+	// WAL state below is touched only by the owning shard goroutine
+	// (wal.go).
 	wal        []walEntry
 	walHead    int
 	walN       int
-	walEvicted uint64 // entries evicted since the last snapshot
+	walEvicted uint64   // entries evicted since the last snapshot
+	vecs       vecArena // the logged steps' vectors
 	lastSnap   time.Time
+
+	// recs holds the record buffers Submit copies steps into, returned
+	// once the shard has handled (or shed) the step.
+	recs recPool
 
 	fb *cdet.Detector // lazily-built CDetOnly fallback
 
@@ -527,25 +534,35 @@ func (e *Engine) Alerts() <-chan AlertEvent { return e.alerts }
 // Submit routes one step of flows for the customer to its owning shard.
 // It never blocks under ShedOldest (dropping the oldest queued telemetry
 // instead, counted per shard); under Block it waits for mailbox space.
-// The flows slice is handed off: the caller must not reuse it.
+// flows is valid only for the call: Submit copies the records into a
+// buffer of the shard's, which the shard reuses once the step is handled,
+// so the caller may recycle its slice as soon as Submit returns.
 func (e *Engine) Submit(customer netip.Addr, at time.Time, flows []netflow.Record) error {
-	return e.submitTelemetry(message{op: opStep, customer: customer, at: at, flows: flows})
+	s := e.shards[e.ShardOf(customer)]
+	var own []netflow.Record
+	if len(flows) > 0 {
+		own = append(s.recs.get(), flows...)
+	}
+	err := e.submitTelemetry(s, message{op: opStep, customer: customer, at: at, flows: own})
+	if err != nil {
+		s.recs.put(own)
+	}
+	return err
 }
 
 // ObserveMissing routes a missing-telemetry step for the customer to its
 // owning shard, with the same backpressure policy as Submit.
 func (e *Engine) ObserveMissing(customer netip.Addr, at time.Time) error {
-	return e.submitTelemetry(message{op: opMissing, customer: customer, at: at})
+	return e.submitTelemetry(e.shards[e.ShardOf(customer)], message{op: opMissing, customer: customer, at: at})
 }
 
-func (e *Engine) submitTelemetry(msg message) error {
+func (e *Engine) submitTelemetry(s *shard, msg message) error {
 	if e.closed() {
 		return ErrClosed
 	}
 	if e.mx != nil {
 		msg.enq = time.Now().UnixNano()
 	}
-	s := e.shards[e.ShardOf(msg.customer)]
 	if s.dead.Load() {
 		return fmt.Errorf("%w (shard %d)", ErrShardDead, s.id)
 	}
@@ -576,6 +593,7 @@ func (e *Engine) submitTelemetry(msg message) error {
 		case old := <-s.mail:
 			if old.op == opStep || old.op == opMissing {
 				s.shed.Add(1)
+				s.recs.put(old.flows)
 			} else {
 				// A control message (EndMitigation) must never be lost:
 				// requeue it. Under overload it is reordered behind the
@@ -588,6 +606,57 @@ func (e *Engine) submitTelemetry(msg message) error {
 		default:
 			// The shard drained the mailbox between the two selects; retry.
 		}
+	}
+}
+
+// maxFreeRecBufs bounds the record buffers waiting on a shard's free-list.
+// A steady stream recycles a run's worth at a time between the shard and
+// Submit; what a burst leaves beyond two runs goes to the collector.
+const maxFreeRecBufs = 2 * maxRun
+
+// recPool is a shard's free-list of record buffers, shared by the
+// producers calling Submit and the shard goroutine returning buffers.
+type recPool struct {
+	mu   sync.Mutex
+	free [][]netflow.Record
+}
+
+// get returns an empty buffer, nil when none is free. A buffer too small
+// for a step grows as append grows it, so buffers settle at the largest
+// steps' size instead of being replaced at each smaller one.
+func (p *recPool) get() []netflow.Record {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	k := len(p.free)
+	if k == 0 {
+		return nil
+	}
+	b := p.free[k-1]
+	p.free[k-1] = nil
+	p.free = p.free[:k-1]
+	return b
+}
+
+// put returns a buffer get handed out, or drops it when the list is full.
+func (p *recPool) put(b []netflow.Record) {
+	p.mu.Lock()
+	p.keep(b)
+	p.mu.Unlock()
+}
+
+// putRun returns the buffers of a handled run under one lock: the shard
+// takes the lock once per run, not once per message.
+func (p *recPool) putRun(run []message) {
+	p.mu.Lock()
+	for i := range run {
+		p.keep(run[i].flows)
+	}
+	p.mu.Unlock()
+}
+
+func (p *recPool) keep(b []netflow.Record) {
+	if cap(b) > 0 && len(p.free) < maxFreeRecBufs {
+		p.free = append(p.free, b[:0])
 	}
 }
 
@@ -828,6 +897,7 @@ func (e *Engine) runShard(s *shard) {
 		}
 		s.run = run
 		alive := e.supervise(s, run, st)
+		s.recs.putRun(run)
 		clear(run) // hold no flows past their step
 		if !alive {
 			return
@@ -884,7 +954,7 @@ func (e *Engine) handle(s *shard, run []message, st HealthState) bool {
 		// Old snapshot and WAL describe the replaced state; re-base on the
 		// restored monitor immediately so a crash right after a Restore
 		// recovers the restored state, not the pre-restore one.
-		s.walHead, s.walN, s.walEvicted = 0, 0, 0
+		s.walReset()
 		s.snap.Store(nil)
 		e.snapshotShard(s)
 		msg.done <- nil
@@ -895,7 +965,7 @@ func (e *Engine) handle(s *shard, run []message, st HealthState) bool {
 			s.channels.Store(int64(s.mon.Channels()))
 			// Same re-basing rules as opSwap: the snapshot and WAL describe
 			// the pre-rewrite state.
-			s.walHead, s.walN, s.walEvicted = 0, 0, 0
+			s.walReset()
 			s.snap.Store(nil)
 			e.snapshotShard(s)
 		}
@@ -912,8 +982,8 @@ func (e *Engine) handle(s *shard, run []message, st HealthState) bool {
 // step time; a lone message is a run of one — as one monitor batch, then
 // does each message's accounting in order: its step count, latency and
 // trace span (its share of the batch), its alerts, the fallback's
-// learning step and its submit latency. s.runDone counts the messages
-// finished.
+// learning step, its submit latency and its WAL entry. s.runDone counts
+// the messages finished.
 func (e *Engine) handleSteps(s *shard, run []message, st HealthState) bool {
 	s.runDone = 0
 	if st == CDetOnly {
@@ -978,6 +1048,7 @@ func (e *Engine) handleSteps(s *shard, run []message, st HealthState) bool {
 		// starts with learned thresholds, not a cold warm-up.
 		e.fallbackStep(s, msg, false)
 		e.observeSubmitLatency(msg.enq)
+		s.walAppend(&run[i], batch[i].x, batch[i].hits)
 		s.runDone++
 	}
 	clear(batch)

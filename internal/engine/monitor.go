@@ -278,11 +278,18 @@ func (m *Monitor) laneFor(at ddos.AttackType) (*modelGroup, error) {
 }
 
 // stepIn is one customer's step in a batch (observeBatch): ObserveStep's
-// arguments, and the alerts and decision traces the step raised.
+// arguments; the normalized feature vector x the lanes were pushed and
+// the match bit of every attack type whose signature check ran in the
+// alert loop (what the WAL logs); and the alerts and decision traces the
+// step raised. A replayed step comes with x and hits and no flows:
+// extraction and signature matching are skipped.
 type stepIn struct {
 	customer netip.Addr
 	at       time.Time
 	flows    []netflow.Record
+	x        []float64
+	hits     uint8
+	replay   bool
 	alerts   []ddos.Alert
 	traces   []*Trace
 }
@@ -311,12 +318,20 @@ func (m *Monitor) observeOne(customer netip.Addr, at time.Time, flows []netflow.
 	return st.alerts, st.traces
 }
 
+// replayStep re-applies a step the WAL logged: x is the normalized vector
+// the live monitor pushed and hits its signature-check match bits.
+func (m *Monitor) replayStep(customer netip.Addr, at time.Time, x []float64, hits uint8) {
+	m.one[0] = stepIn{customer: customer, at: at, x: x, hits: hits, replay: true}
+	m.observeBatch(m.one[:], false)
+	m.one[0] = stepIn{}
+}
+
 // observeBatch is ObserveStep for a batch of distinct customers, in
 // order, filling each stepIn's alerts (and, when traced, its traces). It
 // runs in three passes: extract and normalize every customer's features
-// into its own buffer, enrolling its channels in their lanes; one lane
-// Push per model over every enrolled channel; then each customer's alert
-// loop, in batch order. The lanes are batch-size-invariant, so every
+// into its own buffer (a replayed step brings its vector), enrolling its
+// channels in their lanes; one lane Push per model over every enrolled
+// channel; then each customer's alert loop, in batch order. The lanes are batch-size-invariant, so every
 // survival value and stream state is bit-identical to stepping the
 // customers one at a time. What a batch can change is a history read:
 // with RecordHistory on, a customer's extraction runs before the alerts
@@ -329,8 +344,12 @@ func (m *Monitor) observeBatch(steps []stepIn, traced bool) {
 	for i := range steps {
 		st := &steps[i]
 		st.alerts, st.traces = nil, nil
+		if st.replay {
+			continue
+		}
 		m.feats[i] = m.cfg.Extractor.ExtractInto(m.feats[i], &m.scratch, st.customer, st.at, st.flows)
 		features.Normalize(m.feats[i])
+		st.x, st.hits = m.feats[i], 0
 		m.stepRecords += uint64(len(st.flows))
 	}
 	m.extractTime += time.Since(start)
@@ -348,12 +367,12 @@ func (m *Monitor) observeBatch(steps []stepIn, traced bool) {
 				ch.stream = g.runner.NewStream()
 				m.nchans++
 			}
-			g.add(ch, m.feats[i])
+			g.add(ch, steps[i].x)
 		}
 	}
 	m.pushLanes(false)
 	for i := range steps {
-		m.alertLoop(&steps[i], m.recs[i], m.feats[i], traced)
+		m.alertLoop(&steps[i], m.recs[i], traced)
 	}
 }
 
@@ -381,7 +400,7 @@ func (m *Monitor) pushLanes(missing bool) {
 
 // alertLoop is the per-type decision of one customer's step, reading the
 // survival values the batch produced.
-func (m *Monitor) alertLoop(st *stepIn, rec *custChans, feat []float64, traced bool) {
+func (m *Monitor) alertLoop(st *stepIn, rec *custChans, traced bool) {
 	var contrib map[string]float64 // shared by every alert this step
 	for _, atype := range m.types {
 		ch := &rec[atype]
@@ -400,14 +419,22 @@ func (m *Monitor) alertLoop(st *stepIn, rec *custChans, feat []float64, traced b
 		// actually present this step — the alert's purpose is to divert that
 		// signature to scrubbing (§2.1), which is pointless on zero match.
 		sig := ddos.SignatureFor(atype, st.customer)
+		bit := uint8(1) << atype
 		matched := 0
-		for i := range st.flows {
-			if sig.MatchesRecord(&st.flows[i]) {
-				matched++
+		if st.replay {
+			if st.hits&bit == 0 {
+				continue
 			}
-		}
-		if matched == 0 {
-			continue
+		} else {
+			for i := range st.flows {
+				if sig.MatchesRecord(&st.flows[i]) {
+					matched++
+				}
+			}
+			if matched == 0 {
+				continue
+			}
+			st.hits |= bit
 		}
 		ch.mitigating = true
 		ch.since = st.at
@@ -419,7 +446,7 @@ func (m *Monitor) alertLoop(st *stepIn, rec *custChans, feat []float64, traced b
 		st.alerts = append(st.alerts, alert)
 		if traced {
 			if contrib == nil {
-				contrib = signalContributions(feat)
+				contrib = signalContributions(st.x)
 			}
 			st.traces = append(st.traces, &Trace{
 				Customer:      st.customer,

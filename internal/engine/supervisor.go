@@ -3,12 +3,10 @@ package engine
 import (
 	"bytes"
 	"fmt"
-	"net/netip"
 	"time"
 
 	"github.com/xatu-go/xatu/internal/cdet"
 	"github.com/xatu-go/xatu/internal/ddos"
-	"github.com/xatu-go/xatu/internal/netflow"
 )
 
 // Shard supervision: the self-healing layer of the engine.
@@ -18,9 +16,9 @@ import (
 // poison message is quarantined — counted, never retried — and the
 // shard's Monitor is rebuilt from its last background snapshot plus a
 // bounded in-memory WAL of the telemetry processed since that snapshot
-// (walEntry ring). Restart loss is therefore bounded: at most the poison
-// message plus whatever the WAL evicted since the last snapshot, both
-// accounted in ShardStats.Lost.
+// (wal.go: a step is logged as the vector the monitor consumed). Restart
+// loss is therefore bounded: at most the poison message plus whatever the
+// WAL evicted since the last snapshot, both accounted in ShardStats.Lost.
 //
 // A watchdog goroutine drives stall detection and a three-state health
 // machine, Healthy → Degraded → CDetOnly, that sheds work in order:
@@ -81,17 +79,6 @@ const (
 	maxHealthTransitions = 64
 )
 
-// walEntry is one replayable telemetry message. Flow slices are retained
-// by reference: Submit hands ownership of the slice to the engine, so the
-// WAL may alias it without copying.
-type walEntry struct {
-	op       opcode
-	customer netip.Addr
-	at       time.Time
-	flows    []netflow.Record
-	atype    ddos.AttackType
-}
-
 // shardSnapshot is one background Monitor snapshot: a complete version-1
 // checkpoint blob, immutable once published.
 type shardSnapshot struct {
@@ -143,20 +130,16 @@ func (e *Engine) supervise(s *shard, run []message, st HealthState) (alive bool)
 }
 
 // rerun recovers from a panic inside a run of step messages whose first
-// s.runDone were fully handled: it logs those, rebuilds the monitor from
-// the last snapshot and the WAL — the state before the rest of the run,
-// none of which is logged yet — and handles the rest one message at a
-// time under supervise. Only the poison message is quarantined, and no
-// other message is applied twice. While the WAL holds everything since
-// the snapshot the rebuild is exact and counts nothing, so the counters
-// read as if the run had come one message at a time; otherwise it is a
-// counted restart (recoverShard), or with supervision disabled the death
-// of the shard.
+// s.runDone were fully handled (and logged): it rebuilds the monitor from
+// the last snapshot and the WAL — the state before the rest of the run —
+// and handles the rest one message at a time under supervise. Only the
+// poison message is quarantined, and no other message is applied twice.
+// While the WAL holds everything since the snapshot the rebuild is exact
+// and counts nothing, so the counters read as if the run had come one
+// message at a time; otherwise it is a counted restart (recoverShard), or
+// with supervision disabled the death of the shard.
 func (e *Engine) rerun(s *shard, run []message, st HealthState, r any) bool {
 	done := s.runDone
-	for _, msg := range run[:done] {
-		s.walAppend(msg)
-	}
 	s.handled.Add(uint64(done))
 	e.cfg.Flight.Record("panic", "shard %d: a run of %d steps panicked (%v); handling the last %d one at a time",
 		s.id, len(run), r, len(run)-done)
@@ -184,46 +167,27 @@ func (e *Engine) rerun(s *shard, run []message, st HealthState, r any) bool {
 	return true
 }
 
-// postHandle appends a successfully processed telemetry message, or run,
-// to the WAL (so it can be replayed after a later panic) and takes a
-// background snapshot when the checkpoint interval has elapsed. Messages
-// bypassed in CDetOnly never touched the monitor and are not logged —
-// the WAL mirrors monitor state exactly.
+// postHandle logs a successfully processed missing step or mitigation end
+// to the WAL (so it can be replayed after a later panic; handleSteps logs
+// each step as it finishes) and takes a background snapshot when the
+// checkpoint interval has elapsed. Messages bypassed in CDetOnly never
+// touched the monitor and are not logged — the WAL mirrors monitor state
+// exactly.
 func (e *Engine) postHandle(s *shard, run []message, st HealthState) {
-	switch run[0].op {
-	case opStep, opMissing:
+	switch msg := &run[0]; msg.op {
+	case opStep: // logged by handleSteps
+	case opMissing:
 		if st != CDetOnly {
-			for _, msg := range run {
-				s.walAppend(msg)
-			}
+			s.walAppend(msg, nil, 0)
 		}
 	case opEnd:
-		s.walAppend(run[0])
+		s.walAppend(msg, nil, 0)
 	default:
 		return // barrier-family messages do not mutate customer state
 	}
 	if iv := e.cfg.CheckpointInterval; iv > 0 && time.Since(s.lastSnap) >= iv {
 		e.snapshotShard(s)
 	}
-}
-
-// walAppend records one processed message, evicting the oldest entry when
-// the ring is full. Evicted entries leave the replay window: their effect
-// survives only in the live monitor, so they become part of the loss
-// bound if the shard crashes before the next snapshot re-bases the log.
-func (s *shard) walAppend(msg message) {
-	if len(s.wal) == 0 {
-		return
-	}
-	if s.walN == len(s.wal) {
-		s.walHead = (s.walHead + 1) % len(s.wal)
-		s.walN--
-		s.walEvicted++
-		s.walDropped.Add(1)
-	}
-	idx := (s.walHead + s.walN) % len(s.wal)
-	s.wal[idx] = walEntry{op: msg.op, customer: msg.customer, at: msg.at, flows: msg.flows, atype: msg.atype}
-	s.walN++
 }
 
 // snapshotShard serializes the shard's monitor and publishes it as the
@@ -243,7 +207,7 @@ func (e *Engine) snapshotShard(s *shard) {
 func (s *shard) publishSnapshot(data []byte) {
 	s.snap.Store(&shardSnapshot{data: data, at: time.Now()})
 	s.lastSnap = time.Now()
-	s.walHead, s.walN, s.walEvicted = 0, 0, 0
+	s.walReset()
 	s.snapshots.Add(1)
 }
 
@@ -304,18 +268,7 @@ func (e *Engine) rebuildMonitor(s *shard) (mon *Monitor, replayed int, ok bool) 
 	// Replayed alerts and attackers are already in the history registry:
 	// recording them again would count each alert twice in A4.
 	mon.cfg.RecordHistory = false
-	for i := 0; i < s.walN; i++ {
-		en := &s.wal[(s.walHead+i)%len(s.wal)]
-		switch en.op {
-		case opStep:
-			mon.ObserveStep(en.customer, en.at, en.flows)
-		case opMissing:
-			mon.ObserveMissing(en.customer, en.at)
-		case opEnd:
-			mon.EndMitigation(en.customer, en.atype)
-		}
-		replayed++
-	}
+	replayed = s.walReplay(mon)
 	mon.cfg.RecordHistory = e.cfg.Monitor.RecordHistory
 	return mon, replayed, true
 }

@@ -45,10 +45,11 @@ import (
 type StepFunc func(customer netip.Addr, at time.Time, feat []float64, flows []netflow.Record)
 
 // Submitter is the engine-shaped step sink: one sealed (customer, step)
-// bucket per call, with ownership of the record slice transferring to the
-// callee (the pipeline recycles only the batch shell). *engine.Engine
-// satisfies it; cluster nodes implement it to route steps by ownership
-// table before they reach a local engine.
+// bucket per call. As with StepFunc, flows is valid only for the call —
+// the pipeline recycles it once Submit returns — so a sink that keeps the
+// records past the call copies them (*engine.Engine copies into its
+// shards' buffers). Cluster nodes implement it to route steps by
+// ownership table before they reach a local engine.
 type Submitter interface {
 	Submit(customer netip.Addr, at time.Time, flows []netflow.Record) error
 }
@@ -74,8 +75,8 @@ type Config struct {
 	Extractor *features.Extractor
 	// OnStep receives sealed steps. See StepFunc for ownership rules.
 	OnStep StepFunc
-	// Sink receives sealed steps via Submit; record slices are handed off
-	// to it (an *engine.Engine queues them in its shard mailboxes).
+	// Sink receives sealed steps via Submit. See Submitter for ownership
+	// rules.
 	Sink Submitter
 	// Telemetry, when non-nil, registers the xatu_ingest_* metric
 	// families. Nil disables instrumentation at zero hot-path cost.
@@ -395,7 +396,8 @@ func (w *aggWorker) run() {
 	w.poolMisses.Store(misses)
 }
 
-// emit delivers sealed batches to the sink and recycles their storage. The
+// emit delivers sealed batches to the sink and recycles their storage:
+// every sink is done with a step's records when its call returns. The
 // per-bucket canonical sort pins the float accumulation order, making the
 // emitted vectors independent of how chunks interleaved across workers.
 func (w *aggWorker) emit(sealed []netflow.StepBatch) {
@@ -413,7 +415,6 @@ func (w *aggWorker) emit(sealed []netflow.StepBatch) {
 			}
 			w.steps.Add(1)
 			if p.cfg.Sink != nil {
-				// Submit hands the record slice to the sink's mailbox;
 				// ErrClosed during shutdown races is the only expected error
 				// and means the step is dropped with the sink's consent.
 				_ = p.cfg.Sink.Submit(dst, b.Start, recs)
@@ -421,11 +422,7 @@ func (w *aggWorker) emit(sealed []netflow.StepBatch) {
 				p.cfg.OnStep(dst, b.Start, feat, recs)
 			}
 		}
-		if p.cfg.Sink != nil {
-			w.agg.RecycleShell(b)
-		} else {
-			w.agg.Recycle(b)
-		}
+		w.agg.Recycle(b)
 	}
 }
 

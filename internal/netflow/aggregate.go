@@ -39,7 +39,8 @@ type Aggregator struct {
 	// sealed is the reused result buffer for Add and Flush; its contents
 	// are valid until the next Add or Flush call.
 	sealed []StepBatch
-	// Free-lists for sealed-batch storage, refilled by Recycle.
+	// Free-lists for sealed-batch storage, refilled by Recycle; freeRecs
+	// holds at most maxFreeRecs slices.
 	freeBatches []*StepBatch
 	freeMaps    []map[netip.Addr][]Record
 	freeRecs    [][]Record
@@ -223,6 +224,12 @@ func sortBatchesByStart(bs []StepBatch) {
 	}
 }
 
+// maxFreeRecs bounds the record slices waiting on an aggregator's
+// free-list. A sealed step's slices refill the next step's buckets; past
+// the bound they go to the collector, so a wide step of small buckets
+// costs their allocation again rather than holding them all between steps.
+const maxFreeRecs = 256
+
 // Recycle returns a consumed batch's storage — the ByDst map and every
 // per-destination record slice — to the aggregator's free-lists. Call it
 // once per sealed batch after the batch's records are fully consumed; the
@@ -231,16 +238,19 @@ func (a *Aggregator) Recycle(b StepBatch) {
 	if b.ByDst == nil {
 		return
 	}
-	for dst, recs := range b.ByDst {
+	for _, recs := range b.ByDst {
+		if len(a.freeRecs) == maxFreeRecs {
+			break
+		}
 		a.freeRecs = append(a.freeRecs, recs[:0])
-		delete(b.ByDst, dst)
 	}
+	clear(b.ByDst)
 	a.freeMaps = append(a.freeMaps, b.ByDst)
 }
 
-// RecycleShell is Recycle for hand-off consumers: the ByDst map returns to
-// the free-list but the per-destination record slices stay with whoever
-// the batch's records were handed to (e.g. an engine mailbox).
+// RecycleShell is Recycle for consumers that keep the records: the ByDst
+// map returns to the free-list but the per-destination record slices stay
+// with the caller. Only the benchmark module still calls it.
 func (a *Aggregator) RecycleShell(b StepBatch) {
 	if b.ByDst == nil {
 		return

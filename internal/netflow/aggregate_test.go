@@ -203,3 +203,23 @@ func TestAggregatorAddAllocFree(t *testing.T) {
 		t.Fatalf("steady-state Add allocs/op = %v, want 0", allocs)
 	}
 }
+
+// TestAggregatorRecycleBounded pins the record free-list's bound: a step
+// of more destinations than maxFreeRecs recycles only maxFreeRecs of their
+// slices, and its map still comes back.
+func TestAggregatorRecycleBounded(t *testing.T) {
+	a := NewAggregator(time.Minute, 0)
+	for i := 0; i < 2*maxFreeRecs; i++ {
+		a.Add(aggRec(netip.AddrFrom4([4]byte{23, 1, byte(i >> 8), byte(i)}), aggBase, 1))
+	}
+	for _, b := range a.Flush() {
+		a.Recycle(b)
+	}
+	if len(a.freeRecs) != maxFreeRecs || len(a.freeMaps) != 1 {
+		t.Fatalf("after recycling %d destinations: %d record slices and %d maps free, want %d and 1",
+			2*maxFreeRecs, len(a.freeRecs), len(a.freeMaps), maxFreeRecs)
+	}
+	if n := len(a.freeMaps[0]); n != 0 {
+		t.Fatalf("the recycled map holds %d entries", n)
+	}
+}
