@@ -69,10 +69,16 @@ lint: vet
 		echo "staticcheck not installed; skipping (CI runs it)"; fi
 
 # Go source size outside the benchmark module (bench/), the figure a
-# simplicity change is measured by: all lines, then non-test lines.
+# simplicity change is measured by: all lines, then non-test lines. Fails
+# when the non-test count exceeds the budget in scripts/loc-budget; a
+# change that raises the budget says why in CHANGES.md.
 loc:
 	@files=$$(find . -name '*.go' -not -path './bench/*' -not -path './.*'); \
-	echo "go lines outside bench/: $$(cat $$files | wc -l) total, $$(cat $$(echo "$$files" | grep -v '_test\.go$$') | wc -l) non-test"
+	nontest=$$(cat $$(echo "$$files" | grep -v '_test\.go$$') | wc -l); \
+	budget=$$(cat scripts/loc-budget); \
+	echo "go lines outside bench/: $$(cat $$files | wc -l) total, $$nontest non-test (budget $$budget)"; \
+	if [ "$$nontest" -gt "$$budget" ]; then \
+		echo "loc: $$nontest non-test lines exceed the budget of $$budget (scripts/loc-budget)"; exit 1; fi
 
 # One-iteration pass over every microbenchmark: catches benchmarks that no
 # longer compile or crash without paying for real measurement. They are
@@ -153,4 +159,4 @@ fuzz:
 detect-smoke:
 	bash scripts/detect-smoke.sh
 
-check: build build-arm64 lint bce test race bench-check detect-smoke fleet-smoke trace-smoke
+check: build build-arm64 lint loc bce test race bench-check detect-smoke fleet-smoke trace-smoke

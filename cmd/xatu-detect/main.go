@@ -13,29 +13,21 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/netip"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"github.com/xatu-go/xatu"
-	"github.com/xatu-go/xatu/internal/blocklist"
 	"github.com/xatu-go/xatu/internal/netflow"
-	"github.com/xatu-go/xatu/internal/routing"
-	"github.com/xatu-go/xatu/internal/simnet"
 )
 
 func main() {
@@ -55,17 +47,11 @@ func main() {
 	)
 	flag.Parse()
 
-	models, def, err := loadModels(*modelDir)
+	mcfg, err := xatu.LoadMonitorConfig(*modelDir, *thFlag, logf)
 	if err != nil {
 		fatal("%v", err)
 	}
-	threshold := *thFlag
-	if threshold == 0 {
-		threshold, err = loadThreshold(filepath.Join(*modelDir, "threshold"))
-		if err != nil {
-			fatal("%v", err)
-		}
-	}
+	mcfg.RecordHistory = true
 
 	// Live ingest sheds oldest rather than stalling the socket's read
 	// loop; a journal replay has no liveness constraint, so it blocks and
@@ -79,10 +65,7 @@ func main() {
 		reg = xatu.NewTelemetryRegistry()
 	}
 	eng, err := xatu.NewEngine(xatu.EngineConfig{
-		Monitor: xatu.MonitorConfig{
-			Models: models, Default: def, Extractor: loadExtractor(*modelDir),
-			Threshold: threshold, RecordHistory: true,
-		},
+		Monitor:   mcfg,
 		Shards:    *shards,
 		Queue:     *queue,
 		Policy:    policy,
@@ -141,7 +124,7 @@ func main() {
 	if *replay != "" {
 		replayJournal(eng, sink, *replay, *step, *lateness)
 	} else {
-		serve(eng, sink, reg, *listen, threshold, *step, *lateness, *ckpt, *ckptIval, *ckptInc)
+		serve(eng, sink, reg, *listen, mcfg.Threshold, *step, *lateness, *ckpt, *ckptIval, *ckptInc)
 	}
 	saveCheckpoint(eng, *ckpt, false)
 	printHealthSummary(eng)
@@ -304,52 +287,6 @@ func printHealthSummary(eng *xatu.Engine) {
 	}
 }
 
-// loadExtractor builds the feature extractor from the registry files
-// xatu-train exported next to the models; missing files leave the
-// corresponding signal empty (with a warning) rather than failing.
-func loadExtractor(dir string) *xatu.FeatureExtractor {
-	ext := &xatu.FeatureExtractor{
-		Blocklists: xatu.NewBlocklistRegistry(),
-		History:    xatu.NewHistoryRegistry(),
-		Geo:        simnet.GeoOf,
-		A4Window:   72 * time.Hour,
-		A5Window:   24 * time.Hour,
-	}
-	if f, err := os.Open(filepath.Join(dir, "blocklists.txt")); err == nil {
-		if n, err := blocklist.LoadText(f, ext.Blocklists); err != nil {
-			fatal("blocklists.txt: %v", err)
-		} else {
-			fmt.Printf("loaded %d blocklisted /24s\n", n)
-		}
-		f.Close()
-	} else {
-		fmt.Fprintln(os.Stderr, "warning: no blocklists.txt; A1 features will be empty")
-	}
-	table := &routing.Table{}
-	if f, err := os.Open(filepath.Join(dir, "routes.txt")); err == nil {
-		t, err := routing.LoadText(f)
-		f.Close()
-		if err != nil {
-			fatal("routes.txt: %v", err)
-		}
-		table = t
-		fmt.Printf("loaded %d routes\n", table.Len())
-	} else {
-		fmt.Fprintln(os.Stderr, "warning: no routes.txt; every source will look unrouted")
-	}
-	ext.Spoof = xatu.NewSpoofChecker(table)
-	if f, err := os.Open(filepath.Join(dir, "history.snap")); err == nil {
-		if err := ext.History.Load(f); err != nil {
-			fatal("history.snap: %v", err)
-		}
-		f.Close()
-		fmt.Println("loaded attack-history snapshot")
-	} else {
-		fmt.Fprintln(os.Stderr, "warning: no history.snap; A2/A4/A5 start cold")
-	}
-	return ext
-}
-
 // replayJournal streams a recorded flow journal through the engine. Steps
 // are sealed by the rule the live pipeline's aggregation workers apply
 // (netflow.Aggregator: a step seals once a record lateness past its end has
@@ -394,61 +331,8 @@ func replayJournal(eng *xatu.Engine, sink *gapFiller, path string, step, latenes
 		jr.Count(), agg.Dropped(), eng.Stats().Alerts, eng.Shards())
 }
 
-func loadModels(dir string) (map[xatu.AttackType]*xatu.Model, *xatu.Model, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	models := map[xatu.AttackType]*xatu.Model{}
-	var def *xatu.Model
-	names := map[string]xatu.AttackType{
-		"udp-flood": xatu.UDPFlood, "tcp-ack": xatu.TCPACK, "tcp-syn": xatu.TCPSYN,
-		"tcp-rst": xatu.TCPRST, "dns-amp": xatu.DNSAmp, "icmp-flood": xatu.ICMPFlood,
-	}
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".xatu") {
-			continue
-		}
-		f, err := os.Open(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, nil, err
-		}
-		m, err := xatu.LoadModel(f)
-		f.Close()
-		if err != nil {
-			return nil, nil, fmt.Errorf("loading %s: %w", e.Name(), err)
-		}
-		base := strings.TrimSuffix(e.Name(), ".xatu")
-		if base == "shared" {
-			def = m
-		} else if at, ok := names[base]; ok {
-			models[at] = m
-		}
-	}
-	if def == nil && len(models) == 0 {
-		return nil, nil, fmt.Errorf("no models found in %s (run xatu-train first)", dir)
-	}
-	return models, def, nil
-}
-
-func loadThreshold(path string) (float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	if !sc.Scan() {
-		return 0, fmt.Errorf("empty threshold file %s", path)
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(sc.Text()), 64)
-	if err != nil {
-		return 0, fmt.Errorf("threshold file %s: %w", path, err)
-	}
-	if !(v > 0) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("threshold file %s: %v is not a positive finite survival threshold", path, v)
-	}
-	return v, nil
+func logf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "xatu-detect: "+format+"\n", args...)
 }
 
 func fatal(format string, args ...any) {

@@ -18,9 +18,9 @@ import (
 func holdShards(eng *Engine) (release func()) {
 	gate := make(chan struct{})
 	for _, s := range eng.shards {
-		s.mail <- message{op: opRewrite, done: make(chan error, 1), rewrite: func(*Monitor) (*Monitor, error) {
+		s.mail <- message{op: opExec, done: make(chan error, 1), exec: func(*shard) error {
 			<-gate
-			return nil, nil
+			return nil
 		}}
 	}
 	return func() { close(gate) }

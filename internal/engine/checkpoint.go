@@ -10,13 +10,10 @@ import (
 	"time"
 )
 
-// Engine checkpointing: the drain-then-snapshot protocol.
-//
-// Engine.Checkpoint first runs a Drain barrier (every message submitted
-// before the call is fully processed), then has each shard goroutine
-// serialize its own Monitor — state is only ever touched by its owning
-// shard, so the snapshot needs no locks — and frames the per-shard blobs
-// into one file:
+// Engine checkpointing: each shard goroutine serializes its own Monitor,
+// after every message queued on it before the call — state is only ever
+// touched by its owning shard, so the snapshot needs no locks — and the
+// per-shard blobs are framed into one file:
 //
 //	magic "XMC1" | uint16 version=2 | uint32 nshards
 //	per shard: uint32 seglen | version-1 Monitor checkpoint bytes
@@ -30,34 +27,30 @@ import (
 // never re-encoded. Version-1 files (one bare Monitor, written by older
 // xatu-detect builds or Monitor.Checkpoint) restore the same way.
 
-// Checkpoint drains the engine and writes a version-2 multi-shard
-// snapshot to w. Producers must be quiesced for the duration; the alert
-// channel must keep being drained.
+// Checkpoint writes a version-2 multi-shard snapshot to w, holding every
+// message submitted before the call. Producers must be quiesced for the
+// duration; the alert channel must keep being drained.
 func (e *Engine) Checkpoint(w io.Writer) error {
 	if e.mx != nil {
 		start := time.Now()
 		defer func() { e.mx.checkpointLatency.Observe(time.Since(start)) }()
 	}
-	if err := e.Drain(); err != nil {
-		return err
-	}
-	bufs := make([]bytes.Buffer, len(e.shards))
-	errs, err := e.barrier(func(s *shard) message {
-		return message{op: opCheckpoint, buf: &bufs[s.id]}
-	})
+	blobs, err := e.shardBlobs()
 	if err != nil {
 		return err
 	}
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("xatu: checkpoint shard %d: %w", i, err)
-		}
-	}
-	segs := make([][]byte, len(bufs))
-	for i := range bufs {
-		segs[i] = bufs[i].Bytes()
-	}
-	return writeEngineCheckpoint(w, segs)
+	return writeEngineCheckpoint(w, blobs)
+}
+
+// shardBlobs has every shard serialize its monitor and publish the blob as
+// its recovery basis: one fleet barrier.
+func (e *Engine) shardBlobs() ([][]byte, error) {
+	blobs := make([][]byte, len(e.shards))
+	err := e.onShards("checkpoint", func(s *shard) (err error) {
+		blobs[s.id], err = e.snapshotShard(s)
+		return err
+	})
+	return blobs, err
 }
 
 // CheckpointIncremental writes the most recent per-shard background
@@ -85,49 +78,53 @@ func (e *Engine) CheckpointIncremental(w io.Writer) error {
 	return writeEngineCheckpoint(w, segs)
 }
 
-// CheckpointCustomers drains the engine and writes a version-2 checkpoint
-// holding only the channels of customers matching pred — the migration
-// segment a cluster node streams to a customer's successor. The byte
-// framing is exactly Checkpoint's (XMC1-v2, length-prefixed version-1
-// segments), so Restore and RestoreCustomers read the output unchanged;
-// the channel records pass through at the framing level, never
-// re-encoded, so the moved streams stay bit-exact. Returns the number of
-// channels written. Producers for the matching customers should be
-// quiesced or buffered by the caller for the duration (the engine-level
-// contract is the same as Checkpoint's).
+// CheckpointCustomers writes a version-2 checkpoint holding only the
+// channels of customers matching pred — the migration segment a cluster
+// node streams to a customer's successor. The byte framing is exactly
+// Checkpoint's (XMC1-v2, length-prefixed version-1 segments), so Restore
+// and RestoreCustomers read the output unchanged; the channel records pass
+// through at the framing level, never re-encoded, so the moved streams
+// stay bit-exact. Returns the number of channels written. Producers for
+// the matching customers should be quiesced or buffered by the caller for
+// the duration (the engine-level contract is the same as Checkpoint's).
 func (e *Engine) CheckpointCustomers(w io.Writer, pred func(netip.Addr) bool) (int, error) {
-	if err := e.Drain(); err != nil {
-		return 0, err
-	}
-	bufs := make([]bytes.Buffer, len(e.shards))
-	errs, err := e.barrier(func(s *shard) message {
-		return message{op: opCheckpoint, buf: &bufs[s.id]}
-	})
+	blobs, err := e.shardBlobs()
 	if err != nil {
 		return 0, err
 	}
-	for i, err := range errs {
-		if err != nil {
-			return 0, fmt.Errorf("xatu: checkpoint shard %d: %w", i, err)
-		}
-	}
 	total := 0
-	segs := make([][]byte, len(bufs))
-	for i := range bufs {
-		chans, err := blobRawChans(bufs[i].Bytes())
+	for i, blob := range blobs {
+		chans, err := blobRawChans(blob)
 		if err != nil {
 			return 0, fmt.Errorf("xatu: checkpoint shard %d: %w", i, err)
 		}
-		var kept []rawChan
+		kept := chans[:0]
 		for _, rc := range chans {
 			if pred(rc.customer) {
 				kept = append(kept, rc)
 			}
 		}
 		total += len(kept)
-		segs[i] = buildMonitorBlob(kept)
+		blobs[i] = buildMonitorBlob(kept)
 	}
-	return total, writeEngineCheckpoint(w, segs)
+	return total, writeEngineCheckpoint(w, blobs)
+}
+
+// Restore loads a version-1 (single monitor) or version-2 (multi-shard)
+// checkpoint, re-partitioning every channel onto this engine's shards by
+// the stable customer hash, in place of every channel the engine held. A
+// checkpoint any record of which fails to restore is refused before any
+// shard changes. Producers must be quiesced.
+func (e *Engine) Restore(r io.Reader) error {
+	parts, err := e.incoming(r, nil)
+	if err != nil {
+		return err
+	}
+	if _, err := e.rewrite(parts, func(netip.Addr) bool { return true }); err != nil {
+		return err
+	}
+	e.cfg.Flight.Record("restore", "restored %d channels onto %d shards", countChans(parts), len(e.shards))
+	return nil
 }
 
 // RestoreCustomers merges the channels of a checkpoint (any layout
@@ -144,87 +141,24 @@ func (e *Engine) CheckpointCustomers(w io.Writer, pred func(netip.Addr) bool) (i
 // fails to restore is refused before any shard changes. Returns the
 // number of channels absorbed.
 func (e *Engine) RestoreCustomers(r io.Reader, pred func(netip.Addr) bool) (int, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return 0, fmt.Errorf("xatu: reading checkpoint: %w", err)
-	}
-	segs, err := checkpointSegments(data)
+	parts, err := e.incoming(r, pred)
 	if err != nil {
 		return 0, err
 	}
-	parts := make([][]rawChan, len(e.shards))
-	owners := make(map[netip.Addr]bool)
-	total := 0
-	for i, seg := range segs {
-		chans, err := scanMonitorBody(seg)
-		if err != nil {
-			return 0, fmt.Errorf("xatu: checkpoint segment %d: %w", i, err)
-		}
-		for _, rc := range chans {
-			if pred != nil && !pred(rc.customer) {
-				continue
-			}
-			sh := shardOf(rc.customer, len(e.shards))
-			parts[sh] = append(parts[sh], rc)
-			owners[rc.customer] = true
-			total++
-		}
-	}
-	if total == 0 {
+	n := countChans(parts)
+	if n == 0 {
 		return 0, nil
 	}
-	// Decode every incoming record off to the side first, so a file that
-	// fails anywhere is refused whole: no shard's customers are replaced
-	// while another shard's merge fails.
-	mcfg := e.cfg.Monitor
-	for i, add := range parts {
-		if len(add) == 0 {
-			continue
-		}
-		mon, err := NewMonitor(mcfg)
-		if err != nil {
-			return 0, err
-		}
-		if err := mon.Restore(bytes.NewReader(buildMonitorBlob(add))); err != nil {
-			return 0, fmt.Errorf("xatu: merging shard %d: %w", i, err)
+	owners := make(map[netip.Addr]bool)
+	for _, part := range parts {
+		for _, rc := range part {
+			owners[rc.customer] = true
 		}
 	}
-	errs, err := e.barrier(func(s *shard) message {
-		add := parts[s.id]
-		return message{op: opRewrite, rewrite: func(m *Monitor) (*Monitor, error) {
-			cur, err := monitorRawChans(m)
-			if err != nil {
-				return nil, err
-			}
-			kept := make([]rawChan, 0, len(cur)+len(add))
-			for _, rc := range cur {
-				if !owners[rc.customer] {
-					kept = append(kept, rc)
-				}
-			}
-			if len(add) == 0 && len(kept) == len(cur) {
-				return nil, nil // nothing to replace on this shard
-			}
-			kept = append(kept, add...)
-			mon, err := NewMonitor(mcfg)
-			if err != nil {
-				return nil, err
-			}
-			if err := mon.Restore(bytes.NewReader(buildMonitorBlob(kept))); err != nil {
-				return nil, err
-			}
-			return mon, nil
-		}}
-	})
-	if err != nil {
+	if _, err := e.rewrite(parts, func(c netip.Addr) bool { return owners[c] }); err != nil {
 		return 0, err
 	}
-	for i, err := range errs {
-		if err != nil {
-			return 0, fmt.Errorf("xatu: merging shard %d: %w", i, err)
-		}
-	}
-	return total, nil
+	return n, nil
 }
 
 // RemoveCustomers drops every channel whose customer matches pred — the
@@ -232,50 +166,106 @@ func (e *Engine) RestoreCustomers(r io.Reader, pred func(netip.Addr) bool) (int,
 // atomically on the shard goroutine. Returns the number of channels
 // removed.
 func (e *Engine) RemoveCustomers(pred func(netip.Addr) bool) (int, error) {
-	var removed atomic.Int64
-	mcfg := e.cfg.Monitor
-	errs, err := e.barrier(func(s *shard) message {
-		return message{op: opRewrite, rewrite: func(m *Monitor) (*Monitor, error) {
-			cur, err := monitorRawChans(m)
-			if err != nil {
-				return nil, err
-			}
-			kept := make([]rawChan, 0, len(cur))
-			n := 0
-			for _, rc := range cur {
-				if pred(rc.customer) {
-					n++
-				} else {
-					kept = append(kept, rc)
-				}
-			}
-			if n == 0 {
-				return nil, nil
-			}
-			mon, err := NewMonitor(mcfg)
-			if err != nil {
-				return nil, err
-			}
-			if err := mon.Restore(bytes.NewReader(buildMonitorBlob(kept))); err != nil {
-				return nil, err
-			}
-			removed.Add(int64(n))
-			return mon, nil
-		}}
-	})
+	return e.rewrite(nil, pred)
+}
+
+// incoming reads a checkpoint and partitions the channel records pred
+// accepts (nil = every record) onto this engine's shards by the stable
+// hash. Every shard's part is restored into a scratch monitor off to the
+// side, so a file that fails anywhere is refused whole, before any shard
+// changes.
+func (e *Engine) incoming(r io.Reader, pred func(netip.Addr) bool) ([][]rawChan, error) {
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return 0, err
+		return nil, fmt.Errorf("xatu: reading checkpoint: %w", err)
 	}
-	for i, err := range errs {
+	segs, err := checkpointSegments(data)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([][]rawChan, len(e.shards))
+	for i, seg := range segs {
+		chans, err := scanMonitorBody(seg)
 		if err != nil {
-			return 0, fmt.Errorf("xatu: filtering shard %d: %w", i, err)
+			return nil, fmt.Errorf("xatu: checkpoint segment %d: %w", i, err)
+		}
+		for _, rc := range chans {
+			if pred == nil || pred(rc.customer) {
+				sh := shardOf(rc.customer, len(e.shards))
+				parts[sh] = append(parts[sh], rc)
+			}
 		}
 	}
-	return int(removed.Load()), nil
+	for i, part := range parts {
+		if len(part) == 0 {
+			continue
+		}
+		if _, err := e.rebuild(part); err != nil {
+			return nil, fmt.Errorf("xatu: restoring shard %d: %w", i, err)
+		}
+	}
+	return parts, nil
+}
+
+// rewrite runs on every shard: it keeps the shard's channel records that
+// drop does not match, appends the shard's part of add (nil = nothing),
+// and rebuilds the monitor from them. A shard with nothing to change keeps
+// its monitor. Returns the number of records dropped.
+func (e *Engine) rewrite(add [][]rawChan, drop func(netip.Addr) bool) (int, error) {
+	var dropped atomic.Int64
+	err := e.onShards("rewrite", func(s *shard) error {
+		var in []rawChan
+		if add != nil {
+			in = add[s.id]
+		}
+		cur, err := monitorRawChans(s.mon)
+		if err != nil {
+			return err
+		}
+		kept := cur[:0]
+		for _, rc := range cur {
+			if !drop(rc.customer) {
+				kept = append(kept, rc)
+			}
+		}
+		n := len(cur) - len(kept)
+		if n == 0 && len(in) == 0 {
+			return nil
+		}
+		mon, err := e.rebuild(append(kept, in...))
+		if err != nil {
+			return err
+		}
+		e.replace(s, mon)
+		dropped.Add(int64(n))
+		return nil
+	})
+	return int(dropped.Load()), err
+}
+
+// rebuild restores channel records into a fresh monitor.
+func (e *Engine) rebuild(chans []rawChan) (*Monitor, error) {
+	mon, err := NewMonitor(e.cfg.Monitor)
+	if err != nil {
+		return nil, err
+	}
+	if err := mon.Restore(bytes.NewReader(buildMonitorBlob(chans))); err != nil {
+		return nil, err
+	}
+	return mon, nil
+}
+
+// countChans counts the records of a partition.
+func countChans(parts [][]rawChan) int {
+	n := 0
+	for _, part := range parts {
+		n += len(part)
+	}
+	return n
 }
 
 // monitorRawChans serializes a monitor and lifts its channel records at
-// the framing level, for shard-goroutine rewrites.
+// the framing level.
 func monitorRawChans(m *Monitor) ([]rawChan, error) {
 	var buf bytes.Buffer
 	if err := m.Checkpoint(&buf); err != nil {
@@ -322,60 +312,6 @@ func writeEngineCheckpoint(w io.Writer, segs [][]byte) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// Restore loads a version-1 (single monitor) or version-2 (multi-shard)
-// checkpoint, re-partitioning every channel onto this engine's shards by
-// the stable customer hash. The restore is transactional: fresh monitors
-// are built and populated off to the side, and the shards only swap to
-// them after every segment parsed cleanly — on error the engine's
-// previous state is untouched. Producers must be quiesced.
-func (e *Engine) Restore(r io.Reader) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("xatu: reading checkpoint: %w", err)
-	}
-	segs, err := checkpointSegments(data)
-	if err != nil {
-		return err
-	}
-	// Re-partition all channel records across the current shard count.
-	parts := make([][]rawChan, len(e.shards))
-	for i, seg := range segs {
-		chans, err := scanMonitorBody(seg)
-		if err != nil {
-			return fmt.Errorf("xatu: checkpoint segment %d: %w", i, err)
-		}
-		for _, rc := range chans {
-			sh := shardOf(rc.customer, len(e.shards))
-			parts[sh] = append(parts[sh], rc)
-		}
-	}
-	// Build and validate replacement monitors before touching any shard.
-	mons := make([]*Monitor, len(e.shards))
-	for i := range e.shards {
-		mon, err := NewMonitor(e.cfg.Monitor)
-		if err != nil {
-			return err
-		}
-		if err := mon.Restore(bytes.NewReader(buildMonitorBlob(parts[i]))); err != nil {
-			return fmt.Errorf("xatu: restoring shard %d: %w", i, err)
-		}
-		mons[i] = mon
-	}
-	errs, err := e.barrier(func(s *shard) message {
-		return message{op: opSwap, mon: mons[s.id]}
-	})
-	if err != nil {
-		return err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("xatu: swapping shard %d: %w", i, err)
-		}
-	}
-	e.cfg.Flight.Record("restore", "restored %d bytes onto %d shards", len(data), len(e.shards))
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -99,12 +98,6 @@ type Config struct {
 	// Restore) so a dead or wedged shard surfaces as an error instead of a
 	// deadlock. Zero = 60s.
 	DrainTimeout time.Duration
-	// DegradedStepLatency / CDetOnlyStepLatency, when positive, escalate
-	// the health state when the mean step latency over a watchdog tick
-	// crosses them. Zero disables the latency signal (the queue signal,
-	// active under ShedOldest, remains).
-	DegradedStepLatency time.Duration
-	CDetOnlyStepLatency time.Duration
 	// RecoverTicks is the de-escalation hysteresis: consecutive clean
 	// watchdog ticks required before the health state steps down one
 	// level. Zero = 8.
@@ -227,11 +220,11 @@ const (
 	opStep opcode = iota
 	opMissing
 	opEnd
-	opBarrier    // Drain: ack once everything queued before it is done
-	opCheckpoint // serialize the shard's monitor into msg.buf
-	opSwap       // replace the shard's monitor with msg.mon (Restore)
-	opRewrite    // transform the shard's monitor in place (subset restore/remove)
-	opInject     // InjectFault: panic inside the shard loop (chaos testing)
+	// opExec runs msg.exec on the shard goroutine after everything queued
+	// before it: every barrier, checkpoint, restore, migration and
+	// injected fault. On the shard's own goroutine it needs no lock, and no
+	// step can land on state that it is about to replace.
+	opExec
 )
 
 // opName labels an opcode for flight-recorder events.
@@ -243,18 +236,8 @@ func opName(op opcode) string {
 		return "missing"
 	case opEnd:
 		return "end-mitigation"
-	case opBarrier:
-		return "barrier"
-	case opCheckpoint:
-		return "checkpoint"
-	case opSwap:
-		return "swap"
-	case opRewrite:
-		return "rewrite"
-	case opInject:
-		return "inject"
 	default:
-		return "unknown"
+		return "control"
 	}
 }
 
@@ -264,17 +247,9 @@ type message struct {
 	at       time.Time
 	flows    []netflow.Record
 	atype    ddos.AttackType
-	enq      int64         // UnixNano enqueue stamp (telemetry only; 0 = unstamped)
-	done     chan error    // barrier-family acks (buffered, never blocks)
-	buf      *bytes.Buffer // opCheckpoint target
-	mon      *Monitor      // opSwap replacement
-	// rewrite runs inside the shard goroutine for opRewrite: it returns a
-	// replacement monitor (nil = keep the current one unchanged). Running
-	// on the shard's own goroutine makes checkpoint-filter-rebuild atomic
-	// with respect to that shard's step processing — no window exists in
-	// which a concurrently submitted step could land on state about to be
-	// replaced.
-	rewrite func(*Monitor) (*Monitor, error)
+	enq      int64              // UnixNano enqueue stamp (telemetry only; 0 = unstamped)
+	done     chan error         // opExec ack (buffered, never blocks; nil = none)
+	exec     func(*shard) error // opExec
 }
 
 type shard struct {
@@ -351,7 +326,7 @@ type shard struct {
 }
 
 // publishMonitorStats adds what the current monitor did since the last
-// call to the shard's counters. A replaced monitor (swap, rewrite,
+// call to the shard's counters. A replaced monitor (restore, rewrite,
 // recovery) starts again from zero; the shard's totals carry on.
 func (s *shard) publishMonitorStats() {
 	if s.seenMon != s.mon {
@@ -595,7 +570,7 @@ func (e *Engine) submitTelemetry(s *shard, msg message) error {
 				s.shed.Add(1)
 				s.recs.put(old.flows)
 			} else {
-				// A control message (EndMitigation) must never be lost:
+				// EndMitigation or a control op must never be lost:
 				// requeue it. Under overload it is reordered behind the
 				// queue tail, which beats dropping the signal.
 				s.requeued.Add(1)
@@ -675,15 +650,19 @@ func (s *shard) noteEnqueued() {
 // owning shard. It is ordered with the customer's queued telemetry and is
 // never shed.
 func (e *Engine) EndMitigation(customer netip.Addr, at ddos.AttackType) error {
+	return e.send(e.shards[e.ShardOf(customer)], message{op: opEnd, customer: customer, atype: at})
+}
+
+// send enqueues a message that is never shed, waiting for mailbox space.
+func (e *Engine) send(s *shard, msg message) error {
 	if e.closed() {
 		return ErrClosed
 	}
-	s := e.shards[e.ShardOf(customer)]
 	if s.dead.Load() {
 		return fmt.Errorf("%w (shard %d)", ErrShardDead, s.id)
 	}
 	select {
-	case s.mail <- message{op: opEnd, customer: customer, atype: at}:
+	case s.mail <- msg:
 		return nil
 	case <-s.deadCh:
 		return fmt.Errorf("%w (shard %d)", ErrShardDead, s.id)
@@ -697,18 +676,7 @@ func (e *Engine) EndMitigation(customer netip.Addr, at ddos.AttackType) error {
 // A dead shard or a wait past Config.DrainTimeout returns an error
 // (wrapping ErrShardDead / ErrBarrierTimeout) instead of hanging.
 func (e *Engine) Drain() error {
-	errs, err := e.barrier(func(s *shard) message {
-		return message{op: opBarrier}
-	})
-	if err != nil {
-		return err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("xatu: drain shard %d: %w", i, err)
-		}
-	}
-	return nil
+	return e.onShards("drain", func(*shard) error { return nil })
 }
 
 func (e *Engine) closed() bool {
@@ -720,52 +688,56 @@ func (e *Engine) closed() bool {
 	}
 }
 
-// barrier sends one message per shard and waits for every ack. The whole
-// barrier shares one Config.DrainTimeout budget, and a dead shard aborts
-// it immediately with the shard's last panic — a shard that exited can
-// never wedge a Drain/Checkpoint/Restore.
-func (e *Engine) barrier(mk func(*shard) message) ([]error, error) {
+// onShards runs fn on every shard's goroutine, after everything queued on
+// that shard before the call, waits for every shard, and returns the first
+// error wrapped with what and its shard index. The whole barrier shares one
+// Config.DrainTimeout budget, and a dead shard aborts it immediately with
+// the shard's last panic — a shard that exited can never wedge a
+// Drain/Checkpoint/Restore.
+func (e *Engine) onShards(what string, fn func(*shard) error) error {
 	if e.closed() {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	timer := time.NewTimer(e.cfg.DrainTimeout)
 	defer timer.Stop()
 	acks := make([]chan error, len(e.shards))
 	for i, s := range e.shards {
-		msg := mk(s)
-		msg.done = make(chan error, 1)
-		acks[i] = msg.done
+		acks[i] = make(chan error, 1)
 		select {
-		case s.mail <- msg:
+		case s.mail <- message{op: opExec, done: acks[i], exec: fn}:
 		case <-s.deadCh:
-			return nil, fmt.Errorf("%w (shard %d: %s)", ErrShardDead, i, s.panicDetail())
+			return fmt.Errorf("%w (shard %d: %s)", ErrShardDead, i, s.panicDetail())
 		case <-timer.C:
-			return nil, fmt.Errorf("%w after %v sending to shard %d (queue %d/%d)",
+			return fmt.Errorf("%w after %v sending to shard %d (queue %d/%d)",
 				ErrBarrierTimeout, e.cfg.DrainTimeout, i, len(s.mail), cap(s.mail))
 		case <-e.done:
-			return nil, ErrClosed
+			return ErrClosed
 		}
 	}
-	errs := make([]error, len(acks))
+	var first error
 	for i, d := range acks {
+		var err error
 		select {
-		case errs[i] = <-d:
+		case err = <-d:
 		case <-e.shards[i].deadCh:
 			// The shard died after the send; prefer a late ack if one
 			// raced in ahead of the death notice.
 			select {
-			case errs[i] = <-d:
+			case err = <-d:
 			default:
-				return nil, fmt.Errorf("%w (shard %d: %s)", ErrShardDead, i, e.shards[i].panicDetail())
+				return fmt.Errorf("%w (shard %d: %s)", ErrShardDead, i, e.shards[i].panicDetail())
 			}
 		case <-timer.C:
-			return nil, fmt.Errorf("%w after %v waiting for shard %d",
+			return fmt.Errorf("%w after %v waiting for shard %d",
 				ErrBarrierTimeout, e.cfg.DrainTimeout, i)
 		case <-e.done:
-			return nil, ErrClosed
+			return ErrClosed
+		}
+		if err != nil && first == nil {
+			first = fmt.Errorf("xatu: %s shard %d: %w", what, i, err)
 		}
 	}
-	return errs, nil
+	return first
 }
 
 // Stats snapshots per-shard and aggregate counters.
@@ -939,39 +911,11 @@ func (e *Engine) handle(s *shard, run []message, st HealthState) bool {
 		if e.mx != nil {
 			e.mx.mitigationEnds.Inc()
 		}
-	case opBarrier:
-		msg.done <- nil
-	case opCheckpoint:
-		err := s.mon.Checkpoint(msg.buf)
-		if err == nil {
-			// A full checkpoint is also a fresh recovery basis.
-			s.publishSnapshot(append([]byte(nil), msg.buf.Bytes()...))
+	case opExec:
+		err := msg.exec(s)
+		if msg.done != nil {
+			msg.done <- err
 		}
-		msg.done <- err
-	case opSwap:
-		s.mon = msg.mon
-		s.channels.Store(int64(s.mon.Channels()))
-		// Old snapshot and WAL describe the replaced state; re-base on the
-		// restored monitor immediately so a crash right after a Restore
-		// recovers the restored state, not the pre-restore one.
-		s.walReset()
-		s.snap.Store(nil)
-		e.snapshotShard(s)
-		msg.done <- nil
-	case opRewrite:
-		mon, err := msg.rewrite(s.mon)
-		if err == nil && mon != nil {
-			s.mon = mon
-			s.channels.Store(int64(s.mon.Channels()))
-			// Same re-basing rules as opSwap: the snapshot and WAL describe
-			// the pre-rewrite state.
-			s.walReset()
-			s.snap.Store(nil)
-			e.snapshotShard(s)
-		}
-		msg.done <- err
-	case opInject:
-		panic(fmt.Sprintf("engine: injected fault on shard %d", s.id))
 	default:
 		panic(fmt.Sprintf("engine: unknown opcode %d", msg.op))
 	}

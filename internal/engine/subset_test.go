@@ -3,6 +3,8 @@ package engine
 import (
 	"bytes"
 	"net/netip"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -279,4 +281,170 @@ func segChans(t *testing.T, data []byte) map[netip.Addr][]byte {
 		}
 	}
 	return out
+}
+
+// TestControlOpsConcurrentWithSteps: checkpoint, subset checkpoint, subset
+// restore and removal each run on the shard goroutines in mailbox order,
+// so none needs a Drain first. One goroutine streams steps (Block) for
+// customers that stay put while the test moves other customers' state out
+// of and back into the same shards. The staying customers must end
+// byte-equal to a serial monitor fed the same steps, the moving ones
+// byte-equal to their segment, every submitted message must be accounted
+// for, and a checkpoint issued while steps wait in held mailboxes must
+// hold them.
+func TestControlOpsConcurrentWithSteps(t *testing.T) {
+	const warm, live, rounds = 6, 40, 8
+	t0 := time.Date(2019, 7, 3, 0, 0, 0, 0, time.UTC)
+	customers := testCustomers(8)
+	stay, move := customers[:4], customers[4:]
+	moving := func(c netip.Addr) bool { return slices.Contains(move, c) }
+	cfg := tinyMonitorConfig(t)
+	eng, err := New(Config{Monitor: cfg, Shards: 4, Policy: Block, Watchdog: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	go func() {
+		for range eng.Alerts() {
+		}
+	}()
+	ref, err := NewMonitor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// step submits customer c's step s, a missing step every seventh, and
+	// feeds the same to ref for the staying customers.
+	step := func(c netip.Addr, s int) error {
+		at := t0.Add(time.Duration(s) * time.Minute)
+		if s%7 == 3 {
+			if !moving(c) {
+				ref.ObserveMissing(c, at)
+			}
+			return eng.ObserveMissing(c, at)
+		}
+		flows := udpFlows(c, s, t0)
+		if !moving(c) {
+			ref.ObserveStep(c, at, flows)
+		}
+		return eng.Submit(c, at, flows)
+	}
+	for s := 0; s < warm; s++ {
+		for _, c := range customers {
+			if err := step(c, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var seg bytes.Buffer
+	if n, err := eng.CheckpointCustomers(&seg, moving); err != nil || n != len(move) {
+		t.Fatalf("CheckpointCustomers: %d channels, %v; want %d", n, err, len(move))
+	}
+
+	// The producer streams until the rounds are over, and at least live
+	// ticks, so every round overlaps it; it reports the tick it stopped at.
+	stop, streamed := make(chan struct{}), make(chan int, 1)
+	go func() {
+		s := warm
+		for ; s < warm+live || !isClosed(stop); s++ {
+			for _, c := range stay {
+				if err := step(c, s); err != nil {
+					t.Error(err)
+					streamed <- s
+					return
+				}
+			}
+		}
+		streamed <- s
+	}()
+	var full, again bytes.Buffer
+	for r := 0; r < rounds; r++ {
+		full.Reset()
+		if err := eng.Checkpoint(&full); err != nil {
+			t.Fatal(err)
+		}
+		again.Reset()
+		if n, err := eng.CheckpointCustomers(&again, moving); err != nil || n != len(move) {
+			t.Fatalf("round %d: CheckpointCustomers: %d channels, %v", r, n, err)
+		}
+		if !bytes.Equal(again.Bytes(), seg.Bytes()) {
+			t.Fatalf("round %d: the moving customers' segment changed while they were idle", r)
+		}
+		if n, err := eng.RemoveCustomers(moving); err != nil || n != len(move) {
+			t.Fatalf("round %d: RemoveCustomers: %d channels, %v", r, n, err)
+		}
+		if n, err := eng.RestoreCustomers(bytes.NewReader(seg.Bytes()), nil); err != nil || n != len(move) {
+			t.Fatalf("round %d: RestoreCustomers: %d channels, %v", r, n, err)
+		}
+	}
+	close(stop)
+	end := <-streamed
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	// Park every shard, queue one more tick behind the parks, and take a
+	// checkpoint behind that: it must hold the tick.
+	release := sync.OnceFunc(holdShards(eng))
+	defer release() // a failed wait below must not leave the shards parked
+	waitQueues := func(want func(i int) int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for i, s := range eng.shards {
+			for len(s.mail) != want(i) {
+				if time.Now().After(deadline) {
+					t.Fatalf("shard %d: %d queued, want %d", i, len(s.mail), want(i))
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	waitQueues(func(int) int { return 0 })
+	for _, c := range stay {
+		if err := step(c, end); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queued := make([]int, len(eng.shards))
+	for i, s := range eng.shards {
+		queued[i] = len(s.mail)
+	}
+	var held bytes.Buffer
+	ckpt := make(chan error, 1)
+	go func() { ckpt <- eng.Checkpoint(&held) }()
+	waitQueues(func(i int) int { return queued[i] + 1 })
+	release()
+	if err := <-ckpt; err != nil {
+		t.Fatal(err)
+	}
+
+	var want bytes.Buffer
+	if err := ref.Checkpoint(&want); err != nil {
+		t.Fatal(err)
+	}
+	got, serial, moved := scanCheckpoint(t, held.Bytes()), scanCheckpoint(t, want.Bytes()), scanCheckpoint(t, seg.Bytes())
+	for _, c := range stay {
+		if len(got[c]) == 0 || !slices.EqualFunc(got[c], serial[c], bytes.Equal) {
+			t.Errorf("%v: %d channel records differ from the serial monitor's %d", c, len(got[c]), len(serial[c]))
+		}
+	}
+	for _, c := range move {
+		if !slices.EqualFunc(got[c], moved[c], bytes.Equal) {
+			t.Errorf("%v: moved channel records differ from the segment", c)
+		}
+	}
+	st := eng.Stats()
+	if st.Submitted != st.Steps+st.Missing+st.Shed+st.Bypassed {
+		t.Errorf("submitted %d != steps %d + missing %d + shed %d + bypassed %d",
+			st.Submitted, st.Steps, st.Missing, st.Shed, st.Bypassed)
+	}
+	t.Logf("%d rounds of control ops against %d streamed ticks", rounds, end-warm)
+}
+
+func isClosed(c chan struct{}) bool {
+	select {
+	case <-c:
+		return true
+	default:
+		return false
+	}
 }

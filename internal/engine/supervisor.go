@@ -104,7 +104,7 @@ func (e *Engine) supervise(s *shard, run []message, st HealthState) (alive bool)
 		}
 		msg := run[0]
 		s.quarantined.Add(1)
-		if msg.op == opStep || msg.op == opMissing || msg.op == opEnd {
+		if msg.op != opExec {
 			s.lost.Add(1) // the poison message's telemetry is gone for good
 		}
 		s.setLastPanic(r)
@@ -183,7 +183,7 @@ func (e *Engine) postHandle(s *shard, run []message, st HealthState) {
 	case opEnd:
 		s.walAppend(msg, nil, 0)
 	default:
-		return // barrier-family messages do not mutate customer state
+		return // a control op re-bases the snapshot itself when it replaces state
 	}
 	if iv := e.cfg.CheckpointInterval; iv > 0 && time.Since(s.lastSnap) >= iv {
 		e.snapshotShard(s)
@@ -191,14 +191,27 @@ func (e *Engine) postHandle(s *shard, run []message, st HealthState) {
 }
 
 // snapshotShard serializes the shard's monitor and publishes it as the
-// new recovery basis, re-basing the WAL. Runs on the shard goroutine.
-func (e *Engine) snapshotShard(s *shard) {
+// new recovery basis, re-basing the WAL, and returns the blob. On error
+// the previous snapshot stays and the WAL keeps extending the old basis.
+// Runs on the shard goroutine.
+func (e *Engine) snapshotShard(s *shard) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := s.mon.Checkpoint(&buf); err != nil {
-		// Keep the previous snapshot; the WAL keeps extending the old basis.
-		return
+		return nil, err
 	}
 	s.publishSnapshot(buf.Bytes())
+	return buf.Bytes(), nil
+}
+
+// replace installs mon as the shard's monitor (restore and rewrite) and
+// re-bases recovery on it at once: the old snapshot and WAL describe the
+// replaced state, and a crash right after must recover mon.
+func (e *Engine) replace(s *shard, mon *Monitor) {
+	s.mon = mon
+	s.channels.Store(int64(mon.Channels()))
+	s.walReset()
+	s.snap.Store(nil)
+	e.snapshotShard(s)
 }
 
 // publishSnapshot installs data (a complete version-1 Monitor blob the
@@ -276,22 +289,13 @@ func (e *Engine) rebuildMonitor(s *shard) (mon *Monitor, replayed int, ok bool) 
 // InjectFault enqueues a poison message that panics inside the target
 // shard's processing loop — deterministic chaos for supervision tests and
 // the soak harness. The supervisor treats it like any organic panic.
-func (e *Engine) InjectFault(shard int) error {
-	if shard < 0 || shard >= len(e.shards) {
-		return fmt.Errorf("xatu: no shard %d", shard)
+func (e *Engine) InjectFault(id int) error {
+	if id < 0 || id >= len(e.shards) {
+		return fmt.Errorf("xatu: no shard %d", id)
 	}
-	if e.closed() {
-		return ErrClosed
-	}
-	s := e.shards[shard]
-	select {
-	case s.mail <- message{op: opInject}:
-		return nil
-	case <-s.deadCh:
-		return fmt.Errorf("%w (shard %d)", ErrShardDead, shard)
-	case <-e.done:
-		return ErrClosed
-	}
+	return e.send(e.shards[id], message{op: opExec, exec: func(s *shard) error {
+		panic(fmt.Sprintf("engine: injected fault on shard %d", s.id))
+	}})
 }
 
 func (s *shard) setLastPanic(r any) {
@@ -371,7 +375,6 @@ func (e *Engine) fallbackMissing(s *shard, msg message) {
 // healthSignals is one watchdog tick's view of the fleet.
 type healthSignals struct {
 	worstQueueFrac float64
-	avgStep        time.Duration // mean step latency over the last tick window
 	stalledShards  int
 	deadShards     int
 	shedding       bool // ShedOldest policy: queue pressure implies data loss
@@ -379,12 +382,9 @@ type healthSignals struct {
 
 // decideHealth maps one tick's signals to the state the engine should be
 // in, most severe condition first.
-func decideHealth(cfg *Config, sig healthSignals) (HealthState, string) {
+func decideHealth(sig healthSignals) (HealthState, string) {
 	if sig.shedding && sig.worstQueueFrac >= cdetOnlyQueueFrac {
 		return CDetOnly, fmt.Sprintf("mailbox %.0f%% full, telemetry being shed", sig.worstQueueFrac*100)
-	}
-	if cfg.CDetOnlyStepLatency > 0 && sig.avgStep >= cfg.CDetOnlyStepLatency {
-		return CDetOnly, fmt.Sprintf("step latency %v over cdet-only bound %v", sig.avgStep, cfg.CDetOnlyStepLatency)
 	}
 	if sig.deadShards > 0 {
 		return Degraded, fmt.Sprintf("%d shard(s) dead", sig.deadShards)
@@ -394,9 +394,6 @@ func decideHealth(cfg *Config, sig healthSignals) (HealthState, string) {
 	}
 	if sig.shedding && sig.worstQueueFrac >= degradedQueueFrac {
 		return Degraded, fmt.Sprintf("mailbox %.0f%% full", sig.worstQueueFrac*100)
-	}
-	if cfg.DegradedStepLatency > 0 && sig.avgStep >= cfg.DegradedStepLatency {
-		return Degraded, fmt.Sprintf("step latency %v over degraded bound %v", sig.avgStep, cfg.DegradedStepLatency)
 	}
 	return Healthy, ""
 }
@@ -515,7 +512,7 @@ func (e *Engine) watchdog(tick time.Duration) {
 			return
 		case <-t.C:
 			sig := e.collectSignals(w)
-			desired, cause := decideHealth(&e.cfg, sig)
+			desired, cause := decideHealth(sig)
 			e.stepHealth(desired, cause, &w.ladder)
 		}
 	}
@@ -525,19 +522,17 @@ func (e *Engine) watchdog(tick time.Duration) {
 type watchdogState struct {
 	lastHandled  []uint64
 	lastProgress []time.Time
-	lastSteps    uint64
-	lastNanos    uint64
 	lastShed     uint64
 	ladder       healthLadder
 }
 
 // collectSignals snapshots the fleet for one tick: stall detection per
 // shard (queued work but no completed message for StallAfter), worst
-// mailbox fullness, and the mean step latency over the tick window.
+// mailbox fullness, and the telemetry shed since the last tick.
 func (e *Engine) collectSignals(w *watchdogState) healthSignals {
 	now := time.Now()
 	sig := healthSignals{shedding: e.cfg.Policy == ShedOldest}
-	var steps, nanos, shed uint64
+	var shed uint64
 	for i, s := range e.shards {
 		if s.dead.Load() {
 			sig.deadShards++
@@ -557,12 +552,7 @@ func (e *Engine) collectSignals(w *watchdogState) healthSignals {
 				sig.worstQueueFrac = f
 			}
 		}
-		steps += s.steps.Load()
-		nanos += s.stepNanos.Load()
 		shed += s.shed.Load()
-	}
-	if ds := steps - w.lastSteps; ds > 0 {
-		sig.avgStep = time.Duration((nanos - w.lastNanos) / ds)
 	}
 	if d := shed - w.lastShed; d > 0 {
 		// A shed burst is a flight event, not a health transition: the
@@ -570,6 +560,6 @@ func (e *Engine) collectSignals(w *watchdogState) healthSignals {
 		// the evidence of *when* load was dropped.
 		e.cfg.Flight.Record("shed", "%d telemetry messages shed this tick", d)
 	}
-	w.lastSteps, w.lastNanos, w.lastShed = steps, nanos, shed
+	w.lastShed = shed
 	return sig
 }

@@ -460,7 +460,7 @@ func TestHealthLadder(t *testing.T) {
 	}()
 	lad := &healthLadder{}
 	tick := func(sig healthSignals) HealthState {
-		desired, cause := decideHealth(&eng.cfg, sig)
+		desired, cause := decideHealth(sig)
 		eng.stepHealth(desired, cause, lad)
 		return eng.HealthState()
 	}
@@ -501,7 +501,7 @@ func TestHealthLadder(t *testing.T) {
 		t.Fatal("never returned to Healthy")
 	}
 	// Dead shards pin the state at Degraded.
-	if st, cause := decideHealth(&eng.cfg, healthSignals{deadShards: 1}); st != Degraded || cause == "" {
+	if st, cause := decideHealth(healthSignals{deadShards: 1}); st != Degraded || cause == "" {
 		t.Fatalf("dead shard decided %v/%q", st, cause)
 	}
 }
