@@ -25,11 +25,11 @@ test:
 # engine, the parallel ingest pipeline, the telemetry registry, the
 # feature extractor with the registries it reads (blocklists, attack
 # history, spoof checker) — the only state shard goroutines share on every
-# step —, xatu-detect's gap-filling sink (fed by every aggregation worker)
-# and the root-package integration tests.
+# step —, the serving node (its gap-filling sink is fed by every
+# aggregation worker) and the root-package integration tests.
 race:
 	$(GO) test -race ./internal/netflow ./internal/nn ./internal/core ./internal/engine ./internal/ingest ./internal/cluster ./internal/telemetry ./internal/trace \
-		./internal/features ./internal/attackhist ./internal/blocklist ./internal/spoof ./cmd/xatu-detect .
+		./internal/features ./internal/attackhist ./internal/blocklist ./internal/spoof .
 
 # The float32 serving kernels (quantized panel matmuls, gate
 # nonlinearities, widen/narrow) and the batched training kernels (tape
@@ -132,8 +132,10 @@ trace-smoke:
 # (XSC1 stream, XMC1 monitor checkpoints, and XMC1's version-2 shard
 # framing through Engine.Restore and RestoreCustomers) and the three
 # registry files xatu-detect loads next to the models (blocklists.txt,
-# routes.txt, history.snap); plus the WAL's vector encoding, which must
-# round-trip every float64 bit pattern. Ten seconds each from the
+# routes.txt, history.snap); the WAL's vector encoding, which must
+# round-trip every float64 bit pattern; and a serving node's control
+# plane (/v1/table and /v1/steps bodies, then a routed step), on a
+# standalone node that dials no peer. Ten seconds each from the
 # committed seed corpora (CI smoke; run longer locally with -fuzztime as
 # needed). The model reader may legitimately allocate a model of up to
 # 1<<24 parameters for a mutated header, so it fuzzes on one worker.
@@ -150,12 +152,15 @@ fuzz:
 	$(GO) test ./internal/blocklist -run '^$$' -fuzz FuzzBlocklistLoadText -fuzztime 10s
 	$(GO) test ./internal/routing -run '^$$' -fuzz FuzzRoutingLoadText -fuzztime 10s
 	$(GO) test ./internal/attackhist -run '^$$' -fuzz FuzzAttackhistLoad -fuzztime 10s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzNodeControl -fuzztime 10s
 
-# xatu-detect's two inputs end to end: a tiny model, then the steps around
-# ispgen's first attack as a journal through -replay and as NetFlow v5 over
-# loopback UDP into a live detector stopped with SIGINT. Both must print
-# the same non-empty set of ALERT lines, and the live run must lose no
-# record and decode every datagram (~5 s; scripts/detect-smoke.sh).
+# xatu-detect's two inputs and two modes end to end: a tiny model, then the
+# steps around ispgen's first attack as a journal through -replay, as
+# NetFlow v5 over loopback UDP into a live detector stopped with SIGINT,
+# and as the journal through -replay on a one-node fleet under xatu-coord.
+# All three must print the same non-empty set of ALERT lines, and the live
+# run must lose no record and decode every datagram (~5 s;
+# scripts/detect-smoke.sh).
 detect-smoke:
 	bash scripts/detect-smoke.sh
 

@@ -19,8 +19,9 @@ type (
 	Coordinator = cluster.Coordinator
 	// CoordinatorConfig parameterizes a Coordinator.
 	CoordinatorConfig = cluster.CoordinatorConfig
-	// ClusterNode is one engine node: supervised Engine + ingest pipeline
-	// + telemetry server wrapped with the cluster control plane.
+	// ClusterNode is the one serving composition: supervised Engine +
+	// ingest pipeline + telemetry server wrapped with the cluster control
+	// plane, standalone when it has no coordinator (xatu-detect runs one).
 	ClusterNode = cluster.Node
 	// ClusterNodeConfig parameterizes a ClusterNode.
 	ClusterNodeConfig = cluster.NodeConfig
@@ -42,8 +43,8 @@ type (
 // control plane).
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator { return cluster.NewCoordinator(cfg) }
 
-// StartClusterNode builds one engine node, joins the coordinator, and
-// starts serving.
+// StartClusterNode builds one engine node, joins the coordinator (or,
+// without one, serves every customer alone), and starts serving.
 func StartClusterNode(cfg ClusterNodeConfig) (*ClusterNode, error) { return cluster.StartNode(cfg) }
 
 // StartClusterRouter starts a table-following flow router for the

@@ -1,13 +1,13 @@
 // Command xatu-coord runs the cluster coordinator: the HTTP/JSON control
-// plane for a fleet of xatu-node engine nodes. It tracks membership
+// plane for a fleet of xatu-detect engine nodes. It tracks membership
 // (join/leave/heartbeat with timeout takeover), maintains the versioned
 // customer→node routing table, fans in deduped alerts from every node,
 // and serves a federated Prometheus /metrics merging its own families
 // with each node's scrape under a node="id" label.
 //
 //	xatu-coord -listen 127.0.0.1:7070 -shards 4 &
-//	xatu-node -id node-1 -coordinator 127.0.0.1:7070 -models ./models &
-//	xatu-node -id node-2 -coordinator 127.0.0.1:7070 -models ./models &
+//	xatu-detect -id node-1 -coordinator 127.0.0.1:7070 -models ./models -listen 127.0.0.1:0 &
+//	xatu-detect -id node-2 -coordinator 127.0.0.1:7070 -models ./models -listen 127.0.0.1:0 &
 package main
 
 import (

@@ -1,8 +1,9 @@
 // Command xatu-soak is the self-healing acceptance harness: it trains a
 // model in-process, replays the simulated world's test window through the
 // real serving path — NetFlow v5 exporter → chaos-wrapped UDP socket →
-// parallel ingest pipeline → supervised sharded engine, all in event-time
-// mode — under a phased chaos schedule (loss/dup/reorder ramps, injected
+// a standalone serving node (parallel ingest pipeline → supervised
+// sharded engine), all in event-time mode — under a phased chaos
+// schedule (loss/dup/reorder ramps, injected
 // shard panics, a mid-run incremental checkpoint/restore, a forced
 // degradation window), and compares per-episode detection delay against a
 // fault-free run of the identical path. Results land in BENCH_soak.json;
@@ -13,13 +14,13 @@
 package main
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
+	"net/netip"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -213,86 +214,52 @@ func (sk *soak) run(sched []phaseChange) runResult {
 	stab, total := sk.p.StabEnd, world.Steps()
 	testSteps := total - stab
 
-	reg := xatu.NewTelemetryRegistry()
-	// The flight recorder is the run's black box: panics, restarts,
-	// checkpoint/restore cycles, sheds and every health transition land in
-	// its ring, and transitions freeze the ring into dumps the report
-	// asserts on.
-	flight := xatu.NewFlightRecorder("soak", 0)
-	eng, err := xatu.NewEngine(xatu.EngineConfig{
-		Monitor: xatu.MonitorConfig{
-			Models:        sk.ml.Models.ByType,
-			Default:       sk.ml.Models.Shared,
-			Extractor:     sk.p.Extractor(nil, nil),
-			Threshold:     sk.thr,
-			MissingPolicy: xatu.MissingCarry,
-		},
-		Shards:             sk.shards,
-		Policy:             xatu.BackpressureBlock,
-		Step:               stepDur,
-		WAL:                sk.wal,
-		CheckpointInterval: sk.ckptI,
-		Watchdog:           25 * time.Millisecond,
-		RecoverTicks:       4,
-		Telemetry:          reg,
-		Flight:             flight,
-	})
-	if err != nil {
-		fatal("engine: %v", err)
-	}
-
 	// Alert fan-in: remember the first alert step per (customer, type).
+	// OnAlert runs on the node's one alert pump, and Close waits for it.
 	type alertKey struct {
 		customer int
 		atype    xatu.AttackType
 		step     int
 	}
-	var (
-		alertMu sync.Mutex
-		alerts  []alertKey
-	)
-	custIdx := map[string]int{}
-	for i := range sk.p.World.Customers {
-		custIdx[sk.p.World.Customers[i].Addr.String()] = i
+	var alerts []alertKey
+	custIdx := map[netip.Addr]int{}
+	for i, c := range sk.p.World.Customers {
+		custIdx[c.Addr] = i
 	}
-	alertsDone := make(chan struct{})
-	go func() {
-		defer close(alertsDone)
-		for ev := range eng.Alerts() {
-			ci, ok := custIdx[ev.Customer.String()]
-			if !ok {
-				continue
-			}
-			s := int(ev.At.Sub(t0) / stepDur)
-			alertMu.Lock()
-			alerts = append(alerts, alertKey{ci, ev.Alert.Sig.Type, s})
-			alertMu.Unlock()
-		}
-	}()
-
-	// Ingest: event-time stepping over a real UDP socket.
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		fatal("listen: %v", err)
-	}
-	if uc, ok := pc.(*net.UDPConn); ok {
-		uc.SetReadBuffer(8 << 20) // absorb paced bursts on loopback
-	}
-	pipe, err := xatu.NewIngestPipeline(xatu.IngestConfig{
+	// Ingest: event-time stepping over a real UDP socket into the node.
+	node, err := xatu.StartClusterNode(xatu.ClusterNodeConfig{
+		ID: "soak",
+		Engine: xatu.EngineConfig{
+			Monitor: xatu.MonitorConfig{
+				Models:        sk.ml.Models.ByType,
+				Default:       sk.ml.Models.Shared,
+				Extractor:     sk.p.Extractor(nil, nil),
+				Threshold:     sk.thr,
+				MissingPolicy: xatu.MissingCarry,
+			},
+			Shards:             sk.shards,
+			Policy:             xatu.BackpressureBlock,
+			Step:               stepDur,
+			WAL:                sk.wal,
+			CheckpointInterval: sk.ckptI,
+			Watchdog:           25 * time.Millisecond,
+			RecoverTicks:       4,
+		},
 		DecodeWorkers: 1,
 		AggWorkers:    1,
 		Step:          stepDur,
 		Lateness:      2 * stepDur,
 		QueueDepth:    1024,
-		Sink:          eng,
-		Telemetry:     reg,
+		OnAlert: func(ev xatu.AlertEvent) {
+			if ci, ok := custIdx[ev.Customer]; ok {
+				alerts = append(alerts, alertKey{ci, ev.Alert.Sig.Type, int(ev.At.Sub(t0) / stepDur)})
+			}
+		},
 	})
 	if err != nil {
-		fatal("ingest: %v", err)
+		fatal("node: %v", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- pipe.Serve(ctx, pc) }()
+	eng := node.Engine()
 
 	// Exporter: event-time clock anchored before the first record, chaos
 	// wrapped around the real UDP socket. Reconnects inherit the current
@@ -303,7 +270,7 @@ func (sk *soak) run(sched []phaseChange) runResult {
 		curConn  *xatu.ChaosConn
 	)
 	curRates.Seed = 42
-	addr := pc.LocalAddr().String()
+	addr := node.Info().Ingest
 	exp, err := xatu.NewExporterWithConfig(xatu.ExporterConfig{
 		BootTime: t0.Add(-time.Minute),
 		Dial: func() (net.Conn, error) {
@@ -358,25 +325,11 @@ func (sk *soak) run(sched []phaseChange) runResult {
 			res.panics++
 		case "ckpt-restore":
 			quiesce()
-			f, err := os.CreateTemp(filepath.Dir("."), "soak-ckpt-*")
-			if err != nil {
-				fatal("%v", err)
-			}
-			name := f.Name()
-			if err := eng.CheckpointIncremental(f); err != nil {
+			var ckpt bytes.Buffer
+			if err := eng.CheckpointIncremental(&ckpt); err != nil {
 				fatal("checkpoint: %v", err)
 			}
-			if err := f.Close(); err != nil {
-				fatal("%v", err)
-			}
-			rf, err := os.Open(name)
-			if err != nil {
-				fatal("%v", err)
-			}
-			err = eng.Restore(rf)
-			rf.Close()
-			os.Remove(name)
-			if err != nil {
+			if err := eng.Restore(&ckpt); err != nil {
 				fatal("restore: %v", err)
 			}
 			res.restores++
@@ -420,15 +373,9 @@ func (sk *soak) run(sched []phaseChange) runResult {
 			time.Sleep(sk.rate)
 		}
 	}
-	// Wind down: let the tail datagrams land, then seal what remains.
+	// Wind down: let the tail datagrams land and the engine settle; Close
+	// seals what remains below.
 	time.Sleep(200 * time.Millisecond)
-	cancel()
-	if err := <-serveDone; err != nil && ctx.Err() == nil {
-		fatal("serve: %v", err)
-	}
-	if err := pipe.Close(); err != nil {
-		fatal("ingest close: %v", err)
-	}
 	if err := eng.Drain(); err != nil {
 		fatal("drain: %v", err)
 	}
@@ -439,11 +386,14 @@ func (sk *soak) run(sched []phaseChange) runResult {
 	for eng.HealthState() != xatu.EngineHealthy && time.Now().After(deadline) == false {
 		time.Sleep(25 * time.Millisecond)
 	}
+	if err := node.Close(); err != nil {
+		fatal("node close: %v", err)
+	}
 
 	es := exp.Stats()
 	res.exported = es.Sent
 	res.engineStats = eng.Stats()
-	res.ingest = pipe.Stats()
+	res.ingest = node.IngestStats()
 	chaosMu.Lock()
 	if curConn != nil {
 		res.chaosStats = curConn.Stats()
@@ -451,16 +401,18 @@ func (sk *soak) run(sched []phaseChange) runResult {
 	chaosMu.Unlock()
 	res.transitions = eng.Transitions()
 	res.health = eng.HealthState().String()
-	res.flightDumps = flight.Dumps()
-	res.flightEvs = len(flight.Events())
+	// The flight recorder is the run's black box: panics, restarts,
+	// checkpoint/restore cycles, sheds and every health transition land in
+	// its ring, and transitions freeze the ring into dumps the report
+	// asserts on.
+	res.flightDumps = node.Flight().Dumps()
+	res.flightEvs = len(node.Flight().Events())
 	if h := eng.StepLatency(); h != nil {
 		sum := h.Summary()
 		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 		res.stepLatency = latencyMS{Count: sum.Count, P50: ms(sum.P50), P90: ms(sum.P90), P99: ms(sum.P99), Max: ms(sum.Max)}
 	}
 	exp.Close()
-	eng.Close()
-	<-alertsDone
 
 	// First alert inside each episode's anomalous window is its detection.
 	for i, ep := range sk.eps {

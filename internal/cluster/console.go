@@ -27,10 +27,7 @@ func serveConsole(w http.ResponseWriter, _ *http.Request) {
 // statusNode is one node's row in /v1/status: registry info plus the
 // node's own /healthz body scraped at request time.
 type statusNode struct {
-	ID         string          `json:"id"`
-	API        string          `json:"api"`
-	Ingest     string          `json:"ingest"`
-	Metrics    string          `json:"metrics"`
+	NodeInfo
 	LastSeenMS int64           `json:"lastSeenMs"` // ms since last heartbeat
 	Up         bool            `json:"up"`         // healthz scrape succeeded
 	Health     json.RawMessage `json:"health,omitempty"`
@@ -54,10 +51,7 @@ func (c *Coordinator) serveStatus(w http.ResponseWriter, _ *http.Request) {
 	t := c.table
 	rows := make([]statusNode, 0, len(c.members))
 	for _, m := range c.members {
-		rows = append(rows, statusNode{
-			ID: m.info.ID, API: m.info.API, Ingest: m.info.Ingest, Metrics: m.info.Metrics,
-			LastSeenMS: now.Sub(m.lastSeen).Milliseconds(),
-		})
+		rows = append(rows, statusNode{NodeInfo: m.info, LastSeenMS: now.Sub(m.lastSeen).Milliseconds()})
 	}
 	alerts := c.alerts
 	if len(alerts) > maxStatusAlerts {
@@ -70,21 +64,15 @@ func (c *Coordinator) serveStatus(w http.ResponseWriter, _ *http.Request) {
 	// Per-node health is scraped live: the registry knows who *should*
 	// be up; the scrape shows who actually answers and on which table
 	// version.
-	var wg sync.WaitGroup
+	infos := make([]NodeInfo, len(rows))
 	for i := range rows {
-		if rows[i].Metrics == "" {
-			continue
-		}
-		wg.Add(1)
-		go func(row *statusNode) {
-			defer wg.Done()
-			if body, err := c.scrapeBody(row.Metrics, "/healthz"); err == nil && json.Valid(body) {
-				row.Up = true
-				row.Health = body
-			}
-		}(&rows[i])
+		infos[i] = rows[i].NodeInfo
 	}
-	wg.Wait()
+	for i, body := range c.scrapeAll(infos, "/healthz") {
+		if json.Valid(body) {
+			rows[i].Up, rows[i].Health = true, body
+		}
+	}
 	writeJSON(w, statusDoc{Table: t, Nodes: rows, Alerts: alerts, TraceRate: c.tracer.Rate()})
 }
 
@@ -163,23 +151,11 @@ func (c *Coordinator) serveTraces(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (c *Coordinator) collectTraceDocs() []nodeTraceDoc {
-	nodes := c.CurrentTable().Nodes
-	docs := make([]nodeTraceDoc, len(nodes)+1)
-	var wg sync.WaitGroup
-	for i, n := range nodes {
-		if n.Metrics == "" {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, n NodeInfo) {
-			defer wg.Done()
-			if body, err := c.scrapeBody(n.Metrics, "/debug/trace"); err == nil {
-				_ = json.Unmarshal(body, &docs[i])
-			}
-		}(i, n)
+	bodies := append(c.scrapeAll(c.CurrentTable().Nodes, "/debug/trace"), c.tracer.JSON())
+	docs := make([]nodeTraceDoc, len(bodies))
+	for i, body := range bodies {
+		_ = json.Unmarshal(body, &docs[i])
 	}
-	wg.Wait()
-	_ = json.Unmarshal(c.tracer.JSON(), &docs[len(nodes)])
 	return docs
 }
 
@@ -198,23 +174,11 @@ type incidentsDoc struct {
 // coordinator's own into one fleet-wide incident timeline: all events
 // ordered by time, all incident dumps oldest first.
 func (c *Coordinator) serveIncidents(w http.ResponseWriter, _ *http.Request) {
-	nodes := c.CurrentTable().Nodes
-	docs := make([]nodeFlightDoc, len(nodes)+1)
-	var wg sync.WaitGroup
-	for i, n := range nodes {
-		if n.Metrics == "" {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, n NodeInfo) {
-			defer wg.Done()
-			if body, err := c.scrapeBody(n.Metrics, "/debug/flight"); err == nil {
-				_ = json.Unmarshal(body, &docs[i])
-			}
-		}(i, n)
+	bodies := append(c.scrapeAll(c.CurrentTable().Nodes, "/debug/flight"), c.flight.JSON())
+	docs := make([]nodeFlightDoc, len(bodies))
+	for i, body := range bodies {
+		_ = json.Unmarshal(body, &docs[i])
 	}
-	wg.Wait()
-	_ = json.Unmarshal(c.flight.JSON(), &docs[len(nodes)])
 	out := incidentsDoc{Events: []trace.FlightEvent{}, Dumps: []trace.Dump{}}
 	for _, d := range docs {
 		out.Events = append(out.Events, d.Events...)
@@ -225,13 +189,30 @@ func (c *Coordinator) serveIncidents(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, out)
 }
 
-// scrapeBody GETs one debug/health endpoint off a node's telemetry
-// listener, bounded by the coordinator's HTTP client timeout.
-func (c *Coordinator) scrapeBody(addr, path string) ([]byte, error) {
-	resp, err := c.client.Get("http://" + addr + path)
-	if err != nil {
-		return nil, err
+// scrapeAll GETs path off every node's telemetry listener at once,
+// bounded by the coordinator's HTTP client timeout. bodies[i] is nil when
+// node i has no listener or its scrape failed.
+func (c *Coordinator) scrapeAll(nodes []NodeInfo, path string) [][]byte {
+	bodies := make([][]byte, len(nodes))
+	var wg sync.WaitGroup
+	for i, n := range nodes {
+		if n.Metrics == "" {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := c.client.Get("http://" + n.Metrics + path)
+			if err == nil {
+				bodies[i], err = io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+				resp.Body.Close()
+			}
+			if err != nil {
+				bodies[i] = nil
+				c.cfg.Logf("cluster: scrape %s%s: %v", n.ID, path, err)
+			}
+		}()
 	}
-	defer resp.Body.Close()
-	return io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	wg.Wait()
+	return bodies
 }

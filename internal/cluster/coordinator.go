@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -319,19 +318,11 @@ func (c *Coordinator) CurrentTable() Table {
 // pushTable best-effort POSTs the table to every node; nodes that miss
 // the push converge via the heartbeat version check.
 func (c *Coordinator) pushTable(t Table) {
-	body, err := json.Marshal(tableResponse{Table: t})
-	if err != nil {
-		return
-	}
 	for _, n := range t.Nodes {
-		n := n
 		go func() {
-			resp, err := c.client.Post("http://"+n.API+"/v1/table", "application/json", bytes.NewReader(body))
-			if err != nil {
+			if err := call(c.client, n.API, "/v1/table", tableResponse{Table: t}, nil); err != nil {
 				c.cfg.Logf("cluster: push table v%d to %s: %v", t.Version, n.ID, err)
-				return
 			}
-			resp.Body.Close()
 		}()
 	}
 }
@@ -441,14 +432,13 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("/metrics", c.federatedMetrics)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
 		c.mu.Lock()
 		v, n := c.table.Version, len(c.members)
 		c.mu.Unlock()
-		_ = json.NewEncoder(w).Encode(struct {
+		writeJSON(w, struct {
 			nodeHealth
 			Nodes int `json:"nodes"`
-		}{nodeHealth: nodeHealth{OK: true, Node: "coordinator", TableVersion: v}, Nodes: n})
+		}{nodeHealth{OK: true, Node: "coordinator", TableVersion: v}, n})
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

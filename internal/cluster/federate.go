@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 
 	"github.com/xatu-go/xatu/internal/telemetry"
 )
@@ -31,28 +30,7 @@ func (c *Coordinator) federatedMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	nodes := c.CurrentTable().Nodes
-	bodies := make([][]byte, len(nodes))
-	var wg sync.WaitGroup
-	for i, n := range nodes {
-		if n.Metrics == "" {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, n NodeInfo) {
-			defer wg.Done()
-			resp, err := c.client.Get("http://" + n.Metrics + "/metrics")
-			if err != nil {
-				c.cfg.Logf("cluster: scrape %s: %v", n.ID, err)
-				return
-			}
-			defer resp.Body.Close()
-			var b bytes.Buffer
-			if _, err := b.ReadFrom(resp.Body); err == nil {
-				bodies[i] = b.Bytes()
-			}
-		}(i, n)
-	}
-	wg.Wait()
+	bodies := c.scrapeAll(nodes, "/metrics")
 	stale := make([]bool, len(nodes))
 	for i, n := range nodes {
 		body := bodies[i]

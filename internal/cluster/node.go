@@ -11,6 +11,7 @@ import (
 	"net/netip"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,9 +28,12 @@ type NodeConfig struct {
 	// ID is the node's stable identity across restarts.
 	ID string
 	// Coordinator is the coordinator control-plane address (host:port).
+	// Empty = standalone: the node serves every customer under a static
+	// one-node table and runs no join, heartbeat, leave or alert POST.
 	Coordinator string
 	// APIAddr / IngestAddr / TelemetryAddr are listen addresses; empty =
-	// "127.0.0.1:0" (ephemeral, resolved addresses are advertised).
+	// "127.0.0.1:0" (ephemeral, resolved addresses are advertised). A
+	// standalone node opens no cluster API and ignores APIAddr.
 	APIAddr       string
 	IngestAddr    string
 	TelemetryAddr string
@@ -65,6 +69,19 @@ type NodeConfig struct {
 	// Every node (and the router's exporters) must use the same rate for
 	// cross-node timelines to line up. Zero disables tracing.
 	TraceSample int
+
+	// Checkpoint, when set, is the node's detector-state file: restored
+	// at start if present (then cut to the customers the first routing
+	// table gives this node), rewritten from the engine's background
+	// snapshots every CheckpointEvery (zero = 1m) and at a barrier on a
+	// graceful Close. Every save is tmp + rename.
+	Checkpoint      string
+	CheckpointEvery time.Duration
+	// GapFill reports each step a customer skipped since its previous one
+	// to the engine as missing, on the node that owns the customer.
+	GapFill bool
+	// OnAlert, when set, is called on the alert pump for every alert.
+	OnAlert func(engine.AlertEvent)
 }
 
 // inboundWindow is the buffering side of one table transition: steps for
@@ -121,6 +138,11 @@ type Node struct {
 	reg    *telemetry.Registry
 	tracer *trace.Recorder // nil when TraceSample == 0
 	flight *trace.Flight
+	gaps   *gapFiller // nil unless GapFill
+
+	restored   bool       // the engine started from cfg.Checkpoint
+	ckptMu     sync.Mutex // serializes saves
+	ckptClosed bool       // the barrier save on Close is written: no save may follow
 
 	mu      sync.Mutex
 	table   *Table
@@ -149,15 +171,13 @@ type Node struct {
 	ingestCtx context.CancelFunc
 }
 
-// StartNode builds the node stack, joins the coordinator, and starts
-// serving. The returned node is live; use WaitReady to block until the
-// first routing table has been applied.
+// StartNode builds the node stack, restores cfg.Checkpoint, joins the
+// coordinator (or installs the standalone table), and starts serving.
+// The returned node is live; use WaitReady to block until the first
+// routing table has been applied.
 func StartNode(cfg NodeConfig) (*Node, error) {
 	if cfg.ID == "" {
 		return nil, errors.New("cluster: node needs an ID")
-	}
-	if cfg.Coordinator == "" {
-		return nil, errors.New("cluster: node needs a coordinator address")
 	}
 	if cfg.APIAddr == "" {
 		cfg.APIAddr = "127.0.0.1:0"
@@ -173,6 +193,9 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	if cfg.MigrateTimeout <= 0 {
 		cfg.MigrateTimeout = 5 * time.Second
+	}
+	if cfg.CheckpointEvery <= 0 {
+		cfg.CheckpointEvery = time.Minute
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -208,6 +231,13 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	n.eng = eng
+	if cfg.GapFill {
+		n.gaps = newGapFiller(eng, cfg.Step)
+	}
+	if err := n.restore(); err != nil {
+		eng.Close()
+		return nil, err
+	}
 
 	pipe, err := ingest.New(ingest.Config{
 		DecodeWorkers: cfg.DecodeWorkers,
@@ -243,10 +273,12 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}()
 
 	tsrv, err := telemetry.NewServer(cfg.TelemetryAddr, reg, func() telemetry.Health {
-		st := eng.Stats()
-		return telemetry.Health{OK: st.DeadShards == 0, Detail: map[string]any{
-			"node": cfg.ID, "health": st.Health.String(), "tableVersion": n.TableVersion(),
-		}}
+		h := eng.Health()
+		return telemetry.Health{OK: h.OK, Detail: struct {
+			Node         string `json:"node"`
+			TableVersion uint64 `json:"tableVersion"`
+			engine.EngineHealth
+		}{cfg.ID, n.TableVersion(), h}}
 	})
 	if err != nil {
 		n.teardownEarly()
@@ -262,22 +294,35 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		w.Write(n.flight.JSON())
 	})
 
-	api, err := serveHTTP(cfg.APIAddr, n.handler())
-	if err != nil {
-		n.teardownEarly()
-		return nil, err
-	}
-	n.api = api
-
 	n.info = NodeInfo{
 		ID:      cfg.ID,
-		API:     api.Addr(),
 		Ingest:  udp.LocalAddr().String(),
 		Metrics: tsrv.Addr(),
 	}
+	// A standalone node takes no table pushes, forwarded steps or
+	// migration segments, so it opens no control plane.
+	if cfg.Coordinator != "" {
+		api, err := serveHTTP(cfg.APIAddr, n.handler())
+		if err != nil {
+			n.teardownEarly()
+			return nil, err
+		}
+		n.api = api
+		n.info.API = api.Addr()
+	}
 
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go n.alertPump()
+	if cfg.Checkpoint != "" {
+		n.wg.Add(1)
+		go n.checkpointLoop()
+	}
+	if cfg.Coordinator == "" {
+		// NodeOf(c, 1, n) == (0, ShardOf(c, n)): the engine's own routing.
+		n.applyTable(Table{Version: 1, Shards: eng.Shards(), Nodes: []NodeInfo{n.info}})
+		return n, nil
+	}
+	n.wg.Add(1)
 	go n.heartbeatLoop()
 	if err := n.join(); err != nil {
 		// The heartbeat loop keeps retrying the join; surfacing the first
@@ -323,9 +368,6 @@ func (n *Node) teardownEarly() {
 	if n.tsrv != nil {
 		n.tsrv.Close()
 	}
-	if n.api != nil {
-		n.api.Close()
-	}
 }
 
 // Info returns the node's advertised identity and resolved addresses.
@@ -333,6 +375,9 @@ func (n *Node) Info() NodeInfo { return n.info }
 
 // Engine exposes the node's engine (harness checkpoint comparisons).
 func (n *Node) Engine() *engine.Engine { return n.eng }
+
+// Flight exposes the node's flight recorder (harness assertions).
+func (n *Node) Flight() *trace.Flight { return n.flight }
 
 // TableVersion returns the applied routing-table version (0 before the
 // first table).
@@ -374,14 +419,16 @@ func (n *Node) WaitReady(timeout time.Duration) error {
 // same routing path as steps forwarded by peers. flows is valid only for
 // the call; route copies a step it keeps past it.
 func (n *Node) Submit(customer netip.Addr, at time.Time, flows []netflow.Record) error {
-	return n.route(WireStep{Customer: customer, At: at, Flows: flows})
+	return n.route(WireStep{Customer: customer, At: at, Flows: flows}, false)
 }
 
 // route delivers one step per the current table: buffer (mid-migration
 // gain), submit locally (owned), or forward (owned elsewhere). The step's
 // flows are the caller's, valid only for the call, so a step that waits —
 // in the inbound-migration buffer or on a forwarder queue — holds a copy.
-func (n *Node) route(step WireStep) error {
+// A forwarded step is dropped when its forwarder's queue is full, unless
+// wait is set: then route waits for room.
+func (n *Node) route(step WireStep, wait bool) error {
 	n.mu.Lock()
 	if n.killed || n.table == nil || len(n.table.Nodes) == 0 {
 		n.mu.Unlock()
@@ -402,6 +449,9 @@ func (n *Node) route(step WireStep) error {
 			return nil
 		}
 		n.mu.Unlock()
+		if n.gaps != nil {
+			return n.gaps.Submit(step.Customer, step.At, step.Flows)
+		}
 		return n.eng.Submit(step.Customer, step.At, step.Flows)
 	}
 	if step.Hops >= maxHops {
@@ -413,16 +463,58 @@ func (n *Node) route(step WireStep) error {
 	f := n.forwarderLocked(owner)
 	n.mu.Unlock()
 	step.Flows = slices.Clone(step.Flows)
-	select {
-	case f.ch <- step:
-		n.stepsForwarded.Add(1)
-		if n.tracer.Sampled(step.Customer) {
-			n.tracer.Record(step.Customer, step.At, trace.StageForward, 0, "to "+f.id)
-		}
-	default:
+	if !f.send(step, wait, n.stop) {
 		n.stepsDropped.Add(1)
+		return nil
+	}
+	n.stepsForwarded.Add(1)
+	if n.tracer.Sampled(step.Customer) {
+		n.tracer.Record(step.Customer, step.At, trace.StageForward, 0, "to "+f.id)
 	}
 	return nil
+}
+
+// send queues one step (or a flush marker) for the peer. Without wait it
+// gives up at once when the queue is full; with wait it gives up only when
+// the forwarder or the node stops.
+func (f *forwarder) send(step WireStep, wait bool, stop chan struct{}) bool {
+	if !wait {
+		select {
+		case f.ch <- step:
+			return true
+		default:
+			return false
+		}
+	}
+	select {
+	case f.ch <- step:
+		return true
+	case <-f.done:
+	case <-stop:
+	}
+	return false
+}
+
+// awaitForwarders returns once every step queued on a forwarder before
+// the call has been posted, or its forwarder has stopped: a flush marker
+// rides each FIFO queue behind the steps.
+func (n *Node) awaitForwarders() {
+	n.mu.Lock()
+	fwds := make([]*forwarder, 0, len(n.fwd))
+	for _, f := range n.fwd {
+		fwds = append(fwds, f)
+	}
+	n.mu.Unlock()
+	for _, f := range fwds {
+		ack := make(chan struct{})
+		if f.send(WireStep{ack: ack}, true, n.stop) {
+			select {
+			case <-ack:
+			case <-f.done:
+			case <-n.stop:
+			}
+		}
+	}
 }
 
 // gainedLocked reports whether the customer became ours in the window's
@@ -464,7 +556,7 @@ func (n *Node) runForwarder(f *forwarder) {
 		case first = <-f.ch:
 		}
 		batch := []WireStep{first}
-		for len(batch) < 128 {
+		for len(batch) < 128 && batch[len(batch)-1].ack == nil {
 			select {
 			case s := <-f.ch:
 				batch = append(batch, s)
@@ -473,41 +565,39 @@ func (n *Node) runForwarder(f *forwarder) {
 			}
 		}
 	send:
-		if err := n.postSteps(f.api, batch); err != nil {
+		var ack chan struct{}
+		if last := batch[len(batch)-1]; last.ack != nil {
+			ack, batch = last.ack, batch[:len(batch)-1]
+		}
+		post := func() error { return call(n.client, f.api, "/v1/steps", stepsRequest{Steps: batch}, nil) }
+		if len(batch) > 0 && post() != nil {
 			time.Sleep(50 * time.Millisecond)
-			if err := n.postSteps(f.api, batch); err != nil {
+			if err := post(); err != nil {
 				n.stepsDropped.Add(uint64(len(batch)))
 				n.cfg.Logf("cluster: node %s forward to %s: %v", n.cfg.ID, f.id, err)
 			}
 		}
+		if ack != nil {
+			close(ack)
+		}
 	}
-}
-
-func (n *Node) postSteps(api string, steps []WireStep) error {
-	body, err := json.Marshal(stepsRequest{Steps: steps})
-	if err != nil {
-		return err
-	}
-	resp, err := n.client.Post("http://"+api+"/v1/steps", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("peer returned %s", resp.Status)
-	}
-	return nil
 }
 
 // applyTable installs a newer routing table: it opens an inbound window
 // awaiting migration segments from every peer, rolls any previous
 // window's buffer into the new one, and kicks off outbound migration of
-// customers this transition took away from us.
-func (n *Node) applyTable(t Table) {
+// customers this transition took away from us. It refuses a table that
+// routing could not use (Table.validate) and keeps the current one.
+func (n *Node) applyTable(t Table) error {
+	if err := t.validate(); err != nil {
+		n.cfg.Logf("cluster: node %s refused routing table v%d: %v", n.cfg.ID, t.Version, err)
+		n.flight.Record("table", "refused routing table v%d: %v", t.Version, err)
+		return err
+	}
 	n.mu.Lock()
 	if n.killed || n.leaving || (n.table != nil && t.Version <= n.table.Version) {
 		n.mu.Unlock()
-		return
+		return nil
 	}
 	old := n.table
 	n.table = &t
@@ -547,12 +637,19 @@ func (n *Node) applyTable(t Table) {
 	n.joinOnce.Do(func() { close(n.joined) })
 	n.cfg.Logf("cluster: node %s applied table v%d (%d nodes)", n.cfg.ID, t.Version, len(t.Nodes))
 	n.flight.Record("table", "applied routing table v%d (%d nodes)", t.Version, len(t.Nodes))
+	if old == nil && n.restored {
+		me := n.cfg.ID
+		if _, err := n.eng.RemoveCustomers(func(c netip.Addr) bool { return t.OwnerID(c) != me }); err != nil {
+			n.cfg.Logf("cluster: node %s cutting restored state to table v%d: %v", me, t.Version, err)
+		}
+	}
 	// A single-node table has nobody to wait for: flush anything rolled.
 	n.flushSteps(rolled)
 	go func() {
 		defer n.wg.Done()
 		n.migrateOut(old, &t)
 	}()
+	return nil
 }
 
 // closeInbound ends one buffering window and replays its steps through
@@ -583,7 +680,7 @@ func (n *Node) flushSteps(buf []WireStep) {
 		return buf[i].At.Before(buf[j].At)
 	})
 	for _, s := range buf {
-		_ = n.route(s)
+		_ = n.route(s, false)
 	}
 }
 
@@ -612,7 +709,7 @@ func (n *Node) migrateOut(old, cur *Table) {
 		if nd.ID == me {
 			continue
 		}
-		if err := n.postMigrate(nd, seg.Bytes()); err != nil {
+		if err := n.postMigrate(nd, cur.Version, seg.Bytes()); err != nil {
 			allDelivered = false
 			n.cfg.Logf("cluster: node %s migrate to %s: %v", me, nd.ID, err)
 		}
@@ -630,6 +727,7 @@ func (n *Node) migrateOut(old, cur *Table) {
 		n.cfg.Logf("cluster: node %s removing migrated channels: %v", me, err)
 		return
 	}
+	n.gaps.forget(pred) // a returning customer arrives with state built elsewhere
 	pause := time.Since(start)
 	n.migrationsOut.Add(uint64(moved))
 	n.migrationsTotal.Add(uint64(moved))
@@ -646,25 +744,16 @@ func (n *Node) migrateOut(old, cur *Table) {
 	n.flight.Record("migrate-out", "migrated %d channels out in %v (table v%d)", moved, pause, cur.Version)
 }
 
-func (n *Node) postMigrate(peer NodeInfo, seg []byte) error {
-	url := "http://" + peer.API + "/v1/migrate?from=" + n.cfg.ID
-	var lastErr error
+func (n *Node) postMigrate(peer NodeInfo, version uint64, seg []byte) (err error) {
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
 			time.Sleep(time.Duration(attempt) * 50 * time.Millisecond)
 		}
-		resp, err := n.client.Post(url, "application/octet-stream", bytes.NewReader(seg))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNoContent {
+		if err = call(n.client, peer.API, fmt.Sprintf("/v1/migrate?from=%s&v=%d", n.cfg.ID, version), seg, nil); err == nil {
 			return nil
 		}
-		lastErr = fmt.Errorf("peer returned %s", resp.Status)
 	}
-	return lastErr
+	return err
 }
 
 // handler serves the node's control plane.
@@ -672,11 +761,14 @@ func (n *Node) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/table", func(w http.ResponseWriter, r *http.Request) {
 		var req tableResponse
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		err := json.NewDecoder(r.Body).Decode(&req)
+		if err == nil {
+			err = n.applyTable(req.Table)
+		}
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		n.applyTable(req.Table)
 		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("/v1/steps", func(w http.ResponseWriter, r *http.Request) {
@@ -686,7 +778,11 @@ func (n *Node) handler() http.Handler {
 			return
 		}
 		for _, s := range req.Steps {
-			_ = n.route(s)
+			if s.Hops < 0 {
+				n.stepsDropped.Add(1)
+				continue
+			}
+			_ = n.route(s, false)
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
@@ -724,9 +820,14 @@ type nodeHealth struct {
 
 // handleMigrate absorbs one peer's migration segment (filtered to the
 // customers this node owns under its current table) and counts the peer
-// off the inbound window.
+// off the inbound window. A segment cut for a newer table than this
+// node's (the coordinator's push has not landed yet) first pulls that
+// table: filtered by the old one, the channels moving here would be lost.
 func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	from := r.URL.Query().Get("from")
+	if v, err := strconv.ParseUint(r.URL.Query().Get("v"), 10, 64); err == nil && v > n.TableVersion() {
+		n.pullTable()
+	}
 	n.mu.Lock()
 	t := n.table
 	killed := n.killed
@@ -765,24 +866,11 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 
 // join registers with the coordinator and applies the returned table.
 func (n *Node) join() error {
-	body, err := json.Marshal(joinRequest{Node: n.info})
-	if err != nil {
-		return err
-	}
-	resp, err := n.client.Post("http://"+n.cfg.Coordinator+"/v1/join", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("coordinator returned %s", resp.Status)
-	}
 	var tr tableResponse
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
+	if err := call(n.client, n.cfg.Coordinator, "/v1/join", joinRequest{Node: n.info}, &tr); err != nil {
 		return err
 	}
-	n.applyTable(tr.Table)
-	return nil
+	return n.applyTable(tr.Table)
 }
 
 // heartbeatLoop keeps the coordinator's liveness view fresh, rejoins if
@@ -798,23 +886,16 @@ func (n *Node) heartbeatLoop() {
 			return
 		case <-t.C:
 		}
-		body, _ := json.Marshal(heartbeatRequest{ID: n.cfg.ID, Version: n.TableVersion()})
-		resp, err := n.client.Post("http://"+n.cfg.Coordinator+"/v1/heartbeat", "application/json", bytes.NewReader(body))
-		if err != nil {
-			n.cfg.Logf("cluster: node %s heartbeat: %v", n.cfg.ID, err)
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			resp.Body.Close()
+		var hr heartbeatResponse
+		err := call(n.client, n.cfg.Coordinator, "/v1/heartbeat", heartbeatRequest{ID: n.cfg.ID, Version: n.TableVersion()}, &hr)
+		if errors.Is(err, statusError(http.StatusNotFound)) {
 			if err := n.join(); err != nil {
 				n.cfg.Logf("cluster: node %s rejoin: %v", n.cfg.ID, err)
 			}
 			continue
 		}
-		var hr heartbeatResponse
-		err = json.NewDecoder(resp.Body).Decode(&hr)
-		resp.Body.Close()
 		if err != nil {
+			n.cfg.Logf("cluster: node %s heartbeat: %v", n.cfg.ID, err)
 			continue
 		}
 		if hr.Version > n.TableVersion() {
@@ -824,26 +905,20 @@ func (n *Node) heartbeatLoop() {
 }
 
 func (n *Node) pullTable() {
-	resp, err := n.client.Get("http://" + n.cfg.Coordinator + "/v1/table")
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
 	var tr tableResponse
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-		return
+	if call(n.client, n.cfg.Coordinator, "/v1/table", nil, &tr) == nil {
+		_ = n.applyTable(tr.Table)
 	}
-	n.applyTable(tr.Table)
 }
 
-// alertPump fans the engine's alerts up to the coordinator in batches,
-// retrying a failed batch so alerts survive transient coordinator
-// unavailability.
+// alertPump hands every alert to OnAlert and fans them up to the
+// coordinator, if there is one, in batches, retrying a failed batch so
+// alerts survive transient coordinator unavailability.
 func (n *Node) alertPump() {
 	defer n.wg.Done()
 	var pending []WireAlert
 	for ev := range n.eng.Alerts() {
-		pending = append(pending, n.wireAlert(ev))
+		pending = n.takeAlert(pending, ev)
 	drain:
 		for {
 			select {
@@ -851,12 +926,15 @@ func (n *Node) alertPump() {
 				if !ok {
 					break drain
 				}
-				pending = append(pending, n.wireAlert(ev))
+				pending = n.takeAlert(pending, ev)
 			default:
 				break drain
 			}
 		}
-		if n.postAlerts(pending) {
+		if len(pending) == 0 {
+			continue
+		}
+		if n.postAlerts(pending) == nil {
 			pending = pending[:0]
 		} else if len(pending) > 4096 {
 			n.cfg.Logf("cluster: node %s dropping %d undeliverable alerts", n.cfg.ID, len(pending))
@@ -864,45 +942,43 @@ func (n *Node) alertPump() {
 		}
 	}
 	if len(pending) > 0 {
-		n.postAlerts(pending)
+		_ = n.postAlerts(pending)
 	}
 }
 
-func (n *Node) wireAlert(ev engine.AlertEvent) WireAlert {
+func (n *Node) takeAlert(pending []WireAlert, ev engine.AlertEvent) []WireAlert {
+	if n.cfg.OnAlert != nil {
+		n.cfg.OnAlert(ev)
+	}
 	// The decision trace stays node-local (it is large): operators pull
 	// it from this node's /debug/alerts; the coordinator gets the
 	// compact WireAlert summary.
 	if ev.Trace != nil {
 		n.tsrv.Alerts().Add(ev.Trace)
 	}
-	return WireAlert{
+	if n.cfg.Coordinator == "" {
+		return pending
+	}
+	return append(pending, WireAlert{
 		Customer: ev.Customer.String(),
 		Type:     int(ev.Alert.Sig.Type),
 		At:       ev.At,
 		Severity: int(ev.Alert.Severity),
 		Node:     n.cfg.ID,
 		Shard:    ev.Shard,
-	}
+	})
 }
 
-func (n *Node) postAlerts(alerts []WireAlert) bool {
-	body, err := json.Marshal(alertsRequest{Alerts: alerts})
-	if err != nil {
-		return true // unmarshalable batch: drop, never retry
-	}
-	resp, err := n.client.Post("http://"+n.cfg.Coordinator+"/v1/alerts", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusOK
+func (n *Node) postAlerts(alerts []WireAlert) error {
+	return call(n.client, n.cfg.Coordinator, "/v1/alerts", alertsRequest{Alerts: alerts}, nil)
 }
 
 // Close gracefully stops the node: tell the coordinator we are leaving,
-// then tear the stack down. The coordinator's table bump triggers peers'
-// normal convergence; state for our customers restarts cold on their new
-// owners (a graceful drain-and-migrate belongs to the rebalance path,
-// where both sides are alive).
+// then tear the stack down, sealing the ingest tail into the engine and
+// writing the barrier checkpoint. The coordinator's table bump triggers
+// peers' normal convergence; state for our customers restarts cold on
+// their new owners (a graceful drain-and-migrate belongs to the rebalance
+// path, where both sides are alive).
 func (n *Node) Close() error {
 	// Stop applying tables first: the coordinator reacts to our leave by
 	// pushing a shrunk table, and applying it mid-teardown would kick off
@@ -910,12 +986,9 @@ func (n *Node) Close() error {
 	n.mu.Lock()
 	n.leaving = true
 	n.mu.Unlock()
-	n.flight.Record("lifecycle", "graceful close: leaving coordinator")
-	req, err := http.NewRequest(http.MethodPost, "http://"+n.cfg.Coordinator+"/v1/leave?id="+n.cfg.ID, nil)
-	if err == nil {
-		if resp, err := n.client.Do(req); err == nil {
-			resp.Body.Close()
-		}
+	if n.cfg.Coordinator != "" {
+		n.flight.Record("lifecycle", "graceful close: leaving coordinator")
+		_ = call(n.client, n.cfg.Coordinator, "/v1/leave?id="+n.cfg.ID, []byte(nil), nil)
 	}
 	return n.teardown()
 }
@@ -925,11 +998,7 @@ func (n *Node) Close() error {
 // timeout and peers take over cold.
 func (n *Node) Kill() error {
 	n.mu.Lock()
-	n.killed = true
-	if n.inbound != nil {
-		n.inbound.timer.Stop()
-		n.inbound = nil
-	}
+	n.killed = true // teardown stops the inbound window
 	n.mu.Unlock()
 	return n.teardown()
 }
@@ -961,11 +1030,14 @@ func (n *Node) teardown() error {
 		// Engine.Close does not run queued work; drain so the sealed tail
 		// steps (and their alerts) are processed before the channel closes.
 		_ = n.eng.Drain()
+		n.saveCheckpoint(true)
 	}
 	if e := n.eng.Close(); err == nil {
 		err = e
 	}
-	n.api.Close()
+	if n.api != nil {
+		n.api.Close()
+	}
 	n.tsrv.Close()
 	n.wg.Wait()
 	return err

@@ -171,7 +171,9 @@ func TestTwoNodeLiveMigration(t *testing.T) {
 	// and a dropped them.
 	waitFor(t, 10*time.Second, "channel handoff", func() bool {
 		return b.Engine().Stats().Channels == wantB &&
-			a.Engine().Stats().Channels == len(customers)-wantB
+			a.Engine().Stats().Channels == len(customers)-wantB &&
+			a.Stats().MigrationsOut == uint64(wantB) &&
+			b.Stats().MigrationsIn == uint64(wantB)
 	})
 	if got := b.Stats().MigrationsIn; got != uint64(wantB) {
 		t.Errorf("node-b restored %d channels from segments, want %d", got, wantB)

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
@@ -115,16 +114,14 @@ func (r *Router) refreshLoop() {
 // refresh pulls the coordinator's table and installs it if newer,
 // retiring exporters whose node left or moved its ingest listener.
 func (r *Router) refresh() error {
-	resp, err := r.client.Get("http://" + r.cfg.Coordinator + "/v1/table")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
 	var tr tableResponse
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
+	if err := call(r.client, r.cfg.Coordinator, "/v1/table", nil, &tr); err != nil {
 		return err
 	}
 	t := tr.Table
+	if err := t.validate(); err != nil {
+		return err
+	}
 	var retired []*routeExporter
 	r.mu.Lock()
 	if r.table == nil || t.Version > r.table.Version {

@@ -22,6 +22,9 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/netip"
@@ -38,7 +41,7 @@ type NodeInfo struct {
 	// under the same ID reclaims the same partition.
 	ID string `json:"id"`
 	// API is the node's control-plane address (host:port) serving
-	// /v1/table, /v1/steps, and /v1/migrate.
+	// /v1/table, /v1/steps, and /v1/migrate; empty on a standalone node.
 	API string `json:"api"`
 	// Ingest is the node's NetFlow v5 UDP listener (host:port).
 	Ingest string `json:"ingest"`
@@ -75,6 +78,22 @@ func (t *Table) OwnerID(customer netip.Addr) string {
 	return n.ID
 }
 
+// validate checks what routing needs of a table before a node installs
+// it: at least one shard per node, and a non-empty, unique ID per node.
+func (t *Table) validate() error {
+	if t.Shards < 1 {
+		return fmt.Errorf("cluster: table has %d shards per node", t.Shards)
+	}
+	seen := make(map[string]bool, len(t.Nodes))
+	for _, nd := range t.Nodes {
+		if nd.ID == "" || seen[nd.ID] {
+			return fmt.Errorf("cluster: table has an empty or repeated node ID %q", nd.ID)
+		}
+		seen[nd.ID] = true
+	}
+	return nil
+}
+
 func sortNodes(nodes []NodeInfo) {
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
 }
@@ -100,6 +119,9 @@ type WireStep struct {
 	// with divergent table views are dropped after maxHops.
 	Hops  int              `json:"hops,omitempty"`
 	Flows []netflow.Record `json:"flows"`
+	// ack, on a step that is only a flush marker on a forwarder queue, is
+	// closed once every step queued before it has been posted.
+	ack chan struct{}
 }
 
 // maxHops bounds forwarding loops while table versions propagate.
@@ -128,6 +150,45 @@ type alertsRequest struct {
 
 type stepsRequest struct {
 	Steps []WireStep `json:"steps"`
+}
+
+// statusError is a control-plane answer outside 2xx.
+type statusError int
+
+func (e statusError) Error() string {
+	return fmt.Sprintf("peer returned %d %s", int(e), http.StatusText(int(e)))
+}
+
+// call makes one control-plane request to http://addr+path: a GET when in
+// is nil, else a POST of in — as is when it is a []byte, else as JSON. A
+// 2xx answer's JSON body is decoded into out when out is non-nil.
+func call(client *http.Client, addr, path string, in, out any) error {
+	url := "http://" + addr + path
+	var resp *http.Response
+	var err error
+	switch in := in.(type) {
+	case nil:
+		resp, err = client.Get(url)
+	case []byte:
+		resp, err = client.Post(url, "application/octet-stream", bytes.NewReader(in))
+	default:
+		body, merr := json.Marshal(in)
+		if merr != nil {
+			return merr
+		}
+		resp, err = client.Post(url, "application/json", bytes.NewReader(body))
+	}
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		return statusError(resp.StatusCode)
+	}
+	if out != nil {
+		return json.NewDecoder(resp.Body).Decode(out)
+	}
+	return nil
 }
 
 // httpServer is a listener-backed http.Server shared by the coordinator

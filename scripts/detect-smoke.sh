@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# detect-smoke: xatu-detect's two inputs must raise the same alerts.
+# detect-smoke: xatu-detect's two inputs and two modes must raise the
+# same alerts.
 #
 # Trains a tiny model, then feeds the step range around the first attack
-# ispgen's summary names to xatu-detect twice: as a flow journal through
-# -replay, and as NetFlow v5 datagrams over loopback UDP into a live
-# detector that is stopped with SIGINT. Both runs must print the same
-# non-empty sorted set of ALERT lines, and the live run's shutdown line
-# must report lost=0 bad=0.
+# ispgen's summary names to xatu-detect three times: as a flow journal
+# through -replay, as NetFlow v5 datagrams over loopback UDP into a live
+# detector that is stopped with SIGINT, and as the same journal through
+# -replay on a one-node fleet under xatu-coord. All three runs must print
+# the same non-empty sorted set of ALERT lines, and the live run's
+# shutdown line must report lost=0 bad=0.
 #
 # One shard and GOMAXPROCS=1 (one decode and one aggregation worker) fix
 # the order in which different customers' steps reach the monitor: the
@@ -18,13 +20,15 @@ set -euo pipefail
 
 dir=$(mktemp -d)
 pid=
+cpid=
 cleanup() {
 	[ -n "$pid" ] && kill "$pid" 2>/dev/null || true
+	[ -n "$cpid" ] && kill "$cpid" 2>/dev/null || true
 	rm -rf "$dir"
 }
 trap cleanup EXIT
 
-go build -o "$dir/" ./cmd/xatu-train ./cmd/xatu-detect ./cmd/ispgen
+go build -o "$dir/" ./cmd/xatu-train ./cmd/xatu-detect ./cmd/xatu-coord ./cmd/ispgen
 "$dir/xatu-train" -out "$dir/models" -days 4 -epochs 2 >/dev/null
 
 world=(-days 4 -step 2 -seed 1)
@@ -59,10 +63,28 @@ kill -INT "$pid"
 wait "$pid"
 pid=
 
-grep ' ALERT ' "$dir/replay.out" | sort >"$dir/replay.alerts"
-grep ' ALERT ' "$dir/live.out" | sort >"$dir/live.alerts"
+"$dir/xatu-coord" -listen 127.0.0.1:0 -shards 1 -print-alerts=false >"$dir/coord.out" 2>/dev/null &
+cpid=$!
+caddr=
+for _ in $(seq 100); do
+	caddr=$(sed -n 's|^coordinator on http://\([^ ]*\) .*|\1|p' "$dir/coord.out")
+	[ -n "$caddr" ] && break
+	sleep 0.1
+done
+if [ -z "$caddr" ]; then
+	echo "detect-smoke: xatu-coord never listened" >&2
+	exit 1
+fi
+"${detect[@]}" -coordinator "$caddr" -id node-1 -replay "$dir/flows.journal" >"$dir/fleet.out"
+kill -INT "$cpid"
+wait "$cpid"
+cpid=
+
+for run in replay live fleet; do
+	grep ' ALERT ' "$dir/$run.out" | sort >"$dir/$run.alerts"
+done
 shutdown=$(grep '^shutting down' "$dir/live.out" || true)
-echo "detect-smoke: steps [$from,$to): $(wc -l <"$dir/replay.alerts") replayed alerts, $(wc -l <"$dir/live.alerts") live"
+echo "detect-smoke: steps [$from,$to): $(wc -l <"$dir/replay.alerts") replayed alerts, $(wc -l <"$dir/live.alerts") live, $(wc -l <"$dir/fleet.alerts") replayed on a one-node fleet"
 echo "detect-smoke: $shutdown"
 fail=0
 if [ ! -s "$dir/replay.alerts" ]; then
@@ -71,6 +93,10 @@ if [ ! -s "$dir/replay.alerts" ]; then
 fi
 if ! diff "$dir/replay.alerts" "$dir/live.alerts" >&2; then
 	echo "detect-smoke: replay and live alerts differ" >&2
+	fail=1
+fi
+if ! diff "$dir/replay.alerts" "$dir/fleet.alerts" >&2; then
+	echo "detect-smoke: standalone and fleet replay alerts differ" >&2
 	fail=1
 fi
 case "$shutdown" in
