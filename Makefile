@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build build-arm64 vet test race fuzz detect-smoke bce bench-smoke bench-check soak soak-smoke fleet-smoke trace-smoke lint loc check
+.PHONY: build build-arm64 vet test race fuzz detect-smoke bce bench-smoke bench-check ab soak soak-smoke fleet-smoke trace-smoke lint loc check
 
 build:
 	$(GO) build ./...
@@ -96,6 +96,17 @@ bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 	bash bench/run.sh -smoke
+
+# A/B comparison of the packet-to-verdict benchmark: REV (default HEAD)
+# against the working tree in alternating pairs, printing the -compare
+# table and wins/N per metric (scripts/ab). AB_ARGS passes -pairs,
+# -workloads, -seed, -trace, -seconds, -smoke or -aa (the working tree
+# against itself: the noise floor). E.g.
+#   make ab REV=main AB_ARGS='-pairs 5 -workloads narrow_flood -seed 2'
+REV ?= HEAD
+AB_ARGS ?=
+ab:
+	bash scripts/ab $(REV) $(AB_ARGS)
 
 # Phased-chaos soak over the real UDP serving path. `soak` is the full
 # 14-day run that regenerates the committed BENCH_soak.json (loss, dup,

@@ -42,7 +42,7 @@ func main() {
 		step     = flag.Duration("step", 2*time.Minute, "aggregation step in record event time (xatu-train trains at 2m)")
 		lateness = flag.Duration("lateness", 2*time.Minute, "how far out of order records may arrive before a step seals without them")
 		shards   = flag.Int("shards", runtime.GOMAXPROCS(0), "detection shards (single-threaded monitors; in a fleet, must match the coordinator's -shards)")
-		queue    = flag.Int("queue", 1024, "per-shard mailbox capacity (live ingest sheds oldest on overflow; replay blocks)")
+		queue    = flag.Int("queue", 1024, "per-shard mailbox capacity, and 256× it in queued flow records (live ingest sheds oldest on overflow; replay blocks)")
 		workers  = flag.Int("workers", 0, "ingest decode and aggregation workers (0 = GOMAXPROCS)")
 		ckpt     = flag.String("checkpoint", "", "detector state file: restored on startup if present, saved periodically and on shutdown")
 		ckptIval = flag.Duration("checkpoint-interval", time.Minute, "how often to save -checkpoint from the background snapshots")
@@ -141,8 +141,8 @@ func main() {
 	st, es, cs := node.IngestStats(), eng.Stats(), node.Stats()
 	fmt.Printf("shutting down (packets=%d records=%d steps=%d dup=%d reordered=%d lost=%d late=%d bad=%d)\n",
 		st.Packets, st.Records, st.Steps, st.DupPackets, st.ReorderedPackets, st.LostRecords, st.DroppedLate, st.BadPackets)
-	fmt.Printf("engine: %d shards, steps=%d missing=%d shed=%d alerts=%d queue-hw=%d\n",
-		eng.Shards(), es.Steps, es.Missing, es.Shed, es.Alerts, es.QueueHighWater)
+	fmt.Printf("engine: %d shards, steps=%d missing=%d shed=%d alerts=%d queue-hw=%d records-hw=%d\n",
+		eng.Shards(), es.Steps, es.Missing, es.Shed, es.Alerts, es.QueueHighWater, es.RecordsHighWater)
 	fmt.Printf("cluster: table v%d, migrated-out=%d migrated-in=%d forwarded=%d dropped=%d\n",
 		cs.TableVersion, cs.MigrationsOut, cs.MigrationsIn, cs.StepsForwarded, cs.StepsDropped)
 	printHealthSummary(eng)

@@ -270,7 +270,8 @@ func TestConsoleEndpoints(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"ok":true,"node":"n1","tableVersion":3,"health":"healthy"}`)
+		// The shape a node's telemetry server answers with (StartNode).
+		fmt.Fprint(w, `{"ok":true,"detail":{"node":"n1","tableVersion":3,"ok":true,"closed":false,"state":"healthy","shards":[]}}`)
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) { w.Write(rec.JSON()) })
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) { w.Write(fl.JSON()) })

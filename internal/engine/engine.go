@@ -33,11 +33,13 @@ var ErrBarrierTimeout = errors.New("xatu: barrier timed out")
 type Policy uint8
 
 const (
-	// Block makes Submit wait for mailbox space: lossless, applies
-	// backpressure to the producer. The right choice for replay.
+	// Block makes Submit wait for mailbox space (and for room under the
+	// shard's record bound): lossless, applies backpressure to the
+	// producer. The right choice for replay.
 	Block Policy = iota
-	// ShedOldest drops the oldest queued telemetry message to make room,
-	// counting it in ShardStats.Shed: the producer never blocks, mirroring
+	// ShedOldest drops the oldest queued telemetry message to make room
+	// (messages, or records until the step fits), counting each in
+	// ShardStats.Shed: the producer never blocks, mirroring
 	// the exporter's bounded-queue policy. The right choice for live
 	// ingest, where blocking the collector loop loses newer data anyway.
 	ShedOldest
@@ -53,7 +55,13 @@ type Config struct {
 	// Shards is the number of single-threaded detection shards.
 	// Zero = runtime.GOMAXPROCS(0).
 	Shards int
-	// Queue is each shard's mailbox capacity. Zero = 256.
+	// Queue is each shard's mailbox capacity. Zero = 256. It also bounds
+	// the flow records a shard holds queued, at recordsPerSlot (256) per
+	// slot: 65 536 records at the default, ≈7.5 MB of 120-byte records per
+	// shard. That is the engine's memory bound under a flood, when every
+	// message carries a step of thousands of records. A step that would
+	// pass it is handled as a full mailbox is (see Policy), except that a
+	// shard holding no records always admits one, however large.
 	Queue int
 	// Policy is the backpressure policy for Submit and ObserveMissing.
 	Policy Policy
@@ -138,18 +146,20 @@ type AlertEvent struct {
 
 // ShardStats is a snapshot of one shard's counters.
 type ShardStats struct {
-	Shard          int
-	Submitted      uint64        // telemetry messages enqueued (steps + missing)
-	Shed           uint64        // telemetry messages dropped by ShedOldest
-	Requeued       uint64        // control messages requeued instead of shed
-	Steps          uint64        // ObserveStep calls processed
-	Missing        uint64        // ObserveMissing calls processed
-	Alerts         uint64        // alerts fanned in from this shard
-	Channels       int           // live (customer, attack-type) detector channels
-	QueueLen       int           // current mailbox depth
-	QueueHighWater int           // max observed mailbox depth
-	StepTotal      time.Duration // cumulative step latency, each batch counted once
-	StepMax        time.Duration // worst single step latency: a message's share of its batch
+	Shard            int
+	Submitted        uint64        // telemetry messages enqueued (steps + missing)
+	Shed             uint64        // telemetry messages dropped by ShedOldest
+	Requeued         uint64        // control messages requeued instead of shed
+	Steps            uint64        // ObserveStep calls processed
+	Missing          uint64        // ObserveMissing calls processed
+	Alerts           uint64        // alerts fanned in from this shard
+	Channels         int           // live (customer, attack-type) detector channels
+	QueueLen         int           // current mailbox depth
+	QueueHighWater   int           // max observed mailbox depth
+	RecordsQueued    int           // flow records in queued steps, not yet handled
+	RecordsHighWater int           // max observed RecordsQueued
+	StepTotal        time.Duration // cumulative step latency, each batch counted once
+	StepMax          time.Duration // worst single step latency: a message's share of its batch
 
 	// Self-healing accounting.
 	Restarts       uint64        // supervised restarts after a panic
@@ -176,18 +186,20 @@ func (s ShardStats) AvgStep() time.Duration {
 // Stats aggregates per-shard snapshots: counters and durations sum over
 // shards, water marks take the max.
 type Stats struct {
-	Shards         []ShardStats
-	Submitted      uint64
-	Shed           uint64
-	Requeued       uint64
-	Steps          uint64
-	Missing        uint64
-	Alerts         uint64
-	Channels       int           // sum over shards
-	QueueLen       int           // sum over shards
-	QueueHighWater int           // max over shards
-	StepTotal      time.Duration // sum over shards
-	StepMax        time.Duration // max over shards
+	Shards           []ShardStats
+	Submitted        uint64
+	Shed             uint64
+	Requeued         uint64
+	Steps            uint64
+	Missing          uint64
+	Alerts           uint64
+	Channels         int           // sum over shards
+	QueueLen         int           // sum over shards
+	QueueHighWater   int           // max over shards
+	RecordsQueued    int           // sum over shards
+	RecordsHighWater int           // max over shards
+	StepTotal        time.Duration // sum over shards
+	StepMax          time.Duration // max over shards
 
 	// Self-healing roll-up.
 	Restarts       uint64
@@ -265,8 +277,17 @@ type shard struct {
 	alerts    atomic.Uint64
 	channels  atomic.Int64
 	stepNanos atomic.Uint64
-	stepMax   atomic.Uint64
+	stepMax   atomic.Int64
 	highWater atomic.Int64
+
+	// queued counts the records of this shard's steps from Submit until
+	// the shard hands them back after the step's run (or a shed); see
+	// Config.Queue. A Submit over the bound waits on room, woken by the
+	// release that follows it while waiters is non-zero.
+	queued     atomic.Int64
+	recordsMax atomic.Int64
+	waiters    atomic.Int32
+	room       chan struct{}
 
 	// Supervision counters (read by Stats/Health/watchdog).
 	handled       atomic.Uint64 // messages fully processed (watchdog progress signal)
@@ -356,10 +377,12 @@ func (s *shard) publishMonitorStats() {
 type Engine struct {
 	cfg    Config
 	shards []*shard
-	alerts chan AlertEvent
-	mx     *engineMetrics // nil when Config.Telemetry is nil
-	done   chan struct{}
-	wg     sync.WaitGroup
+	// maxRecords is each shard's bound on queued records (Config.Queue).
+	maxRecords int64
+	alerts     chan AlertEvent
+	mx         *engineMetrics // nil when Config.Telemetry is nil
+	done       chan struct{}
+	wg         sync.WaitGroup
 
 	// Health state machine (see supervisor.go).
 	health atomic.Int32 // current HealthState
@@ -410,10 +433,11 @@ func New(cfg Config) (*Engine, error) {
 		cfg.RecoverTicks = 8
 	}
 	e := &Engine{
-		cfg:    cfg,
-		shards: make([]*shard, cfg.Shards),
-		alerts: make(chan AlertEvent, cfg.AlertBuffer),
-		done:   make(chan struct{}),
+		cfg:        cfg,
+		shards:     make([]*shard, cfg.Shards),
+		maxRecords: recordsPerSlot * int64(cfg.Queue),
+		alerts:     make(chan AlertEvent, cfg.AlertBuffer),
+		done:       make(chan struct{}),
 	}
 	e.forced.Store(-1)
 	now := time.Now()
@@ -423,7 +447,8 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		s := &shard{id: i, mon: mon, mail: make(chan message, cfg.Queue),
-			deadCh: make(chan struct{}), lastSnap: now}
+			room: make(chan struct{}, 1), deadCh: make(chan struct{}), lastSnap: now}
+		s.recs.maxRecords = e.maxRecords
 		if cfg.WAL > 0 {
 			s.wal = make([]walEntry, cfg.WAL)
 		}
@@ -508,21 +533,114 @@ func (e *Engine) Alerts() <-chan AlertEvent { return e.alerts }
 
 // Submit routes one step of flows for the customer to its owning shard.
 // It never blocks under ShedOldest (dropping the oldest queued telemetry
-// instead, counted per shard); under Block it waits for mailbox space.
+// instead, counted per shard); under Block it waits for mailbox space and
+// for room under the shard's record bound (Config.Queue).
 // flows is valid only for the call: Submit copies the records into a
 // buffer of the shard's, which the shard reuses once the step is handled,
 // so the caller may recycle its slice as soon as Submit returns.
 func (e *Engine) Submit(customer netip.Addr, at time.Time, flows []netflow.Record) error {
 	s := e.shards[e.ShardOf(customer)]
 	var own []netflow.Record
-	if len(flows) > 0 {
+	n := int64(len(flows))
+	if n > 0 {
 		own = append(s.recs.get(), flows...)
 	}
-	err := e.submitTelemetry(s, message{op: opStep, customer: customer, at: at, flows: own})
+	err := e.reserve(s, n)
+	if err == nil {
+		if err = e.submitTelemetry(s, message{op: opStep, customer: customer, at: at, flows: own}); err != nil {
+			s.release(n)
+		}
+	}
 	if err != nil {
 		s.recs.put(own)
 	}
 	return err
+}
+
+// recordsPerSlot is the queued records a shard may hold per mailbox slot:
+// 65 536 at the default Queue. On narrow_flood's 2 000-record steps that
+// held heap and lag where they were while aggregation was the bottleneck;
+// half of it cut lag further but gave back half the throughput gained.
+const recordsPerSlot = 256
+
+// reserve counts n records into s's queue. Past the bound, and while the
+// shard holds records of other steps, Block waits for the shard to hand
+// some back and ShedOldest sheds the oldest queued telemetry until the
+// step fits or the mailbox holds nothing more to shed (the run the shard
+// is stepping cannot be shed). Uncontended it is one atomic add.
+func (e *Engine) reserve(s *shard, n int64) error {
+	for waited := false; n > 0; waited = true {
+		if q := s.queued.Add(n); q <= e.maxRecords || q == n {
+			raiseTo(&s.recordsMax, q)
+			if waited {
+				s.wake() // what was released may make room for another waiter
+			}
+			return nil
+		}
+		if e.cfg.Policy == ShedOldest {
+		shed:
+			for tries := cap(s.mail); s.queued.Load() > e.maxRecords && tries > 0; tries-- {
+				select {
+				case old := <-s.mail:
+					e.shed(s, old)
+				default:
+					break shed
+				}
+			}
+			raiseTo(&s.recordsMax, s.queued.Load())
+			return nil
+		}
+		s.queued.Add(-n)
+		// Register before looking, so that a release between the look and
+		// the wait still wakes this Submit.
+		s.waiters.Add(1)
+		var err error
+		if q := s.queued.Load(); q != 0 && q+n > e.maxRecords {
+			select {
+			case <-s.room:
+			case <-s.deadCh:
+				err = fmt.Errorf("%w (shard %d)", ErrShardDead, s.id)
+			case <-e.done:
+				err = ErrClosed
+			}
+		}
+		s.waiters.Add(-1)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// release hands n records back and wakes a waiting Submit, if any.
+func (s *shard) release(n int64) {
+	s.queued.Add(-n)
+	s.wake()
+}
+
+func (s *shard) wake() {
+	if s.waiters.Load() > 0 {
+		select {
+		case s.room <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// shed drops a telemetry message taken from s's mailbox under ShedOldest,
+// or requeues a message that must not be lost.
+func (e *Engine) shed(s *shard, old message) {
+	if old.op == opStep || old.op == opMissing {
+		s.shed.Add(1)
+		s.recs.put(old.flows)
+		s.release(int64(len(old.flows)))
+		return
+	}
+	// EndMitigation or a control op must never be lost: requeue it. Under
+	// overload it is reordered behind the queue tail, which beats dropping
+	// the signal.
+	s.requeued.Add(1)
+	s.mail <- old
 }
 
 // ObserveMissing routes a missing-telemetry step for the customer to its
@@ -566,16 +684,7 @@ func (e *Engine) submitTelemetry(s *shard, msg message) error {
 		// Mailbox full: make room by shedding the oldest queued telemetry.
 		select {
 		case old := <-s.mail:
-			if old.op == opStep || old.op == opMissing {
-				s.shed.Add(1)
-				s.recs.put(old.flows)
-			} else {
-				// EndMitigation or a control op must never be lost:
-				// requeue it. Under overload it is reordered behind the
-				// queue tail, which beats dropping the signal.
-				s.requeued.Add(1)
-				s.mail <- old
-			}
+			e.shed(s, old)
 		case <-e.done:
 			return ErrClosed
 		default:
@@ -591,9 +700,15 @@ const maxFreeRecBufs = 2 * maxRun
 
 // recPool is a shard's free-list of record buffers, shared by the
 // producers calling Submit and the shard goroutine returning buffers.
+// Beyond its first buffer it keeps at most maxRecords records of capacity,
+// the shard's record bound: the buffers queued steps hold never add up to
+// more, so a flood is served from the list without the list doubling the
+// memory the bound allows.
 type recPool struct {
-	mu   sync.Mutex
-	free [][]netflow.Record
+	mu         sync.Mutex
+	free       [][]netflow.Record
+	freeCap    int64
+	maxRecords int64
 }
 
 // get returns an empty buffer, nil when none is free. A buffer too small
@@ -609,6 +724,7 @@ func (p *recPool) get() []netflow.Record {
 	b := p.free[k-1]
 	p.free[k-1] = nil
 	p.free = p.free[:k-1]
+	p.freeCap -= int64(cap(b))
 	return b
 }
 
@@ -620,27 +736,36 @@ func (p *recPool) put(b []netflow.Record) {
 }
 
 // putRun returns the buffers of a handled run under one lock: the shard
-// takes the lock once per run, not once per message.
-func (p *recPool) putRun(run []message) {
+// takes the lock once per run, not once per message. It returns the run's
+// record count.
+func (p *recPool) putRun(run []message) (records int64) {
 	p.mu.Lock()
 	for i := range run {
+		records += int64(len(run[i].flows))
 		p.keep(run[i].flows)
 	}
 	p.mu.Unlock()
+	return records
 }
 
 func (p *recPool) keep(b []netflow.Record) {
-	if cap(b) > 0 && len(p.free) < maxFreeRecBufs {
+	c := int64(cap(b))
+	if c > 0 && (len(p.free) == 0 || len(p.free) < maxFreeRecBufs && p.freeCap+c <= p.maxRecords) {
 		p.free = append(p.free, b[:0])
+		p.freeCap += c
 	}
 }
 
 func (s *shard) noteEnqueued() {
 	s.submitted.Add(1)
-	depth := int64(len(s.mail))
+	raiseTo(&s.highWater, int64(len(s.mail)))
+}
+
+// raiseTo raises the high water mark hw to v.
+func raiseTo(hw *atomic.Int64, v int64) {
 	for {
-		hw := s.highWater.Load()
-		if depth <= hw || s.highWater.CompareAndSwap(hw, depth) {
+		old := hw.Load()
+		if v <= old || hw.CompareAndSwap(old, v) {
 			return
 		}
 	}
@@ -747,29 +872,31 @@ func (e *Engine) Stats() Stats {
 	st.HealthCause = e.HealthCause()
 	for i, s := range e.shards {
 		ss := ShardStats{
-			Shard:          i,
-			Submitted:      s.submitted.Load(),
-			Shed:           s.shed.Load(),
-			Requeued:       s.requeued.Load(),
-			Steps:          s.steps.Load(),
-			Missing:        s.missing.Load(),
-			Alerts:         s.alerts.Load(),
-			Channels:       int(s.channels.Load()),
-			QueueLen:       len(s.mail),
-			QueueHighWater: int(s.highWater.Load()),
-			StepTotal:      time.Duration(s.stepNanos.Load()),
-			StepMax:        time.Duration(s.stepMax.Load()),
-			Restarts:       s.restarts.Load(),
-			Quarantined:    s.quarantined.Load(),
-			WALReplayed:    s.walReplayed.Load(),
-			WALDropped:     s.walDropped.Load(),
-			Lost:           s.lost.Load(),
-			Bypassed:       s.bypassed.Load(),
-			FallbackAlerts: s.fbAlerts.Load(),
-			Snapshots:      s.snapshots.Load(),
-			RecoveryTotal:  time.Duration(s.recoveryNanos.Load()),
-			Stalled:        s.stalled.Load(),
-			Dead:           s.dead.Load(),
+			Shard:            i,
+			Submitted:        s.submitted.Load(),
+			Shed:             s.shed.Load(),
+			Requeued:         s.requeued.Load(),
+			Steps:            s.steps.Load(),
+			Missing:          s.missing.Load(),
+			Alerts:           s.alerts.Load(),
+			Channels:         int(s.channels.Load()),
+			QueueLen:         len(s.mail),
+			QueueHighWater:   int(s.highWater.Load()),
+			RecordsQueued:    int(s.queued.Load()),
+			RecordsHighWater: int(s.recordsMax.Load()),
+			StepTotal:        time.Duration(s.stepNanos.Load()),
+			StepMax:          time.Duration(s.stepMax.Load()),
+			Restarts:         s.restarts.Load(),
+			Quarantined:      s.quarantined.Load(),
+			WALReplayed:      s.walReplayed.Load(),
+			WALDropped:       s.walDropped.Load(),
+			Lost:             s.lost.Load(),
+			Bypassed:         s.bypassed.Load(),
+			FallbackAlerts:   s.fbAlerts.Load(),
+			Snapshots:        s.snapshots.Load(),
+			RecoveryTotal:    time.Duration(s.recoveryNanos.Load()),
+			Stalled:          s.stalled.Load(),
+			Dead:             s.dead.Load(),
 		}
 		st.Shards[i] = ss
 		st.Submitted += ss.Submitted
@@ -780,6 +907,7 @@ func (e *Engine) Stats() Stats {
 		st.Alerts += ss.Alerts
 		st.Channels += ss.Channels
 		st.QueueLen += ss.QueueLen
+		st.RecordsQueued += ss.RecordsQueued
 		st.StepTotal += ss.StepTotal
 		st.Restarts += ss.Restarts
 		st.Quarantined += ss.Quarantined
@@ -796,9 +924,8 @@ func (e *Engine) Stats() Stats {
 		if ss.Dead {
 			st.DeadShards++
 		}
-		if ss.QueueHighWater > st.QueueHighWater {
-			st.QueueHighWater = ss.QueueHighWater
-		}
+		st.QueueHighWater = max(st.QueueHighWater, ss.QueueHighWater)
+		st.RecordsHighWater = max(st.RecordsHighWater, ss.RecordsHighWater)
 		if ss.StepMax > st.StepMax {
 			st.StepMax = ss.StepMax
 		}
@@ -869,7 +996,7 @@ func (e *Engine) runShard(s *shard) {
 		}
 		s.run = run
 		alive := e.supervise(s, run, st)
-		s.recs.putRun(run)
+		s.release(s.recs.putRun(run))
 		clear(run) // hold no flows past their step
 		if !alive {
 			return
@@ -955,12 +1082,7 @@ func (e *Engine) handleSteps(s *shard, run []message, st HealthState) bool {
 	el := time.Since(start)
 	s.stepNanos.Add(uint64(el))
 	share := el / time.Duration(len(run))
-	for {
-		prev := s.stepMax.Load()
-		if uint64(share) <= prev || s.stepMax.CompareAndSwap(prev, uint64(share)) {
-			break
-		}
-	}
+	raiseTo(&s.stepMax, int64(share))
 	s.publishMonitorStats()
 	s.channels.Store(int64(s.mon.Channels()))
 	for i, msg := range run {

@@ -104,6 +104,9 @@ func (e *Engine) registerMetrics(reg *telemetry.Registry) *engineMetrics {
 		reg.GaugeFunc("xatu_engine_queue_high_water",
 			"Maximum observed shard mailbox depth.",
 			func() float64 { return float64(s.highWater.Load()) }, lbl)
+		reg.GaugeFunc("xatu_engine_queue_records_high_water",
+			"Maximum observed flow records in the shard's queued steps. Past 256 per mailbox slot, Submit waits (Block) or sheds (ShedOldest): at that bound, ingest has waited on this shard.",
+			func() float64 { return float64(s.recordsMax.Load()) }, lbl)
 		reg.GaugeFunc("xatu_monitor_channels",
 			"Live (customer, attack-type) detector channels on this shard.",
 			func() float64 { return float64(s.channels.Load()) }, lbl)

@@ -127,7 +127,7 @@ func freeRecs(s *shard) [][]netflow.Record {
 	s.recs.mu.Lock()
 	defer s.recs.mu.Unlock()
 	free := s.recs.free
-	s.recs.free = nil
+	s.recs.free, s.recs.freeCap = nil, 0
 	return free
 }
 

@@ -16,11 +16,12 @@
 //
 // The steady state allocates nothing: packet buffers, record chunks, and
 // sealed-batch storage all cycle through free-lists, and feature vectors
-// are extracted into per-worker reused buffers. Records within a sealed
-// (customer, step) bucket are canonically sorted before extraction, so the
-// emitted feature-vector sequence is bit-identical regardless of worker
-// count (float accumulation order is fixed even though chunk interleaving
-// across workers is not).
+// are extracted into per-worker reused buffers. A sealed (customer, step)
+// bucket holds its records in arrival order, which depends on how chunks
+// interleaved across workers; the emitted feature-vector sequence is
+// bit-identical regardless of worker count all the same, because
+// extraction is exact: no feature depends on the order of a step's
+// records.
 package ingest
 
 import (
@@ -172,8 +173,8 @@ type decodeWorker struct {
 	lost       atomic.Uint64
 }
 
-// aggWorker owns the customers of its shard: step aggregation, canonical
-// in-bucket ordering, feature extraction, and sink delivery.
+// aggWorker owns the customers of its shard: step aggregation, feature
+// extraction, and sink delivery.
 type aggWorker struct {
 	p       *Pipeline
 	in      chan []netflow.Record
@@ -397,14 +398,11 @@ func (w *aggWorker) run() {
 }
 
 // emit delivers sealed batches to the sink and recycles their storage:
-// every sink is done with a step's records when its call returns. The
-// per-bucket canonical sort pins the float accumulation order, making the
-// emitted vectors independent of how chunks interleaved across workers.
+// every sink is done with a step's records when its call returns.
 func (w *aggWorker) emit(sealed []netflow.StepBatch) {
 	p := w.p
 	for _, b := range sealed {
 		for dst, recs := range b.ByDst {
-			netflow.SortRecordsCanonical(recs)
 			if tr := p.cfg.Trace; tr != nil && tr.Sampled(dst) {
 				tr.RecordSeal(dst, b.Start, time.Now())
 			}

@@ -1,6 +1,7 @@
 package netflow
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"time"
 )
@@ -10,7 +11,8 @@ import (
 // batches grouped by destination — the per-customer per-minute view the
 // feature extractor consumes. A watermark seals a bucket once records
 // Lateness past its end have been seen; later stragglers are counted and
-// dropped rather than reopening history.
+// dropped rather than reopening history. Records keep their arrival order
+// within a destination.
 //
 // Sealed storage is recycled: Recycle returns a consumed batch's map and
 // record slices to internal free-lists, so a warmed-up aggregator adds
@@ -20,7 +22,7 @@ type Aggregator struct {
 	Step     time.Duration
 	Lateness time.Duration
 
-	buckets   map[int64]*StepBatch
+	buckets   map[int64]*bucket
 	watermark time.Time
 	dropped   uint64
 	// oldestDL is the seal deadline (Start + Step + Lateness) of the
@@ -29,23 +31,36 @@ type Aggregator struct {
 	// bucket scan entirely while nothing can seal. Precomputed so the
 	// per-record check is one comparison, not a time.Add.
 	oldestDL time.Time
-	// curBatch/curEnd memoize the bucket the previous record landed in:
+	// cur/curEnd memoize the bucket the previous record landed in:
 	// consecutive records usually share a bucket, and hitting the memo
-	// skips the Truncate and both map lookups. Invalidated whenever any
+	// skips the Truncate and the bucket lookup. Invalidated whenever any
 	// bucket seals (the memoized one may be among them).
-	curBatch *StepBatch
-	curEnd   time.Time
+	cur    *bucket
+	curEnd time.Time
 
 	// sealed is the reused result buffer for Add and Flush; its contents
 	// are valid until the next Add or Flush call.
 	sealed []StepBatch
-	// Free-lists for sealed-batch storage, refilled by Recycle; freeRecs
-	// holds at most maxFreeRecs slices.
-	freeBatches []*StepBatch
+	// Free-lists for open buckets and sealed-batch storage, refilled by
+	// seal and Recycle; freeRecs holds at most maxFreeRecs slices.
+	freeBuckets []*bucket
 	freeMaps    []map[netip.Addr][]Record
 	freeRecs    [][]Record
 	poolHits    uint64
 	poolMisses  uint64
+}
+
+// bucket is one open step. A record finds its destination's slot with one
+// lookup in an index keyed by the destination's IPv4 word, hashed as four
+// bytes instead of a 24-byte netip.Addr (any other address goes through a
+// second, lazily made index). The per-destination record slices go into a
+// StepBatch's map once, when the step seals. A recycled bucket keeps its
+// cleared, warmed indexes.
+type bucket struct {
+	start time.Time
+	idx4  map[uint32]int32
+	idx   map[netip.Addr]int32
+	recs  [][]Record
 }
 
 // StepBatch is one sealed aggregation step.
@@ -63,7 +78,7 @@ func NewAggregator(step, lateness time.Duration) *Aggregator {
 	if lateness < 0 {
 		lateness = 0
 	}
-	return &Aggregator{Step: step, Lateness: lateness, buckets: make(map[int64]*StepBatch)}
+	return &Aggregator{Step: step, Lateness: lateness, buckets: make(map[int64]*bucket)}
 }
 
 // Add consumes one record and returns any batches its arrival sealed,
@@ -88,26 +103,46 @@ func (a *Aggregator) AddBatch(recs []Record, emit func([]StepBatch)) {
 }
 
 func (a *Aggregator) add(r *Record) []StepBatch {
-	b := a.curBatch
-	if b == nil || r.Start.Before(b.Start) || !r.Start.Before(a.curEnd) {
+	b := a.cur
+	if b == nil || r.Start.Before(b.start) || !r.Start.Before(a.curEnd) {
 		var sealed []StepBatch
 		b, sealed = a.lookupBucket(r)
 		if b == nil {
 			return sealed
 		}
 	}
-	lst, ok := b.ByDst[r.Dst]
-	if !ok {
-		lst = a.newRecSlice()
-	}
-	b.ByDst[r.Dst] = append(lst, *r)
+	i := a.slot(b, r.Dst)
+	b.recs[i] = append(b.recs[i], *r)
 	return a.advance(r.Start)
+}
+
+// slot returns the index of dst's record slice in b, adding the
+// destination on its first record: one index lookup per record.
+func (a *Aggregator) slot(b *bucket, dst netip.Addr) int32 {
+	i := int32(len(b.recs))
+	if dst.Is4() {
+		a4 := dst.As4()
+		w := binary.BigEndian.Uint32(a4[:])
+		if j, ok := b.idx4[w]; ok {
+			return j
+		}
+		b.idx4[w] = i
+	} else if j, ok := b.idx[dst]; ok {
+		return j
+	} else {
+		if b.idx == nil {
+			b.idx = make(map[netip.Addr]int32)
+		}
+		b.idx[dst] = i
+	}
+	b.recs = append(b.recs, a.newRecSlice())
+	return i
 }
 
 // lookupBucket resolves (creating if needed) the bucket for r on a memo
 // miss, or drops r as late (nil bucket, returning the sealed batches its
 // watermark advance produced).
-func (a *Aggregator) lookupBucket(r *Record) (*StepBatch, []StepBatch) {
+func (a *Aggregator) lookupBucket(r *Record) (*bucket, []StepBatch) {
 	bucketStart := r.Start.Truncate(a.Step)
 	if !a.watermark.IsZero() && bucketStart.Add(a.Step+a.Lateness).Before(a.watermark) {
 		a.dropped++
@@ -116,36 +151,40 @@ func (a *Aggregator) lookupBucket(r *Record) (*StepBatch, []StepBatch) {
 	key := bucketStart.UnixNano()
 	b := a.buckets[key]
 	if b == nil {
-		b = a.newBatch(bucketStart)
+		b = a.newBucket(bucketStart)
 		a.buckets[key] = b
 		dl := bucketStart.Add(a.Step + a.Lateness)
 		if a.oldestDL.IsZero() || dl.Before(a.oldestDL) {
 			a.oldestDL = dl
 		}
 	}
-	a.curBatch, a.curEnd = b, bucketStart.Add(a.Step)
+	a.cur, a.curEnd = b, bucketStart.Add(a.Step)
 	return b, nil
 }
 
-// newBatch takes a batch box and map from the free-lists, or allocates.
-func (a *Aggregator) newBatch(start time.Time) *StepBatch {
-	var b *StepBatch
-	if n := len(a.freeBatches); n > 0 {
-		b = a.freeBatches[n-1]
-		a.freeBatches = a.freeBatches[:n-1]
+// newBucket takes an open bucket from the free-list, or allocates one.
+func (a *Aggregator) newBucket(start time.Time) *bucket {
+	var b *bucket
+	if n := len(a.freeBuckets); n > 0 {
+		b = a.freeBuckets[n-1]
+		a.freeBuckets = a.freeBuckets[:n-1]
 	} else {
-		b = new(StepBatch)
+		b = &bucket{idx4: make(map[uint32]int32)}
 	}
-	b.Start = start
+	b.start = start
+	return b
+}
+
+// newMap takes an empty ByDst map from the free-list, or allocates.
+func (a *Aggregator) newMap(size int) map[netip.Addr][]Record {
 	if n := len(a.freeMaps); n > 0 {
-		b.ByDst = a.freeMaps[n-1]
+		m := a.freeMaps[n-1]
 		a.freeMaps = a.freeMaps[:n-1]
 		a.poolHits++
-	} else {
-		b.ByDst = make(map[netip.Addr][]Record)
-		a.poolMisses++
+		return m
 	}
-	return b
+	a.poolMisses++
+	return make(map[netip.Addr][]Record, size)
 }
 
 // newRecSlice takes an empty record slice with warmed capacity from the
@@ -175,9 +214,9 @@ func (a *Aggregator) advance(eventTime time.Time) []StepBatch {
 		return a.sealed
 	}
 	a.oldestDL = time.Time{}
-	a.curBatch = nil // the memoized bucket may be among the sealed
+	a.cur = nil // the memoized bucket may be among the sealed
 	for key, b := range a.buckets {
-		dl := b.Start.Add(a.Step + a.Lateness)
+		dl := b.start.Add(a.Step + a.Lateness)
 		if dl.Before(a.watermark) {
 			a.seal(b)
 			delete(a.buckets, key)
@@ -189,12 +228,24 @@ func (a *Aggregator) advance(eventTime time.Time) []StepBatch {
 	return a.sealed
 }
 
-// seal moves a bucket's contents into the sealed buffer and returns the
-// empty box to the free-list (its map now belongs to the sealed value).
-func (a *Aggregator) seal(b *StepBatch) {
-	a.sealed = append(a.sealed, *b)
-	b.ByDst = nil
-	a.freeBatches = append(a.freeBatches, b)
+// seal builds a bucket's batch into the sealed buffer, one map entry per
+// destination, and returns the emptied bucket to the free-list.
+func (a *Aggregator) seal(b *bucket) {
+	byDst := a.newMap(len(b.recs))
+	for w, i := range b.idx4 {
+		var a4 [4]byte
+		binary.BigEndian.PutUint32(a4[:], w)
+		byDst[netip.AddrFrom4(a4)] = b.recs[i]
+	}
+	for d, i := range b.idx {
+		byDst[d] = b.recs[i]
+	}
+	a.sealed = append(a.sealed, StepBatch{Start: b.start, ByDst: byDst})
+	clear(b.idx4)
+	clear(b.idx)
+	clear(b.recs) // the batch owns the record slices now
+	b.recs = b.recs[:0]
+	a.freeBuckets = append(a.freeBuckets, b)
 }
 
 // Flush seals and returns every pending bucket, oldest first. Like Add,
@@ -202,7 +253,7 @@ func (a *Aggregator) seal(b *StepBatch) {
 func (a *Aggregator) Flush() []StepBatch {
 	a.sealed = a.sealed[:0]
 	a.oldestDL = time.Time{}
-	a.curBatch = nil
+	a.cur = nil
 	for key, b := range a.buckets {
 		a.seal(b)
 		delete(a.buckets, key)

@@ -86,10 +86,10 @@ func (r *Record) Validate() error {
 }
 
 // CompareRecords is a total order over all record fields (timestamps
-// first, then the flow 5-tuple, then counters): the canonical in-bucket
-// order the ingest pipeline sorts by before feature extraction, so the
-// records a step hands on do not depend on how they interleaved across
-// workers.
+// first, then the flow 5-tuple, then counters): a canonical order for a
+// step's records that does not depend on how they interleaved across
+// workers. Serving does not need it, since feature extraction is exact
+// whatever the order.
 func CompareRecords(a, b Record) int { return compareRecords(&a, &b) }
 
 // compareRecords is CompareRecords without copying two 120-byte records
@@ -129,6 +129,7 @@ var sortKeys = sync.Pool{New: func() any { return new([]sortKey) }}
 // 16-byte keys instead of 120-byte records, falls back to the full
 // comparison, through pointers, only where two keys tie, and then moves
 // every record once, into its place; in steady state it does not allocate.
+// Only the benchmark module and tests still call it.
 func SortRecordsCanonical(recs []Record) {
 	if len(recs) < 2 {
 		return
