@@ -108,32 +108,36 @@ AB_ARGS ?=
 ab:
 	bash scripts/ab $(REV) $(AB_ARGS)
 
-# Phased-chaos soak over the real UDP serving path. `soak` is the full
-# 14-day run that regenerates the committed BENCH_soak.json (loss, dup,
-# reorder ramps, panics on every shard, a mid-run incremental
-# checkpoint/restore, a forced degradation window). `soak-smoke` is the
-# CI gate: a 2-simulated-day world, one 10% loss ramp and one injected
-# shard panic, asserting automatic recovery and detection-delay parity
-# with a fault-free baseline.
+# The acceptance harness (cmd/xatu-fleet): train in-process, replay the
+# simulated test window through coordinator -> table-following router ->
+# seeded chaos UDP -> engine nodes under a schedule of events, and compare
+# each matched episode's detection step from the coordinator's fan-in with
+# a baseline run of the same path (±5 steps outside 30-step settle
+# windows, and at least one episode compared). The scenarios differ only
+# in schedule:
+# - `fleet-smoke` (churn, 2-day world): 1 node, a live join at 2 nodes,
+#   and join/rebalance/kill/rejoin at 4; live migration must happen;
+# - `trace-smoke`: the 2-node run at 1/64 flow tracing must yield
+#   coordinator-assembled cross-node timelines (export->seal->step on the
+#   nodes joined with the fan-in span), and an in-process exporter->ingest
+#   replay must hold tracing-on throughput within 5% of tracing-off
+#   (median of paired runs);
+# - `soak-smoke` / `soak` (chaos): a 1-node fleet under loss, dup and
+#   reorder ramps, injected shard panics, a live checkpoint/restore and a
+#   forced degradation drill, against a clean 1-node run; one supervised
+#   restart per panic, healthy at the end, and a flight-recorder dump per
+#   panic and health change. `soak` is the full 14-day schedule that
+#   regenerates the committed BENCH_soak.json; `soak-smoke` the CI cut-down
+#   (one loss ramp, one panic).
 soak:
-	$(GO) run ./cmd/xatu-soak -days 14 -assert -out BENCH_soak.json
+	$(GO) run ./cmd/xatu-fleet -soak -days 14 -assert -out BENCH_soak.json > /dev/null
 
 soak-smoke:
-	$(GO) run ./cmd/xatu-soak -smoke -assert -out /tmp/BENCH_soak_smoke.json
+	$(GO) run ./cmd/xatu-fleet -soak -smoke -assert -out /tmp/BENCH_soak_smoke.json > /dev/null
 
-# Distributed serving acceptance: coordinator + engine-node fleet with a
-# table-following ingest router, replayed at 1/2/4 nodes with a live
-# mid-run join, a forced rebalance, and a node kill + rejoin under the
-# same ID. `fleet-smoke` is the CI gate (2-day world) asserting
-# cluster-wide alert-set parity against the 1-node baseline.
 fleet-smoke:
 	$(GO) run ./cmd/xatu-fleet -smoke -assert > /dev/null
 
-# Observability acceptance: the 2-node fleet run with 1-in-64 flow
-# tracing must yield coordinator-assembled cross-node timelines
-# (export→seal→step on the nodes joined with the coordinator's fan-in
-# span), and a controlled exporter→ingest replay (in-process) must hold tracing-on throughput within 5% of
-# tracing-off (median of paired off/on runs).
 trace-smoke:
 	$(GO) run ./cmd/xatu-fleet -smoke -assert -trace 64 > /dev/null
 
@@ -144,9 +148,11 @@ trace-smoke:
 # framing through Engine.Restore and RestoreCustomers) and the three
 # registry files xatu-detect loads next to the models (blocklists.txt,
 # routes.txt, history.snap); the WAL's vector encoding, which must
-# round-trip every float64 bit pattern; and a serving node's control
-# plane (/v1/table and /v1/steps bodies, then a routed step), on a
-# standalone node that dials no peer. Ten seconds each from the
+# round-trip every float64 bit pattern; a serving node's control plane
+# (/v1/table and /v1/steps bodies, then a routed step), on a standalone
+# node that dials no peer; and the coordinator's (join, heartbeat, leave
+# and alert bodies), which must serve only routable tables and never hold
+# one alert identity twice. Ten seconds each from the
 # committed seed corpora (CI smoke; run longer locally with -fuzztime as
 # needed). The model reader may legitimately allocate a model of up to
 # 1<<24 parameters for a mutated header, so it fuzzes on one worker.
@@ -164,6 +170,7 @@ fuzz:
 	$(GO) test ./internal/routing -run '^$$' -fuzz FuzzRoutingLoadText -fuzztime 10s
 	$(GO) test ./internal/attackhist -run '^$$' -fuzz FuzzAttackhistLoad -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzNodeControl -fuzztime 10s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzCoordinatorControl -fuzztime 10s
 
 # xatu-detect's two inputs and two modes end to end: a tiny model, then the
 # steps around ispgen's first attack as a journal through -replay, as
@@ -175,4 +182,4 @@ fuzz:
 detect-smoke:
 	bash scripts/detect-smoke.sh
 
-check: build build-arm64 lint loc bce test race bench-check detect-smoke fleet-smoke trace-smoke
+check: build build-arm64 lint loc bce test race bench-check detect-smoke fleet-smoke trace-smoke soak-smoke

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"net/url"
 	"os"
 	"path/filepath"
 	"slices"
@@ -20,6 +21,7 @@ import (
 
 	"github.com/xatu-go/xatu/internal/engine"
 	"github.com/xatu-go/xatu/internal/netflow"
+	"github.com/xatu-go/xatu/internal/telemetry"
 )
 
 // alertLog collects a node's alerts through OnAlert.
@@ -504,6 +506,63 @@ func FuzzNodeControl(f *testing.F) {
 		if st := n.Engine().Stats(); st.Steps+st.Missing+st.Bypassed+st.Shed != st.Submitted {
 			t.Fatalf("steps %d + missing %d + bypassed %d + shed %d != submitted %d",
 				st.Steps, st.Missing, st.Bypassed, st.Shed, st.Submitted)
+		}
+	})
+}
+
+// FuzzCoordinatorControl feeds arbitrary join, heartbeat, leave and alert
+// bodies to a coordinator's control plane, the alert batch twice as a
+// node retrying it would: nothing panics, every table the coordinator
+// serves is one routing can use, the fan-in never holds one
+// (customer, type, at) identity twice, and a repeated batch adds nothing.
+func FuzzCoordinatorControl(f *testing.F) {
+	type identity struct {
+		customer string
+		atype    int
+		sec      int64
+		nsec     int
+	}
+	f.Fuzz(func(t *testing.T, join, heartbeat []byte, leave string, alerts []byte) {
+		c := NewCoordinator(CoordinatorConfig{
+			Shards: 2, SweepEvery: -1, HTTPClient: offlineClient, Telemetry: telemetry.NewRegistry(),
+		})
+		defer c.Close()
+		h := c.Handler()
+		served := func(path, body string) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader([]byte(body))))
+			if rec.Code != http.StatusOK {
+				return
+			}
+			var tr tableResponse
+			if err := json.NewDecoder(rec.Body).Decode(&tr); err != nil {
+				t.Fatalf("%s answered 200 with an undecodable table: %v", path, err)
+			}
+			if err := tr.Table.validate(); err != nil {
+				t.Fatalf("%s served an unroutable table %+v: %v", path, tr.Table, err)
+			}
+		}
+		served("/v1/join", string(join))
+		post(h, "/v1/heartbeat", string(heartbeat))
+		post(h, "/v1/leave?id="+url.QueryEscape(leave), "")
+		post(h, "/v1/alerts", string(alerts))
+		before := len(c.Alerts())
+		post(h, "/v1/alerts", string(alerts))
+		served("/v1/table", "")
+		if tbl := c.CurrentTable(); tbl.validate() != nil {
+			t.Fatalf("current table %+v is unroutable", tbl)
+		}
+		held := c.Alerts()
+		if len(held) != before {
+			t.Fatalf("a repeated alert batch grew the fan-in from %d to %d", before, len(held))
+		}
+		seen := make(map[identity]bool, len(held))
+		for _, a := range held {
+			k := identity{a.Customer, a.Type, a.At.Unix(), a.At.Nanosecond()}
+			if seen[k] {
+				t.Fatalf("fan-in holds %+v twice", a)
+			}
+			seen[k] = true
 		}
 	})
 }
