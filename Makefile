@@ -45,18 +45,21 @@ race:
 # by explicit length guards, not excluded. Load-time quantization
 # (quantize32.go), the dynamic-index gather/scatter loops of the serving
 # lane (core/batchrunner32.go), and the once-per-chunk strided transposes
-# (nn/transpose.go) are deliberately excluded.
+# (nn/transpose.go) are deliberately excluded. The routing table's
+# lookup (routing/lookup.go) runs once per distinct source of every flood
+# step, for the A3 spoof check, and is gated the same way.
 BCE_KERNELS := internal/nn/f32.go internal/nn/panel32.go internal/nn/lstm32.go \
-	internal/nn/batchgrad.go internal/nn/batchtape.go internal/nn/sparsetrain.go
+	internal/nn/batchgrad.go internal/nn/batchtape.go internal/nn/sparsetrain.go \
+	internal/routing/lookup.go
 bce:
-	@out=$$($(GO) build -gcflags='-d=ssa/check_bce' ./internal/nn/ ./internal/core/ 2>&1 \
+	@out=$$($(GO) build -gcflags='-d=ssa/check_bce' ./internal/nn/ ./internal/core/ ./internal/routing/ 2>&1 \
 		| grep 'Found IsInBounds' \
-		| grep -E 'nn/f32\.go|nn/panel32\.go|nn/lstm32\.go|nn/batchgrad\.go|nn/batchtape\.go|nn/sparsetrain\.go' || true); \
+		| grep -E 'nn/f32\.go|nn/panel32\.go|nn/lstm32\.go|nn/batchgrad\.go|nn/batchtape\.go|nn/sparsetrain\.go|routing/lookup\.go' || true); \
 	if [ -n "$$out" ]; then \
 		echo "bounds checks in hot kernels ($(BCE_KERNELS)):"; \
 		echo "$$out"; exit 1; \
 	fi; \
-	echo "bce: hot serving and training kernels are bounds-check-free"
+	echo "bce: hot serving and training kernels and the route lookup are bounds-check-free"
 
 # Static analysis: vet + gofmt always; staticcheck when installed (CI
 # installs it, local machines may not have it).
@@ -147,7 +150,9 @@ trace-smoke:
 # (XSC1 stream, XMC1 monitor checkpoints, and XMC1's version-2 shard
 # framing through Engine.Restore and RestoreCustomers) and the three
 # registry files xatu-detect loads next to the models (blocklists.txt,
-# routes.txt, history.snap); the WAL's vector encoding, which must
+# routes.txt, history.snap), with the routing table's lookup checked
+# against a linear scan for prefixes inserted in fuzzed order; the WAL's
+# vector encoding, which must
 # round-trip every float64 bit pattern; a serving node's control plane
 # (/v1/table and /v1/steps bodies, then a routed step), on a standalone
 # node that dials no peer; and the coordinator's (join, heartbeat, leave
@@ -168,6 +173,7 @@ fuzz:
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzWALVector -fuzztime 10s
 	$(GO) test ./internal/blocklist -run '^$$' -fuzz FuzzBlocklistLoadText -fuzztime 10s
 	$(GO) test ./internal/routing -run '^$$' -fuzz FuzzRoutingLoadText -fuzztime 10s
+	$(GO) test ./internal/routing -run '^$$' -fuzz FuzzRoutingLookup -fuzztime 10s
 	$(GO) test ./internal/attackhist -run '^$$' -fuzz FuzzAttackhistLoad -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzNodeControl -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzCoordinatorControl -fuzztime 10s

@@ -18,6 +18,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/xatu-go/xatu/internal/compact"
@@ -38,6 +39,9 @@ type Registry struct {
 	order []netip.Addr
 	// alerts[customer] = alerts sorted by detection time
 	alerts map[netip.Addr][]ddos.Alert
+	// gen counts the writes that changed attackers: a Clusterings answer
+	// computed at one generation is stale at any other (Reuse).
+	gen atomic.Uint64
 }
 
 // span is the [first, last] observation interval of one attacker-customer
@@ -92,17 +96,18 @@ func (r *Registry) RecordAttacker(customer, src netip.Addr, t time.Time) {
 		r.order = slices.Insert(r.order, i, customer)
 	}
 	old, ok := m[w]
-	if !ok {
-		m[w] = span{first: at, last: at}
+	switch {
+	case !ok:
+		old = span{first: at, last: at}
+	case at.Before(old.first):
+		old.first = at
+	case old.last.Before(at):
+		old.last = at
+	default:
 		return
 	}
-	if at.Before(old.first) {
-		old.first = at
-	}
-	if old.last.Before(at) {
-		old.last = at
-	}
 	m[w] = old
+	r.gen.Add(1)
 }
 
 // WasAttacker reports whether src had attacked customer strictly before t
@@ -238,18 +243,76 @@ const (
 // no set is built. The fixed order makes the sums, and so the result,
 // a function of the registry's contents alone.
 func (r *Registry) Clusterings(customer netip.Addr, t time.Time, window time.Duration) (dot, minc, maxc float64) {
+	dot, minc, maxc, _ = r.ClusteringsReuse(customer, t, window)
+	return dot, minc, maxc
+}
+
+// Reuse says where a Clusterings answer still stands: while the registry's
+// attacker spans are unchanged (its write generation), the window is the
+// same, and t and t−window cross no scanned span's first or last — so
+// every span the answer read is active, or not, for the same reason. The
+// answer is a function of those activity bits alone, so within that
+// region it is the same, bit for bit. The zero Reuse holds nowhere.
+type Reuse struct {
+	ok     bool
+	gen    uint64
+	window time.Duration
+	// The answer holds for t in (hiAfter, hiUpTo] and t−window in
+	// (loAfter, loUpTo], as instants.
+	hiAfter, hiUpTo, loAfter, loUpTo compact.Instant
+}
+
+// Holds reports whether v, returned by r.ClusteringsReuse, covers a
+// Clusterings(·, t, window) query made now.
+func (r *Registry) Holds(v Reuse, t time.Time, window time.Duration) bool {
+	if !v.ok || v.window != window || v.gen != r.gen.Load() {
+		return false
+	}
+	lo, hi := compact.At(t.Add(-window)), compact.At(t)
+	return v.hiAfter.Before(hi) && !v.hiUpTo.Before(hi) && v.loAfter.Before(lo) && !v.loUpTo.Before(lo)
+}
+
+// note narrows v to the t and t−window region in which sp's activity
+// test in [lo, hi) keeps its result.
+func (v *Reuse) note(sp span, lo, hi compact.Instant) {
+	if sp.first.Before(hi) { // active from first on: t must stay past it
+		if v.hiAfter.Before(sp.first) {
+			v.hiAfter = sp.first
+		}
+	} else if sp.first.Before(v.hiUpTo) {
+		v.hiUpTo = sp.first
+	}
+	if sp.last.Before(lo) { // expired: t−window must stay past last
+		if v.loAfter.Before(sp.last) {
+			v.loAfter = sp.last
+		}
+	} else if sp.last.Before(v.loUpTo) {
+		v.loUpTo = sp.last
+	}
+}
+
+// ClusteringsReuse is Clusterings plus the Reuse region of its answer. A
+// customer with no recorded attacker gets the zero Reuse: its answer costs
+// one map lookup.
+func (r *Registry) ClusteringsReuse(customer netip.Addr, t time.Time, window time.Duration) (dot, minc, maxc float64, v Reuse) {
 	lo, hi := compact.At(t.Add(-window)), compact.At(t)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	mine := r.attackers[customer]
+	if len(mine) == 0 {
+		return 0, 0, 0, Reuse{}
+	}
+	v = Reuse{ok: true, gen: r.gen.Load(), window: window,
+		hiAfter: compact.Dawn, hiUpTo: compact.Never, loAfter: compact.Dawn, loUpTo: compact.Never}
 	nMine := 0
 	for _, sp := range mine {
+		v.note(sp, lo, hi)
 		if sp.activeIn(lo, hi) {
 			nMine++
 		}
 	}
 	if nMine == 0 {
-		return 0, 0, 0
+		return 0, 0, 0, v
 	}
 	n := 0
 	for _, other := range r.order {
@@ -258,6 +321,7 @@ func (r *Registry) Clusterings(customer netip.Addr, t time.Time, window time.Dur
 		}
 		nTheirs, inter := 0, 0
 		for src, sp := range r.attackers[other] {
+			v.note(sp, lo, hi)
 			if !sp.activeIn(lo, hi) {
 				continue
 			}
@@ -276,9 +340,9 @@ func (r *Registry) Clusterings(customer netip.Addr, t time.Time, window time.Dur
 		n++
 	}
 	if n == 0 {
-		return 0, 0, 0
+		return 0, 0, 0, v
 	}
-	return dot / float64(n), minc / float64(n), maxc / float64(n)
+	return dot / float64(n), minc / float64(n), maxc / float64(n), v
 }
 
 // Clustering returns one of the three coefficients of Clusterings.

@@ -68,28 +68,29 @@ type entry struct {
 	expiresAt compact.Instant // compact.Never for a permanent entry
 }
 
+// listing is one /24's entry under one category, and the link to the
+// /24's next listing (−1 ends the chain).
+type listing struct {
+	entry
+	next int32
+	cat  uint8
+}
+
 // Registry is a thread-safe blocklist registry. Lookups are by /24 subnet
 // and point-in-time, so historical feature extraction sees exactly the
-// lists that were live at each minute. The maps are keyed by the /24's
-// IPv4 word and hold no pointers.
+// lists that were live at each minute. subnets maps a /24's IPv4 word to
+// the first of its listings, one per category it is listed under, chained
+// through listings: a membership test is one hash probe, then a walk of
+// that /24's few listings. Neither holds a pointer.
 type Registry struct {
-	mu   sync.RWMutex
-	cats [NumCategories]map[uint32]entry
-	// anyCats[key] is the bitmask of categories holding an entry for key.
-	// A membership test consults this one map and then only the categories
-	// whose bits are set, instead of probing all 11 category maps. Entries
-	// only expire by timestamp (never by deletion), so the mask is add-only
-	// and stays exact.
-	anyCats map[uint32]uint16
+	mu       sync.RWMutex
+	subnets  compact.Index
+	listings []listing
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{anyCats: make(map[uint32]uint16)}
-	for i := range r.cats {
-		r.cats[i] = make(map[uint32]entry)
-	}
-	return r
+	return &Registry{}
 }
 
 // Add lists the /24 containing addr under cat starting at listedAt. A zero
@@ -106,25 +107,41 @@ func (r *Registry) Add(cat Category, addr netip.Addr, listedAt time.Time, ttl ti
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if old, ok := r.cats[cat][key]; ok && old.listedAt.Before(e.listedAt) {
-		// Keep the earliest listing time; extend expiry.
-		e.listedAt = old.listedAt
-		if e.expiresAt.Before(old.expiresAt) {
-			e.expiresAt = old.expiresAt
-		}
+	head, ok := r.subnets.Get(key)
+	if !ok {
+		head = -1
 	}
-	r.cats[cat][key] = e
-	r.anyCats[key] |= 1 << cat
+	for i := head; i >= 0; i = r.listings[i].next {
+		l := &r.listings[i]
+		if l.cat != uint8(cat) {
+			continue
+		}
+		if l.listedAt.Before(e.listedAt) {
+			// Keep the earliest listing time; extend expiry.
+			e.listedAt = l.listedAt
+			if e.expiresAt.Before(l.expiresAt) {
+				e.expiresAt = l.expiresAt
+			}
+		}
+		l.entry = e
+		return
+	}
+	r.listings = append(r.listings, listing{entry: e, next: head, cat: uint8(cat)})
+	r.subnets.Set(key, int32(len(r.listings)-1))
 }
 
 // liveLocked returns the subset of the categories in want under which key
 // is listed at t. Caller holds at least the read lock.
 func (r *Registry) liveLocked(key uint32, want uint16, t compact.Instant) uint16 {
+	i, ok := r.subnets.Get(key)
+	if !ok {
+		return 0
+	}
 	var live uint16
-	for mask := r.anyCats[key] & want; mask != 0; mask &= mask - 1 {
-		c := bits.TrailingZeros16(mask)
-		if e := r.cats[c][key]; !t.Before(e.listedAt) && t.Before(e.expiresAt) {
-			live |= 1 << c
+	for ; i >= 0; i = r.listings[i].next {
+		l := &r.listings[i]
+		if want>>l.cat&1 != 0 && !t.Before(l.listedAt) && t.Before(l.expiresAt) {
+			live |= 1 << l.cat
 		}
 	}
 	return live
@@ -194,8 +211,8 @@ func (r *Registry) Size() [NumCategories]int {
 	var out [NumCategories]int
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for i := range r.cats {
-		out[i] = len(r.cats[i])
+	for _, l := range r.listings {
+		out[l.cat]++
 	}
 	return out
 }

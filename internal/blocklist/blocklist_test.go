@@ -1,6 +1,7 @@
 package blocklist
 
 import (
+	"math/rand"
 	"net/netip"
 	"sync"
 	"testing"
@@ -212,4 +213,28 @@ func TestConcurrentAccess(t *testing.T) {
 	if total == 0 {
 		t.Fatal("concurrent adds lost")
 	}
+}
+
+// BenchmarkMarkListed is one flood step's A1 test at narrow_flood's
+// shape: 2 000 distinct sources, a fifth of them listed, against a
+// registry of 12 000 /24s over the 11 categories.
+func BenchmarkMarkListed(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	r := NewRegistry()
+	srcs := make([]uint32, 2000)
+	for i := 0; i < 60000; i++ {
+		w := uint32(11+rng.Intn(200))<<24 | uint32(rng.Intn(1<<16))<<8 | 1
+		if rng.Intn(5) == 0 {
+			r.Add(Category(rng.Intn(int(NumCategories))), netip.AddrFrom4([4]byte{byte(w >> 24), byte(w >> 16), byte(w >> 8), 1}), t0, 0)
+		}
+		if i%30 == 0 {
+			srcs[i/30] = w
+		}
+	}
+	marks := make([]uint8, len(srcs))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.MarkListed(marks, 1, srcs, t0, nil)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(srcs)), "ns/source")
 }

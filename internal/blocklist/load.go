@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -124,21 +124,21 @@ func categoryBySlug(slug string) (Category, bool) {
 func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	keys := r.subnets.Words(make([]uint32, 0, r.subnets.Len()))
+	slices.Sort(keys)
 	bw := bufio.NewWriter(w)
 	for c := Category(0); c < NumCategories; c++ {
-		keys := make([]uint32, 0, len(r.cats[c]))
-		for k := range r.cats[c] {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		for _, k := range keys {
-			e := r.cats[c][k]
-			listed := e.listedAt.Time()
-			if e.expiresAt == compact.Never {
-				fmt.Fprintf(bw, "%s,%s/24,%s\n", c, compact.Addr(k), listed.Format(time.RFC3339Nano))
-			} else {
-				fmt.Fprintf(bw, "%s,%s/24,%s,%s\n", c, compact.Addr(k),
-					listed.Format(time.RFC3339Nano), e.expiresAt.Time().Sub(listed))
+			for i, _ := r.subnets.Get(k); i >= 0; i = r.listings[i].next {
+				if e := r.listings[i]; e.cat == uint8(c) {
+					listed := e.listedAt.Time()
+					if e.expiresAt == compact.Never {
+						fmt.Fprintf(bw, "%s,%s/24,%s\n", c, compact.Addr(k), listed.Format(time.RFC3339Nano))
+					} else {
+						fmt.Fprintf(bw, "%s,%s/24,%s,%s\n", c, compact.Addr(k),
+							listed.Format(time.RFC3339Nano), e.expiresAt.Time().Sub(listed))
+					}
+				}
 			}
 		}
 	}

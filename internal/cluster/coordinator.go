@@ -54,7 +54,15 @@ type member struct {
 type dedupKey struct {
 	customer string
 	atype    int
-	atUnix   int64
+	atSec    int64 // At as Unix seconds and nanoseconds: exact for every time
+	atNsec   int
+}
+
+// seenAt is one accepted identity and when it was accepted, in the order
+// the coordinator accepted them.
+type seenAt struct {
+	key dedupKey
+	at  time.Time
 }
 
 // Coordinator owns fleet membership, the versioned routing table, and
@@ -67,8 +75,11 @@ type Coordinator struct {
 	members map[string]*member
 	table   Table
 	seen    map[dedupKey]time.Time
-	alerts  []WireAlert
-	nodeUp  map[string]*telemetry.Gauge
+	// seenOrder queues the identities in seen by acceptance time, so the
+	// prune pops exactly the ones past the dedup window.
+	seenOrder []seenAt
+	alerts    []WireAlert
+	nodeUp    map[string]*telemetry.Gauge
 
 	alertsTotal  *telemetry.Counter
 	dedupedTotal *telemetry.Counter
@@ -338,7 +349,7 @@ func (c *Coordinator) ReportAlerts(batch []WireAlert) int {
 		if c.alertsTotal != nil {
 			c.alertsTotal.Inc()
 		}
-		k := dedupKey{customer: a.Customer, atype: a.Type, atUnix: a.At.UnixNano()}
+		k := dedupKey{customer: a.Customer, atype: a.Type, atSec: a.At.Unix(), atNsec: a.At.Nanosecond()}
 		if first, ok := c.seen[k]; ok && now.Sub(first) <= c.cfg.DedupWindow {
 			if c.dedupedTotal != nil {
 				c.dedupedTotal.Inc()
@@ -346,6 +357,7 @@ func (c *Coordinator) ReportAlerts(batch []WireAlert) int {
 			continue
 		}
 		c.seen[k] = now
+		c.seenOrder = append(c.seenOrder, seenAt{k, now})
 		c.alerts = append(c.alerts, a)
 		accepted++
 		if c.tracer != nil {
@@ -357,14 +369,20 @@ func (c *Coordinator) ReportAlerts(batch []WireAlert) int {
 			}
 		}
 	}
-	// Amortized prune: identities past the window no longer suppress.
-	if len(c.seen) > 4*len(c.alerts)+1024 {
-		for k, first := range c.seen {
-			if now.Sub(first) > c.cfg.DedupWindow {
-				delete(c.seen, k)
-			}
+	// Identities past the window no longer suppress: forget them, oldest
+	// first. An identity accepted again is queued again, so only its
+	// latest entry deletes it. alerts, the fan-in's record, keeps all.
+	n := 0
+	for _, q := range c.seenOrder {
+		if now.Sub(q.at) <= c.cfg.DedupWindow {
+			break
 		}
+		if c.seen[q.key].Equal(q.at) {
+			delete(c.seen, q.key)
+		}
+		n++
 	}
+	c.seenOrder = c.seenOrder[n:]
 	c.mu.Unlock()
 	return accepted
 }

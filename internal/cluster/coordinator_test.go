@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -192,6 +193,50 @@ func TestAlertDedup(t *testing.T) {
 	clock.Advance(2 * time.Minute) // past the 1m dedup window
 	if got := c.ReportAlerts([]WireAlert{a1}); got != 1 {
 		t.Fatalf("replay after window accepted %d alerts, want 1", got)
+	}
+}
+
+// TestAlertDedupForgets pins the fan-in's memory: once an identity has
+// been accepted longer than DedupWindow ago it is forgotten, so 5 000
+// alerts an hour apart under a one-minute window leave one identity in
+// the dedup set. The fan-in's alert record keeps all of them.
+func TestAlertDedupForgets(t *testing.T) {
+	clock := newFakeNow()
+	c := testCoordinator(clock)
+	defer c.Close()
+	for i := 0; i < 5000; i++ {
+		a := WireAlert{Customer: "203.0.113.1", Type: 0, At: clock.Now(), Node: "a"}
+		if got := c.ReportAlerts([]WireAlert{a}); got != 1 {
+			t.Fatalf("alert %d: accepted %d, want 1", i, got)
+		}
+		clock.Advance(time.Hour)
+	}
+	c.mu.Lock()
+	seen, queued, alerts := len(c.seen), len(c.seenOrder), len(c.alerts)
+	c.mu.Unlock()
+	if seen != 1 || queued != 1 || alerts != 5000 {
+		t.Fatalf("seen=%d queued=%d alerts=%d, want 1, 1 and 5000", seen, queued, alerts)
+	}
+}
+
+// TestAlertDedupKeyExact pins the dedup identity's time: two alerts 2^64
+// ns (≈584.5 years) apart, whose UnixNano values coincide, are two
+// identities.
+func TestAlertDedupKeyExact(t *testing.T) {
+	clock := newFakeNow()
+	c := testCoordinator(clock)
+	defer c.Close()
+	at := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
+	later := at.Add(math.MaxInt64).Add(math.MaxInt64).Add(2)
+	if at.UnixNano() != later.UnixNano() {
+		t.Fatalf("fixture: UnixNano %d and %d differ", at.UnixNano(), later.UnixNano())
+	}
+	batch := []WireAlert{
+		{Customer: "203.0.113.1", Type: 0, At: at, Node: "a"},
+		{Customer: "203.0.113.1", Type: 0, At: later, Node: "a"},
+	}
+	if got := c.ReportAlerts(batch); got != 2 {
+		t.Fatalf("accepted %d alerts %v and %v, want 2", got, at, later)
 	}
 }
 

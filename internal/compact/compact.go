@@ -53,8 +53,11 @@ type Instant struct {
 	nsec int32
 }
 
-// Never is later than the instant of every Time.
-var Never = Instant{sec: math.MaxInt64}
+// Never is later than the instant of every Time, and Dawn earlier.
+var (
+	Never = Instant{sec: math.MaxInt64}
+	Dawn  = Instant{sec: math.MinInt64}
+)
 
 // At converts t.
 func At(t time.Time) Instant {

@@ -6,6 +6,7 @@ package ddos
 
 import (
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"time"
 
@@ -135,6 +136,65 @@ func SignatureFor(at AttackType, victim netip.Addr) Signature {
 		panic(fmt.Sprintf("ddos: unknown attack type %d", at))
 	}
 	return sig
+}
+
+// RecordTypes returns, one bit per attack type, the types whose canonical
+// signature SignatureFor(t, victim) matches r: MatchesRecord for all six
+// at once, with one branch on the protocol.
+func RecordTypes(r *netflow.Record, victim netip.Addr) uint8 {
+	if r.Dst != victim {
+		return 0
+	}
+	switch r.Proto {
+	case netflow.ProtoUDP:
+		if r.SrcPort == 53 {
+			return 1<<UDPFlood | 1<<DNSAmp
+		}
+		return 1 << UDPFlood
+	case netflow.ProtoTCP:
+		f := r.TCPFlags
+		var types uint8
+		if f&netflow.FlagACK != 0 && f&(netflow.FlagSYN|netflow.FlagRST) == 0 {
+			types |= 1 << TCPACK
+		}
+		if f&netflow.FlagSYN != 0 && f&netflow.FlagACK == 0 {
+			types |= 1 << TCPSYN
+		}
+		if f&netflow.FlagRST != 0 {
+			types |= 1 << TCPRST
+		}
+		return types
+	case netflow.ProtoICMP:
+		return 1 << ICMPFlood
+	}
+	return 0
+}
+
+// Tally is one step's signature sums: per attack type, how many records
+// match the type's canonical signature and their bytes, added in record
+// order.
+type Tally struct {
+	Records [NumAttackTypes]int
+	Bytes   [NumAttackTypes]float64
+}
+
+// Add counts one record of the given bytes towards each type in types (a
+// RecordTypes result).
+func (t *Tally) Add(types uint8, bytes float64) {
+	for ; types != 0; types &= types - 1 {
+		k := bits.TrailingZeros8(types)
+		t.Records[k]++
+		t.Bytes[k] += bytes
+	}
+}
+
+// TallyRecords tallies flows against victim's six signatures.
+func TallyRecords(flows []netflow.Record, victim netip.Addr) Tally {
+	var t Tally
+	for i := range flows {
+		t.Add(RecordTypes(&flows[i], victim), float64(flows[i].Bytes))
+	}
+	return t
 }
 
 // Alert is one detection event, from CDet or from Xatu.

@@ -131,3 +131,56 @@ func TestAlertDuration(t *testing.T) {
 		t.Fatalf("Duration = %v", a.Duration())
 	}
 }
+
+// TestRecordTypesMatchesSignatures pins the one-pass classifier to the
+// per-signature definition: for every attack type, RecordTypes sets the
+// type's bit exactly when SignatureFor(type, victim).MatchesRecord does,
+// over every protocol shape, all 256 flag bytes, DNS and other source
+// ports, and records to the victim and to another address.
+func TestRecordTypesMatchesSignatures(t *testing.T) {
+	other := netip.MustParseAddr("23.1.1.2")
+	n := 0
+	for _, proto := range []netflow.Proto{netflow.ProtoTCP, netflow.ProtoUDP, netflow.ProtoICMP, 47} {
+		for flags := 0; flags < 256; flags++ {
+			for _, sport := range []uint16{53, 443} {
+				for _, dst := range []netip.Addr{victim, other} {
+					r := flow(proto, sport, 80, uint8(flags))
+					r.Dst = dst
+					got := RecordTypes(&r, victim)
+					for at := AttackType(0); at < NumAttackTypes; at++ {
+						sig := SignatureFor(at, victim)
+						if want := sig.MatchesRecord(&r); (got>>at&1 == 1) != want {
+							t.Fatalf("%v proto %d flags %#x sport %d dst %v: RecordTypes bit %v, MatchesRecord %v",
+								at, proto, flags, sport, dst, got>>at&1 == 1, want)
+						}
+					}
+					n++
+				}
+			}
+		}
+	}
+	if n != 4*256*2*2 {
+		t.Fatalf("checked %d records", n)
+	}
+}
+
+func TestTallyRecords(t *testing.T) {
+	flows := []netflow.Record{
+		flow(netflow.ProtoUDP, 53, 80, 0),
+		flow(netflow.ProtoUDP, 1024, 80, 0),
+		flow(netflow.ProtoTCP, 1024, 80, netflow.FlagSYN|netflow.FlagRST),
+		flow(netflow.ProtoICMP, 0, 0, 0),
+	}
+	flows[1].Bytes = 100
+	tl := TallyRecords(flows, victim)
+	want := Tally{
+		Records: [NumAttackTypes]int{UDPFlood: 2, TCPSYN: 1, TCPRST: 1, DNSAmp: 1, ICMPFlood: 1},
+		Bytes:   [NumAttackTypes]float64{UDPFlood: 740, TCPSYN: 640, TCPRST: 640, DNSAmp: 640, ICMPFlood: 640},
+	}
+	if tl != want {
+		t.Fatalf("TallyRecords = %+v, want %+v", tl, want)
+	}
+	if TallyRecords(flows, netip.MustParseAddr("23.9.9.9")) != (Tally{}) {
+		t.Fatal("records to another address must not count")
+	}
+}

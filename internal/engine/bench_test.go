@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/xatu-go/xatu/internal/ddos"
 	"github.com/xatu-go/xatu/internal/netflow"
 	"github.com/xatu-go/xatu/internal/telemetry"
 )
@@ -142,18 +143,9 @@ func BenchmarkEngineShards4Telemetry(b *testing.B) {
 	benchEngineShards(b, 4, telemetry.NewRegistry())
 }
 
-// BenchmarkFallbackStep times the CDet fallback's share of a flood step:
-// 2000 records of mixed protocol and flags classified against the
-// customer's six signatures, then one detector observation (emit off, as
-// while Healthy).
-func BenchmarkFallbackStep(b *testing.B) {
-	eng, err := New(Config{Monitor: benchMonitorConfig(b), Shards: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	t0 := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
-	customer := testCustomers(1)[0]
+// fallbackFlows is a flood step of mixed protocol and flags: 2000
+// records to customer, every seventh from source port 53.
+func fallbackFlows(customer netip.Addr, t0 time.Time) []netflow.Record {
 	var flows []netflow.Record
 	for len(flows) < 2000 {
 		flows = append(flows, benchFlows(customer, 250, t0)...)
@@ -165,10 +157,26 @@ func BenchmarkFallbackStep(b *testing.B) {
 			flows[i].SrcPort = 53
 		}
 	}
+	return flows
+}
+
+// BenchmarkFallbackStep times the CDet fallback's share of a flood step:
+// one detector observation of the six per-type byte sums extraction
+// tallied (emit off, as while Healthy).
+func BenchmarkFallbackStep(b *testing.B) {
+	eng, err := New(Config{Monitor: benchMonitorConfig(b), Shards: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	t0 := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
+	customer := testCustomers(1)[0]
+	flows := fallbackFlows(customer, t0)
+	sigs := ddos.TallyRecords(flows, customer)
 	s := eng.shards[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.fallbackStep(s, message{customer: customer, at: t0.Add(time.Duration(i) * time.Minute), flows: flows}, false)
+		eng.fallbackStep(s, message{customer: customer, at: t0.Add(time.Duration(i) * time.Minute), flows: flows}, sigs.Bytes, false)
 	}
 }

@@ -1061,7 +1061,8 @@ func (e *Engine) handleSteps(s *shard, run []message, st HealthState) bool {
 		// Model inference is shed: the pass-through CDet fallback confirms
 		// volumetric anomalies so alerts keep flowing. Runs are of one.
 		for _, msg := range run {
-			if !e.fallbackStep(s, msg, true) {
+			sigs := ddos.TallyRecords(msg.flows, msg.customer)
+			if !e.fallbackStep(s, msg, sigs.Bytes, true) {
 				return false
 			}
 			s.bypassed.Add(1)
@@ -1112,7 +1113,7 @@ func (e *Engine) handleSteps(s *shard, run []message, st HealthState) bool {
 		}
 		// Keep the fallback's baselines warm so a later CDetOnly entry
 		// starts with learned thresholds, not a cold warm-up.
-		e.fallbackStep(s, msg, false)
+		e.fallbackStep(s, msg, batch[i].sigs.Bytes, false)
 		e.observeSubmitLatency(msg.enq)
 		s.walAppend(&run[i], batch[i].x, batch[i].hits)
 		s.runDone++

@@ -278,16 +278,18 @@ func (m *Monitor) laneFor(at ddos.AttackType) (*modelGroup, error) {
 }
 
 // stepIn is one customer's step in a batch (observeBatch): ObserveStep's
-// arguments; the normalized feature vector x the lanes were pushed and
-// the match bit of every attack type whose signature check ran in the
-// alert loop (what the WAL logs); and the alerts and decision traces the
-// step raised. A replayed step comes with x and hits and no flows:
-// extraction and signature matching are skipped.
+// arguments; the normalized feature vector x the lanes were pushed, the
+// signature tally extraction counted, and the match bit of every attack
+// type whose signature check ran in the alert loop (x and hits are what
+// the WAL logs); and the alerts and decision traces the step raised. A
+// replayed step comes with x and hits and no flows: extraction and
+// signature matching are skipped.
 type stepIn struct {
 	customer netip.Addr
 	at       time.Time
 	flows    []netflow.Record
 	x        []float64
+	sigs     ddos.Tally
 	hits     uint8
 	replay   bool
 	alerts   []ddos.Alert
@@ -349,7 +351,7 @@ func (m *Monitor) observeBatch(steps []stepIn, traced bool) {
 		}
 		m.feats[i] = m.cfg.Extractor.ExtractInto(m.feats[i], &m.scratch, st.customer, st.at, st.flows)
 		features.Normalize(m.feats[i])
-		st.x, st.hits = m.feats[i], 0
+		st.x, st.sigs, st.hits = m.feats[i], m.scratch.Sigs, 0
 		m.stepRecords += uint64(len(st.flows))
 	}
 	m.extractTime += time.Since(start)
@@ -420,17 +422,12 @@ func (m *Monitor) alertLoop(st *stepIn, rec *custChans, traced bool) {
 		// signature to scrubbing (§2.1), which is pointless on zero match.
 		sig := ddos.SignatureFor(atype, st.customer)
 		bit := uint8(1) << atype
-		matched := 0
+		matched := st.sigs.Records[atype]
 		if st.replay {
 			if st.hits&bit == 0 {
 				continue
 			}
 		} else {
-			for i := range st.flows {
-				if sig.MatchesRecord(&st.flows[i]) {
-					matched++
-				}
-			}
 			if matched == 0 {
 				continue
 			}

@@ -325,26 +325,12 @@ func (s *shard) fallbackDetector(e *Engine) *cdet.Detector {
 	return s.fb
 }
 
-// fallbackStep feeds one step of flows to the CDet fallback. With emit
-// set (CDetOnly mode) its alerts are fanned into the alert channel with a
-// nil Trace; otherwise the detector only learns. Reports false when the
-// engine closed mid-delivery.
-func (e *Engine) fallbackStep(s *shard, msg message, emit bool) bool {
+// fallbackStep feeds one step's per-type signature bytes to the CDet
+// fallback. With emit set (CDetOnly mode) its alerts are fanned into the
+// alert channel with a nil Trace; otherwise the detector only learns.
+// Reports false when the engine closed mid-delivery.
+func (e *Engine) fallbackStep(s *shard, msg message, perType [ddos.NumAttackTypes]float64, emit bool) bool {
 	fb := s.fallbackDetector(e)
-	var sigs [ddos.NumAttackTypes]ddos.Signature
-	for at := ddos.AttackType(0); at < ddos.NumAttackTypes; at++ {
-		sigs[at] = ddos.SignatureFor(at, msg.customer)
-	}
-	var perType [ddos.NumAttackTypes]float64
-	for i := range msg.flows {
-		r := &msg.flows[i]
-		b := float64(r.Bytes)
-		for at := range sigs {
-			if sigs[at].MatchesRecord(r) {
-				perType[at] += b
-			}
-		}
-	}
 	alerts := fb.Observe(msg.customer, msg.at, perType)
 	if !emit {
 		return true

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"math"
 	"net/netip"
 	"sync"
 	"testing"
@@ -723,6 +724,47 @@ func TestInjectFaultBounds(t *testing.T) {
 	for _, bad := range []int{-1, 2, 99} {
 		if err := eng.InjectFault(bad); err == nil {
 			t.Fatalf("InjectFault(%d) accepted", bad)
+		}
+	}
+}
+
+// TestFallbackSumsFromTallies pins the CDet fallback's input: the six
+// per-type byte sums the monitor's extraction tallies equal, bit for bit,
+// six passes of SignatureFor(type).MatchesRecord summing the matching
+// records' bytes in record order, on BenchmarkFallbackStep's mixed
+// fixture plus records to another customer. CDetOnly's ddos.TallyRecords
+// does too.
+func TestFallbackSumsFromTallies(t *testing.T) {
+	t0 := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
+	cs := testCustomers(2)
+	flows := fallbackFlows(cs[0], t0)
+	for i := 0; i < len(flows); i += 11 {
+		flows[i].Dst = cs[1]
+	}
+	var want [ddos.NumAttackTypes]float64
+	for at := ddos.AttackType(0); at < ddos.NumAttackTypes; at++ {
+		sig := ddos.SignatureFor(at, cs[0])
+		for i := range flows {
+			if sig.MatchesRecord(&flows[i]) {
+				want[at] += float64(flows[i].Bytes)
+			}
+		}
+	}
+	mon, err := NewMonitor(tinyMonitorConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := []stepIn{{customer: cs[0], at: t0, flows: flows}}
+	mon.observeBatch(st, false)
+	cdetOnly := ddos.TallyRecords(flows, cs[0])
+	for at := range want {
+		if want[at] == 0 {
+			t.Fatalf("fixture matches no %v record", ddos.AttackType(at))
+		}
+		for name, got := range map[string]float64{"extraction": st[0].sigs.Bytes[at], "TallyRecords": cdetOnly.Bytes[at]} {
+			if math.Float64bits(got) != math.Float64bits(want[at]) {
+				t.Errorf("%v: %s sum %v, six-pass sum %v", ddos.AttackType(at), name, got, want[at])
+			}
 		}
 	}
 }

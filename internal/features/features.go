@@ -88,7 +88,7 @@ type Scratch struct {
 	// index numbers the step's distinct IPv4 sources (4-in-6 ones under
 	// their IPv4 word) in first-appearance order; other holds the sources
 	// that are not IPv4, numbered after them.
-	index map[uint32]int32
+	index compact.Index
 	other map[netip.Addr]int32
 	// Per distinct source: its address word (IPv4 sources only), its group
 	// mask (bit g set when the source's records count towards group g) and
@@ -99,6 +99,21 @@ type Scratch struct {
 	// srcOf[i] is the source number of flows[i]; a non-IPv4 source k is
 	// stored as ^k until the IPv4 count is known.
 	srcOf []int32
+
+	// Sigs is the last step's signature tally (ddos.RecordTypes per
+	// record), counted in the extraction's one walk over the records.
+	Sigs ddos.Tally
+
+	// a5 holds, per customer with recorded attackers, the last A5 answer
+	// of a5Reg and where it stands; a5Reg is the registry it was read from.
+	a5    map[netip.Addr]a5Memo
+	a5Reg *attackhist.Registry
+}
+
+// a5Memo is one customer's A5 block and its attackhist.Reuse region.
+type a5Memo struct {
+	v     [A5Size]float64
+	reuse attackhist.Reuse
 }
 
 // The four volumetric groups, as bit positions of a source's group mask and
@@ -166,6 +181,7 @@ func (e *Extractor) ExtractInto(dst []float64, s *Scratch, customer netip.Addr, 
 	e.markSources(s, nV4, customer, at)
 
 	var nFlows [numGroups]float64
+	s.Sigs = ddos.Tally{}
 	for i := range flows {
 		r := &flows[i]
 		src := s.srcOf[i]
@@ -173,6 +189,7 @@ func (e *Extractor) ExtractInto(dst []float64, s *Scratch, customer netip.Addr, 
 			src = int32(nV4) + ^src
 		}
 		b, p := float64(r.Bytes), float64(r.Packets)
+		s.Sigs.Add(ddos.RecordTypes(r, customer), b)
 		// The record's facts, as slot numbers of a block (−1: none).
 		proto, srcPort, dstPort := -1, -1, -1
 		var flags uint8
@@ -238,18 +255,40 @@ func (e *Extractor) ExtractInto(dst []float64, s *Scratch, customer netip.Addr, 
 		copy(dst[OffA4:OffA4+A4Size], hist[:])
 	}
 	if e.History != nil && !e.Disable["A5"] {
-		dst[OffA5], dst[OffA5+1], dst[OffA5+2] = e.History.Clusterings(customer, at, e.A5Window)
+		*(*[A5Size]float64)(dst[OffA5:]) = s.clusterings(e.History, customer, at, e.A5Window)
 	}
 	return dst
+}
+
+// clusterings is h.Clusterings, reusing the customer's previous answer
+// while h says it still holds. The answer moves only when an attacker
+// span is written or t crosses a span's first or last+window, so a flood
+// of steps against a steady history rescans nothing.
+func (s *Scratch) clusterings(h *attackhist.Registry, customer netip.Addr, at time.Time, window time.Duration) [A5Size]float64 {
+	if s.a5Reg != h {
+		clear(s.a5)
+		s.a5Reg = h
+	}
+	if m, ok := s.a5[customer]; ok && h.Holds(m.reuse, at, window) {
+		return m.v
+	}
+	var m a5Memo
+	m.v[0], m.v[1], m.v[2], m.reuse = h.ClusteringsReuse(customer, at, window)
+	switch {
+	case m.reuse == attackhist.Reuse{}:
+		delete(s.a5, customer)
+	case s.a5 == nil:
+		s.a5 = map[netip.Addr]a5Memo{customer: m}
+	default:
+		s.a5[customer] = m
+	}
+	return m.v
 }
 
 // collectSources numbers the distinct sources of flows into s.index,
 // s.other, s.words and s.srcOf, and returns how many of them are IPv4.
 func (s *Scratch) collectSources(flows []netflow.Record) (nV4 int) {
-	if s.index == nil {
-		s.index = make(map[uint32]int32, 16)
-	}
-	clear(s.index)
+	s.index.Clear()
 	clear(s.other)
 	s.words = s.words[:0]
 	s.srcOf = slices.Grow(s.srcOf[:0], len(flows))[:len(flows)]
@@ -267,10 +306,10 @@ func (s *Scratch) collectSources(flows []netflow.Record) (nV4 int) {
 			s.srcOf[i] = ^k
 			continue
 		}
-		k, seen := s.index[w]
+		k, seen := s.index.Get(w)
 		if !seen {
 			k = int32(len(s.words))
-			s.index[w] = k
+			s.index.Set(w, k)
 			s.words = append(s.words, w)
 		}
 		s.srcOf[i] = k

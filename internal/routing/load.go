@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -52,28 +53,20 @@ func LoadText(r io.Reader) (*Table, error) {
 	return t, nil
 }
 
-// WriteText serializes the table in LoadText's format, walking the trie in
-// prefix order.
+// WriteText serializes the table in LoadText's format, in prefix order:
+// by address, a shorter prefix before the longer ones it holds.
 func (t *Table) WriteText(w io.Writer) error {
-	return writeNode(w, t.root, netip.AddrFrom4([4]byte{}), 0)
-}
-
-func writeNode(w io.Writer, n *node, addr netip.Addr, depth int) error {
-	if n == nil {
-		return nil
-	}
-	if n.route != nil {
-		if _, err := fmt.Fprintf(w, "%s %d\n", n.route.Prefix, n.route.Origin); err != nil {
+	routes := slices.Clone(t.routes)
+	slices.SortFunc(routes, func(a, b Route) int {
+		if c := a.Prefix.Addr().Compare(b.Prefix.Addr()); c != 0 {
+			return c
+		}
+		return a.Prefix.Bits() - b.Prefix.Bits()
+	})
+	for _, r := range routes {
+		if _, err := fmt.Fprintf(w, "%s %d\n", r.Prefix, r.Origin); err != nil {
 			return err
 		}
 	}
-	if err := writeNode(w, n.child[0], addr, depth+1); err != nil {
-		return err
-	}
-	if n.child[1] == nil {
-		return nil // a /32 leaf: depth 32 has no bit to set
-	}
-	b := addr.As4()
-	b[depth/8] |= 1 << (7 - uint(depth%8))
-	return writeNode(w, n.child[1], netip.AddrFrom4(b), depth+1)
+	return nil
 }

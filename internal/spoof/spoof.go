@@ -111,11 +111,11 @@ func (c *Checker) ClassifyWord(src uint32, ingressAS routing.ASN) Class {
 	if isBogonWord(src) {
 		return Bogon
 	}
-	route, ok := c.table.LookupWord(src)
+	origin, ok := c.table.OriginWord(src)
 	if !ok {
 		return Unrouted
 	}
-	if ingressAS != 0 && route.Origin != ingressAS {
+	if ingressAS != 0 && origin != ingressAS {
 		return InvalidOrigin
 	}
 	return Legit
