@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build build-arm64 vet test race fuzz detect-smoke bce bench-smoke bench-check ab soak soak-smoke fleet-smoke trace-smoke lint loc check
+.PHONY: build build-arm64 vet test race fuzz detect-smoke bce bench-smoke bench-check ab quality quality-check soak soak-smoke fleet-smoke trace-smoke lint loc check
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,7 @@ build-arm64:
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags quality ./cmd/xatu-bench
 
 test:
 	$(GO) test ./...
@@ -111,6 +112,21 @@ AB_ARGS ?=
 ab:
 	bash scripts/ab $(REV) $(AB_ARGS)
 
+# The reproduction baseline (cmd/xatu-bench/quality_test.go, build tag
+# `quality`, so tier-1 does not pay for it): for seeds 1-3 on xatu-bench's
+# default 14-day world, train every system and compute fig8's headline
+# columns at the 40% bound (median and p10 delay, median effectiveness, p75
+# overhead) per system, over all attack types and, without the overhead,
+# per type. `quality`
+# rewrites the committed BENCH_quality.json; `quality-check` recomputes it
+# and fails when a number leaves its tolerance (the seeds' max-min spread
+# of that system and metric) or the set of rows changes.
+quality:
+	$(GO) test -tags quality -run '^TestQualityBaseline$$' -count 1 -v ./cmd/xatu-bench -update
+
+quality-check:
+	$(GO) test -tags quality -run '^TestQualityBaseline$$' -count 1 -v ./cmd/xatu-bench
+
 # The acceptance harness (cmd/xatu-fleet): train in-process, replay the
 # simulated test window through coordinator -> table-following router ->
 # seeded chaos UDP -> engine nodes under a schedule of events, and compare
@@ -188,4 +204,4 @@ fuzz:
 detect-smoke:
 	bash scripts/detect-smoke.sh
 
-check: build build-arm64 lint loc bce test race bench-check detect-smoke fleet-smoke trace-smoke soak-smoke
+check: build build-arm64 lint loc bce test race bench-check quality-check detect-smoke fleet-smoke trace-smoke soak-smoke

@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"time"
@@ -59,14 +60,16 @@ func main() {
 	}
 	<-ctx.Done()
 	t := coord.CurrentTable()
+	_, _, accepted := coord.AlertsSince(math.MaxUint64)
 	fmt.Printf("shutting down: table v%d, %d nodes, %d alerts accepted\n",
-		t.Version, len(t.Nodes), len(coord.Alerts()))
+		t.Version, len(t.Nodes), accepted)
 }
 
-// printAlerts polls the deduped fan-in and prints alerts as they accrue
-// (the coordinator keeps the full accepted list; we print the suffix).
+// printAlerts follows the deduped fan-in's alert log by cursor and prints
+// alerts as they accrue, saying so if the bounded log overwrote any
+// before they were printed.
 func printAlerts(ctx context.Context, coord *xatu.Coordinator) {
-	seen := 0
+	var cursor uint64
 	t := time.NewTicker(time.Second)
 	defer t.Stop()
 	for {
@@ -75,9 +78,12 @@ func printAlerts(ctx context.Context, coord *xatu.Coordinator) {
 			return
 		case <-t.C:
 		}
-		alerts := coord.Alerts()
-		for ; seen < len(alerts); seen++ {
-			a := alerts[seen]
+		alerts, oldest, last := coord.AlertsSince(cursor)
+		if oldest > cursor+1 {
+			logf("xatu-coord: %d alerts overwritten before they were printed", oldest-cursor-1)
+		}
+		cursor = last
+		for _, a := range alerts {
 			fmt.Printf("%s ALERT customer=%s type=%d severity=%d node=%s shard=%d\n",
 				a.At.Format(time.RFC3339), a.Customer, a.Type, a.Severity, a.Node, a.Shard)
 		}

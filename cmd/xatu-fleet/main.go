@@ -618,7 +618,12 @@ func (f *fleet) run(name string, initial int, sched []event) *runResult {
 	}
 	chaosMu.Unlock()
 
-	alerts := coord.Alerts()
+	// The fan-in's whole log, read from cursor 0: a detection read from a
+	// log that overwrote alerts would be judged on part of the run.
+	alerts, oldest, _ := coord.AlertsSince(0)
+	if oldest > 1 {
+		fatal("%s: the coordinator's alert log overwrote %d alerts", name, oldest-1)
+	}
 	srv.Close()
 	coord.Close()
 	res.detect = f.detections(alerts)

@@ -53,11 +53,7 @@ func (c *Coordinator) serveStatus(w http.ResponseWriter, _ *http.Request) {
 	for _, m := range c.members {
 		rows = append(rows, statusNode{NodeInfo: m.info, LastSeenMS: now.Sub(m.lastSeen).Milliseconds()})
 	}
-	alerts := c.alerts
-	if len(alerts) > maxStatusAlerts {
-		alerts = alerts[len(alerts)-maxStatusAlerts:]
-	}
-	alerts = append([]WireAlert(nil), alerts...)
+	alerts, _, _ := c.alertsSince(c.logLast - min(c.logLast, maxStatusAlerts))
 	c.mu.Unlock()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
 

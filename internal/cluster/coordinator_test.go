@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -10,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/xatu-go/xatu/internal/telemetry"
 )
 
 // fakeNow is an injectable test clock.
@@ -199,7 +202,7 @@ func TestAlertDedup(t *testing.T) {
 // TestAlertDedupForgets pins the fan-in's memory: once an identity has
 // been accepted longer than DedupWindow ago it is forgotten, so 5 000
 // alerts an hour apart under a one-minute window leave one identity in
-// the dedup set. The fan-in's alert record keeps all of them.
+// the dedup set. The alert log, below its bound, keeps all of them.
 func TestAlertDedupForgets(t *testing.T) {
 	clock := newFakeNow()
 	c := testCoordinator(clock)
@@ -212,10 +215,85 @@ func TestAlertDedupForgets(t *testing.T) {
 		clock.Advance(time.Hour)
 	}
 	c.mu.Lock()
-	seen, queued, alerts := len(c.seen), len(c.seenOrder), len(c.alerts)
+	seen, queued, alerts := len(c.seen), len(c.seenOrder), len(c.log)
 	c.mu.Unlock()
 	if seen != 1 || queued != 1 || alerts != 5000 {
 		t.Fatalf("seen=%d queued=%d alerts=%d, want 1, 1 and 5000", seen, queued, alerts)
+	}
+}
+
+// TestAlertLogRing overfills the bounded alert log: it keeps the newest
+// alertLogCap alerts in sequence order, a cursor read (in process and over
+// GET /v1/alerts?since=N) reports the oldest sequence still held, and the
+// counter counts only the overwritten alerts no reader was handed.
+func TestAlertLogRing(t *testing.T) {
+	clock := newFakeNow()
+	c := NewCoordinator(CoordinatorConfig{SweepEvery: -1, Now: clock.Now, Telemetry: telemetry.NewRegistry()})
+	defer c.Close()
+	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	alert := func(i int) WireAlert {
+		return WireAlert{Customer: "203.0.113.1", At: at.Add(time.Duration(i) * time.Second), Node: "a"}
+	}
+	report := func(from, to int) {
+		batch := make([]WireAlert, 0, to-from)
+		for i := from; i < to; i++ {
+			batch = append(batch, alert(i))
+		}
+		if got := c.ReportAlerts(batch); got != to-from {
+			t.Fatalf("accepted %d alerts, want %d", got, to-from)
+		}
+	}
+
+	report(0, 5)
+	if got, oldest, last := c.AlertsSince(0); len(got) != 5 || oldest != 1 || last != 5 {
+		t.Fatalf("read %d alerts, oldest %d, last %d; want 5, 1, 5", len(got), oldest, last)
+	}
+	const extra = 10
+	report(5, alertLogCap+5+extra) // overwrites sequences 1..15; 1..5 were read
+	got, oldest, last := c.AlertsSince(5)
+	if oldest != 6+extra || last != alertLogCap+5+extra || len(got) != alertLogCap {
+		t.Fatalf("oldest %d, last %d, %d alerts; want %d, %d, %d",
+			oldest, last, len(got), 6+extra, alertLogCap+5+extra, alertLogCap)
+	}
+	if !got[0].At.Equal(alert(5+extra).At) || !got[len(got)-1].At.Equal(alert(alertLogCap+4+extra).At) {
+		t.Fatalf("held %v..%v, want the alerts at %v..%v", got[0].At, got[len(got)-1].At,
+			alert(5+extra).At, alert(alertLogCap+4+extra).At)
+	}
+	if n := c.overwrittenTotal.Value(); n != extra {
+		t.Fatalf("overwritten counter %d, want %d (sequences 6..15)", n, extra)
+	}
+	report(alertLogCap+5+extra, alertLogCap+6+extra) // overwrites 16, which was read
+	if n := c.overwrittenTotal.Value(); n != extra {
+		t.Fatalf("overwriting a read alert moved the counter to %d", n)
+	}
+
+	srv, err := c.StartServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := http.Get(fmt.Sprintf("http://%s/v1/alerts?since=%d", srv.Addr(), last-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var page alertsPage
+	err = json.NewDecoder(resp.Body).Decode(&page)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Alerts) != 2 || page.Oldest != 7+extra || page.Last != last+1 ||
+		!page.Alerts[1].At.Equal(alert(alertLogCap+5+extra).At) {
+		t.Fatalf("GET since=%d: %d alerts, oldest %d, last %d; want 2, %d, %d",
+			last-1, len(page.Alerts), page.Oldest, page.Last, 7+extra, last+1)
+	}
+	resp, err = http.Get("http://" + srv.Addr() + "/v1/alerts?since=x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("GET since=x answered %d, want 400", resp.StatusCode)
 	}
 }
 

@@ -148,6 +148,15 @@ type alertsRequest struct {
 	Alerts []WireAlert `json:"alerts"`
 }
 
+// alertsPage answers GET /v1/alerts?since=N: the held alerts after
+// sequence N, the oldest sequence still held, and the newest (the next
+// cursor). Oldest > N+1 means alerts after N were overwritten.
+type alertsPage struct {
+	Alerts []WireAlert `json:"alerts"`
+	Oldest uint64      `json:"oldest"`
+	Last   uint64      `json:"last"`
+}
+
 type stepsRequest struct {
 	Steps []WireStep `json:"steps"`
 }

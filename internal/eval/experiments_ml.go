@@ -84,6 +84,21 @@ func (s SystemOutcomes) AllForOverhead() []metrics.AttackOutcome {
 	return append(append([]metrics.AttackOutcome{}, s.Attacks...), s.FPs...)
 }
 
+// OfType keeps the attack and FP outcomes of one attack type.
+func (s SystemOutcomes) OfType(at ddos.AttackType) SystemOutcomes {
+	keep := func(outs []metrics.AttackOutcome) []metrics.AttackOutcome {
+		var out []metrics.AttackOutcome
+		for _, o := range outs {
+			if o.Type == at {
+				out = append(out, o)
+			}
+		}
+		return out
+	}
+	s.Attacks, s.FPs = keep(s.Attacks), keep(s.FPs)
+	return s
+}
+
 // tracedSystem calibrates a traced system at the bound and splits test
 // outcomes into attacks and FPs.
 func (c *MLContext) tracedSystem(name string, val, test []Trace, bound float64) (SystemOutcomes, error) {
@@ -131,24 +146,33 @@ func (c *MLContext) missPenalty() time.Duration {
 	return time.Duration(c.P.Cfg.Model.Window*c.P.Cfg.Model.PoolShort) * c.P.Cfg.World.Step
 }
 
-// summaryRow renders one system's headline metrics.
-func (c *MLContext) summaryRow(s SystemOutcomes, label string) []string {
-	eff := metrics.Summarize(metrics.EffectivenessSeries(s.Attacks))
-	del := metrics.Summarize(metrics.DelaySeries(s.Attacks, c.missPenalty()))
+// Headline is one system's headline numbers as fig8 reports them:
+// effectiveness and detection delay (minutes) over its attacks, and
+// cumulative scrubbing overhead over its attacks and false positives.
+type Headline struct{ Eff, Delay, Overhead metrics.Summary }
+
+// Headline summarizes s. With no customer to charge, overhead is 0.
+func (c *MLContext) Headline(s SystemOutcomes) Headline {
 	ov := metrics.Summarize(metrics.CumulativeOverheads(s.AllForOverhead()))
-	return []string{
-		label, s.Name,
-		pct(eff.P10), pct(eff.P50), pct(eff.P90),
-		f1(del.P10), f1(del.P50), f1(del.P90),
-		pct(nanZero(ov.P25)), pct(nanZero(ov.P50)), pct(nanZero(ov.P75)),
+	if ov.N == 0 {
+		ov = metrics.Summary{}
+	}
+	return Headline{
+		Eff:      metrics.Summarize(metrics.EffectivenessSeries(s.Attacks)),
+		Delay:    metrics.Summarize(metrics.DelaySeries(s.Attacks, c.missPenalty())),
+		Overhead: ov,
 	}
 }
 
-func nanZero(v float64) float64 {
-	if math.IsNaN(v) {
-		return 0
+// summaryRow renders one system's headline metrics.
+func (c *MLContext) summaryRow(s SystemOutcomes, label string) []string {
+	h := c.Headline(s)
+	return []string{
+		label, s.Name,
+		pct(h.Eff.P10), pct(h.Eff.P50), pct(h.Eff.P90),
+		f1(h.Delay.P10), f1(h.Delay.P50), f1(h.Delay.P90),
+		pct(h.Overhead.P25), pct(h.Overhead.P50), pct(h.Overhead.P75),
 	}
-	return v
 }
 
 // Fig8OverheadSweep reproduces Figure 8: effectiveness, detection delay and
@@ -288,36 +312,29 @@ func Fig10PerAttackType(c *MLContext, bound float64) (*Result, error) {
 	}
 	ns := c.CDet("netscout")
 	fnm := c.CDet("fastnetmon")
-	byType := func(s SystemOutcomes, at ddos.AttackType) []metrics.AttackOutcome {
-		var out []metrics.AttackOutcome
-		for _, o := range s.Attacks {
-			if o.Type == at {
-				out = append(out, o)
-			}
-		}
-		return out
-	}
 	for at := ddos.AttackType(0); at < ddos.NumAttackTypes; at++ {
-		nsT, fnmT, rfT, xT := byType(ns, at), byType(fnm, at), byType(rf, at), byType(xatu, at)
-		if len(xT) == 0 {
+		n := len(xatu.OfType(at).Attacks)
+		if n == 0 {
 			continue
 		}
-		med := func(os []metrics.AttackOutcome) string {
-			if len(os) == 0 {
-				return "-"
+		// medians renders a system's median effectiveness and delay on
+		// this type's attacks.
+		medians := func(s SystemOutcomes) (eff, delay string) {
+			s = s.OfType(at)
+			if len(s.Attacks) == 0 {
+				return "-", "-"
 			}
-			return pct(metrics.Quantile(metrics.EffectivenessSeries(os), 0.5))
+			h := c.Headline(s)
+			return pct(h.Eff.P50), f1(h.Delay.P50)
 		}
-		medDelay := func(os []metrics.AttackOutcome) string {
-			if len(os) == 0 {
-				return "-"
-			}
-			return f1(metrics.Quantile(metrics.DelaySeries(os, c.missPenalty()), 0.5))
-		}
+		nsEff, nsDelay := medians(ns)
+		fnmEff, _ := medians(fnm)
+		rfEff, _ := medians(rf)
+		xEff, xDelay := medians(xatu)
 		res.Rows = append(res.Rows, []string{
-			at.String(), fmt.Sprintf("%d", len(xT)),
-			med(nsT), med(fnmT), med(rfT), med(xT),
-			medDelay(nsT), medDelay(xT),
+			at.String(), fmt.Sprintf("%d", n),
+			nsEff, fnmEff, rfEff, xEff,
+			nsDelay, xDelay,
 		})
 	}
 	return res, nil

@@ -533,3 +533,25 @@ func TestSignatureBytesDeterministic(t *testing.T) {
 		t.Fatal("SignatureBytes must be deterministic")
 	}
 }
+
+// BenchmarkWorldFlowsAt times flow synthesis on xatu-bench's 12-day,
+// 10-customer world (xatu.BenchPipelineConfig(12, 1)).
+func BenchmarkWorldFlowsAt(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Days = 12
+	cfg.NumCustomers = 10
+	cfg.Step = 2 * time.Minute
+	cfg.NumBotnets = 5
+	cfg.BotsPerBotnet = 40
+	cfg.MeanAttacksPerBotnetPerWeek = 16
+	cfg.MeanPeakMbps = 30
+	cfg.PrepDaysMax = 4
+	w, err := NewWorld(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.FlowsAt(i%len(w.Customers), i%cfg.Steps())
+	}
+}

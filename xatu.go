@@ -192,8 +192,6 @@ type (
 	PipelineConfig = eval.Config
 	// MLContext caches trained systems for the ML experiments.
 	MLContext = eval.MLContext
-	// ExperimentResult is a rendered experiment table.
-	ExperimentResult = eval.Result
 	// Episode is one labeled attack window matched between ground truth
 	// and CDet labels (used by the chaos/soak harnesses for per-episode
 	// detection-delay accounting).
